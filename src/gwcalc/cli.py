@@ -25,7 +25,7 @@ from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, filter_complex,
-                             key_degree_sum, reduce_axioms,
+                             key_degree_sum, lift_one_point, reduce_axioms,
                              reduce_descendant_trr, vdim_complex,
                              wdvv_instances)
 from .real_solver import (RealSession, filter_real, reduce_real_axioms,
@@ -593,8 +593,11 @@ def suite_trr_cross(target, args, csession, rsession):
             via_axiom = Fraction(0)
             for coeff, k in terms:
                 via_axiom += coeff * csession.value(k)
+            # the recursion needs two insertions: lift one-point keys
+            # by the string relation first, as ComplexSession.value does
+            trr_key = lift_one_point(key) if key.num_insertions == 1 else key
             via_trr = Fraction(0)
-            for coeff, keys in reduce_descendant_trr(key, target):
+            for coeff, keys in reduce_descendant_trr(trr_key, target):
                 prod = coeff
                 for k in keys:
                     prod *= csession.value(k)

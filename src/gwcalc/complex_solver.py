@@ -15,7 +15,12 @@ relation, divisor insertions strip off a factor of d each).  Exchange
 relations are generated for all admissible insertion tuples with four
 distinguished slots and solved by sparse Gauss-Jordan elimination over
 the rationals; lower-degree factors are read from the table, degree-0
-factors evaluate classically, and inconsistencies abort.
+factors evaluate classically, and inconsistencies abort.  In each term
+of a relation the grading pins the curve degree of the first factor
+(that of the second follows), so only that one split is evaluated; the
+structural part of each factor (vanishing, degree-0 value, or canonical
+key with its divisor multiplier) is memoized per session by shape,
+while its value is always read from the live table.
 """
 
 from __future__ import annotations
@@ -93,6 +98,29 @@ def filter_complex(key, target):
             key.genus, key.num_insertions, d, target):
         return GRADING
     return None
+
+
+def _strip_primary(target, degree, basis_list):
+    """Canonicalize a primary factor at degree >= 1.
+
+    Kills unit insertions (string relation), strips divisor insertions
+    (factor ``degree`` each) and applies the structural filter.  Returns
+    (key, multiplier), or None when the factor is structurally zero.
+    """
+    stripped = []
+    mult = Fraction(1)
+    for b in basis_list:
+        deg = target.degree(b)
+        if deg == 0:
+            return None
+        if deg == 2:
+            mult *= degree
+        else:
+            stripped.append((0, b))
+    key = InvariantKey(COMPLEX, 0, degree, sorted(stripped))
+    if filter_complex(key, target) is not None:
+        return None
+    return key, mult
 
 
 def _as_class(target, m):
@@ -496,9 +524,13 @@ class ComplexSession:
             raise ValueError("table belongs to a different target")
         self.seed_value = Fraction(seed_value)
         self._solved_to = 0
-        self._seed_key = InvariantKey(
-            COMPLEX, 0, 1,
-            [(0, target.num_basis), (0, target.num_basis)])
+        # the line count <pt, pt>_1, divisor-stripped (on P^1 the point
+        # class is the divisor, so the canonical unknown is <>_1)
+        self._seed_key, self._seed_mult = _strip_primary(
+            target, 1, [target.num_basis, target.num_basis])
+        # structural part of relation-row factors, keyed by
+        # (degree, sorted basis tuple); see _factor
+        self._shapes = {}
 
     # -- primary unknowns and block solving -----------------------------
 
@@ -544,7 +576,8 @@ class ComplexSession:
         if not unknowns:
             return
         if d == self._seed_key.degree and self._seed_key in unknowns:
-            self.table.put(self._seed_key, self.seed_value, "seed")
+            self.table.put(self._seed_key,
+                           self.seed_value / self._seed_mult, "seed")
         pending = [k for k in unknowns if self.table.get(k) is None]
         if not pending:
             return
@@ -579,9 +612,16 @@ class ComplexSession:
         Equivalent to evaluating wdvv_relation term by term, but with the
         repeated non-distinguished insertions grouped by multiplicity so
         large instances stay cheap (all basis degrees are even here, so
-        no sign bookkeeping is lost by grouping).
+        no sign bookkeeping is lost by grouping).  For each grouping and
+        diagonal term the grading fixes the first factor's degree
+        d1 = (sum of its degrees - 2((n-3) + its length)) / (2 c1); only
+        a whole d1 in [0, d] is tried, and the second factor's grading
+        then holds automatically.  Factors go through _factor, which
+        memoizes their shapes but reads values from the live table.
         """
         target = self.target
+        n = target.complex_dim
+        c1 = target.c1_pairing
         free = mu[4:]
         groups = []
         for b in sorted(set(free)):
@@ -600,31 +640,37 @@ class ComplexSession:
                     weight *= math.comb(cnt, t)
                     ins_i.extend([b] * t)
                     ins_j.extend([b] * (cnt - t))
-                for d1 in range(d + 1):
-                    d2 = d - d1
-                    for gcoeff, (ei, ej) in diag:
-                        coeff = Fraction(side * weight) * gcoeff
-                        f1 = self._factor(d1, ins_i + [ei], d)
-                        if f1 is None:
-                            continue
-                        f2 = self._factor(d2, [ej] + ins_j, d)
-                        if f2 is None:
-                            continue
-                        kind1, val1 = f1
-                        kind2, val2 = f2
-                        if kind1 == "num" and kind2 == "num":
-                            rhs -= coeff * val1 * val2
-                        elif kind1 == "num":
-                            ukey, mult = val2
-                            row[ukey] = row.get(ukey, Fraction(0)) \
-                                + coeff * val1 * mult
-                        elif kind2 == "num":
-                            ukey, mult = val1
-                            row[ukey] = row.get(ukey, Fraction(0)) \
-                                + coeff * val2 * mult
-                        else:
-                            raise AssertionError(
-                                "two unknown factors in one term")
+                excess_i = sum(target.degree(b) for b in ins_i) \
+                    - 2 * ((n - 3) + len(ins_i) + 1)
+                for gcoeff, (ei, ej) in diag:
+                    num = excess_i + target.degree(ei)
+                    if num % (2 * c1):
+                        continue
+                    d1 = num // (2 * c1)
+                    if not 0 <= d1 <= d:
+                        continue
+                    coeff = Fraction(side * weight) * gcoeff
+                    f1 = self._factor(d1, ins_i + [ei], d)
+                    if f1 is None:
+                        continue
+                    f2 = self._factor(d - d1, [ej] + ins_j, d)
+                    if f2 is None:
+                        continue
+                    kind1, val1 = f1
+                    kind2, val2 = f2
+                    if kind1 == "num" and kind2 == "num":
+                        rhs -= coeff * val1 * val2
+                    elif kind1 == "num":
+                        ukey, mult = val2
+                        row[ukey] = row.get(ukey, Fraction(0)) \
+                            + coeff * val1 * mult
+                    elif kind2 == "num":
+                        ukey, mult = val1
+                        row[ukey] = row.get(ukey, Fraction(0)) \
+                            + coeff * val2 * mult
+                    else:
+                        raise AssertionError(
+                            "two unknown factors in one term")
         return row, rhs
 
     @staticmethod
@@ -642,37 +688,38 @@ class ComplexSession:
 
         Returns None for a structurally zero factor, ("num", value) for
         a known one, or ("unknown", (key, multiplier)) for a canonical
-        unknown of the block (multiplier from divisor stripping).
+        unknown of the block (multiplier from divisor stripping).  The
+        structural shape is memoized by (d_f, sorted basis tuple); the
+        value is looked up in the table on every call, so a lower-degree
+        gap still raises and pre-filled or seeded entries are honoured.
         """
-        target = self.target
-        ell = len(basis_list)
-        if d_f == 0:
-            if ell < 3:
-                return None
-            val = degree_zero_value(target, [(0, b) for b in basis_list])
-            return ("num", val) if val else None
-        stripped = []
-        mult = Fraction(1)
-        for b in basis_list:
-            deg = target.degree(b)
-            if deg == 0:
-                return None  # string: unit insertion kills positive degree
-            if deg == 2:
-                mult *= d_f
-            else:
-                stripped.append(b)
-        key = InvariantKey(COMPLEX, 0, d_f, sorted((0, b) for b in stripped))
-        if filter_complex(key, target) is not None:
+        shape_key = (d_f, tuple(sorted(basis_list)))
+        if shape_key in self._shapes:
+            shape = self._shapes[shape_key]
+        else:
+            shape = self._factor_shape(d_f, basis_list)
+            self._shapes[shape_key] = shape
+        if shape is None:
             return None
-        if d_f < block_degree:
-            val = self.table.get(key)
-            if val is None:
-                raise SolverError("missing lower-degree value %r" % (key,))
+        if d_f == 0:
+            return ("num", shape)
+        key, mult = shape
+        val = self.table.get(key)
+        if val is not None:
             return ("num", mult * val)
-        cached = self.table.get(key)
-        if cached is not None:
-            return ("num", mult * cached)
-        return ("unknown", (key, mult))
+        if d_f < block_degree:
+            raise SolverError("missing lower-degree value %r" % (key,))
+        return ("unknown", shape)
+
+    def _factor_shape(self, d_f, basis_list):
+        """Structural part of a factor: None when it vanishes, its value
+        at degree 0, else (canonical key, divisor multiplier)."""
+        if d_f == 0:
+            if len(basis_list) < 3:
+                return None
+            val = degree_zero_value(self.target, [(0, b) for b in basis_list])
+            return val if val else None
+        return _strip_primary(self.target, d_f, basis_list)
 
     # -- evaluation -----------------------------------------------------
 
@@ -685,19 +732,10 @@ class ComplexSession:
             return Fraction(0)
         if degree == 0:
             return degree_zero_value(target, [(0, b) for b in basis_list])
-        stripped = []
-        mult = Fraction(1)
-        for b in basis_list:
-            deg = target.degree(b)
-            if deg == 0:
-                return Fraction(0)
-            if deg == 2:
-                mult *= degree
-            else:
-                stripped.append(b)
-        key = InvariantKey(COMPLEX, 0, degree, sorted((0, b) for b in stripped))
-        if filter_complex(key, target) is not None:
+        canon = _strip_primary(target, degree, basis_list)
+        if canon is None:
             return Fraction(0)
+        key, mult = canon
         self.ensure_primary(degree)
         val = self.table.get(key)
         if val is None:
@@ -741,11 +779,7 @@ class ComplexSession:
 
     def _descendant_value(self, key):
         if key.num_insertions == 1:
-            # one-point descendant: apply the string relation backwards
-            (a, b), = key.insertions
-            lifted = InvariantKey(COMPLEX, 0, key.degree,
-                                  sorted([(a + 1, b), (0, 1)]))
-            return self.value(lifted)
+            return self.value(lift_one_point(key))
         total = Fraction(0)
         for coeff, factors in reduce_descendant_trr(key, self.target):
             prod = coeff
@@ -755,6 +789,14 @@ class ComplexSession:
                     break
             total += prod
         return total
+
+
+def lift_one_point(key):
+    """The string relation applied backwards to a one-point complex key:
+    <tau_a(b)>_d = <tau_{a+1}(b), tau_0(1)>_d, a key the topological
+    recursion can reduce."""
+    (a, b), = key.insertions
+    return InvariantKey(COMPLEX, 0, key.degree, sorted([(a + 1, b), (0, 1)]))
 
 
 def reduce_descendant_trr(key, target):

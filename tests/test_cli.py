@@ -208,6 +208,28 @@ def test_verify_p2_all_suites(capsys):
     assert all("pass" in line for line in lines)
 
 
+def test_compute_p1_line_count(capsys):
+    # on P^1 the point class is the divisor: the seed is stored as <>_1
+    code, out, err = run(capsys, "compute", "--target", "P1-tau",
+                         "--max-degree", "1")
+    assert code == 0
+    assert out.splitlines() == ["complex g=0 d=1 <> = 1"]
+    code, out, err = run(capsys, "compute", "--target", "P1-tau",
+                         "--degree", "1", "--insertions", "pt,pt")
+    assert code == 0
+    assert out.splitlines() == ["complex g=0 d=1 <pt, pt> = 1"]
+
+
+def test_verify_p1_all_suites(capsys):
+    # trr-cross meets one-point keys such as <tau_1(1)>_1 here
+    code, out, err = run(capsys, "verify", "--target", "P1-tau",
+                         "--max-degree", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert "trr-cross" in [line.split()[1] for line in lines]
+    assert all("pass" in line for line in lines)
+
+
 def test_verify_single_suite(capsys):
     code, out, err = run(capsys, "verify", "--target", "P3-tau",
                          "--max-degree", "2", "--suite", "rwdvv")

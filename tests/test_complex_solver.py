@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -344,3 +345,58 @@ def test_seed_conflict_detected(p2):
     session = ComplexSession(p2, table)
     with pytest.raises((InconsistentSystemError, StoreConflictError)):
         session.ensure_primary(2)
+
+
+def _scrambled_session(target, max_degree, rng):
+    """A fresh session whose table holds arbitrary nonzero values for
+    every primary unknown up to max_degree (the seed keeps its value)."""
+    session = ComplexSession(target)
+    pt = target.num_basis
+    seed = key(1, [(0, pt), (0, pt)])
+    for d in range(1, max_degree + 1):
+        for k in session.primary_keys(d):
+            if k == seed:
+                session.table.put(k, session.seed_value, "seed")
+            else:
+                val = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
+                               rng.randint(1, 7))
+                session.table.put(k, val, "wdvv")
+    return session
+
+
+@pytest.mark.parametrize("target,max_degree", [
+    (make_p2(), 4), (make_projective(2, "tau"), 2),
+    (make_projective(3, "tau"), 1)], ids=["P2", "P3-tau", "P5-tau"])
+def test_grouped_rows_match_ungrouped_relation(target, max_degree):
+    """relation_residual (grouped, one pinned degree split per term)
+    agrees with the ungrouped all-splits wdvv_relation on a table of
+    arbitrary values, where neither side vanishes."""
+    session = _scrambled_session(target, max_degree, random.Random(11))
+    checked = nonzero = 0
+    for d in range(1, max_degree + 1):
+        cap = max(k.num_insertions for k in session.primary_keys(d)) + 2
+        for mu in wdvv_instances(target, d, cap):
+            direct = Fraction(0)
+            for coeff, factors in wdvv_relation(target, mu, d):
+                prod = coeff
+                for f in factors:
+                    prod *= session.value(f)
+                direct += prod
+            residual = session.relation_residual(mu, d)
+            assert residual == direct, (mu, d)
+            checked += 1
+            nonzero += residual != 0
+    assert checked and nonzero == checked
+
+
+def test_p3_degree_five(p3):
+    """Rational quintic space curves through 10 points: 105."""
+    t0 = time.monotonic()
+    cs = ComplexSession(p3)
+    assert cs.value(key(5, [(0, 4)] * 10)) == 105
+    cap = max(k.num_insertions for k in cs.primary_keys(5)) + 1
+    instances = list(wdvv_instances(p3, 5, cap))
+    assert len(instances) == 319
+    for mu in instances:
+        assert cs.relation_residual(mu, 5) == 0, mu
+    assert time.monotonic() - t0 < 30
