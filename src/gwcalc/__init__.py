@@ -3,7 +3,7 @@
 Subpackages/modules:
 
 - graded_algebra: target cohomology rings (projective builtins + JSON-loaded)
-- combinatorics: stable-graph enumeration and sign conventions
+- combinatorics: graded sign conventions
 - invariant_store: canonical invariant keys, tables, persistent cache
 - complex_solver: recursion engine for the complex counts
 - real_solver: recursion engine for the real counts

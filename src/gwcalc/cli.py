@@ -6,14 +6,15 @@ problems, corrupt cache), 4 underdetermined system (e.g. a fixed-locus
 free involution with no seed sign supplied).
 
 Output is deterministic: identical flags on identical caches print
-byte-identical text regardless of --threads.
+byte-identical text.  Everything runs in one thread; --threads is
+accepted for compatibility and ignored (a negative value is still a
+usage error).
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .graded_algebra import (TargetValidationError, TargetSpace,
@@ -21,7 +22,7 @@ from .graded_algebra import (TargetValidationError, TargetSpace,
                              frac_to_str)
 from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               InvariantTable, StoreConflictError,
-                              StoreFormatError, normalize)
+                              StoreFormatError, normalize, read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, filter_complex,
@@ -31,10 +32,11 @@ from .complex_solver import (AxiomPreconditionError, ComplexSession,
 from .real_solver import (RealSession, filter_real, reduce_real_axioms,
                           reduce_descendant_rtrr, rwdvv_instances,
                           vdim_real)
-from .potentials import (build_potentials, residual_dilaton_complex,
-                         residual_dilaton_real, residual_rwdvv_pde,
-                         residual_string_complex, residual_string_real,
-                         residual_wdvv_pde, GradedSeries, _multisets_exact)
+from .potentials import (build_potentials, graded_keys,
+                         residual_dilaton_complex, residual_dilaton_real,
+                         residual_rwdvv_pde, residual_string_complex,
+                         residual_string_real, residual_wdvv_pde,
+                         GradedSeries)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,7 +69,8 @@ def build_parser():
         p.add_argument("--cache", help="cache file path (default: $%s)" %
                        CACHE_ENV_VAR)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: hardware count)")
+                       help="accepted for compatibility and ignored: "
+                            "gwcalc computes in one thread")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
 
@@ -147,11 +150,9 @@ def _parse_seed_sign(raw):
     raise UsageError("--seed-sign must be + or -, got %r" % raw)
 
 
-def _threads(args):
-    n = args.threads if args.threads else (os.cpu_count() or 1)
-    if n < 1:
-        raise UsageError("--threads must be positive")
-    return n
+def _check_threads(args):
+    if args.threads is not None and args.threads < 0:
+        raise UsageError("--threads must not be negative")
 
 
 # ----- class-name handling ---------------------------------------------------
@@ -268,6 +269,7 @@ def cmd_compute(args, out=None):
         raise UsageError("give either --degree or --max-degree, not both")
     if args.descendant_depth < 0:
         raise UsageError("--descendant-depth must be >= 0")
+    _check_threads(args)
     if args.real and target.complex_dim % 2 == 0:
         raise UsageError("--real needs a target of odd complex dimension")
     table, path = _load_table(args, target)
@@ -307,9 +309,7 @@ def cmd_compute(args, out=None):
             keys = [k for k in keys
                     if k.insertions and
                     all(a == 0 and i == only for a, i in k.insertions)]
-        with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-            values = list(ex.map(session.value, keys))
-        rows = list(zip(keys, values))
+        rows = [(key, session.value(key)) for key in keys]
         rows.sort(key=lambda kv: kv[0].sort_key())
     emit_rows(target, rows, args.format, out)
     if path:
@@ -331,35 +331,19 @@ def _instance_caps(session, max_degree):
 
 
 def _descendant_keys(target, kind, degree, max_insertions, depth):
-    """All grading-admissible canonical keys with descendants at a degree."""
-    variables = []
-    for a in range(depth + 1):
-        for i in range(1, target.num_basis + 1):
-            variables.append((a, i))
-    variables.sort(key=lambda v: 2 * v[0] + target.degree(v[1]))
-    weights = [2 * a + target.degree(i) for a, i in variables]
-    out = []
-    for ell in range(1, max_insertions + 1):
-        if kind == COMPLEX:
-            want = vdim_complex(0, ell, degree, target)
-        else:
-            want = vdim_real(0, ell, degree, target)
-        if want < 0:
-            continue
-        for multiset in _multisets_exact(variables, weights, ell, want):
-            ins = []
-            for (a, i), m in multiset:
-                ins.extend([(a, i)] * m)
-            ins.sort()
-            key = InvariantKey(kind, 0, degree, ins)
-            if key.total_descendant_power() == 0:
-                continue
-            if kind == COMPLEX and filter_complex(key, target) is None:
-                out.append(key)
-            elif kind == REAL and filter_real(key, target) is None:
-                out.append(key)
+    """All structurally nonzero canonical keys with descendants at a
+    degree, with 1..max_insertions insertions, sorted."""
+    out = [key for ell in range(1, max_insertions + 1)
+           for key in graded_keys(target, kind, degree, ell, depth)
+           if key.total_descendant_power()]
     out.sort(key=lambda k: k.sort_key())
     return out
+
+
+def _first_term(res):
+    """The first nonzero term of a residual series, as 'C at MONOMIAL'."""
+    (q, vt), c = res.items()[0]
+    return "%s at %s" % (frac_to_str(c), GradedSeries.monomial_string(q, vt))
 
 
 def suite_grading(target, args, csession, rsession):
@@ -410,19 +394,13 @@ def suite_wdvv(target, args, csession, rsession):
     to zero on the table, and the associativity PDE residuals vanish."""
     csession.ensure_primary(args.max_degree)
     caps = _instance_caps(csession, args.max_degree)
-
-    def check_instance(item):
-        d, mu = item
-        total = csession.relation_residual(mu, d)
-        return None if total == 0 else "instance %r at degree %d sums to %s" \
-            % (mu, d, total)
-
     work = [(d, mu) for d, cap in sorted(caps.items())
             for mu in wdvv_instances(target, d, max(cap + 1, 5))]
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        for bad in ex.map(check_instance, work):
-            if bad:
-                return False, bad, len(work)
+    for d, mu in work:
+        total = csession.relation_residual(mu, d)
+        if total:
+            return False, "instance %r at degree %d sums to %s" \
+                % (mu, d, total), len(work)
     checks = len(work)
     pots = build_potentials(csession.table, (6, min(args.max_degree, 3)),
                             descendant_depth=0,
@@ -437,11 +415,8 @@ def suite_wdvv(target, args, csession, rsession):
                     checks += 1
                     res = residual_wdvv_pde(phi, (i1, i2, i3, i4))
                     if not res.is_zero():
-                        (q, vt), c = res.items()[0]
-                        return False, "PDE residual (%d,%d,%d,%d) has %s " \
-                            "at %s" % (i1, i2, i3, i4, frac_to_str(c),
-                                       GradedSeries.monomial_string(q, vt)), \
-                            checks
+                        return False, "PDE residual (%d,%d,%d,%d) has %s" \
+                            % (i1, i2, i3, i4, _first_term(res)), checks
     return True, "", checks
 
 
@@ -451,19 +426,13 @@ def suite_rwdvv(target, args, csession, rsession):
         return False, "target has no real theory (even complex dimension)", 0
     rsession.ensure_real(args.max_degree)
     caps = _instance_caps(rsession, args.max_degree)
-
-    def check_instance(item):
-        d, ks = item
-        total = rsession.relation_residual(ks, d)
-        return None if total == 0 else "instance %r at degree %d sums to %s" \
-            % (ks, d, total)
-
     work = [(d, ks) for d, cap in sorted(caps.items())
             for ks in rwdvv_instances(target, d, max(cap + 2, 5))]
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        for bad in ex.map(check_instance, work):
-            if bad:
-                return False, bad, len(work)
+    for d, ks in work:
+        total = rsession.relation_residual(ks, d)
+        if total:
+            return False, "instance %r at degree %d sums to %s" \
+                % (ks, d, total), len(work)
     checks = len(work)
     pots = build_potentials(rsession.table, (6, min(args.max_degree, 4)),
                             descendant_depth=0,
@@ -484,59 +453,44 @@ def suite_rwdvv(target, args, csession, rsession):
                 checks += 1
                 res = residual_rwdvv_pde(doubled, omega, (i1, i2, i3))
                 if not res.is_zero():
-                    (q, vt), c = res.items()[0]
-                    return False, "PDE residual (%d,%d,%d) has %s at %s" \
-                        % (i1, i2, i3, frac_to_str(c),
-                           GradedSeries.monomial_string(q, vt)), checks
+                    return False, "PDE residual (%d,%d,%d) has %s" \
+                        % (i1, i2, i3, _first_term(res)), checks
     return True, "", checks
 
 
-def _potentials_for(target, args, csession, rsession, depth):
-    q_cap = min(args.max_degree, 3)
-    return build_potentials(
-        csession.table, (6, q_cap), descendant_depth=depth,
+def _suite_descendant_residuals(args, csession, rsession,
+                                complex_residual, real_residual):
+    """Shared body of the string and dilaton suites: build the descendant
+    potentials and check that both residuals vanish."""
+    pots = build_potentials(
+        csession.table, (6, min(args.max_degree, 3)),
+        descendant_depth=max(1, args.descendant_depth),
         complex_value=csession.value,
         real_value=rsession.value if rsession is not None else None)
+    checks = 1
+    res = complex_residual(pots["complex_descendant"])
+    if not res.is_zero():
+        return False, "complex residual has %s" % _first_term(res), checks
+    if rsession is not None:
+        checks += 1
+        res = real_residual(pots["real_descendant"])
+        if not res.is_zero():
+            return False, "real residual has %s" % _first_term(res), checks
+    return True, "", checks
 
 
 def suite_string(target, args, csession, rsession):
     """String-equation residuals on the descendant potentials."""
-    depth = max(1, args.descendant_depth)
-    pots = _potentials_for(target, args, csession, rsession, depth)
-    checks = 1
-    res = residual_string_complex(pots["complex_descendant"])
-    if not res.is_zero():
-        (q, vt), c = res.items()[0]
-        return False, "complex residual has %s at %s" % (
-            frac_to_str(c), GradedSeries.monomial_string(q, vt)), checks
-    if rsession is not None:
-        checks += 1
-        res = residual_string_real(pots["real_descendant"])
-        if not res.is_zero():
-            (q, vt), c = res.items()[0]
-            return False, "real residual has %s at %s" % (
-                frac_to_str(c), GradedSeries.monomial_string(q, vt)), checks
-    return True, "", checks
+    return _suite_descendant_residuals(args, csession, rsession,
+                                       residual_string_complex,
+                                       residual_string_real)
 
 
 def suite_dilaton(target, args, csession, rsession):
     """Dilaton-equation residuals on the descendant potentials."""
-    depth = max(1, args.descendant_depth)
-    pots = _potentials_for(target, args, csession, rsession, depth)
-    checks = 1
-    res = residual_dilaton_complex(pots["complex_descendant"])
-    if not res.is_zero():
-        (q, vt), c = res.items()[0]
-        return False, "complex residual has %s at %s" % (
-            frac_to_str(c), GradedSeries.monomial_string(q, vt)), checks
-    if rsession is not None:
-        checks += 1
-        res = residual_dilaton_real(pots["real_descendant"])
-        if not res.is_zero():
-            (q, vt), c = res.items()[0]
-            return False, "real residual has %s at %s" % (
-                frac_to_str(c), GradedSeries.monomial_string(q, vt)), checks
-    return True, "", checks
+    return _suite_descendant_residuals(args, csession, rsession,
+                                       residual_dilaton_complex,
+                                       residual_dilaton_real)
 
 
 def suite_divisor(target, args, csession, rsession):
@@ -656,6 +610,7 @@ def cmd_verify(args, out=None):
     seed_sign = _parse_seed_sign(args.seed_sign)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
+    _check_threads(args)
     has_real = target.complex_dim % 2 == 1
     if args.suite == "all":
         names = [s for s in SUITES
@@ -701,6 +656,8 @@ def cmd_cache(args, out=None):
                          % CACHE_ENV_VAR)
     if args.action == "clear":
         if os.path.exists(path):
+            # refuse to delete anything that is not a gwcalc cache
+            read_cache_json(path)
             os.remove(path)
         out.write("cache cleared\n")
         return EXIT_OK

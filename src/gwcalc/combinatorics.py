@@ -1,32 +1,15 @@
-"""Partition enumeration and sign conventions for the curve-count recursions.
+"""Sign conventions for the curve-count recursions.
 
-Two-vertex stable splittings come in a complex flavor (genus splits
-g1 + g2 = g with a two-block partition of the marked points) and a real
-flavor (a conjugate pair of genus-g' vertices plus a central genus-g0
-vertex, 2g' + g0 = g, with a three-block partition).  The sign functions
-implement the graded-commutativity bookkeeping: permutation signs count
-inversions among odd-degree insertions, split signs count odd-odd
-crossings of a two-block partition, and the real splitting weight
-attaches a factor 2 per point on the doubled side.
+The sign functions implement the graded-commutativity bookkeeping:
+permutation signs count inversions among odd-degree insertions, split
+signs count odd-odd crossings of a two-block partition, and the sorting
+routine used by key canonicalization counts the odd-odd crossings of the
+sort it performs.
 
-Index sets are sorted lists/tuples of 1-based indices; ell is bounded by
-64 so sets can be bitmask-encoded by callers that enumerate heavily.
+Index sets are sorted lists/tuples of 1-based indices.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
-from itertools import product
-
-MAX_POINTS = 64
-
-StablePartition = namedtuple("StablePartition", ["g1", "g2", "I", "J"])
-RealPartition = namedtuple("RealPartition", ["gp", "g0", "I", "J", "K"])
-
-
-def _check_points(ell):
-    if not (0 <= ell <= MAX_POINTS):
-        raise ValueError("number of marked points must be in 0..%d" % MAX_POINTS)
 
 
 def _as_sorted_tuple(indices):
@@ -46,45 +29,6 @@ def _check_disjoint(*sets):
             if i in seen:
                 raise ValueError("index sets overlap at %d" % i)
             seen.add(i)
-
-
-def enumerate_partitions(g, ell):
-    """All two-vertex splittings (g1, g2; I, J) of genus g with ell points.
-
-    Complete and duplicate-free: (g+1) * 2**ell elements, ordered by
-    (g1, I).
-    """
-    _check_points(ell)
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    out = []
-    all_points = range(1, ell + 1)
-    for g1 in range(g + 1):
-        for mask in range(1 << ell):
-            I = tuple(i for i in all_points if mask >> (i - 1) & 1)
-            J = tuple(i for i in all_points if not mask >> (i - 1) & 1)
-            out.append(StablePartition(g1, g - g1, I, J))
-    out.sort(key=lambda p: (p.g1, p.I))
-    return out
-
-def enumerate_real_partitions(g, ell):
-    """All real splittings (g', g0; I, J, K): 2g' + g0 = g, three blocks.
-
-    Complete and duplicate-free: (g//2 + 1) * 3**ell elements.
-    """
-    _check_points(ell)
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    out = []
-    for gp in range(g // 2 + 1):
-        g0 = g - 2 * gp
-        for placement in product((0, 1, 2), repeat=ell):
-            blocks = ([], [], [])
-            for i, w in enumerate(placement, start=1):
-                blocks[w].append(i)
-            out.append(RealPartition(gp, g0, tuple(blocks[0]),
-                                     tuple(blocks[1]), tuple(blocks[2])))
-    return out
 
 
 def koszul_sign_permutation(perm, degs):
@@ -133,55 +77,13 @@ def split_sign(I, J, degs):
     return -1 if split_exponent(I, J, degs) % 2 else 1
 
 
-def eps_n(P, n):
-    """Dimension-dependent exponent of a two-vertex splitting.
-
-    (n-1)/2 * (g1-1) * (g2-1) for odd n; returned as an integer so it can
-    be combined additively with the split exponent.
-    """
-    if n % 2 == 0:
-        raise ValueError("eps_n is defined for odd n only")
-    return (n - 1) // 2 * (P.g1 - 1) * (P.g2 - 1)
-
-
-def eps_n_mu(P, n, degs, mu_J_degree):
-    """Full splitting exponent: eps_n(P) + split inversions + (g1-1)|mu_J|."""
-    return (eps_n(P, n) + split_exponent(P.I, P.J, degs)
-            + (P.g1 - 1) * int(mu_J_degree))
-
-
-def real_wdvv_weight(I, J, degs):
-    """Weight of a real two-block splitting: (-1)**exponent * 2**|J|.
-
-    I is the central-side block, J the doubled-side block; I and J must
-    partition [ell].  The factor 2 per doubled-side point accounts for
-    the two placements of each such point on the conjugate pair.
-    """
-    I = _as_sorted_tuple(I)
-    J = _as_sorted_tuple(J)
-    _check_disjoint(I, J)
-    if set(I) | set(J) != set(range(1, len(degs) + 1)):
-        raise ValueError("I and J must partition 1..%d" % len(degs))
-    sign = split_sign(I, J, degs)
-    return sign * (1 << len(J))
-
-
-def order_bijection(I, J):
-    """Order-preserving bijection [|I ⊔ J|] -> I ⊔ J as a dict."""
-    I = _as_sorted_tuple(I)
-    J = _as_sorted_tuple(J)
-    _check_disjoint(I, J)
-    merged = sorted(I + J)
-    return {k + 1: v for k, v in enumerate(merged)}
-
-
 def sort_insertions_sign(items, deg_of):
     """Stable-sort ``items`` and count the odd-odd crossings of the sort.
 
     ``deg_of`` maps an item to its cohomological degree.  Returns
     (sorted_items, sign) where sign is the Koszul sign of the reordering
     (insertion sort; each adjacent swap of two odd-degree items flips the
-    sign).  Used by key canonicalization.
+    sign).  Used by key canonicalization and by series monomials.
     """
     items = list(items)
     exp = 0

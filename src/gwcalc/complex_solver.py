@@ -26,10 +26,10 @@ while its value is always read from the live table.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations_with_replacement
 
-from .graded_algebra import CohClass
 from .invariant_store import (COMPLEX, InvariantKey, InvariantTable, normalize)
 
 EFFECTIVITY = "effectivity"
@@ -100,12 +100,14 @@ def filter_complex(key, target):
     return None
 
 
-def _strip_primary(target, degree, basis_list):
-    """Canonicalize a primary factor at degree >= 1.
+def _strip_divisors(target, kind, degree, basis_list):
+    """Remove the unit and divisor insertions of a primary factor at
+    degree >= 1, in either theory.
 
-    Kills unit insertions (string relation), strips divisor insertions
-    (factor ``degree`` each) and applies the structural filter.  Returns
-    (key, multiplier), or None when the factor is structurally zero.
+    A unit insertion kills the factor (string relation); each divisor
+    insertion strips off a factor ``degree`` (divisor relation).  Returns
+    (key, multiplier), or None when a unit insertion kills the factor.
+    The caller applies its theory's structural filter to the key.
     """
     stripped = []
     mult = Fraction(1)
@@ -117,20 +119,17 @@ def _strip_primary(target, degree, basis_list):
             mult *= degree
         else:
             stripped.append((0, b))
-    key = InvariantKey(COMPLEX, 0, degree, sorted(stripped))
-    if filter_complex(key, target) is not None:
+    return InvariantKey(kind, 0, degree, sorted(stripped)), mult
+
+
+def _strip_primary(target, degree, basis_list):
+    """Canonicalize a complex primary factor at degree >= 1: strip unit
+    and divisor insertions, then apply the structural filter.  Returns
+    (key, multiplier), or None when the factor is structurally zero."""
+    canon = _strip_divisors(target, COMPLEX, degree, basis_list)
+    if canon is None or filter_complex(canon[0], target) is not None:
         return None
-    return key, mult
-
-
-def _as_class(target, m):
-    return m if isinstance(m, CohClass) else target.basis_element(int(m))
-
-
-def classical_3pt(target, m1, m2, m3):
-    """Triple intersection number: integral of m1*m2*m3 over the target."""
-    prod = _as_class(target, m1) * _as_class(target, m2) * _as_class(target, m3)
-    return target.integral(prod)
+    return canon
 
 
 def degree_zero_value(target, insertions):
@@ -220,8 +219,9 @@ def kontsevich_p2(d):
 
 
 def _removable_slot(key, target):
-    """Pick the slot reduce_axioms strips: tau_0(1), else tau_1(1), else
-    the first degree-2 insertion with a = 0.  Returns (index, which)."""
+    """Pick the slot an axiom reduction strips, in either theory: tau_0(1),
+    else tau_1(1), else the first degree-2 insertion with a = 0.  Returns
+    (index, which), or (None, None) when no insertion is removable."""
     for idx, (a, b) in enumerate(key.insertions):
         if a == 0 and target.degree(b) == 0:
             return idx, "string"
@@ -275,9 +275,18 @@ def reduce_axioms(key, target):
                     ins = [(ra, target.basis_element(rb)) for ra, rb in rest]
                     ins[i] = (a - 1, prod)
                     out.append((Fraction(1), ins))
+    return _collect_terms(target, COMPLEX, g, d, out)
+
+
+def _collect_terms(target, kind, genus, degree, weighted):
+    """Normalize weighted raw insertion lists into one combination.
+
+    ``weighted`` holds (coefficient, raw insertions) pairs; returns the
+    nonzero (coefficient, key) pairs of their sum, sorted by key.
+    """
     combined = {}
-    for coeff, raw in out:
-        for c, k in normalize(target, COMPLEX, g, d, raw):
+    for coeff, raw in weighted:
+        for c, k in normalize(target, kind, genus, degree, raw):
             combined[k] = combined.get(k, Fraction(0)) + coeff * c
     items = [(c, k) for k, c in combined.items() if c]
     items.sort(key=lambda t: t[1].sort_key())
@@ -310,19 +319,15 @@ def _multisets_with_sum(count, total, max_part, min_part):
 
 
 def _sub_multisets_4(values):
-    """Distinct 4-element sub-multisets of a sorted tuple, with the
-    sorted remainder, deduplicated by value."""
-    seen = set()
+    """Distinct 4-element sub-multisets of a sorted tuple, in lexicographic
+    order, each with the sorted remainder."""
+    available = Counter(values)
     out = []
-    for idxs in combinations(range(len(values)), 4):
-        quad = tuple(values[i] for i in idxs)
-        if quad in seen:
+    for quad in combinations_with_replacement(sorted(available), 4):
+        taken = Counter(quad)
+        if any(taken[v] > available[v] for v in taken):
             continue
-        seen.add(quad)
-        rest = list(values)
-        for i in reversed(idxs):
-            del rest[i]
-        out.append((quad, tuple(rest)))
+        out.append((quad, tuple(sorted((available - taken).elements()))))
     return out
 
 
@@ -508,6 +513,26 @@ class _Eliminator:
         return all(k in sol for k in unknowns)
 
 
+def _eliminate(block_rows, d, unknowns, pending, extras):
+    """Eliminate a degree block's relation rows until the pending
+    unknowns are determined.
+
+    Rows come from ``block_rows(d, cap)`` for the tuple-length caps
+    (longest unknown + extra) for each extra in turn, and elimination
+    stops at the first row after which every pending key has a value.
+    Returns the determined values and the pending keys still missing.
+    """
+    elim = _Eliminator()
+    max_ell = max(k.num_insertions for k in unknowns)
+    for extra in extras:
+        for row, rhs in block_rows(d, max_ell + extra):
+            elim.add_row(row, rhs)
+            if elim.is_determined(pending):
+                return elim.solution(), []
+    sol = elim.solution()
+    return sol, [k for k in pending if k not in sol]
+
+
 # ---------------------------------------------------------------------------
 # the degree-by-degree session
 
@@ -581,17 +606,8 @@ class ComplexSession:
         pending = [k for k in unknowns if self.table.get(k) is None]
         if not pending:
             return
-        elim = _Eliminator()
-        max_ell = max(k.num_insertions for k in unknowns)
-        for extra in (1, 3):
-            for row, rhs in self._block_rows(d, max_ell + extra):
-                elim.add_row(row, rhs)
-                if elim.is_determined(pending):
-                    break
-            if elim.is_determined(pending):
-                break
-        sol = elim.solution()
-        missing = [k for k in pending if k not in sol]
+        sol, missing = _eliminate(self._block_rows, d, unknowns, pending,
+                                  (1, 3))
         if missing:
             raise UnderdeterminedError(
                 "exchange relations left %d key(s) unresolved at degree %d"
@@ -902,25 +918,3 @@ def reduce_descendant_trr(key, target):
             k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
             raw_terms.append((inv_d * d2 * gcoeff, (k1, k2)))
     return raw_terms
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience wrappers
-
-
-def solve_primary_complex(target, max_degree, table=None, seed_value=Fraction(1)):
-    """Solve all primary genus-0 invariants with degree <= max_degree.
-
-    Returns the filled InvariantTable; see ComplexSession for the block
-    structure.  Raises UnderdeterminedError / InconsistentSystemError on
-    a defective relation system.
-    """
-    session = ComplexSession(target, table=table, seed_value=seed_value)
-    session.ensure_primary(max_degree)
-    return session.table
-
-
-def complex_invariant(target, key, table=None):
-    """One-shot evaluation of a canonical complex key."""
-    session = ComplexSession(target, table=table)
-    return session.value(key)

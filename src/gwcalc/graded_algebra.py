@@ -80,10 +80,6 @@ class CohClass:
 
     __rmul__ = scale
 
-    def is_homogeneous(self):
-        degs = {self.target.degree(i) for i in self.coeffs}
-        return len(degs) <= 1
-
     def degree(self):
         """Cohomological degree; raises on inhomogeneous or zero classes."""
         degs = {self.target.degree(i) for i in self.coeffs}
@@ -180,9 +176,6 @@ class TargetSpace:
             raise ValueError("no h^%d basis element on %s" % (k, self.name))
         return self.basis_element(k + 1)
 
-    def point_class(self):
-        return self.basis_element(self.num_basis)
-
     # -- ring operations ------------------------------------------------
 
     def mult_basis(self, i, j):
@@ -207,14 +200,6 @@ class TargetSpace:
         tot = Fraction(0)
         for i, c in a.coeffs.items():
             tot += c * self.pairing_entry(i, 1)
-        return tot
-
-    def pairing_value(self, a, b):
-        """g(a, b) for two classes."""
-        tot = Fraction(0)
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
-                tot += ca * cb * self.pairing_entry(i, j)
         return tot
 
     def pairing_inverse(self):
@@ -250,16 +235,6 @@ class TargetSpace:
                         out.append((c, (i, j)))
             self._diag = tuple(out)
         return list(self._diag)
-
-    def apply_involution(self, a):
-        """Pullback of a class along the involution (diagonal action)."""
-        return CohClass(self, {i: c * self.sign(i) for i, c in a.coeffs.items()})
-
-    def plus_minus_decompose(self, a):
-        """Split a class into (plus, minus) eigenparts of the pullback."""
-        plus = {i: c for i, c in a.coeffs.items() if self.sign(i) == 1}
-        minus = {i: c for i, c in a.coeffs.items() if self.sign(i) == -1}
-        return CohClass(self, plus), CohClass(self, minus)
 
     def is_projective_space(self):
         """Structural check for the single-generator projective ring shape.

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 from fractions import Fraction
 
+from .combinatorics import sort_insertions_sign
 from .graded_algebra import CohClass, TargetSpace, frac_from_str, frac_to_str
 
 COMPLEX = "complex"
@@ -149,12 +149,15 @@ def normalize(target, kind, genus, degree, raw_insertions):
                 nxt.append((coeff * c, ins + [(a, basis)]))
         expanded = nxt
 
+    def deg_of(insertion):
+        return target.degree(insertion[1])
+
     out = {}
     for coeff, ins in expanded:
         if kind == REAL and any(real_insertion_vanishes(target, a, b)
                                 for a, b in ins):
             continue
-        sorted_ins, sign = _sort_with_sign(target, ins)
+        sorted_ins, sign = sort_insertions_sign(ins, deg_of)
         key = InvariantKey(kind, genus, degree, sorted_ins)
         out[key] = out.get(key, Fraction(0)) + coeff * sign
     items = [(c, k) for k, c in out.items() if c]
@@ -162,29 +165,11 @@ def normalize(target, kind, genus, degree, raw_insertions):
     return items
 
 
-def _sort_with_sign(target, insertions):
-    """Sort (a, basis) pairs, counting odd-odd crossings of the sort."""
-    items = list(insertions)
-    exp = 0
-    for i in range(1, len(items)):
-        cur = items[i]
-        cur_odd = target.degree(cur[1]) % 2
-        j = i - 1
-        while j >= 0 and items[j] > cur:
-            items[j + 1] = items[j]
-            if cur_odd and target.degree(items[j][1]) % 2:
-                exp += 1
-            j -= 1
-        items[j + 1] = cur
-    return items, (-1 if exp % 2 else 1)
-
-
 class InvariantTable:
     """Mapping from canonical keys to exact values with provenance.
 
-    Thread-safe for concurrent readers with exclusive writers; content
-    for a fixed target, seed and degree bound is deterministic and
-    independent of fill order (conflicting fills abort).
+    Content for a fixed target, seed and degree bound is deterministic
+    and independent of fill order (conflicting fills abort).
     """
 
     def __init__(self, target, seed_sign=1):
@@ -193,7 +178,6 @@ class InvariantTable:
         self.target = target
         self.seed_sign = seed_sign
         self._entries = {}
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self._entries)
@@ -215,15 +199,14 @@ class InvariantTable:
         if not key.is_canonical():
             raise ValueError("put of non-canonical key %r" % (key,))
         value = Fraction(value)
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                if old[0] != value:
-                    raise StoreConflictError(
-                        "conflicting values for %r: %s (from %s) vs %s (from %s)"
-                        % (key, old[0], old[1], value, provenance))
-                return
-            self._entries[key] = (value, provenance)
+        old = self._entries.get(key)
+        if old is not None:
+            if old[0] != value:
+                raise StoreConflictError(
+                    "conflicting values for %r: %s (from %s) vs %s (from %s)"
+                    % (key, old[0], old[1], value, provenance))
+            return
+        self._entries[key] = (value, provenance)
 
     def items(self):
         """Entries as (key, value, provenance), deterministically ordered."""
@@ -269,37 +252,75 @@ class InvariantTable:
         """Load a table; verifies schema version and target identity.
 
         When ``target`` is given the file's target must serialize
-        identically, and the in-memory target object is reused.
+        identically, and the in-memory target object is reused.  Any
+        malformed content (missing fields, wrong JSON types, unparsable
+        values or keys, an invalid embedded target) raises
+        StoreFormatError.
         """
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("schema") != SCHEMA_VERSION:
-            raise StoreFormatError(
-                "unsupported cache schema %r (expected %d)"
-                % (data.get("schema"), SCHEMA_VERSION))
-        file_target = TargetSpace.from_json(data["target"])
+        data = read_cache_json(path)
+        try:
+            file_target = TargetSpace.from_json(data["target"])
+        except (KeyError, TypeError, ValueError, IndexError,
+                ZeroDivisionError) as e:
+            raise StoreFormatError("bad target in cache: %s" % _reason(e))
         if target is not None:
             if target.to_json() != file_target.to_json():
                 raise StoreFormatError(
                     "cache file is for target %s, session target is %s"
                     % (file_target.name, target.name))
             file_target = target
-        seed_sign = {"+1": 1, "-1": -1}.get(data.get("seed_sign"))
+        raw_sign = data.get("seed_sign")
+        seed_sign = {"+1": 1, "-1": -1}.get(raw_sign) \
+            if isinstance(raw_sign, str) else None
         if seed_sign is None:
-            raise StoreFormatError("bad seed_sign %r" % (data.get("seed_sign"),))
+            raise StoreFormatError("bad seed_sign %r" % (raw_sign,))
+        entries = data.get("entries")
+        if not isinstance(entries, list):
+            raise StoreFormatError("cache entries must be a JSON list")
         table = cls(file_target, seed_sign)
-        for entry in data["entries"]:
-            key = InvariantKey.from_json(entry)
+        for number, entry in enumerate(entries, start=1):
+            try:
+                key = InvariantKey.from_json(entry)
+                value = frac_from_str(entry["value"])
+                prov = entry["provenance"]
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise StoreFormatError(
+                    "bad cache entry %d: %s" % (number, _reason(e)))
             if not key.is_canonical():
                 raise StoreFormatError("non-canonical key in cache: %r" % (key,))
-            prov = entry["provenance"]
+            if any(b > file_target.num_basis for _, b in key.insertions):
+                raise StoreFormatError(
+                    "basis index out of range in cache: %r" % (key,))
             if prov not in PROVENANCE_TAGS:
                 raise StoreFormatError("unknown provenance %r" % (prov,))
-            table.put(key, frac_from_str(entry["value"]), prov)
+            table.put(key, value, prov)
         return table
 
 
-def default_cache_path():
-    """Cache path from the GWCALC_CACHE environment variable, if set."""
-    path = os.environ.get(CACHE_ENV_VAR)
-    return path if path else None
+def read_cache_json(path):
+    """The JSON object held by a gwcalc cache file.
+
+    Raises StoreFormatError unless the file parses as a JSON object whose
+    ``schema`` is SCHEMA_VERSION, so callers never act on a foreign file.
+    """
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            raise StoreFormatError("%s is not a JSON file: %s" % (path, e))
+    if not isinstance(data, dict):
+        raise StoreFormatError("%s does not hold a JSON object" % path)
+    schema = data.get("schema")
+    # JSON true and 1.0 compare equal to 1 in Python; only the integer counts
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise StoreFormatError(
+            "unsupported cache schema %r (expected %d)"
+            % (schema, SCHEMA_VERSION))
+    return data
+
+
+def _reason(error):
+    """One-line description of a parse error: a missing field is named."""
+    if isinstance(error, KeyError):
+        return "missing field %s" % error
+    return "%s: %s" % (type(error).__name__, error)

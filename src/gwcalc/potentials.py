@@ -29,8 +29,7 @@ solved invariant table:
 Only the genus-0 coefficient window of each potential is materialized; the
 loop-counting variable is tracked symbolically as a single exponent per
 series (lam_power: -2 for complex, -1 for real), which is all the dilaton
-residual needs.  A third truncation entry, when supplied, is validated and
-recorded but does not enlarge the materialized window.
+residual needs.
 
 The residual_* functions evaluate the differential equations satisfied by
 the potentials (string, dilaton, associativity PDEs and their real
@@ -41,6 +40,7 @@ the zero series.
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from .combinatorics import sort_insertions_sign
 from .graded_algebra import frac_to_str
@@ -365,37 +365,42 @@ def _multisets_exact(items, weights, count, total, start=0):
             yield ((it, take),) + rest if take else rest
 
 
-def _resolve_value(table, value_fn, key, kind_filter, target):
-    if kind_filter(key, target) is not None:
-        return Fraction(0)
-    val = table.get(key)
-    if val is not None:
-        return val
-    if value_fn is not None:
-        return value_fn(key)
-    raise MissingInvariantError(key)
+def graded_keys(target, kind, degree, ell, depth):
+    """Structurally nonzero genus-0 keys of one theory at a curve degree.
 
-
-def _aut_factor(vars_tuple):
-    f = 1
-    for _, m in vars_tuple:
-        f *= math.factorial(m)
-    return f
+    Enumerates the canonical keys with ``ell`` insertions tau_a(e_i),
+    a <= depth, whose degrees add up to the virtual dimension, and yields
+    those that pass the theory's structural filter (effectivity, and for
+    the real theory eigenspace parity), in a deterministic order.
+    """
+    variables = []
+    for a in range(depth + 1):
+        for i in range(1, target.num_basis + 1):
+            if kind == COMPLEX or not real_insertion_vanishes(target, a, i):
+                variables.append((a, i))
+    variables.sort(key=lambda v: 2 * v[0] + target.degree(v[1]))
+    weights = [2 * a + target.degree(i) for a, i in variables]
+    if kind == COMPLEX:
+        want = vdim_complex(0, ell, degree, target)
+        structural_filter = filter_complex
+    else:
+        want = vdim_real(0, ell, degree, target)
+        structural_filter = filter_real
+    if want < 0:
+        return
+    for multiset in _multisets_exact(variables, weights, ell, want):
+        insertions = []
+        for var, m in multiset:
+            insertions.extend([var] * m)
+        key = InvariantKey(kind, 0, degree, sorted(insertions))
+        if structural_filter(key, target) is None:
+            yield key
 
 
 def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
                doubled=False):
     lam = -2 if kind == COMPLEX else -1
     out = GradedSeries(target, t_max, q_max, depth=depth, lam_power=lam)
-    n = target.complex_dim
-    variables = []
-    for a in range(depth + 1):
-        for i in range(1, target.num_basis + 1):
-            if kind == REAL and real_insertion_vanishes(target, a, i):
-                continue
-            variables.append((a, i))
-    variables.sort(key=lambda v: 2 * v[0] + target.degree(v[1]))
-    weights = [2 * a + target.degree(i) for a, i in variables]
     if kind == COMPLEX:
         degrees = range(0, q_max + 1)
     else:
@@ -404,30 +409,22 @@ def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
         if doubled and 2 * d > q_max:
             break
         for ell in range(0, t_max + 1):
-            if kind == COMPLEX:
-                want = vdim_complex(0, ell, d, target)
-            else:
-                want = vdim_real(0, ell, d, target)
-            if want < 0:
-                continue
-            for multiset in _multisets_exact(variables, weights, ell, want):
-                insertions = []
-                for (a, i), m in multiset:
-                    insertions.extend([(a, i)] * m)
-                insertions.sort()
-                key = InvariantKey(kind, 0, d, tuple(insertions))
-                if kind == COMPLEX:
-                    val = _resolve_value(table, value_fn, key,
-                                         filter_complex, target)
-                else:
-                    val = _resolve_value(table, value_fn, key,
-                                         filter_real, target)
+            for key in graded_keys(target, kind, d, ell, depth):
+                val = table.get(key)
+                if val is None:
+                    if value_fn is None:
+                        raise MissingInvariantError(key)
+                    val = value_fn(key)
                 if val == 0:
                     continue
-                coeff = Fraction(val, _aut_factor(multiset))
+                vars_tuple = tuple((var, len(list(run)))
+                                   for var, run in groupby(key.insertions))
+                aut = 1
+                for _, m in vars_tuple:
+                    aut *= math.factorial(m)
+                coeff = Fraction(val, aut)
                 if kind == REAL:
                     coeff /= 2 ** ell
-                vars_tuple = tuple(sorted(multiset))
                 out.add_term(2 * d if doubled else d, vars_tuple, coeff)
     return out
 
@@ -437,9 +434,7 @@ def build_potentials(tables, truncation, descendant_depth=2,
     """Assemble the genus-0 generating functions from an invariant table.
 
     tables: an InvariantTable (its target is used throughout).
-    truncation: (t_max, q_max) or (t_max, q_max, loop_window); the optional
-        third entry is validated but only the genus-0 coefficient is ever
-        materialized.
+    truncation: (t_max, q_max), the bounds on total t-degree and q power.
     descendant_depth: highest descendant level included as a variable.
     complex_value / real_value: optional callables mapping a canonical key
         to its value; when omitted, every needed invariant must already be
@@ -456,13 +451,11 @@ def build_potentials(tables, truncation, descendant_depth=2,
     of the built-in targets are even, so the ordered-to-canonical monomial
     conversion is sign-free.
     """
-    if not (isinstance(truncation, (tuple, list)) and len(truncation) in (2, 3)):
-        raise SeriesError("truncation must be (t_max, q_max[, loop_window])")
+    if not (isinstance(truncation, (tuple, list)) and len(truncation) == 2):
+        raise SeriesError("truncation must be (t_max, q_max)")
     t_max, q_max = int(truncation[0]), int(truncation[1])
     if t_max < 0 or q_max < 0:
         raise SeriesError("truncation bounds must be non-negative")
-    if len(truncation) == 3 and int(truncation[2]) < 0:
-        raise SeriesError("loop window must be non-negative")
     if descendant_depth < 0:
         raise SeriesError("descendant depth must be non-negative")
     table = tables
@@ -493,15 +486,7 @@ def build_potentials(tables, truncation, descendant_depth=2,
 # ----- differential-equation residuals --------------------------------------
 
 
-def _apply_window(res, truncation):
-    if truncation is None:
-        return res
-    if isinstance(truncation, (tuple, list)) and len(truncation) in (2, 3):
-        return res.truncated(int(truncation[0]), int(truncation[1]))
-    raise SeriesError("truncation must be (t_max, q_max[, loop_window])")
-
-
-def residual_string_complex(F, truncation=None):
+def residual_string_complex(F):
     """Residual of the string equation on a complex potential.
 
     dF/dt_{0,1} minus the classical quadratic term (1/2) sum g_{ij} t_{0,i}
@@ -532,8 +517,7 @@ def residual_string_complex(F, truncation=None):
             tvar = F._like()
             tvar.add_term(0, (((a + 1, i), 1),), 1)
             res = res - tvar * dF
-    res = res.truncated(F.t_max - 1)
-    return _apply_window(res, truncation)
+    return res.truncated(F.t_max - 1)
 
 
 def _residual_dilaton(F):
@@ -552,7 +536,7 @@ def _residual_dilaton(F):
     return res.truncated(F.t_max - 1)
 
 
-def residual_dilaton_complex(F, truncation=None):
+def residual_dilaton_complex(F):
     """Residual of the dilaton equation on a complex genus-0 potential.
 
     dF/dt_{1,1} + 2F - sum_{a,i} t_{a,i} dF/dt_{a,i}; the +2F term is the
@@ -562,26 +546,25 @@ def residual_dilaton_complex(F, truncation=None):
     """
     if F.lam_power != -2:
         raise SeriesError("expected a complex genus-0 window (lam_power -2)")
-    return _apply_window(_residual_dilaton(F), truncation)
+    return _residual_dilaton(F)
 
 
-def residual_dilaton_real(F, truncation=None):
+def residual_dilaton_real(F):
     """Residual of the real dilaton equation (genus-0 window, exponent -1):
     dF/dt_{1,1} + F - sum t dF.  Exact on t-degree <= t_max - 1."""
     if F.lam_power != -1:
         raise SeriesError("expected a real genus-0 window (lam_power -1)")
-    return _apply_window(_residual_dilaton(F), truncation)
+    return _residual_dilaton(F)
 
 
-def residual_string_real(F, truncation=None):
+def residual_string_real(F):
     """Residual of the real string equation: dF/dt_{0,1}, expected to be
     identically zero (the unit class never appears in a nonzero real
     invariant).  Exact on t-degree <= t_max - 1."""
-    res = F.partial_derivative((0, 1)).truncated(F.t_max - 1)
-    return _apply_window(res, truncation)
+    return F.partial_derivative((0, 1)).truncated(F.t_max - 1)
 
 
-def residual_wdvv_pde(F, indices, truncation=None):
+def residual_wdvv_pde(F, indices):
     """Associativity PDE residual of a complex primary potential.
 
     indices = (i1, i2, i3, i4): the residual is
@@ -614,11 +597,10 @@ def residual_wdvv_pde(F, indices, truncation=None):
             if rk.is_zero():
                 continue
             res = res + (lj * rk).scale(sgn * coeff)
-    res = res.truncated(F.t_max - 3)
-    return _apply_window(res, truncation)
+    return res.truncated(F.t_max - 3)
 
 
-def residual_rwdvv_pde(F_doubled, F_real, indices, truncation=None):
+def residual_rwdvv_pde(F_doubled, F_real, indices):
     """Residual of the real associativity PDE coupling the doubled complex
     potential to the real potential.
 
@@ -667,5 +649,4 @@ def residual_rwdvv_pde(F_doubled, F_real, indices, truncation=None):
     for (q, vars_tuple) in list(res.terms):
         if any(target.sign(v[1]) != -1 for v, _ in vars_tuple):
             del res.terms[(q, vars_tuple)]
-    res = res.truncated(F_real.t_max - 3)
-    return _apply_window(res, truncation)
+    return res.truncated(F_real.t_max - 3)

@@ -26,7 +26,8 @@ from .invariant_store import (REAL, COMPLEX, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
                              InconsistentSystemError, UnderdeterminedError,
-                             _Eliminator, _multisets_with_sum,
+                             _collect_terms, _eliminate, _multisets_with_sum,
+                             _removable_slot, _strip_divisors,
                              EFFECTIVITY, GRADING, PARITY)
 
 
@@ -50,11 +51,6 @@ def vdim_real(genus, num_points, degree, target):
     (1-g)(n-3) + 2*ell + c1*d."""
     n = target.complex_dim
     return (1 - genus) * (n - 3) + 2 * num_points + target.c1_pairing * degree
-
-
-def real_degree_map(dprime, target):
-    """Doubling map on curve degrees: d' minus its involution image."""
-    return (1 + target.degree_negation) * dprime
 
 
 def filter_real(key, target):
@@ -104,28 +100,14 @@ def reduce_real_axioms(key, target):
     factor-2 descendant corrections.
     """
     _require_real_target(target)
-    idx = which = None
-    for i, (a, b) in enumerate(key.insertions):
-        if a == 0 and target.degree(b) == 0:
-            idx, which = i, "string"
-            break
-    if which is None:
-        for i, (a, b) in enumerate(key.insertions):
-            if a == 1 and target.degree(b) == 0:
-                idx, which = i, "dilaton"
-                break
-    if which is None:
-        for i, (a, b) in enumerate(key.insertions):
-            if a == 0 and target.degree(b) == 2:
-                if target.sign(b) != -1:
-                    raise AxiomPreconditionError(
-                        "divisor reduction needs a minus-eigenspace class")
-                idx, which = i, "divisor"
-                break
+    idx, which = _removable_slot(key, target)
     if which is None:
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
     if which == "string":
         return []
+    if which == "divisor" and target.sign(key.insertions[idx][1]) != -1:
+        raise AxiomPreconditionError(
+            "divisor reduction needs a minus-eigenspace class")
     rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
     g, d = key.genus, key.degree
     ell = len(rest)
@@ -150,13 +132,7 @@ def reduce_real_axioms(key, target):
                     ins = [(ra, target.basis_element(rb)) for ra, rb in rest]
                     ins[i] = (a - 1, prod)
                     out.append((Fraction(2), ins))
-    combined = {}
-    for coeff, raw in out:
-        for c, k in normalize(target, REAL, g, d, raw):
-            combined[k] = combined.get(k, Fraction(0)) + coeff * c
-    items = [(c, k) for k, c in combined.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
-    return items
+    return _collect_terms(target, REAL, g, d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +219,7 @@ def rwdvv_relation(target, mu, degree, complex_session):
                         target, d0, real_side + [ei])
                     if canon is None:
                         continue
-                    mult, rkey = canon
+                    rkey, mult = canon
                     cval = complex_session.primary_value(
                         dprime, [ej] + complex_side)
                     if not cval:
@@ -256,29 +232,14 @@ def rwdvv_relation(target, mu, degree, complex_session):
 
 
 def _real_canonical_primary(target, d0, basis_list):
-    """Canonicalize a primary real factor at degree d0 >= 1.
-
-    Strips divisor insertions (factor d0 each), kills unit insertions,
-    applies the eigenspace parity and grading filters.  Returns
-    (multiplier, key) or None when the factor is structurally zero.
-    """
-    mult = Fraction(1)
-    kept = []
-    for b in basis_list:
-        deg = target.degree(b)
-        if deg == 0:
-            return None
-        if deg == 2:
-            mult *= d0
-        else:
-            kept.append((0, b))
-    for a, b in kept:
-        if real_insertion_vanishes(target, a, b):
-            return None
-    total = sum(2 * a + target.degree(b) for a, b in kept)
-    if total != vdim_real(0, len(kept), d0, target):
+    """Canonicalize a primary real factor at degree d0 >= 1: strip unit
+    and divisor insertions, then apply the structural filter (eigenspace
+    parity and grading).  Returns (key, multiplier), or None when the
+    factor is structurally zero."""
+    canon = _strip_divisors(target, REAL, d0, basis_list)
+    if canon is None or filter_real(canon[0], target) is not None:
         return None
-    return mult, InvariantKey(REAL, 0, d0, sorted(kept))
+    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +267,7 @@ class RealSession:
         canon = _real_canonical_primary(target, 1, [target.num_basis])
         if canon is None:
             raise SolverError("degree-1 point count is structurally zero")
-        self._seed_mult, self._seed_key = canon
+        self._seed_key, self._seed_mult = canon
         stored = self.table.get(self._seed_key)
         if stored is not None:
             stored_sign = 1 if stored > 0 else -1
@@ -378,17 +339,8 @@ class RealSession:
         if not pending:
             return
         self.complex.ensure_primary(d // 2)
-        elim = _Eliminator()
-        max_ell = max(k.num_insertions for k in unknowns)
-        for extra in (2, 4):
-            for row, rhs in self._block_rows(d, max_ell + extra):
-                elim.add_row(row, rhs)
-                if elim.is_determined(pending):
-                    break
-            if elim.is_determined(pending):
-                break
-        sol = elim.solution()
-        missing = [k for k in pending if k not in sol]
+        sol, missing = _eliminate(self._block_rows, d, unknowns, pending,
+                                  (2, 4))
         if missing:
             msg = ("real exchange relations left %d key(s) unresolved at "
                    "degree %d" % (len(missing), d))
@@ -406,50 +358,24 @@ class RealSession:
             yield self._relation_row(ks, d)
 
     def _relation_row(self, ks, d):
-        """Evaluate one relation instance into (row-over-unknowns, rhs)."""
-        target = self.target
-        mu = tuple(k + 1 for k in ks)
-        diag = target.diagonal_decomposition()
-        free = list(range(3, len(mu)))
+        """Evaluate one relation instance into (row-over-unknowns, rhs).
+
+        The terms come from rwdvv_relation; a term whose real key has a
+        stored value moves to the rhs, the others form the row.  A key
+        below degree d must already be stored.
+        """
         row = {}
         rhs = Fraction(0)
-        for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
-            for pick in range(1 << len(free)):
-                real_side = [mu[real_anchor]]
-                complex_side = [mu[0], mu[complex_anchor]]
-                for t, idx in enumerate(free):
-                    if pick >> t & 1:
-                        real_side.append(mu[idx])
-                    else:
-                        complex_side.append(mu[idx])
-                weight = Fraction(2) ** len(complex_side)
-                for d0 in range(1, d + 1):
-                    if (d - d0) % 2:
-                        continue
-                    dprime = (d - d0) // 2
-                    for gcoeff, (ei, ej) in diag:
-                        canon = _real_canonical_primary(
-                            target, d0, real_side + [ei])
-                        if canon is None:
-                            continue
-                        mult, rkey = canon
-                        cval = self.complex.primary_value(
-                            dprime, [ej] + complex_side)
-                        if not cval:
-                            continue
-                        coeff = side * weight * gcoeff * mult * cval
-                        if d0 < d:
-                            known = self.table.get(rkey)
-                            if known is None:
-                                raise SolverError(
-                                    "missing lower-degree real value %r" % (rkey,))
-                            rhs -= coeff * known
-                        else:
-                            known = self.table.get(rkey)
-                            if known is not None:
-                                rhs -= coeff * known
-                            else:
-                                row[rkey] = row.get(rkey, Fraction(0)) + coeff
+        mu = tuple(k + 1 for k in ks)
+        for coeff, rkey in rwdvv_relation(self.target, mu, d, self.complex):
+            known = self.table.get(rkey)
+            if known is not None:
+                rhs -= coeff * known
+            elif rkey.degree < d:
+                raise SolverError(
+                    "missing lower-degree real value %r" % (rkey,))
+            else:
+                row[rkey] = coeff
         return row, rhs
 
     # -- evaluation -----------------------------------------------------
@@ -464,7 +390,7 @@ class RealSession:
         canon = _real_canonical_primary(self.target, degree, basis_list)
         if canon is None:
             return Fraction(0)
-        mult, key = canon
+        key, mult = canon
         self.ensure_real(degree)
         val = self.table.get(key)
         if val is None:
@@ -597,28 +523,3 @@ def reduce_descendant_rtrr(key, session):
     items = [(c, k) for k, c in terms.items() if c]
     items.sort(key=lambda t: t[1].sort_key())
     return items
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience wrappers
-
-
-def solve_primary_real(target, max_degree, seed_sign=None, table=None,
-                       complex_session=None):
-    """Solve all real primary genus-0 invariants with degree <= max_degree.
-
-    ``seed_sign`` fixes the degree-1 point count (+1 default for targets
-    with real points; the free involution requires an explicit choice).
-    Returns the filled InvariantTable (shared with the complex entries
-    the solve pulled in).
-    """
-    session = RealSession(target, table=table, seed_sign=seed_sign,
-                          complex_session=complex_session)
-    session.ensure_real(max_degree)
-    return session.table
-
-
-def real_invariant(target, key, seed_sign=None, table=None):
-    """One-shot evaluation of a canonical real key."""
-    session = RealSession(target, table=table, seed_sign=seed_sign)
-    return session.value(key)

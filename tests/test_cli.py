@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, cache round trips."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -254,3 +255,104 @@ def test_verify_tampered_cache_fails(capsys, tmp_path):
     # a failing verify must not rewrite the cache
     reloaded = InvariantTable.load(str(cache), target=p2)
     assert reloaded.get(InvariantKey(COMPLEX, 0, 1, [(0, 2), (0, 3)])) == 5
+
+
+def _valid_cache_data(tmp_path):
+    table = InvariantTable(make_p2())
+    table.put(InvariantKey(COMPLEX, 0, 1, [(0, 3), (0, 3)]),
+              Fraction(1), "seed")
+    path = tmp_path / "valid.json"
+    table.save(str(path))
+    return json.loads(path.read_text())
+
+
+def _drop(field):
+    def corrupt(data):
+        del data[field]
+        return data
+    return corrupt
+
+
+def _drop_entry_field(field):
+    def corrupt(data):
+        del data["entries"][0][field]
+        return data
+    return corrupt
+
+
+def _set_entry(field, value):
+    def corrupt(data):
+        data["entries"][0][field] = value
+        return data
+    return corrupt
+
+
+def _set_target(field, value):
+    def corrupt(data):
+        data["target"][field] = value
+        return data
+    return corrupt
+
+
+CORRUPT_CACHES = {
+    "not-json": None,
+    "no-target": _drop("target"),
+    "no-entries": _drop("entries"),
+    "entry-without-value": _drop_entry_field("value"),
+    "value-abc": _set_entry("value", "abc"),
+    "value-1/0": _set_entry("value", "1/0"),
+    "negative-descendant": _set_entry("insertions",
+                                      [{"a": -1, "basis": 3},
+                                       {"a": 0, "basis": 3}]),
+    "basis-out-of-range": _set_entry("insertions",
+                                     [{"a": 0, "basis": 3},
+                                      {"a": 0, "basis": 9}]),
+    "entries-not-a-list": lambda data: dict(data, entries="abc"),
+    "entry-not-an-object": lambda data: dict(data, entries=[7]),
+    "top-level-list": lambda data: [data],
+    "seed-sign-list": lambda data: dict(data, seed_sign=["+1"]),
+    "invalid-target": _set_target("involution_signs", [1, 2, 1]),
+    "target-not-an-object": lambda data: dict(data, target="P2"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("compute", "--target", "P2", "--max-degree", "1"),
+    ("cache", "show")], ids=["compute", "cache-show"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
+def test_corrupt_cache_exits_3(capsys, tmp_path, command, case):
+    data = _valid_cache_data(tmp_path)
+    cache = tmp_path / "cache.json"
+    corrupt = CORRUPT_CACHES[case]
+    if corrupt is None:
+        cache.write_text("{ not json")
+    else:
+        cache.write_text(json.dumps(corrupt(data)))
+    code, out, err = run(capsys, *command, "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconsistent: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cache_clear_refuses_foreign_files(capsys, tmp_path):
+    foreign = {
+        "notes.txt": "plain text, not a cache\n",
+        "list.json": "[1, 2, 3]\n",
+        "other-schema.json": json.dumps({"schema": 99, "entries": []}),
+        "schema-true.json": json.dumps({"schema": True, "entries": []}),
+    }
+    for name, text in foreign.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "cache", "clear", "--cache", str(path))
+        assert code == 3, name
+        assert len(err.splitlines()) == 1
+        assert path.read_text() == text
+    cache = tmp_path / "cache.json"
+    code, out, err = run(capsys, "compute", "--target", "P2",
+                         "--max-degree", "1", "--cache", str(cache))
+    assert code == 0
+    code, out, err = run(capsys, "cache", "clear", "--cache", str(cache))
+    assert code == 0 and out == "cache cleared\n"
+    assert not os.path.exists(cache)

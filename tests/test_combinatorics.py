@@ -1,45 +1,12 @@
-"""Partition enumeration and Koszul-sign bookkeeping."""
+"""Koszul-sign bookkeeping."""
 
 import random
 
 import pytest
 
-from gwcalc.combinatorics import (MAX_POINTS, RealPartition, StablePartition,
-                                  enumerate_partitions,
-                                  enumerate_real_partitions, eps_n, eps_n_mu,
-                                  koszul_sign_permutation, order_bijection,
-                                  real_wdvv_weight, sort_insertions_sign,
-                                  split_exponent, split_sign)
-
-
-def test_enumerate_partitions_complete():
-    for g in (0, 1, 2):
-        for ell in (0, 1, 3, 5):
-            parts = enumerate_partitions(g, ell)
-            assert len(parts) == (g + 1) * 2 ** ell
-            assert len(set(parts)) == len(parts)
-            for p in parts:
-                assert p.g1 + p.g2 == g
-                assert sorted(p.I + p.J) == list(range(1, ell + 1))
-            assert parts == sorted(parts, key=lambda p: (p.g1, p.I))
-
-
-def test_enumerate_partitions_rejects():
-    with pytest.raises(ValueError):
-        enumerate_partitions(-1, 2)
-    with pytest.raises(ValueError):
-        enumerate_partitions(0, MAX_POINTS + 1)
-
-
-def test_enumerate_real_partitions_complete():
-    for g in (0, 1, 2, 3, 4):
-        for ell in (0, 1, 2, 3):
-            parts = enumerate_real_partitions(g, ell)
-            assert len(parts) == (g // 2 + 1) * 3 ** ell
-            assert len(set(parts)) == len(parts)
-            for p in parts:
-                assert 2 * p.gp + p.g0 == g
-                assert sorted(p.I + p.J + p.K) == list(range(1, ell + 1))
+from gwcalc.combinatorics import (koszul_sign_permutation,
+                                  sort_insertions_sign, split_exponent,
+                                  split_sign)
 
 
 def brute_sign(perm, degs):
@@ -114,43 +81,6 @@ def test_split_sign_complementarity():
         odd_j = sum(1 for j in J if degs[j - 1] % 2)
         lhs = split_sign(I, J, degs) * split_sign(J, I, degs)
         assert lhs == (-1) ** (odd_i * odd_j)
-
-
-def test_real_wdvv_weight():
-    degs = [1, 1, 0]
-    assert real_wdvv_weight([1, 2, 3], [], degs) == 1
-    # pulling I = {2} past the odd slot 1 crosses one odd-odd pair
-    assert real_wdvv_weight([2, 3], [1], degs) == -2
-    assert real_wdvv_weight([1, 3], [2], degs) == 2
-    # J = {1}, I = {2}: odd-odd inversion (2 > 1) from pulling I forward
-    assert real_wdvv_weight([2], [1], [1, 1]) == -2
-    assert real_wdvv_weight([], [1, 2], [1, 1]) == 4
-    with pytest.raises(ValueError):
-        real_wdvv_weight([1], [1], [1, 1])
-    with pytest.raises(ValueError):
-        real_wdvv_weight([1], [3], [1, 1, 1])
-
-
-def test_eps_n():
-    assert eps_n(StablePartition(0, 0, (), ()), 3) == 1
-    assert eps_n(StablePartition(1, 0, (), ()), 3) == 0
-    assert eps_n(StablePartition(2, 3, (), ()), 5) == 4
-    with pytest.raises(ValueError):
-        eps_n(StablePartition(0, 0, (), ()), 2)
-
-
-def test_eps_n_mu():
-    p = StablePartition(0, 2, (1,), (2,))
-    degs = [1, 1]
-    # eps_n = (3-1)/2 * (-1)(1) = -1; split exponent 0; (g1-1)|mu_J| = -3
-    assert eps_n_mu(p, 3, degs, 3) == -4
-
-
-def test_order_bijection():
-    assert order_bijection([4, 1], [3]) == {1: 1, 2: 3, 3: 4}
-    assert order_bijection([], []) == {}
-    with pytest.raises(ValueError):
-        order_bijection([1], [1])
 
 
 def test_sort_insertions_sign_matches_permutation():

@@ -1,5 +1,6 @@
 """Complex-side recursions: primary counts, descendants, relations."""
 
+import itertools
 import math
 import random
 import time
@@ -12,12 +13,12 @@ from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
                                     StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   classical_3pt, degree_zero_value,
+                                   _sub_multisets_4, degree_zero_value,
                                    filter_complex, key_degree_sum,
                                    kontsevich_p2, psi_multinomial_recursive,
                                    reduce_axioms, reduce_descendant_trr,
-                                   solve_primary_complex, vdim_complex,
-                                   wdvv_instances, wdvv_relation)
+                                   vdim_complex, wdvv_instances,
+                                   wdvv_relation)
 
 
 def key(d, ins, genus=0):
@@ -81,13 +82,6 @@ def test_degree_zero_values(p2, p3):
     assert degree_zero_value(p2, [(1, 2), (0, 2), (0, 1), (0, 1)]) == 1
     assert degree_zero_value(p3, [(0, 2), (0, 2), (0, 3)]) == 0
     assert degree_zero_value(p3, [(0, 2), (0, 2), (0, 2)]) == 1
-
-
-def test_classical_3pt(p2):
-    assert classical_3pt(p2, 1, 1, 3) == 1
-    assert classical_3pt(p2, 2, 2, 1) == 1
-    assert classical_3pt(p2, 2, 2, 2) == 0
-    assert classical_3pt(p2, p2.h(1), p2.h(1), p2.h(0)) == 1
 
 
 def test_p2_counts_match_oracle(p2_session):
@@ -276,6 +270,32 @@ def test_wdvv_relation_rejects(p2):
         wdvv_relation(p2, (2, 2, 3, 9), 1)
 
 
+def index_walk_sub_multisets_4(values):
+    """Reference: walk every index quadruple of the sorted tuple and keep
+    the first occurrence of each value quadruple."""
+    seen = set()
+    out = []
+    for idxs in itertools.combinations(range(len(values)), 4):
+        quad = tuple(values[i] for i in idxs)
+        if quad in seen:
+            continue
+        seen.add(quad)
+        rest = list(values)
+        for i in reversed(idxs):
+            del rest[i]
+        out.append((quad, tuple(rest)))
+    return out
+
+
+def test_sub_multisets_4_matches_index_walk():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        length = rng.randint(0, 12)
+        values = tuple(sorted(rng.randint(1, rng.randint(1, 6))
+                              for _ in range(length)))
+        assert _sub_multisets_4(values) == index_walk_sub_multisets_4(values)
+
+
 def test_wdvv_instances_structure(p2):
     seen = list(wdvv_instances(p2, 2, 7))
     assert seen == list(wdvv_instances(p2, 2, 7))  # deterministic
@@ -312,7 +332,9 @@ def test_session_rejects_non_projective(torus):
 
 
 def test_solve_primary_wrapper(p2):
-    table = solve_primary_complex(p2, 3)
+    session = ComplexSession(p2)
+    session.ensure_primary(3)
+    table = session.table
     assert table.get(key(3, [(0, 3)] * 8)) == 12
     assert table.provenance(key(1, [(0, 3), (0, 3)])) == "seed"
 

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL,
-                                    InvariantKey, InvariantTable,
-                                    StoreConflictError, StoreFormatError,
-                                    default_cache_path, normalize,
+from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
+                                    InvariantTable, StoreConflictError,
+                                    StoreFormatError, normalize,
                                     real_insertion_vanishes)
 
 
@@ -208,10 +207,3 @@ def test_table_save_leaves_no_temp_files(tmp_path, p2):
     t.save(path)
     t.save(path)
     assert sorted(os.listdir(tmp_path)) == ["cache.json"]
-
-
-def test_default_cache_path(monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, "/tmp/somewhere.json")
-    assert default_cache_path() == "/tmp/somewhere.json"
-    monkeypatch.delenv(CACHE_ENV_VAR)
-    assert default_cache_path() is None

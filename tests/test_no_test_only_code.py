@@ -1,0 +1,79 @@
+"""Guard against code that only the tests reach.
+
+Every public module-level function or class of the package must be
+referenced somewhere in the package outside its own definition.  The
+allowlist names the few that exist for the tests on purpose, each with
+the reason it stays.
+"""
+
+import ast
+import os
+
+import gwcalc
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(gwcalc.__file__))
+
+ALLOWED = {
+    "wdvv_relation": "oracle: the ungrouped relation expansion the grouped "
+                     "relation rows are compared against",
+    "kontsevich_p2": "oracle: the closed-form plane-curve recursion "
+                     "checked against the generic solver",
+    "psi_multinomial_recursive": "oracle: the string-relation recursion "
+                                 "checked against the degree-zero closed "
+                                 "form",
+    "koszul_sign_permutation": "acceptance criterion 8 promises the "
+                               "permutation sign",
+    "split_sign": "acceptance criterion 8 promises the block-split sign",
+}
+
+
+def _parse_package():
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                trees[name] = ast.parse(fh.read(), filename=name)
+    return trees
+
+
+def _public_definitions(trees):
+    """(module, name, first line, last line) of every public module-level
+    function and class."""
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                out.append((module, node.name, node.lineno, node.end_lineno))
+    return out
+
+
+def _references(trees):
+    """(module, line, name) of every name load and attribute access."""
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.append((module, node.lineno, node.attr))
+    return out
+
+
+def test_every_public_definition_is_used_in_the_package():
+    trees = _parse_package()
+    refs = _references(trees)
+    unused = []
+    for module, name, first, last in _public_definitions(trees):
+        used = any(ref == name and not (ref_mod == module
+                                        and first <= line <= last)
+                   for ref_mod, line, ref in refs)
+        if not used and name not in ALLOWED:
+            unused.append("%s:%s" % (module, name))
+    assert not unused, "only tests reach: %s" % ", ".join(unused)
+
+
+def test_allowlist_is_current():
+    defined = {name for _m, name, _f, _l in _public_definitions(
+        _parse_package())}
+    assert set(ALLOWED) <= defined

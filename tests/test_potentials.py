@@ -237,6 +237,9 @@ def test_build_validates_truncation(p2_session):
         build_potentials(p2_session.table, (4,),
                          complex_value=p2_session.value)
     with pytest.raises(SeriesError):
+        build_potentials(p2_session.table, (4, 1, 0),
+                         complex_value=p2_session.value)
+    with pytest.raises(SeriesError):
         build_potentials(p2_session.table, (-1, 2),
                          complex_value=p2_session.value)
     with pytest.raises(SeriesError):

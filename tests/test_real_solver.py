@@ -10,11 +10,9 @@ from gwcalc.invariant_store import (REAL, InvariantKey, InvariantTable,
 from gwcalc.complex_solver import (AxiomPreconditionError,
                                    InconsistentSystemError, SolverError)
 from gwcalc.real_solver import (RealSession, UnderdeterminedError,
-                                filter_real, real_degree_map,
-                                real_invariant, real_mapping_to_point,
+                                filter_real, real_mapping_to_point,
                                 reduce_descendant_rtrr, reduce_real_axioms,
-                                rwdvv_instances, rwdvv_relation,
-                                solve_primary_real, vdim_real)
+                                rwdvv_instances, rwdvv_relation, vdim_real)
 
 
 def rkey(d, ins, genus=0):
@@ -37,11 +35,6 @@ def test_vdim_real_parity(p3, p5):
             for ell in range(5):
                 for d in range(5):
                     assert vdim_real(g, ell, d, target) % 2 == 0
-
-
-def test_real_degree_map(p3):
-    assert real_degree_map(0, p3) == 0
-    assert real_degree_map(3, p3) == 6
 
 
 def test_filter_real(p3):
@@ -249,17 +242,23 @@ def test_relation_residuals_vanish(p3_sessions):
     assert checked >= 10
 
 
+def solved_real_table(target, max_degree, seed_sign):
+    session = RealSession(target, seed_sign=seed_sign)
+    session.ensure_real(max_degree)
+    return session.table
+
+
 def test_solver_wrappers(p3):
-    table = solve_primary_real(p3, 2, seed_sign=1)
+    table = solved_real_table(p3, 2, seed_sign=1)
     assert table.get(rkey(1, [(0, 4)])) == 1
     assert table.provenance(rkey(1, [(0, 4)])) == "seed"
     assert table.get(rkey(2, [(0, 4), (0, 4)])) == 0
-    assert real_invariant(p3, rkey(1, [(1, 3)]), seed_sign=1) == -2
+    assert RealSession(p3, seed_sign=1).value(rkey(1, [(1, 3)])) == -2
 
 
 def test_solving_is_deterministic(p3):
-    t1 = solve_primary_real(p3, 3, seed_sign=1)
-    t2 = solve_primary_real(p3, 3, seed_sign=1)
+    t1 = solved_real_table(p3, 3, seed_sign=1)
+    t2 = solved_real_table(p3, 3, seed_sign=1)
     assert list(t1.items()) == list(t2.items())
 
 
