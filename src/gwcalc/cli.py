@@ -17,12 +17,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .graded_algebra import (TargetValidationError, TargetSpace,
+from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
                              builtin_target, builtin_target_names,
                              frac_to_str)
 from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               InvariantTable, StoreConflictError,
-                              StoreFormatError, normalize, read_cache_json)
+                              StoreFormatError, _reason, normalize,
+                              read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, filter_complex,
@@ -115,8 +116,8 @@ def _load_target(args):
                 return TargetSpace.loads(fh.read())
         except OSError as e:
             raise UsageError("cannot read target file: %s" % e)
-        except (ValueError, KeyError, TargetValidationError) as e:
-            raise UsageError("bad target file: %s" % e)
+        except TARGET_DATA_ERRORS as e:
+            raise UsageError("bad target file: %s" % _reason(e))
     if args.target:
         try:
             return builtin_target(args.target)

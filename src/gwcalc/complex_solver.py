@@ -3,10 +3,15 @@
 The solver computes primary (descendant-free) invariants degree by
 degree from an overdetermined system of four-point exchange relations,
 seeded by the line count through two points, and reduces descendant
-invariants to primary ones by an integrated topological recursion.
-Everything is exact rational arithmetic; a specialized recursion for the
-plane-curve counts is implemented independently and serves as an oracle
-for the generic solver.
+invariants to primary ones axiom-first: a key with >= 3 insertions and a
+string, dilaton or divisor insertion takes one such step
+(reduce_axioms); any other descendant key goes through the integrated
+topological recursion (reduce_descendant_trr), one-point keys after the
+string relation has lifted them to two points.  The recursion stays a
+second route: the trr-cross suite compares one step of each over the
+same lower values.  Everything is exact rational arithmetic; a
+specialized recursion for the plane-curve counts is implemented
+independently and serves as an oracle for the generic solver.
 
 Structure of a degree block: the canonical unknowns at degree d are the
 multisets of basis classes of cohomological degree >= 4 whose total
@@ -30,7 +35,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .invariant_store import (COMPLEX, InvariantKey, InvariantTable, normalize)
+from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
+                              normalize)
 
 EFFECTIVITY = "effectivity"
 GRADING = "grading"
@@ -276,6 +282,21 @@ def reduce_axioms(key, target):
                     ins[i] = (a - 1, prod)
                     out.append((Fraction(1), ins))
     return _collect_terms(target, COMPLEX, g, d, out)
+
+
+def _axiom_route(key, target):
+    """Whether a descendant key of either theory is evaluated by one
+    string, dilaton or divisor step rather than by the topological
+    recursion: it needs >= 3 insertions (so the step never undoes the
+    one-point string lift) and a removable slot; a real divisor step
+    needs a minus-eigenspace class."""
+    if key.num_insertions < 3:
+        return False
+    idx, which = _removable_slot(key, target)
+    if which is None:
+        return False
+    return (which != "divisor" or key.kind != REAL
+            or target.sign(key.insertions[idx][1]) == -1)
 
 
 def _collect_terms(target, kind, genus, degree, weighted):
@@ -775,27 +796,29 @@ class ComplexSession:
             val = degree_zero_value(self.target, key.insertions)
             self.table.put(key, val, "classical")
             return val
-        if key.total_descendant_power() == 0:
-            val = self._primary_key_value(key)
+        if key.total_descendant_power():
+            val, prov = self._descendant_value(key)
         else:
-            val = self._descendant_value(key)
-        self.table.put(key, val, self._value_provenance(key))
+            basis = [b for _, b in key.insertions]
+            val = self.primary_value(key.degree, basis)
+            # unit and divisor insertions were stripped by the axioms
+            prov = "axiom-reduction" \
+                if any(self.target.degree(b) < 4 for b in basis) else "wdvv"
+        self.table.put(key, val, prov)
         return val
 
-    def _value_provenance(self, key):
-        if key.total_descendant_power():
-            return "trr"
-        ins = key.insertions
-        if any(self.target.degree(b) < 4 for _, b in ins):
-            return "axiom-reduction"
-        return "wdvv"
-
-    def _primary_key_value(self, key):
-        return self.primary_value(key.degree, [b for _, b in key.insertions])
-
     def _descendant_value(self, key):
+        """Value and provenance of a descendant key: one string, dilaton
+        or divisor step where _axiom_route allows it, else the
+        topological recursion (one-point keys lifted by the string
+        relation first)."""
+        if _axiom_route(key, self.target):
+            total = Fraction(0)
+            for coeff, k in reduce_axioms(key, self.target):
+                total += coeff * self.value(k)
+            return total, "axiom-reduction"
         if key.num_insertions == 1:
-            return self.value(lift_one_point(key))
+            return self.value(lift_one_point(key)), "trr"
         total = Fraction(0)
         for coeff, factors in reduce_descendant_trr(key, self.target):
             prod = coeff
@@ -804,7 +827,7 @@ class ComplexSession:
                 if not prod:
                     break
             total += prod
-        return total
+        return total, "trr"
 
 
 def lift_one_point(key):

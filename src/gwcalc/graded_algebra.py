@@ -33,6 +33,13 @@ class TargetValidationError(ValueError):
     """Raised when target ring data violates a structural requirement."""
 
 
+# Everything TargetSpace.from_json raises on malformed data: a missing
+# field, a wrong JSON type, an unparsable number or a zero denominator,
+# and TargetValidationError (a ValueError).
+TARGET_DATA_ERRORS = (KeyError, TypeError, ValueError, IndexError,
+                      ZeroDivisionError)
+
+
 class CohClass:
     """A cohomology class: sparse rational combination of basis elements.
 

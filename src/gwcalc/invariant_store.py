@@ -23,7 +23,8 @@ import tempfile
 from fractions import Fraction
 
 from .combinatorics import sort_insertions_sign
-from .graded_algebra import CohClass, TargetSpace, frac_from_str, frac_to_str
+from .graded_algebra import (TARGET_DATA_ERRORS, CohClass, TargetSpace,
+                             frac_from_str, frac_to_str)
 
 COMPLEX = "complex"
 REAL = "real"
@@ -260,8 +261,7 @@ class InvariantTable:
         data = read_cache_json(path)
         try:
             file_target = TargetSpace.from_json(data["target"])
-        except (KeyError, TypeError, ValueError, IndexError,
-                ZeroDivisionError) as e:
+        except TARGET_DATA_ERRORS as e:
             raise StoreFormatError("bad target in cache: %s" % _reason(e))
         if target is not None:
             if target.to_json() != file_target.to_json():

@@ -14,8 +14,13 @@ term pairs a real factor with a fully known complex factor, weighted by
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  Descendant invariants reduce
-by a real topological recursion whose leading term slides a divisor onto
-the descendant slot with weight -2.
+axiom-first, as in the complex theory: a key with >= 3 insertions and a
+dilaton or minus-eigenspace divisor insertion takes one such step
+(reduce_real_axioms; a string insertion kills the invariant), any other
+goes through the real topological recursion (reduce_descendant_rtrr),
+whose leading term slides a divisor onto the descendant slot with
+weight -2.  The rtrr-cross suite compares one step of each route over
+the same lower values.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from .invariant_store import (REAL, COMPLEX, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
                              InconsistentSystemError, UnderdeterminedError,
-                             _collect_terms, _eliminate, _multisets_with_sum,
-                             _removable_slot, _strip_divisors,
+                             _axiom_route, _collect_terms, _eliminate,
+                             _multisets_with_sum, _removable_slot,
+                             _strip_divisors,
                              EFFECTIVITY, GRADING, PARITY)
 
 
@@ -421,10 +427,16 @@ class RealSession:
             if self.table.get(key) is None:
                 self.table.put(key, val, "axiom-reduction")
             return val
+        if _axiom_route(key, self.target):
+            terms = reduce_real_axioms(key, self.target)
+            prov = "axiom-reduction"
+        else:
+            terms = reduce_descendant_rtrr(key, self)
+            prov = "rtrr"
         val = Fraction(0)
-        for coeff, rkey in reduce_descendant_rtrr(key, self):
+        for coeff, rkey in terms:
             val += coeff * self.value(rkey)
-        self.table.put(key, val, "rtrr")
+        self.table.put(key, val, prov)
         return val
 
 

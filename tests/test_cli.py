@@ -148,6 +148,36 @@ def test_target_file_round_trip(capsys, tmp_path):
     assert code == 2
 
 
+def _p2_json_with(field, value):
+    data = json.loads(make_p2().dumps())
+    data[field] = value
+    return json.dumps(data)
+
+
+BAD_TARGET_FILES = {
+    "list": "[]",
+    "string": '"x"',
+    "number": "1",
+    "null": "null",
+    "mult-table-number": _p2_json_with("mult_table", 1),
+    "mult-table-empty": _p2_json_with("mult_table", []),
+    "pairing-1/0": _p2_json_with("pairing", [["1/0"]]),
+    "signs-number": _p2_json_with("involution_signs", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TARGET_FILES))
+def test_bad_target_file_exits_2(capsys, tmp_path, case):
+    spec = tmp_path / "target.json"
+    spec.write_text(BAD_TARGET_FILES[case])
+    code, out, err = run(capsys, "compute", "--target-file", str(spec),
+                         "--max-degree", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad target file: ")
+    assert err.count("\n") == 1
+
+
 def test_cache_flows(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     code, out, err = run(capsys, "cache", "show", "--cache", str(cache))
