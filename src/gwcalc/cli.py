@@ -232,8 +232,29 @@ def _csv_insertions(key):
     return ";".join("%d:%d" % (a, i) for a, i in key.insertions)
 
 
+def _json_entry(key, value):
+    """One entry of the JSON rows, laid out as json.dumps(indent=2,
+    sort_keys=True) lays it out inside the ``entries`` list."""
+    if key.insertions:
+        ins = "[\n%s\n      ]" % ",\n".join(
+            '        {\n          "a": %d,\n          "basis": %d\n        }'
+            % (a, b) for a, b in key.insertions)
+    else:
+        ins = "[]"
+    return ('    {\n      "degree": %d,\n      "genus": %d,\n'
+            '      "insertions": %s,\n      "kind": "%s",\n'
+            '      "value": "%s"\n    }'
+            % (key.degree, key.genus, ins, key.kind, frac_to_str(value)))
+
+
 def emit_rows(target, rows, fmt, out):
-    """Print (key, value) pairs in the chosen format, deterministically."""
+    """Print (key, value) pairs in the chosen format, deterministically.
+
+    The json format is the text of ``json.dumps({"target": name,
+    "entries": [...]}, indent=2, sort_keys=True)``, built by string
+    formatting: kinds, integers and 'p/q' values never need escaping, so
+    only the target name goes through ``json.dumps``.
+    """
     if fmt == "text":
         for key, value in rows:
             out.write(_render_text_row(target, key, value) + "\n")
@@ -244,13 +265,10 @@ def emit_rows(target, rows, fmt, out):
                 key.kind, key.genus, key.degree,
                 _csv_insertions(key), frac_to_str(value)))
     else:
-        entries = []
-        for key, value in rows:
-            entry = key.to_json()
-            entry["value"] = frac_to_str(value)
-            entries.append(entry)
-        payload = {"target": target.name, "entries": entries}
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        entries = ",\n".join(_json_entry(key, value) for key, value in rows)
+        out.write('{\n  "entries": %s,\n  "target": %s\n}\n' % (
+            "[\n%s\n  ]" % entries if rows else "[]",
+            json.dumps(target.name)))
 
 
 # ----- compute ---------------------------------------------------------------
@@ -313,7 +331,7 @@ def cmd_compute(args, out=None):
         rows = [(key, session.value(key)) for key in keys]
         rows.sort(key=lambda kv: kv[0].sort_key())
     emit_rows(target, rows, args.format, out)
-    if path:
+    if path and table.changed:
         table.save(path)
     return EXIT_OK
 
@@ -641,7 +659,7 @@ def cmd_verify(args, out=None):
         else:
             all_ok = False
             out.write("suite %-10s FAIL: %s\n" % (name, detail))
-    if path and all_ok:
+    if path and all_ok and table.changed:
         table.save(path)
     return EXIT_OK if all_ok else EXIT_FAIL
 

@@ -377,7 +377,10 @@ class TargetSpace:
         """Build a target from its JSON dict (inverse of to_json).
 
         ``involution_signs`` may also be a full square matrix; only a
-        diagonal one is accepted (converted to the sign list).
+        diagonal one is accepted (converted to the sign list).  ``name``
+        must be a JSON string, ``fixed_locus_empty`` a JSON bool and the
+        four integer constants JSON integers; anything else raises
+        TargetValidationError rather than being coerced.
         """
         signs = data["involution_signs"]
         if signs and isinstance(signs[0], (list, tuple)):
@@ -392,6 +395,17 @@ class TargetSpace:
                         raise TargetValidationError(
                             "only diagonal involution actions are supported")
             signs = diag
+        if not isinstance(data["name"], str):
+            raise TargetValidationError("name must be a JSON string")
+        if type(data["fixed_locus_empty"]) is not bool:
+            raise TargetValidationError(
+                "fixed_locus_empty must be true or false")
+        for field in ("complex_dim", "c1_pairing", "degree_negation",
+                      "euler_char"):
+            # bool is an int subclass; JSON true is not an integer here
+            if type(data[field]) is not int:
+                raise TargetValidationError(
+                    "%s must be a JSON integer" % field)
         return cls(
             name=data["name"],
             complex_dim=data["complex_dim"],

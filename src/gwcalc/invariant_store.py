@@ -170,7 +170,11 @@ class InvariantTable:
     """Mapping from canonical keys to exact values with provenance.
 
     Content for a fixed target, seed and degree bound is deterministic
-    and independent of fill order (conflicting fills abort).
+    and independent of fill order (conflicting fills abort).  Entries are
+    only ever added, so ``changed`` (the table holds something its file
+    lacks) is true for a fresh table, false right after ``load`` or
+    ``save``, and true again once a ``put`` adds a new key or the seed
+    sign moves; a put that repeats a held entry changes nothing.
     """
 
     def __init__(self, target, seed_sign=1):
@@ -179,6 +183,13 @@ class InvariantTable:
         self.target = target
         self.seed_sign = seed_sign
         self._entries = {}
+        # (entry count, seed sign) as last loaded or saved; None if never
+        self._file_state = None
+
+    @property
+    def changed(self):
+        """Whether saving would write anything the file does not hold."""
+        return self._file_state != (len(self._entries), self.seed_sign)
 
     def __len__(self):
         return len(self._entries)
@@ -199,15 +210,17 @@ class InvariantTable:
             raise ValueError("unknown provenance %r" % (provenance,))
         if not key.is_canonical():
             raise ValueError("put of non-canonical key %r" % (key,))
-        value = Fraction(value)
+        self._insert(key, Fraction(value), provenance)
+
+    def _insert(self, key, value, provenance):
+        """Store a checked entry; a held key must keep its value."""
         old = self._entries.get(key)
-        if old is not None:
-            if old[0] != value:
-                raise StoreConflictError(
-                    "conflicting values for %r: %s (from %s) vs %s (from %s)"
-                    % (key, old[0], old[1], value, provenance))
-            return
-        self._entries[key] = (value, provenance)
+        if old is None:
+            self._entries[key] = (value, provenance)
+        elif old[0] != value:
+            raise StoreConflictError(
+                "conflicting values for %r: %s (from %s) vs %s (from %s)"
+                % (key, old[0], old[1], value, provenance))
 
     def items(self):
         """Entries as (key, value, provenance), deterministically ordered."""
@@ -232,7 +245,12 @@ class InvariantTable:
         }
 
     def save(self, path):
-        """Atomically write the table as versioned JSON."""
+        """Atomically write the table as versioned JSON.
+
+        Writes whether or not the table ``changed``; callers that only
+        want to persist new entries check that first.  Afterwards the
+        table counts as unchanged.
+        """
         payload = json.dumps(self.to_json(), indent=1, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(prefix=".gwcache-", dir=directory)
@@ -247,6 +265,7 @@ class InvariantTable:
             except OSError:
                 pass
             raise
+        self._file_state = (len(self._entries), self.seed_sign)
 
     @classmethod
     def load(cls, path, target=None):
@@ -278,6 +297,8 @@ class InvariantTable:
         if not isinstance(entries, list):
             raise StoreFormatError("cache entries must be a JSON list")
         table = cls(file_target, seed_sign)
+        num_basis = file_target.num_basis
+        # each entry is checked here once, then stored without put's checks
         for number, entry in enumerate(entries, start=1):
             try:
                 key = InvariantKey.from_json(entry)
@@ -288,12 +309,13 @@ class InvariantTable:
                     "bad cache entry %d: %s" % (number, _reason(e)))
             if not key.is_canonical():
                 raise StoreFormatError("non-canonical key in cache: %r" % (key,))
-            if any(b > file_target.num_basis for _, b in key.insertions):
+            if any(b > num_basis for _, b in key.insertions):
                 raise StoreFormatError(
                     "basis index out of range in cache: %r" % (key,))
             if prov not in PROVENANCE_TAGS:
                 raise StoreFormatError("unknown provenance %r" % (prov,))
-            table.put(key, value, prov)
+            table._insert(key, value, prov)
+        table._file_state = (len(table._entries), seed_sign)
         return table
 
 

@@ -1,14 +1,16 @@
 """Command-line behavior: output formats, exit codes, cache round trips."""
 
+import io
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
-from gwcalc.cli import main
-from gwcalc.graded_algebra import make_p2
-from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable)
+from gwcalc.cli import emit_rows, main
+from gwcalc.graded_algebra import TargetSpace, frac_to_str, make_p2
+from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
+                                    InvariantTable)
 
 
 def run(capsys, *argv):
@@ -163,6 +165,14 @@ BAD_TARGET_FILES = {
     "mult-table-empty": _p2_json_with("mult_table", []),
     "pairing-1/0": _p2_json_with("pairing", [["1/0"]]),
     "signs-number": _p2_json_with("involution_signs", 1),
+    "name-list": _p2_json_with("name", []),
+    "name-null": _p2_json_with("name", None),
+    "fixed-locus-string": _p2_json_with("fixed_locus_empty", "x"),
+    "fixed-locus-0": _p2_json_with("fixed_locus_empty", 0),
+    "complex-dim-2.5": _p2_json_with("complex_dim", 2.5),
+    "euler-char-3.0": _p2_json_with("euler_char", 3.0),
+    "c1-pairing-string": _p2_json_with("c1_pairing", "3"),
+    "degree-negation-true": _p2_json_with("degree_negation", True),
 }
 
 
@@ -228,6 +238,69 @@ def test_cache_reuse_is_consistent(capsys, tmp_path):
     assert cache.read_text() == blob
 
 
+def _file_id(path):
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_warm_runs_leave_the_cache_untouched(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    verify = ("verify", "--target", "P2", "--max-degree", "2",
+              "--cache", str(cache))
+    compute = ("compute", "--target", "P2", "--max-degree", "2",
+               "--cache", str(cache))
+    assert run(capsys, *compute)[0] == 0
+    assert cache.exists()  # a missing cache is created
+    written = _file_id(cache)
+    assert run(capsys, *compute)[0] == 0
+    assert _file_id(cache) == written
+    assert run(capsys, *verify)[0] == 0  # verify adds descendant entries
+    assert _file_id(cache) != written
+    written = _file_id(cache)
+    blob = cache.read_bytes()
+    for argv in (verify, compute):
+        assert run(capsys, *argv)[0] == 0
+        assert _file_id(cache) == written, argv
+    assert cache.read_bytes() == blob
+    assert sorted(os.listdir(tmp_path)) == ["cache.json"]
+    # new entries are written, in the layout save gives a loaded table
+    assert run(capsys, "compute", "--target", "P2", "--max-degree", "3",
+               "--cache", str(cache))[0] == 0
+    assert _file_id(cache) != written
+    resaved = tmp_path / "resaved.json"
+    InvariantTable.load(str(cache)).save(str(resaved))
+    assert cache.read_bytes() == resaved.read_bytes()
+
+
+EMIT_ROWS_CASES = {
+    "no-rows": [],
+    "no-insertions": [(InvariantKey(COMPLEX, 0, 1, []), Fraction(1))],
+    "mixed": [
+        (InvariantKey(COMPLEX, 0, 1, [(0, 3), (0, 3)]), Fraction(1)),
+        (InvariantKey(COMPLEX, 0, 2, [(1, 2), (2, 3), (0, 3)]),
+         Fraction(-3, 4)),
+        (InvariantKey(REAL, 0, 1, [(1, 1)]), Fraction(-7)),
+        (InvariantKey(REAL, 0, 3, [(0, 3), (3, 2)]), Fraction(5, 2)),
+        (InvariantKey(COMPLEX, 0, 12, [(0, 3)] * 12),
+         Fraction(-123456789012345678901, 17)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["P2", 'quote " backslash \\ \u00e9'])
+@pytest.mark.parametrize("case", sorted(EMIT_ROWS_CASES))
+def test_emit_json_rows_match_the_stdlib_layout(name, case):
+    target = TargetSpace.loads(_p2_json_with("name", name))
+    rows = EMIT_ROWS_CASES[case]
+    payload = {"target": name,
+               "entries": [dict(key.to_json(), value=frac_to_str(value))
+                           for key, value in rows]}
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    emit_rows(target, rows, "json", out)
+    assert out.getvalue() == want
+
+
 def test_verify_p2_all_suites(capsys):
     code, out, err = run(capsys, "verify", "--target", "P2",
                          "--max-degree", "3")
@@ -277,6 +350,7 @@ def test_verify_tampered_cache_fails(capsys, tmp_path):
               Fraction(5), "classical")
     cache = tmp_path / "tampered.json"
     table.save(str(cache))
+    written = _file_id(cache)
     code, out, err = run(capsys, "verify", "--target", "P2",
                          "--max-degree", "2", "--cache", str(cache))
     assert code == 1
@@ -285,6 +359,8 @@ def test_verify_tampered_cache_fails(capsys, tmp_path):
     # a failing verify must not rewrite the cache
     reloaded = InvariantTable.load(str(cache), target=p2)
     assert reloaded.get(InvariantKey(COMPLEX, 0, 1, [(0, 2), (0, 3)])) == 5
+    assert _file_id(cache) == written
+    assert sorted(os.listdir(tmp_path)) == ["tampered.json"]
 
 
 def _valid_cache_data(tmp_path):
@@ -343,6 +419,14 @@ CORRUPT_CACHES = {
     "seed-sign-list": lambda data: dict(data, seed_sign=["+1"]),
     "invalid-target": _set_target("involution_signs", [1, 2, 1]),
     "target-not-an-object": lambda data: dict(data, target="P2"),
+    "target-euler-char-3.0": _set_target("euler_char", 3.0),
+    "non-canonical-key": _set_entry("insertions",
+                                    [{"a": 0, "basis": 3},
+                                     {"a": 0, "basis": 2}]),
+    "unknown-provenance": _set_entry("provenance", "guess"),
+    "same-key-two-values": lambda data: dict(
+        data, entries=data["entries"] + [dict(data["entries"][0],
+                                              value="2")]),
 }
 
 

@@ -128,6 +128,29 @@ def test_table_put_get_conflict(p2):
               Fraction(1), "seed")
 
 
+def test_table_changed_tracks_what_the_file_lacks(tmp_path, p2):
+    t = InvariantTable(p2)
+    assert t.changed  # no file holds even the empty table yet
+    k = InvariantKey(COMPLEX, 0, 1, [(0, 3), (0, 3)])
+    t.put(k, Fraction(1), "seed")
+    path = str(tmp_path / "cache.json")
+    t.save(path)
+    assert not t.changed
+    t.put(k, Fraction(1), "wdvv")  # a held entry adds nothing
+    assert not t.changed
+    again = InvariantTable.load(path)
+    assert not again.changed
+    again.seed_sign = -1
+    assert again.changed
+    again.seed_sign = 1
+    assert not again.changed
+    again.put(InvariantKey(COMPLEX, 0, 2, [(0, 3)] * 5), Fraction(1),
+              "wdvv")
+    assert again.changed
+    again.save(path)
+    assert not again.changed
+
+
 def test_table_items_deterministic(p2):
     t = InvariantTable(p2)
     k1 = InvariantKey(COMPLEX, 0, 2, [(0, 3)] * 5)
