@@ -3,7 +3,10 @@
 Exit codes: 0 success / all suites pass, 1 suite failure or I/O error,
 2 bad flags or inputs, 3 inconsistent data (store conflicts, rank
 problems, corrupt cache), 4 underdetermined system (e.g. a fixed-locus
-free involution with no seed sign supplied).
+free involution with no seed sign supplied).  ``verify`` needs
+--max-degree >= 1, since no relation or recursion exists below degree
+1, and a real suite named on an even-dimensional target is a usage
+error; a suite that checks nothing in a window >= 1 fails.
 
 Output is deterministic: identical flags on identical caches print
 byte-identical text.  Everything runs in one thread; --threads is
@@ -89,7 +92,6 @@ def build_parser():
                          "all equal CLS")
     pc.add_argument("--seed-sign", default=None,
                     help="sign of the degree-1 real seed: + or -")
-    pc.add_argument("--descendant-depth", type=int, default=2)
 
     pv = sub.add_parser("verify", help="run consistency suites")
     add_common(pv)
@@ -286,8 +288,6 @@ def cmd_compute(args, out=None):
         raise UsageError("give --degree or --max-degree")
     if args.degree is not None and args.max_degree is not None:
         raise UsageError("give either --degree or --max-degree, not both")
-    if args.descendant_depth < 0:
-        raise UsageError("--descendant-depth must be >= 0")
     _check_threads(args)
     if args.real and target.complex_dim % 2 == 0:
         raise UsageError("--real needs a target of odd complex dimension")
@@ -441,8 +441,6 @@ def suite_wdvv(target, args, csession, rsession):
 
 def suite_rwdvv(target, args, csession, rsession):
     """Real exchange-relation instances and the real associativity PDE."""
-    if rsession is None:
-        return False, "target has no real theory (even complex dimension)", 0
     rsession.ensure_real(args.max_degree)
     caps = _instance_caps(rsession, args.max_degree)
     work = [(d, ks) for d, cap in sorted(caps.items())
@@ -586,8 +584,6 @@ def suite_trr_cross(target, args, csession, rsession):
 
 def suite_rtrr_cross(target, args, csession, rsession):
     """Real descendant reduction agrees with the real axiom reductions."""
-    if rsession is None:
-        return False, "target has no real theory (even complex dimension)", 0
     rsession.ensure_real(args.max_degree)
     checks = 0
     for d in range(1, args.max_degree + 1):
@@ -627,8 +623,8 @@ def cmd_verify(args, out=None):
     out = sys.stdout if out is None else out
     target = _load_target(args)
     seed_sign = _parse_seed_sign(args.seed_sign)
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be >= 0")
+    if args.max_degree < 1:
+        raise UsageError("--max-degree must be >= 1")
     _check_threads(args)
     has_real = target.complex_dim % 2 == 1
     if args.suite == "all":
@@ -638,6 +634,8 @@ def cmd_verify(args, out=None):
         if args.suite not in SUITES:
             raise UsageError("unknown suite %r (choose from %s, all)"
                              % (args.suite, ", ".join(SUITES)))
+        if not has_real and args.suite in ("rwdvv", "rtrr-cross"):
+            raise UsageError("--real needs a target of odd complex dimension")
         names = [args.suite]
     table, path = _load_table(args, target)
     csession = ComplexSession(target, table)

@@ -268,19 +268,17 @@ def reduce_axioms(key, target):
     elif which == "dilaton":
         coeff = Fraction(2 * g - 2 + ell)
         if coeff:
-            out.append((coeff, list(rest)))
+            out.append((coeff, rest))
     else:  # divisor
         _require_projective(target)
         if d:
-            out.append((Fraction(d), list(rest)))
-        h = target.basis_element(2)
+            out.append((Fraction(d), rest))
+        # on P^n, h * e_b = e_(b+1), and 0 past the point class
         for i, (a, b) in enumerate(rest):
-            if a >= 1:
-                prod = target.basis_element(b) * h
-                if prod:
-                    ins = [(ra, target.basis_element(rb)) for ra, rb in rest]
-                    ins[i] = (a - 1, prod)
-                    out.append((Fraction(1), ins))
+            if a >= 1 and b < target.num_basis:
+                ins = list(rest)
+                ins[i] = (a - 1, b + 1)
+                out.append((Fraction(1), ins))
     return _collect_terms(target, COMPLEX, g, d, out)
 
 
@@ -300,10 +298,11 @@ def _axiom_route(key, target):
 
 
 def _collect_terms(target, kind, genus, degree, weighted):
-    """Normalize weighted raw insertion lists into one combination.
+    """Normalize weighted insertion lists into one combination.
 
-    ``weighted`` holds (coefficient, raw insertions) pairs; returns the
-    nonzero (coefficient, key) pairs of their sum, sorted by key.
+    ``weighted`` holds (coefficient, [(a, basis index), ...]) pairs;
+    returns the nonzero (coefficient, key) pairs of their sum, sorted by
+    key.
     """
     combined = {}
     for coeff, raw in weighted:
@@ -562,16 +561,15 @@ class ComplexSession:
     """Stateful evaluator for one target: solves primary blocks on demand
     and reduces descendant keys, memoizing everything in a table."""
 
-    def __init__(self, target, table=None, seed_value=Fraction(1)):
+    def __init__(self, target, table=None):
         _require_projective(target)
         self.target = target
         self.table = table if table is not None else InvariantTable(target)
         if self.table.target.to_json() != target.to_json():
             raise ValueError("table belongs to a different target")
-        self.seed_value = Fraction(seed_value)
         self._solved_to = 0
-        # the line count <pt, pt>_1, divisor-stripped (on P^1 the point
-        # class is the divisor, so the canonical unknown is <>_1)
+        # the line count <pt, pt>_1 = 1, divisor-stripped (on P^1 the
+        # point class is the divisor, so the canonical unknown is <>_1)
         self._seed_key, self._seed_mult = _strip_primary(
             target, 1, [target.num_basis, target.num_basis])
         # structural part of relation-row factors, keyed by
@@ -622,8 +620,7 @@ class ComplexSession:
         if not unknowns:
             return
         if d == self._seed_key.degree and self._seed_key in unknowns:
-            self.table.put(self._seed_key,
-                           self.seed_value / self._seed_mult, "seed")
+            self.table.put(self._seed_key, 1 / self._seed_mult, "seed")
         pending = [k for k in unknowns if self.table.get(k) is None]
         if not pending:
             return
@@ -883,29 +880,19 @@ def reduce_descendant_trr(key, target):
     if j_slot is None:
         j_slot = 0 if i_slot != 0 else 1
 
-    h = target.basis_element(2)
     inv_d = Fraction(1, d)
     raw_terms = []
 
-    def with_class(slot, new_a, new_cls):
-        out = []
-        for idx, (a, b) in enumerate(ins):
-            if idx == slot:
-                out.append((new_a, new_cls))
-            else:
-                out.append((a, target.basis_element(b)))
-        return out
-
     a_i, b_i = ins[i_slot]
-    # contact terms: the divisor slides onto slot j (plus) or slot i (minus)
-    a_j, b_j = ins[j_slot]
-    plus = with_class(j_slot, a_j, target.basis_element(b_j) * h)
-    plus[i_slot] = (a_i - 1, target.basis_element(b_i))
-    for c, k in normalize(target, COMPLEX, 0, d, plus):
-        raw_terms.append((inv_d * c, (k,)))
-    minus = with_class(i_slot, a_i - 1, target.basis_element(b_i) * h)
-    for c, k in normalize(target, COMPLEX, 0, d, minus):
-        raw_terms.append((-inv_d * c, (k,)))
+    # contact terms: the divisor slides onto slot j (plus) or slot i
+    # (minus); h * e_b = e_(b+1), and a term past the point class drops
+    for slot, coeff in ((j_slot, inv_d), (i_slot, -inv_d)):
+        if ins[slot][1] < pt:
+            contact = list(ins)
+            contact[i_slot] = (a_i - 1, b_i)
+            contact[slot] = (contact[slot][0], contact[slot][1] + 1)
+            raw_terms.append(
+                (coeff, (InvariantKey(COMPLEX, 0, d, sorted(contact)),)))
 
     # splitting terms: slot i with a_i-1 on the first side, slot j on the
     # second; d2 = 0 contributes nothing (weight d2).  All basis classes

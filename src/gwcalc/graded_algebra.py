@@ -123,7 +123,7 @@ class TargetSpace:
 
     def __init__(self, name, complex_dim, basis_degrees, mult_table, pairing,
                  involution_signs, c1_pairing, degree_negation, euler_char,
-                 fixed_locus_empty, validate=True):
+                 fixed_locus_empty):
         self.name = str(name)
         self.complex_dim = int(complex_dim)
         self._degs = [int(d) for d in basis_degrees]
@@ -144,8 +144,7 @@ class TargetSpace:
         self._pairing_inv = None
         self._diag = None
         self._is_proj = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic accessors (all 1-based) ----------------------------------
 
@@ -169,19 +168,6 @@ class TargetSpace:
 
     def unit(self):
         return self.basis_element(1)
-
-    def zero(self):
-        return CohClass(self, {})
-
-    def h(self, k):
-        """k-th power of the degree-2 generator on a projective target.
-
-        Valid for the built-in single-generator bases where e_{k+1} = h^k;
-        h(0) is the unit and h(complex_dim) the point class.
-        """
-        if not (0 <= k <= self.complex_dim and self._degs[k] == 2 * k):
-            raise ValueError("no h^%d basis element on %s" % (k, self.name))
-        return self.basis_element(k + 1)
 
     # -- ring operations ------------------------------------------------
 
@@ -210,7 +196,7 @@ class TargetSpace:
         return tot
 
     def pairing_inverse(self):
-        """Inverse pairing matrix as nested lists (1-based via helper).
+        """Inverse pairing matrix as nested lists, indexed from 0.
 
         Raises TargetValidationError if the pairing is degenerate.
         """
@@ -220,9 +206,6 @@ class TargetSpace:
                 raise TargetValidationError(
                     "intersection pairing of %s is degenerate" % self.name)
         return self._pairing_inv
-
-    def pairing_inverse_entry(self, i, j):
-        return self.pairing_inverse()[i - 1][j - 1]
 
     def diagonal_decomposition(self):
         """Diagonal class as a list of (coefficient, (i, j)) triples.
@@ -373,7 +356,7 @@ class TargetSpace:
         }
 
     @classmethod
-    def from_json(cls, data, validate=True):
+    def from_json(cls, data):
         """Build a target from its JSON dict (inverse of to_json).
 
         ``involution_signs`` may also be a full square matrix; only a
@@ -418,15 +401,14 @@ class TargetSpace:
             degree_negation=data["degree_negation"],
             euler_char=data["euler_char"],
             fixed_locus_empty=data["fixed_locus_empty"],
-            validate=validate,
         )
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
-    def loads(cls, text, validate=True):
-        return cls.from_json(json.loads(text), validate=validate)
+    def loads(cls, text):
+        return cls.from_json(json.loads(text))
 
     def __eq__(self, other):
         return isinstance(other, TargetSpace) and self.to_json() == other.to_json()

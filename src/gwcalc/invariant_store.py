@@ -5,9 +5,9 @@ degree, and a multiset of insertions tau_a(e_b) recorded as (a, basis
 index) pairs.  Canonicalization sorts insertions by (a, basis index) and
 carries the Koszul sign of the sort separately (trivial on the all-even
 projective bases, exercised on synthetic odd-degree rings).  The
-normalizer also expands general classes by multilinearity and drops
-real-theory insertions whose eigenspace parity forces the invariant to
-vanish, so structurally zero entries never reach a table.
+normalizer also drops real-theory insertion lists whose eigenspace
+parity forces the invariant to vanish, so structurally zero entries
+never reach a table.
 
 Tables map keys to exact rationals with a provenance tag per entry and
 persist to a versioned JSON file; a conflicting put is a fatal error
@@ -23,8 +23,8 @@ import tempfile
 from fractions import Fraction
 
 from .combinatorics import sort_insertions_sign
-from .graded_algebra import (TARGET_DATA_ERRORS, CohClass, TargetSpace,
-                             frac_from_str, frac_to_str)
+from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace, frac_from_str,
+                             frac_to_str)
 
 COMPLEX = "complex"
 REAL = "real"
@@ -125,45 +125,19 @@ def real_insertion_vanishes(target, a, basis):
     return target.sign(basis) == (-1) ** a
 
 
-def normalize(target, kind, genus, degree, raw_insertions):
-    """Expand and canonicalize a raw insertion list.
+def normalize(target, kind, genus, degree, insertions):
+    """Canonicalize a list of (a, basis index) insertions.
 
-    ``raw_insertions`` is an iterable of (a, cls) with cls either a
-    1-based basis index or a CohClass (expanded by multilinearity).
-    Returns a list of (coefficient, InvariantKey) pairs, sorted by key;
-    coefficients carry the Koszul signs of sorting the insertions into
-    canonical (a, basis) order.  For ``real`` kind, parity-vanishing
-    expansion branches are dropped eagerly.
+    Returns [(sign, key)] with the Koszul sign of sorting the insertions
+    into canonical (a, basis) order, or [] for a ``real`` kind list with
+    a parity-vanishing insertion.
     """
-    expanded = [(Fraction(1), [])]
-    for a, cls in raw_insertions:
-        a = int(a)
-        if isinstance(cls, CohClass):
-            terms = sorted(cls.coeffs.items())
-        else:
-            terms = [(int(cls), Fraction(1))]
-        nxt = []
-        for coeff, ins in expanded:
-            for basis, c in terms:
-                if not c:
-                    continue
-                nxt.append((coeff * c, ins + [(a, basis)]))
-        expanded = nxt
-
-    def deg_of(insertion):
-        return target.degree(insertion[1])
-
-    out = {}
-    for coeff, ins in expanded:
-        if kind == REAL and any(real_insertion_vanishes(target, a, b)
-                                for a, b in ins):
-            continue
-        sorted_ins, sign = sort_insertions_sign(ins, deg_of)
-        key = InvariantKey(kind, genus, degree, sorted_ins)
-        out[key] = out.get(key, Fraction(0)) + coeff * sign
-    items = [(c, k) for k, c in out.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
-    return items
+    if kind == REAL and any(real_insertion_vanishes(target, a, b)
+                            for a, b in insertions):
+        return []
+    sorted_ins, sign = sort_insertions_sign(
+        insertions, lambda insertion: target.degree(insertion[1]))
+    return [(Fraction(sign), InvariantKey(kind, genus, degree, sorted_ins))]
 
 
 class InvariantTable:
@@ -227,9 +201,6 @@ class InvariantTable:
         out = [(k, v, p) for k, (v, p) in self._entries.items()]
         out.sort(key=lambda t: t[0].sort_key())
         return out
-
-    def keys(self):
-        return [k for k, _, _ in self.items()]
 
     # -- persistence ----------------------------------------------------
 

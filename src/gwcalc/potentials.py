@@ -184,10 +184,6 @@ class GradedSeries:
         return ((self.t_max, self.q_max) == (other.t_max, other.q_max)
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     # ----- arithmetic ------------------------------------------------------
 
     def __add__(self, other):

@@ -33,15 +33,12 @@ from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError
                              InconsistentSystemError, UnderdeterminedError,
                              _axiom_route, _collect_terms, _eliminate,
                              _multisets_with_sum, _removable_slot,
-                             _strip_divisors,
+                             _require_projective, _strip_divisors,
                              EFFECTIVITY, GRADING, PARITY)
 
 
 def _require_real_target(target):
-    if not target.is_projective_space():
-        raise SolverError(
-            "real solver supports single-generator projective targets only; "
-            "%s does not have that ring structure" % target.name)
+    _require_projective(target)
     if target.complex_dim % 2 == 0:
         raise SolverError(
             "real solver needs odd complex dimension (degree doubling); "
@@ -125,19 +122,16 @@ def reduce_real_axioms(key, target):
     if which == "dilaton":
         coeff = Fraction(2 * (g - 1 + ell))
         if coeff:
-            out.append((coeff, [(a, target.basis_element(b)) for a, b in rest]))
+            out.append((coeff, rest))
     else:  # divisor
         if d:
-            out.append((Fraction(d),
-                        [(a, target.basis_element(b)) for a, b in rest]))
-        h = target.basis_element(2)
+            out.append((Fraction(d), rest))
+        # on P^n, h * e_b = e_(b+1), and 0 past the point class
         for i, (a, b) in enumerate(rest):
-            if a >= 1:
-                prod = target.basis_element(b) * h
-                if prod:
-                    ins = [(ra, target.basis_element(rb)) for ra, rb in rest]
-                    ins[i] = (a - 1, prod)
-                    out.append((Fraction(2), ins))
+            if a >= 1 and b < target.num_basis:
+                ins = list(rest)
+                ins[i] = (a - 1, b + 1)
+                out.append((Fraction(2), ins))
     return _collect_terms(target, REAL, g, d, out)
 
 
@@ -475,16 +469,15 @@ def reduce_descendant_rtrr(key, session):
         raise AxiomPreconditionError("no descendant insertion in %r" % (key,))
     a_i, b_i = ins[i_slot]
     others = [idx for idx in range(len(ins)) if idx != i_slot]
-    h = target.basis_element(2)
     inv_d = Fraction(1, d)
     terms = {}
 
     # leading contact term: weight -2, divisor onto the descendant slot
-    prod = target.basis_element(b_i) * h
-    if prod:
-        raw = [(a, target.basis_element(b)) for a, b in ins]
-        raw[i_slot] = (a_i - 1, prod)
-        for c, k in normalize(target, REAL, 0, d, raw):
+    # (h * e_b = e_(b+1); past the point class the term drops)
+    if b_i < target.num_basis:
+        contact = list(ins)
+        contact[i_slot] = (a_i - 1, b_i + 1)
+        for c, k in normalize(target, REAL, 0, d, contact):
             terms[k] = terms.get(k, Fraction(0)) - 2 * inv_d * c
 
     # All basis classes have even degree, so both factors can be built by

@@ -103,6 +103,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--seed-sign", "plus"),
         ("compute", "--target", "P2", "--target-file", "nowhere.json",
          "--max-degree", "1"),
+        # --descendant-depth is a verify flag only
+        ("compute", "--target", "P2", "--max-degree", "1",
+         "--descendant-depth", "1"),
         ("verify", "--target", "P2", "--suite", "nonsense"),
         ("cache", "show"),
     ]
@@ -340,6 +343,24 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert out.startswith("suite rwdvv")
     assert "pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--target", "P2", "--suite", "rwdvv"),
+    ("--target", "P2", "--suite", "rtrr-cross"),
+    ("--target", "P2", "--max-degree", "0"),
+    ("--target", "P2", "--max-degree", "0", "--suite", "trr-cross"),
+    ("--target", "P3-tau", "--max-degree", "0"),
+    ("--target", "P3-tau", "--max-degree", "0", "--suite", "rtrr-cross"),
+], ids=["P2-rwdvv", "P2-rtrr-cross", "P2-d0-all", "P2-d0-trr-cross",
+        "P3-tau-d0-all", "P3-tau-d0-rtrr-cross"])
+def test_verify_with_nothing_to_check_exits_2(capsys, argv):
+    # a real suite needs an odd-dimensional target, and no relation or
+    # recursion exists below degree 1
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_tampered_cache_fails(capsys, tmp_path):

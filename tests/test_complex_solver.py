@@ -378,7 +378,7 @@ def _scrambled_session(target, max_degree, rng):
     for d in range(1, max_degree + 1):
         for k in session.primary_keys(d):
             if k == seed:
-                session.table.put(k, session.seed_value, "seed")
+                session.table.put(k, Fraction(1), "seed")
             else:
                 val = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                                rng.randint(1, 7))

@@ -125,3 +125,47 @@ def test_descendant_provenance_names_the_route(p2, p3):
     for session, key, prov in cases:
         session.value(key)
         assert session.table.provenance(key) == prov, key
+
+
+def test_trr_contact_terms_frozen(p3):
+    """The contact terms of one recursion step on P3-tau, recorded when
+    they were still computed by cup products: h * e_b = e_(b+1), and a
+    term drops where the divisor meets the point class."""
+    def ck(d, *ins):
+        return InvariantKey(COMPLEX, 0, d, sorted(ins))
+
+    cases = [
+        # descendant on pt: the minus term (slot i) drops
+        (ck(1, (0, 3), (1, 4)), [(Fraction(1), (ck(1, (0, 4), (0, 4)),))]),
+        # descendant on h, slot j on pt: the plus term drops
+        (ck(1, (0, 3), (0, 4), (1, 2)),
+         [(Fraction(-1), (ck(1, (0, 3), (0, 3), (0, 4)),))]),
+        (ck(2, (0, 2), (1, 4), (2, 3)),
+         [(Fraction(1, 2), (ck(2, (0, 3), (0, 4), (2, 3)),))]),
+    ]
+    for key, contact in cases:
+        terms = reduce_descendant_trr(key, p3)
+        assert [t for t in terms if len(t[1]) == 1] == contact, key
+
+
+def test_rtrr_contact_terms_frozen(p3_sessions):
+    """One real recursion step on P3-tau, recorded when its contact term
+    was still computed by a cup product."""
+    rs = p3_sessions[1]
+
+    def rk(d, *ins):
+        return InvariantKey(REAL, 0, d, sorted(ins))
+
+    cases = [
+        # descendant on h: the contact term lowers it onto h^2
+        (rk(2, (0, 4), (2, 2)), [(Fraction(-1), rk(2, (0, 4), (1, 3)))]),
+        # descendant on pt: the contact term drops
+        (rk(2, (0, 2), (2, 4)), []),
+        (rk(3, (0, 4), (2, 4)), [(Fraction(2, 3), rk(1, (0, 4))),
+                                 (Fraction(1, 3), rk(1, (0, 2), (0, 4)))]),
+        (rk(2, (0, 2), (1, 3), (2, 2)),
+         [(Fraction(2), rk(2, (0, 4), (2, 2))),
+          (Fraction(-1), rk(2, (0, 2), (0, 4), (2, 2)))]),
+    ]
+    for key, terms in cases:
+        assert reduce_descendant_rtrr(key, rs) == terms, key

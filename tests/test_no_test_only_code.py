@@ -1,9 +1,11 @@
 """Guard against code that only the tests reach.
 
 Every public module-level function or class of the package must be
-referenced somewhere in the package outside its own definition.  The
-allowlist names the few that exist for the tests on purpose, each with
-the reason it stays.
+referenced somewhere in the package outside its own definition, and
+every public method of a public class must be accessed as an attribute
+somewhere in the package outside its own body.  The allowlist names the
+few that exist for the tests or the benchmark on purpose, each with the
+reason it stays.
 """
 
 import ast
@@ -24,6 +26,13 @@ ALLOWED = {
     "koszul_sign_permutation": "acceptance criterion 8 promises the "
                                "permutation sign",
     "split_sign": "acceptance criterion 8 promises the block-split sign",
+    "GradedSeries.coefficient": "oracle: the benchmark's potentials-p2 "
+                                "workload reads plane counts off the "
+                                "potential with it",
+    "InvariantTable.provenance": "reads the tag every entry and cache "
+                                 "file carries; the route tests check it, "
+                                 "and a cache show breakdown by route "
+                                 "(ROADMAP item 4) would use it",
 }
 
 
@@ -36,15 +45,33 @@ def _parse_package():
     return trees
 
 
+def _public(node, kinds):
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def _public_definitions(trees):
     """(module, name, first line, last line) of every public module-level
     function and class."""
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
+            if _public(node, (ast.FunctionDef, ast.ClassDef)):
                 out.append((module, node.name, node.lineno, node.end_lineno))
+    return out
+
+
+def _public_methods(trees):
+    """(module, class, method, first line, last line) of every public
+    method of a public module-level class."""
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not _public(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if _public(node, ast.FunctionDef):
+                    out.append((module, cls.name, node.name, node.lineno,
+                                node.end_lineno))
     return out
 
 
@@ -73,7 +100,24 @@ def test_every_public_definition_is_used_in_the_package():
     assert not unused, "only tests reach: %s" % ", ".join(unused)
 
 
+def test_every_public_method_is_used_in_the_package():
+    trees = _parse_package()
+    accesses = [(module, node.lineno, node.attr)
+                for module, tree in trees.items()
+                for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unused = []
+    for module, cls, name, first, last in _public_methods(trees):
+        used = any(ref == name and not (ref_mod == module
+                                        and first <= line <= last)
+                   for ref_mod, line, ref in accesses)
+        if not used and "%s.%s" % (cls, name) not in ALLOWED:
+            unused.append("%s:%s.%s" % (module, cls, name))
+    assert not unused, "only tests reach: %s" % ", ".join(unused)
+
+
 def test_allowlist_is_current():
-    defined = {name for _m, name, _f, _l in _public_definitions(
-        _parse_package())}
+    trees = _parse_package()
+    defined = {name for _m, name, _f, _l in _public_definitions(trees)}
+    defined |= {"%s.%s" % (cls, name)
+                for _m, cls, name, _f, _l in _public_methods(trees)}
     assert set(ALLOWED) <= defined
