@@ -30,13 +30,13 @@ from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, filter_complex,
+                             filter_real, graded_keys, insertion_variables,
                              key_degree_sum, lift_one_point, reduce_axioms,
-                             reduce_descendant_trr, vdim_complex,
+                             reduce_descendant_trr, vdim_complex, vdim_real,
                              wdvv_instances)
-from .real_solver import (RealSession, filter_real, reduce_real_axioms,
-                          reduce_descendant_rtrr, rwdvv_instances,
-                          vdim_real)
-from .potentials import (build_potentials, graded_keys,
+from .real_solver import (RealSession, reduce_real_axioms,
+                          reduce_descendant_rtrr, rwdvv_instances)
+from .potentials import (build_potentials,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
                          residual_string_real, residual_wdvv_pde,
@@ -99,7 +99,6 @@ def build_parser():
                     help="one of %s, or all" % ", ".join(SUITES))
     pv.add_argument("--max-degree", type=int, default=3)
     pv.add_argument("--seed-sign", default=None)
-    pv.add_argument("--descendant-depth", type=int, default=2)
 
     pk = sub.add_parser("cache", help="inspect or edit the cache file")
     pk.add_argument("action", choices=("show", "clear", "export"))
@@ -352,8 +351,9 @@ def _instance_caps(session, max_degree):
 def _descendant_keys(target, kind, degree, max_insertions, depth):
     """All structurally nonzero canonical keys with descendants at a
     degree, with 1..max_insertions insertions, sorted."""
+    variables = insertion_variables(target, kind, depth)
     out = [key for ell in range(1, max_insertions + 1)
-           for key in graded_keys(target, kind, degree, ell, depth)
+           for key in graded_keys(target, kind, degree, ell, variables)
            if key.total_descendant_power()]
     out.sort(key=lambda k: k.sort_key())
     return out
@@ -478,10 +478,9 @@ def suite_rwdvv(target, args, csession, rsession):
 def _suite_descendant_residuals(args, csession, rsession,
                                 complex_residual, real_residual):
     """Shared body of the string and dilaton suites: build the descendant
-    potentials and check that both residuals vanish."""
+    potentials to depth 2 and check that both residuals vanish."""
     pots = build_potentials(
-        csession.table, (6, min(args.max_degree, 3)),
-        descendant_depth=max(1, args.descendant_depth),
+        csession.table, (6, min(args.max_degree, 3)), descendant_depth=2,
         complex_value=csession.value,
         real_value=rsession.value if rsession is not None else None)
     checks = 1

@@ -1,15 +1,23 @@
-"""Genus-0 complex curve counts of projective space, exact and recursive.
+"""Genus-0 complex curve counts of projective space, exact and recursive,
+and the bookkeeping both theories share.
 
-The solver computes primary (descendant-free) invariants degree by
-degree from an overdetermined system of four-point exchange relations,
-seeded by the line count through two points, and reduces descendant
-invariants to primary ones axiom-first: a key with >= 3 insertions and a
-string, dilaton or divisor insertion takes one such step
-(reduce_axioms); any other descendant key goes through the integrated
-topological recursion (reduce_descendant_trr), one-point keys after the
-string relation has lifted them to two points.  The recursion stays a
-second route: the trr-cross suite compares one step of each over the
-same lower values.  Everything is exact rational arithmetic; a
+Shared with the real solver: each theory's virtual dimension and
+structural filter, the stripping of unit and divisor insertions off a
+primary factor, one multiset walk, one key enumerator (graded_keys; the
+primary unknowns of a block are its depth-0 keys over classes of degree
+>= 4), and one block-solve skeleton (_solve_block) that seeds, eliminates
+the session's relation rows and stores the values.
+
+The complex solver computes primary (descendant-free) invariants degree
+by degree from an overdetermined system of four-point exchange
+relations, seeded by the line count through two points, and reduces
+descendant invariants to primary ones axiom-first: a key with >= 3
+insertions and a string, dilaton or divisor insertion takes one such
+step (reduce_axioms); any other descendant key goes through the
+integrated topological recursion (reduce_descendant_trr), one-point keys
+after the string relation has lifted them to two points.  The recursion
+stays a second route: the trr-cross suite compares one step of each over
+the same lower values.  Everything is exact rational arithmetic; a
 specialized recursion for the plane-curve counts is implemented
 independently and serves as an oracle for the generic solver.
 
@@ -36,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
-                              normalize)
+                              normalize, real_insertion_vanishes)
 
 EFFECTIVITY = "effectivity"
 GRADING = "grading"
@@ -106,14 +114,46 @@ def filter_complex(key, target):
     return None
 
 
-def _strip_divisors(target, kind, degree, basis_list):
-    """Remove the unit and divisor insertions of a primary factor at
-    degree >= 1, in either theory.
+def vdim_real(genus, num_points, degree, target):
+    """Virtual dimension of the real moduli space:
+    (1-g)(n-3) + 2*ell + c1*d."""
+    n = target.complex_dim
+    return (1 - genus) * (n - 3) + 2 * num_points + target.c1_pairing * degree
+
+
+def filter_real(key, target):
+    """Structural-zero test for a canonical real key.
+
+    Checks effectivity (negative degree; degree 0 with g + ell <= 1),
+    then eigenspace parity (an insertion tau_a(mu) with mu in the
+    (-1)^a eigenspace), then the grading against vdim_real.
+    """
+    d = key.degree
+    if d < 0:
+        return EFFECTIVITY
+    if d == 0 and key.genus + key.num_insertions <= 1:
+        return EFFECTIVITY
+    for a, b in key.insertions:
+        if real_insertion_vanishes(target, a, b):
+            return PARITY
+    if key_degree_sum(key, target) != vdim_real(
+            key.genus, key.num_insertions, d, target):
+        return GRADING
+    return None
+
+
+# each theory's virtual dimension and structural filter
+_VDIM = {COMPLEX: vdim_complex, REAL: vdim_real}
+_FILTER = {COMPLEX: filter_complex, REAL: filter_real}
+
+
+def _strip_primary(target, kind, degree, basis_list):
+    """Canonicalize a primary factor at degree >= 1 in either theory.
 
     A unit insertion kills the factor (string relation); each divisor
-    insertion strips off a factor ``degree`` (divisor relation).  Returns
-    (key, multiplier), or None when a unit insertion kills the factor.
-    The caller applies its theory's structural filter to the key.
+    insertion strips off a factor ``degree`` (divisor relation); the
+    theory's structural filter then applies to the rest.  Returns
+    (key, multiplier), or None when the factor is structurally zero.
     """
     stripped = []
     mult = Fraction(1)
@@ -125,17 +165,91 @@ def _strip_divisors(target, kind, degree, basis_list):
             mult *= degree
         else:
             stripped.append((0, b))
-    return InvariantKey(kind, 0, degree, sorted(stripped)), mult
-
-
-def _strip_primary(target, degree, basis_list):
-    """Canonicalize a complex primary factor at degree >= 1: strip unit
-    and divisor insertions, then apply the structural filter.  Returns
-    (key, multiplier), or None when the factor is structurally zero."""
-    canon = _strip_divisors(target, COMPLEX, degree, basis_list)
-    if canon is None or filter_complex(canon[0], target) is not None:
+    key = InvariantKey(kind, 0, degree, sorted(stripped))
+    if _FILTER[kind](key, target) is not None:
         return None
-    return canon
+    return key, mult
+
+
+# ---------------------------------------------------------------------------
+# key enumeration
+
+
+def _multisets_exact(items, weights, count, total, start=0):
+    """Multisets of exactly ``count`` entries of items[start:] whose
+    weights add up to ``total``.
+
+    ``weights[i]`` is the weight of ``items[i]``; weights must be
+    non-negative and non-decreasing.  Yields each multiset as a tuple of
+    items in list order, lexicographically by list position.
+    """
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    if start >= len(items):
+        return
+    if not count * weights[start] <= total <= count * weights[-1]:
+        return  # the lightest and heaviest items left miss the total
+    w = weights[start]
+    it = items[start]
+    max_take = count if w == 0 else min(count, total // w)
+    for take in range(max_take, -1, -1):
+        for rest in _multisets_exact(items, weights, count - take,
+                                     total - take * w, start + 1):
+            yield (it,) * take + rest
+
+
+def insertion_variables(target, kind, depth):
+    """The insertions tau_a(e_b) with a <= depth that do not vanish
+    identically in a theory (real eigenspace parity), as (a, b) pairs
+    sorted by their degree 2a + |e_b|, ties in (a, b) order."""
+    variables = [(a, b) for a in range(depth + 1)
+                 for b in range(1, target.num_basis + 1)
+                 if kind == COMPLEX
+                 or not real_insertion_vanishes(target, a, b)]
+    variables.sort(key=lambda v: 2 * v[0] + target.degree(v[1]))
+    return variables
+
+
+def _graded(target, kind, degree, ell, variables):
+    """Genus-0 keys of one theory at a curve degree with ``ell``
+    insertions drawn from ``variables`` (sorted as insertion_variables
+    sorts them) whose degrees add up to the virtual dimension,
+    unfiltered, in a deterministic order."""
+    weights = [2 * a + target.degree(b) for a, b in variables]
+    want = _VDIM[kind](0, ell, degree, target)
+    for insertions in _multisets_exact(variables, weights, ell, want):
+        yield InvariantKey(kind, 0, degree, sorted(insertions))
+
+
+def graded_keys(target, kind, degree, ell, variables):
+    """Structurally nonzero genus-0 keys of one theory at a curve degree:
+    the keys of _graded that pass the theory's structural filter
+    (effectivity, and for the real theory eigenspace parity)."""
+    structural_filter = _FILTER[kind]
+    for key in _graded(target, kind, degree, ell, variables):
+        if structural_filter(key, target) is None:
+            yield key
+
+
+def primary_unknowns(target, kind, degree):
+    """Canonical primary unknowns of a theory at a curve degree, sorted:
+    the graded depth-0 keys over the non-vanishing classes of degree
+    >= 4 (unit insertions die by the string relation, divisor
+    insertions strip off a factor of the degree).  At degree 0 the list
+    keeps the unstable keys too; their value is 0."""
+    vdim = _VDIM[kind]
+    variables = [v for v in insertion_variables(target, kind, 0)
+                 if target.degree(v[1]) >= 4]
+    keys = []
+    ell = 0
+    # every insertion takes at least 4 of the virtual dimension
+    while vdim(0, ell, degree, target) >= 4 * ell:
+        keys.extend(_graded(target, kind, degree, ell, variables))
+        ell += 1
+    keys.sort(key=lambda k: k.sort_key())
+    return keys
 
 
 def degree_zero_value(target, insertions):
@@ -317,27 +431,6 @@ def _collect_terms(target, kind, genus, degree, weighted):
 # exchange relations
 
 
-def _multisets_with_sum(count, total, max_part, min_part):
-    """Nondecreasing tuples of ``count`` integers in [min_part, max_part]
-    with the given total, in lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining, lo):
-        k = count - len(prefix)
-        if k == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(lo, max_part + 1):
-            rest = remaining - v
-            if rest < v * (k - 1) or rest > max_part * (k - 1):
-                continue
-            rec(prefix + [v], rest, v)
-
-    rec([], total, min_part)
-    return out
-
-
 def _sub_multisets_4(values):
     """Distinct 4-element sub-multisets of a sorted tuple, in lexicographic
     order, each with the sorted remainder."""
@@ -390,13 +483,13 @@ def wdvv_instances(target, degree, ell_cap):
     is deterministic, matching the order used when solving blocks.
     """
     n = target.complex_dim
+    # the classes h^k, k = 1..n, as basis indices k + 1, weighted by k
+    basis = list(range(2, n + 2))
+    weights = list(range(1, n + 1))
     for length in range(4, ell_cap + 1):
         total = (n - 4) + length + (n + 1) * degree
-        if not length <= total <= n * length:
-            continue
-        for multiset in _multisets_with_sum(length, total, n, 1):
-            basis_multiset = tuple(k + 1 for k in multiset)
-            for quad, rest in _sub_multisets_4(basis_multiset):
+        for multiset in _multisets_exact(basis, weights, length, total):
+            for quad, rest in _sub_multisets_4(multiset):
                 for arranged in _exchange_tuples(quad):
                     yield arranged + rest
 
@@ -533,24 +626,55 @@ class _Eliminator:
         return all(k in sol for k in unknowns)
 
 
-def _eliminate(block_rows, d, unknowns, pending, extras):
-    """Eliminate a degree block's relation rows until the pending
-    unknowns are determined.
+def _solve_block(session, d, extras, provenance, relations):
+    """Solve one primary degree block of a complex or real session.
 
-    Rows come from ``block_rows(d, cap)`` for the tuple-length caps
-    (longest unknown + extra) for each extra in turn, and elimination
-    stops at the first row after which every pending key has a value.
-    Returns the determined values and the pending keys still missing.
+    Puts the session's seed (``session._seed``, a (key, value or None)
+    pair) when it is an unknown of the block, then eliminates the rows
+    of ``session._block_rows(d, cap)`` for the tuple-length caps
+    (longest unknown + extra) for each extra in turn, stopping at the
+    first row after which every pending unknown has a value, and stores
+    the values under ``provenance``.  Raises UnderdeterminedError naming
+    the ``relations`` when a pending unknown stays open.
     """
+    unknowns = session.primary_keys(d)
+    if not unknowns:
+        return
+    seed_key, seed_value = session._seed
+    if seed_value is not None and seed_key in unknowns:
+        session.table.put(seed_key, seed_value, "seed")
+    pending = [k for k in unknowns if session.table.get(k) is None]
+    if not pending:
+        return
     elim = _Eliminator()
     max_ell = max(k.num_insertions for k in unknowns)
-    for extra in extras:
-        for row, rhs in block_rows(d, max_ell + extra):
-            elim.add_row(row, rhs)
-            if elim.is_determined(pending):
-                return elim.solution(), []
+    rows = (row for extra in extras
+            for row in session._block_rows(d, max_ell + extra))
+    for row, rhs in rows:
+        elim.add_row(row, rhs)
+        if elim.is_determined(pending):
+            break
     sol = elim.solution()
-    return sol, [k for k in pending if k not in sol]
+    missing = [k for k in pending if k not in sol]
+    if missing:
+        msg = "%s left %d key(s) unresolved at degree %d" % (
+            relations, len(missing), d)
+        if seed_value is None:  # a real session of a free involution
+            msg += " (no seed sign supplied for this involution)"
+        raise UnderdeterminedError(msg, missing)
+    for k in unknowns:
+        if k in sol:
+            session.table.put(k, sol[k], provenance)
+
+
+def _session_table(target, table):
+    """The table a session of ``target`` works in: ``table``, or a new
+    one when it is None.  A table of another target is refused."""
+    if table is None:
+        return InvariantTable(target)
+    if table.target.to_json() != target.to_json():
+        raise ValueError("table belongs to a different target")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +688,13 @@ class ComplexSession:
     def __init__(self, target, table=None):
         _require_projective(target)
         self.target = target
-        self.table = table if table is not None else InvariantTable(target)
-        if self.table.target.to_json() != target.to_json():
-            raise ValueError("table belongs to a different target")
+        self.table = _session_table(target, table)
         self._solved_to = 0
         # the line count <pt, pt>_1 = 1, divisor-stripped (on P^1 the
         # point class is the divisor, so the canonical unknown is <>_1)
-        self._seed_key, self._seed_mult = _strip_primary(
-            target, 1, [target.num_basis, target.num_basis])
+        seed_key, seed_mult = _strip_primary(
+            target, COMPLEX, 1, [target.num_basis, target.num_basis])
+        self._seed = (seed_key, 1 / seed_mult)
         # structural part of relation-row factors, keyed by
         # (degree, sorted basis tuple); see _factor
         self._shapes = {}
@@ -581,25 +704,13 @@ class ComplexSession:
     def primary_keys(self, degree):
         """Canonical primary unknowns at a degree: sorted multisets of
         classes of cohomological degree >= 4 matching the grading."""
-        n = self.target.complex_dim
-        base = (n - 3) + (n + 1) * degree
-        out = []
-        if base == 0:
-            out.append(InvariantKey(COMPLEX, 0, degree, []))
-        for ell in range(1, base + 1):
-            total = base + ell
-            if not 2 * ell <= total <= n * ell:
-                continue
-            for combo in _multisets_with_sum(ell, total, n, 2):
-                out.append(InvariantKey(COMPLEX, 0, degree,
-                                        [(0, k + 1) for k in combo]))
-        out.sort(key=lambda k: k.sort_key())
-        return out
+        return primary_unknowns(self.target, COMPLEX, degree)
 
     def ensure_primary(self, max_degree):
         """Solve all primary blocks up to and including max_degree."""
         while self._solved_to < max_degree:
-            self._solve_block(self._solved_to + 1)
+            _solve_block(self, self._solved_to + 1, (1, 3), "wdvv",
+                         "exchange relations")
             self._solved_to += 1
 
     def relation_residual(self, mu, degree):
@@ -614,25 +725,6 @@ class ComplexSession:
         for key, coeff in row.items():
             total += coeff * self.value(key)
         return total
-
-    def _solve_block(self, d):
-        unknowns = self.primary_keys(d)
-        if not unknowns:
-            return
-        if d == self._seed_key.degree and self._seed_key in unknowns:
-            self.table.put(self._seed_key, 1 / self._seed_mult, "seed")
-        pending = [k for k in unknowns if self.table.get(k) is None]
-        if not pending:
-            return
-        sol, missing = _eliminate(self._block_rows, d, unknowns, pending,
-                                  (1, 3))
-        if missing:
-            raise UnderdeterminedError(
-                "exchange relations left %d key(s) unresolved at degree %d"
-                % (len(missing), d), missing)
-        for k in unknowns:
-            if k in sol:
-                self.table.put(k, sol[k], "wdvv")
 
     def _block_rows(self, d, ell_cap):
         """Yield (row, rhs) for every admissible relation instance whose
@@ -753,7 +845,7 @@ class ComplexSession:
                 return None
             val = degree_zero_value(self.target, [(0, b) for b in basis_list])
             return val if val else None
-        return _strip_primary(self.target, d_f, basis_list)
+        return _strip_primary(self.target, COMPLEX, d_f, basis_list)
 
     # -- evaluation -----------------------------------------------------
 
@@ -766,7 +858,7 @@ class ComplexSession:
             return Fraction(0)
         if degree == 0:
             return degree_zero_value(target, [(0, b) for b in basis_list])
-        canon = _strip_primary(target, degree, basis_list)
+        canon = _strip_primary(target, COMPLEX, degree, basis_list)
         if canon is None:
             return Fraction(0)
         key, mult = canon

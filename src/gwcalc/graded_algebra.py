@@ -87,13 +87,6 @@ class CohClass:
 
     __rmul__ = scale
 
-    def degree(self):
-        """Cohomological degree; raises on inhomogeneous or zero classes."""
-        degs = {self.target.degree(i) for i in self.coeffs}
-        if len(degs) != 1:
-            raise ValueError("degree of a non-homogeneous class: %r" % (self.coeffs,))
-        return degs.pop()
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

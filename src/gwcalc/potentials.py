@@ -13,7 +13,8 @@ from the left: differentiating by an odd variable first anticommutes it
 to the front of the monomial.
 
 ``build_potentials`` assembles the five genus-0 generating functions of a
-solved invariant table:
+solved invariant table, over the keys that complex_solver's key
+enumerator (graded_keys) lists for each coefficient window:
 
 * ``complex_primary``     -- primary-insertion potential, one q power per
   curve degree, coefficient <mu>/prod(mult!);
@@ -43,10 +44,8 @@ from fractions import Fraction
 from itertools import groupby
 
 from .combinatorics import sort_insertions_sign
-from .graded_algebra import frac_to_str
-from .invariant_store import COMPLEX, REAL, InvariantKey, real_insertion_vanishes
-from .complex_solver import filter_complex, vdim_complex
-from .real_solver import filter_real, vdim_real
+from .invariant_store import COMPLEX, REAL
+from .complex_solver import graded_keys, insertion_variables
 
 
 class SeriesError(Exception):
@@ -323,74 +322,8 @@ class GradedSeries:
             parts.append(s)
         return " ".join(parts) if parts else "1"
 
-    def to_json(self):
-        return {
-            "truncation": [self.t_max, self.q_max],
-            "lam_power": self.lam_power,
-            "terms": {self.monomial_string(q, vt): frac_to_str(c)
-                      for (q, vt), c in self.items()},
-        }
-
 
 # ----- building the potentials ---------------------------------------------
-
-
-def _multisets_exact(items, weights, count, total, start=0):
-    """Multisets over items[start:] with exact size count and weight total.
-
-    items must be listed with weights in non-decreasing order.  Yields
-    tuples of (item, mult) with mult > 0, in lexicographic item order.
-    """
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    if start >= len(items):
-        return
-    if total < count * weights[start]:
-        return  # weights only grow from here on
-    w = weights[start]
-    it = items[start]
-    max_take = count if w == 0 else min(count, total // w if w > 0 else count)
-    for take in range(max_take, -1, -1):
-        rest_total = total - take * w
-        if rest_total < 0:
-            continue
-        for rest in _multisets_exact(items, weights, count - take,
-                                     rest_total, start + 1):
-            yield ((it, take),) + rest if take else rest
-
-
-def graded_keys(target, kind, degree, ell, depth):
-    """Structurally nonzero genus-0 keys of one theory at a curve degree.
-
-    Enumerates the canonical keys with ``ell`` insertions tau_a(e_i),
-    a <= depth, whose degrees add up to the virtual dimension, and yields
-    those that pass the theory's structural filter (effectivity, and for
-    the real theory eigenspace parity), in a deterministic order.
-    """
-    variables = []
-    for a in range(depth + 1):
-        for i in range(1, target.num_basis + 1):
-            if kind == COMPLEX or not real_insertion_vanishes(target, a, i):
-                variables.append((a, i))
-    variables.sort(key=lambda v: 2 * v[0] + target.degree(v[1]))
-    weights = [2 * a + target.degree(i) for a, i in variables]
-    if kind == COMPLEX:
-        want = vdim_complex(0, ell, degree, target)
-        structural_filter = filter_complex
-    else:
-        want = vdim_real(0, ell, degree, target)
-        structural_filter = filter_real
-    if want < 0:
-        return
-    for multiset in _multisets_exact(variables, weights, ell, want):
-        insertions = []
-        for var, m in multiset:
-            insertions.extend([var] * m)
-        key = InvariantKey(kind, 0, degree, sorted(insertions))
-        if structural_filter(key, target) is None:
-            yield key
 
 
 def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
@@ -401,11 +334,12 @@ def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
         degrees = range(0, q_max + 1)
     else:
         degrees = range(1, q_max + 1)
+    variables = insertion_variables(target, kind, depth)
     for d in degrees:
         if doubled and 2 * d > q_max:
             break
         for ell in range(0, t_max + 1):
-            for key in graded_keys(target, kind, d, ell, depth):
+            for key in graded_keys(target, kind, d, ell, variables):
                 val = table.get(key)
                 if val is None:
                     if value_fn is None:

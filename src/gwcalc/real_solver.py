@@ -13,7 +13,10 @@ term pairs a real factor with a fully known complex factor, weighted by
 2 per insertion on the doubled side.  The overall sign of the whole
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
-cannot determine unless one is supplied.  Descendant invariants reduce
+cannot determine unless one is supplied.  The grading, the structural
+filter (vdim_real, filter_real), the primary unknowns and the block-solve
+skeleton are the ones complex_solver keeps for both theories; this
+module supplies the real relation rows.  Descendant invariants reduce
 axiom-first, as in the complex theory: a key with >= 3 insertions and a
 dilaton or minus-eigenspace divisor insertion takes one such step
 (reduce_real_axioms; a string insertion kills the invariant), any other
@@ -27,14 +30,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariant_store import (REAL, COMPLEX, InvariantKey, InvariantTable,
-                              normalize, real_insertion_vanishes)
+from .invariant_store import (REAL, COMPLEX, InvariantKey, normalize,
+                              real_insertion_vanishes)
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
-                             InconsistentSystemError, UnderdeterminedError,
-                             _axiom_route, _collect_terms, _eliminate,
-                             _multisets_with_sum, _removable_slot,
-                             _require_projective, _strip_divisors,
-                             EFFECTIVITY, GRADING, PARITY)
+                             InconsistentSystemError, _axiom_route,
+                             _collect_terms, _multisets_exact,
+                             _removable_slot, _require_projective,
+                             _session_table, _solve_block, _strip_primary,
+                             filter_real, primary_unknowns, vdim_real)
 
 
 def _require_real_target(target):
@@ -43,51 +46,6 @@ def _require_real_target(target):
         raise SolverError(
             "real solver needs odd complex dimension (degree doubling); "
             "%s has complex dimension %d" % (target.name, target.complex_dim))
-
-
-# ---------------------------------------------------------------------------
-# dimension bookkeeping and structural filters
-
-
-def vdim_real(genus, num_points, degree, target):
-    """Virtual dimension of the real moduli space:
-    (1-g)(n-3) + 2*ell + c1*d."""
-    n = target.complex_dim
-    return (1 - genus) * (n - 3) + 2 * num_points + target.c1_pairing * degree
-
-
-def filter_real(key, target):
-    """Structural-zero test for a canonical real key.
-
-    Checks effectivity (negative degree; degree 0 with g + ell <= 1),
-    then eigenspace parity (an insertion tau_a(mu) with mu in the
-    (-1)^a eigenspace), then the grading against vdim_real.
-    """
-    d = key.degree
-    if d < 0:
-        return EFFECTIVITY
-    if d == 0 and key.genus + key.num_insertions <= 1:
-        return EFFECTIVITY
-    for a, b in key.insertions:
-        if real_insertion_vanishes(target, a, b):
-            return PARITY
-    total = sum(2 * a + target.degree(b) for a, b in key.insertions)
-    if total != vdim_real(key.genus, key.num_insertions, d, target):
-        return GRADING
-    return None
-
-
-def real_mapping_to_point(key, target):
-    """Genus-0 degree-0 real invariants vanish.
-
-    For an empty real locus there is nothing to integrate over; otherwise
-    the relevant class has codimension 0 while the real curve moduli has
-    positive dimension for ell >= 2, and ell <= 1 is excluded by
-    effectivity — so the value is 0 in every case.
-    """
-    if key.degree != 0 or key.genus != 0:
-        raise ValueError("real_mapping_to_point needs a genus-0 degree-0 key")
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +114,11 @@ def rwdvv_instances(target, degree, ell_cap):
             continue
         total = doubled // 2
         for k1 in even_ks:
-            rest_total = total - k1
-            for k2 in odd_ks:
-                for k3 in odd_ks:
-                    if k3 <= k2:
-                        continue
-                    pad_total = rest_total - k2 - k3
-                    pad_len = length - 3
-                    if pad_len == 0:
-                        if pad_total == 0:
-                            yield (k1, k2, k3)
-                        continue
-                    if pad_total < pad_len or pad_total > n * pad_len:
-                        continue
-                    for pad in _multisets_with_sum(
-                            pad_len, pad_total, n, 1):
-                        if all(k % 2 for k in pad):
-                            yield (k1, k2, k3) + pad
+            for i, k2 in enumerate(odd_ks):
+                for k3 in odd_ks[i + 1:]:
+                    for pad in _multisets_exact(odd_ks, odd_ks, length - 3,
+                                                total - k1 - k2 - k3):
+                        yield (k1, k2, k3) + pad
 
 
 def rwdvv_relation(target, mu, degree, complex_session):
@@ -215,8 +161,8 @@ def rwdvv_relation(target, mu, degree, complex_session):
                     continue
                 dprime = (degree - d0) // 2
                 for gcoeff, (ei, ej) in diag:
-                    canon = _real_canonical_primary(
-                        target, d0, real_side + [ei])
+                    canon = _strip_primary(
+                        target, REAL, d0, real_side + [ei])
                     if canon is None:
                         continue
                     rkey, mult = canon
@@ -229,17 +175,6 @@ def rwdvv_relation(target, mu, degree, complex_session):
     items = [(c, k) for k, c in terms.items() if c]
     items.sort(key=lambda t: t[1].sort_key())
     return items
-
-
-def _real_canonical_primary(target, d0, basis_list):
-    """Canonicalize a primary real factor at degree d0 >= 1: strip unit
-    and divisor insertions, then apply the structural filter (eigenspace
-    parity and grading).  Returns (key, multiplier), or None when the
-    factor is structurally zero."""
-    canon = _strip_divisors(target, REAL, d0, basis_list)
-    if canon is None or filter_real(canon[0], target) is not None:
-        return None
-    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +194,16 @@ class RealSession:
     def __init__(self, target, table=None, seed_sign=None, complex_session=None):
         _require_real_target(target)
         self.target = target
-        self.table = table if table is not None else InvariantTable(target)
+        self.table = _session_table(target, table)
         if complex_session is None:
             complex_session = ComplexSession(target, table=self.table)
         self.complex = complex_session
         self._solved_to = 0
-        canon = _real_canonical_primary(target, 1, [target.num_basis])
+        canon = _strip_primary(target, REAL, 1, [target.num_basis])
         if canon is None:
             raise SolverError("degree-1 point count is structurally zero")
-        self._seed_key, self._seed_mult = canon
-        stored = self.table.get(self._seed_key)
+        seed_key, seed_mult = canon
+        stored = self.table.get(seed_key)
         if stored is not None:
             stored_sign = 1 if stored > 0 else -1
             if seed_sign is not None and seed_sign != stored_sign:
@@ -282,6 +217,8 @@ class RealSession:
         self.seed_sign = seed_sign
         if seed_sign is not None:
             self.table.seed_sign = seed_sign
+        self._seed = (seed_key, None if seed_sign is None
+                      else Fraction(seed_sign) / seed_mult)
 
     # -- unknown enumeration --------------------------------------------
 
@@ -289,24 +226,7 @@ class RealSession:
         """Canonical real primary unknowns at a degree: sorted multisets
         of minus-eigenspace classes of cohomological degree >= 6 (unit
         insertions die by the string relation, divisor insertions strip)."""
-        n = self.target.complex_dim
-        doubled = (n - 3) + self.target.c1_pairing * degree
-        if doubled % 2:
-            return []
-        base = doubled // 2
-        out = []
-        if base == 0:
-            out.append(InvariantKey(REAL, 0, degree, []))
-        odd_parts = [k for k in range(3, n + 1, 2)]
-        if odd_parts:
-            for ell in range(1, base // 2 + 1):
-                total = base + ell
-                for combo in _multisets_with_sum(ell, total, n, 3):
-                    if all(k % 2 for k in combo):
-                        out.append(InvariantKey(REAL, 0, degree,
-                                                [(0, k + 1) for k in combo]))
-        out.sort(key=lambda k: k.sort_key())
-        return out
+        return primary_unknowns(self.target, REAL, degree)
 
     # -- block solving --------------------------------------------------
 
@@ -314,7 +234,8 @@ class RealSession:
         """Solve all real primary blocks up to and including max_degree
         (extending the complex table as needed)."""
         while self._solved_to < max_degree:
-            self._solve_block(self._solved_to + 1)
+            _solve_block(self, self._solved_to + 1, (2, 4), "rwdvv",
+                         "real exchange relations")
             self._solved_to += 1
 
     def relation_residual(self, ks, degree):
@@ -328,32 +249,12 @@ class RealSession:
             total += coeff * self.value(key)
         return total
 
-    def _solve_block(self, d):
-        unknowns = self.primary_keys(d)
-        if not unknowns:
-            return
-        if self._seed_key in unknowns and self.seed_sign is not None:
-            self.table.put(self._seed_key,
-                           Fraction(self.seed_sign) / self._seed_mult, "seed")
-        pending = [k for k in unknowns if self.table.get(k) is None]
-        if not pending:
-            return
-        self.complex.ensure_primary(d // 2)
-        sol, missing = _eliminate(self._block_rows, d, unknowns, pending,
-                                  (2, 4))
-        if missing:
-            msg = ("real exchange relations left %d key(s) unresolved at "
-                   "degree %d" % (len(missing), d))
-            if self.seed_sign is None:
-                msg += " (no seed sign supplied for this involution)"
-            raise UnderdeterminedError(msg, missing)
-        for k in unknowns:
-            if k in sol:
-                self.table.put(k, sol[k], "rwdvv")
-
     def _block_rows(self, d, ell_cap):
         """Yield (row, rhs) for admissible relation instances at real
-        degree d with tuple length <= ell_cap, deterministically."""
+        degree d with tuple length <= ell_cap, deterministically.  The
+        complex factors reach degree d // 2, so the complex table is
+        extended first; only a block with pending keys gets here."""
+        self.complex.ensure_primary(d // 2)
         for ks in rwdvv_instances(self.target, d, ell_cap):
             yield self._relation_row(ks, d)
 
@@ -387,7 +288,7 @@ class RealSession:
             return Fraction(0)
         if degree == 0:
             return Fraction(0)
-        canon = _real_canonical_primary(self.target, degree, basis_list)
+        canon = _strip_primary(self.target, REAL, degree, basis_list)
         if canon is None:
             return Fraction(0)
         key, mult = canon
@@ -411,7 +312,11 @@ class RealSession:
         if filter_real(key, self.target) is not None:
             return Fraction(0)
         if key.degree == 0:
-            return real_mapping_to_point(key, self.target)
+            # genus-0 degree-0 real invariants vanish: for an empty real
+            # locus there is nothing to integrate over; otherwise the
+            # class has codimension 0 while the real curve moduli has
+            # positive dimension for ell >= 2 (ell <= 1 fails effectivity)
+            return Fraction(0)
         if any(a == 0 and self.target.degree(b) == 0
                for a, b in key.insertions):
             return Fraction(0)  # string insertion annihilates

@@ -103,9 +103,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--seed-sign", "plus"),
         ("compute", "--target", "P2", "--target-file", "nowhere.json",
          "--max-degree", "1"),
-        # --descendant-depth is a verify flag only
+        # gwcalc has no --descendant-depth flag
         ("compute", "--target", "P2", "--max-degree", "1",
          "--descendant-depth", "1"),
+        ("verify", "--target", "P2", "--max-degree", "1",
+         "--descendant-depth", "2"),
         ("verify", "--target", "P2", "--suite", "nonsense"),
         ("cache", "show"),
     ]
@@ -138,6 +140,14 @@ def test_free_involution_without_seed_exits_4(capsys):
                          "--max-degree", "1")
     assert code == 4
     assert "underdetermined" in err
+    line = ("underdetermined: real exchange relations left 1 key(s) "
+            "unresolved at degree 1 (no seed sign supplied for this "
+            "involution)\n")
+    for argv in (("compute", "--target", "P3-eta", "--real",
+                  "--max-degree", "2"),
+                 ("verify", "--target", "P3-eta", "--max-degree", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", line), argv
 
 
 def test_target_file_round_trip(capsys, tmp_path):

@@ -128,16 +128,10 @@ def test_truncated_copy(p2):
     assert (cut.t_max, cut.q_max) == (2, 1)
 
 
-def test_monomial_string_and_json(p2):
+def test_monomial_string():
     assert GradedSeries.monomial_string(0, ()) == "1"
     assert GradedSeries.monomial_string(
         2, (((0, 3), 5),)) == "q^2 t[0,3]^5"
-    s = GradedSeries(p2, 4, 2, lam_power=-2)
-    s.add_term(1, (((0, 3), 2),), Fraction(1, 2))
-    blob = s.to_json()
-    assert blob["truncation"] == [4, 2]
-    assert blob["lam_power"] == -2
-    assert blob["terms"] == {"q^1 t[0,3]^2": "1/2"}
 
 
 def test_frozen_complex_potential_coefficients(p2_session):

@@ -7,10 +7,10 @@ import pytest
 from gwcalc.graded_algebra import make_p2, make_projective
 from gwcalc.invariant_store import (REAL, InvariantKey, InvariantTable,
                                     real_insertion_vanishes)
-from gwcalc.complex_solver import (AxiomPreconditionError,
-                                   InconsistentSystemError, SolverError)
-from gwcalc.real_solver import (RealSession, UnderdeterminedError,
-                                filter_real, real_mapping_to_point,
+from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
+                                   InconsistentSystemError, SolverError,
+                                   UnderdeterminedError)
+from gwcalc.real_solver import (RealSession, filter_real,
                                 reduce_descendant_rtrr, reduce_real_axioms,
                                 rwdvv_instances, rwdvv_relation, vdim_real)
 
@@ -60,10 +60,14 @@ def test_parity_filter_matches_insertion_test(p3, p5):
 
 
 def test_real_mapping_to_point(p3):
-    k = rkey(0, [(0, 2), (0, 2), (0, 2)])
-    assert real_mapping_to_point(k, p3) == 0
-    with pytest.raises(ValueError):
-        real_mapping_to_point(rkey(1, [(0, 4)]), p3)
+    # genus-0 degree-0 real invariants vanish, on both involutions
+    for target in (p3, make_projective(2, "eta")):
+        session = RealSession(target)
+        for ins in ([(0, 2), (0, 2)], [(0, 2), (0, 2), (0, 2)],
+                    [(1, 1), (0, 2), (0, 2)]):
+            k = rkey(0, ins)
+            assert filter_real(k, target) is None
+            assert session.value(k) == 0
 
 
 def test_primary_keys_structure(p3_sessions, p5):
@@ -128,6 +132,15 @@ def test_seed_conflict_with_table(p3, p3_sessions):
     # matching sign (or None) adopts the stored seed
     again = RealSession(p3, table=table)
     assert again.seed_sign == 1
+
+
+def test_real_session_rejects_foreign_table(p3, p5):
+    # the same check as ComplexSession's
+    with pytest.raises(ValueError, match="different target"):
+        RealSession(p3, table=InvariantTable(p5),
+                    complex_session=ComplexSession(p3), seed_sign=1)
+    with pytest.raises(ValueError, match="different target"):
+        ComplexSession(p3, table=InvariantTable(p5))
 
 
 def test_real_session_rejects_bad_targets(torus):
