@@ -339,7 +339,9 @@ def cmd_compute(args, out=None):
 
 
 def _instance_caps(session, max_degree):
-    """Per-degree relation tuple-length caps mirroring the solver."""
+    """Per-degree longest unknown, from which verify sets its own
+    relation window (longest + 1 for wdvv, + 2 for rwdvv, at least 5);
+    the solvers choose their rows on their own."""
     caps = {}
     for d in range(1, max_degree + 1):
         keys = session.primary_keys(d)

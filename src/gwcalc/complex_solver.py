@@ -24,16 +24,20 @@ independently and serves as an oracle for the generic solver.
 Structure of a degree block: the canonical unknowns at degree d are the
 multisets of basis classes of cohomological degree >= 4 whose total
 degree matches the virtual dimension (unit insertions die by the string
-relation, divisor insertions strip off a factor of d each).  Exchange
-relations are generated for all admissible insertion tuples with four
-distinguished slots and solved by sparse Gauss-Jordan elimination over
-the rationals; lower-degree factors are read from the table, degree-0
-factors evaluate classically, and inconsistencies abort.  In each term
-of a relation the grading pins the curve degree of the first factor
-(that of the second follows), so only that one split is evaluated; the
-structural part of each factor (vanishing, degree-0 value, or canonical
-key with its divisor multiplier) is memoized per session by shape,
-while its value is always read from the live table.
+relation, divisor insertions strip off a factor of d each).  The block
+is solved from targeted exchange relations only (reconstruction_tuples):
+for each unknown, the tuples that split one insertion h^k = h * h^(k-1)
+as in Kontsevich-Manin's first reconstruction theorem, eliminated by
+sparse Gauss-Jordan over the rationals until every unknown has a value;
+lower-degree factors are read from the table, degree-0 factors evaluate
+classically, and inconsistencies abort.  The enumeration of every
+admissible tuple (wdvv_instances) stays out of the solve: it is the
+independent route by which the wdvv suite of verify checks the table.
+In each term of a relation the grading pins the curve degree of the
+first factor (that of the second follows), so only that one split is
+evaluated; the structural part of each factor (vanishing, degree-0
+value, or canonical key with its divisor multiplier) is memoized per
+session by shape, while its value is always read from the live table.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
@@ -235,10 +239,10 @@ def graded_keys(target, kind, degree, ell, variables):
 
 def primary_unknowns(target, kind, degree):
     """Canonical primary unknowns of a theory at a curve degree, sorted:
-    the graded depth-0 keys over the non-vanishing classes of degree
-    >= 4 (unit insertions die by the string relation, divisor
-    insertions strip off a factor of the degree).  At degree 0 the list
-    keeps the unstable keys too; their value is 0."""
+    the structurally nonzero depth-0 keys over the non-vanishing classes
+    of degree >= 4 (unit insertions die by the string relation, divisor
+    insertions strip off a factor of the degree).  At degree 0 the
+    structural filter drops the unstable keys."""
     vdim = _VDIM[kind]
     variables = [v for v in insertion_variables(target, kind, 0)
                  if target.degree(v[1]) >= 4]
@@ -246,7 +250,7 @@ def primary_unknowns(target, kind, degree):
     ell = 0
     # every insertion takes at least 4 of the virtual dimension
     while vdim(0, ell, degree, target) >= 4 * ell:
-        keys.extend(_graded(target, kind, degree, ell, variables))
+        keys.extend(graded_keys(target, kind, degree, ell, variables))
         ell += 1
     keys.sort(key=lambda k: k.sort_key())
     return keys
@@ -480,7 +484,8 @@ def wdvv_instances(target, degree, ell_cap):
 
     Tuples have length 4..ell_cap; the first four entries carry the
     arranged distinguished quadruple, the rest a sorted pad.  The order
-    is deterministic, matching the order used when solving blocks.
+    is deterministic.  The block solve does not use this enumeration;
+    the wdvv suite checks the solved table against it.
     """
     n = target.complex_dim
     # the classes h^k, k = 1..n, as basis indices k + 1, weighted by k
@@ -492,6 +497,36 @@ def wdvv_instances(target, degree, ell_cap):
             for quad, rest in _sub_multisets_4(multiset):
                 for arranged in _exchange_tuples(quad):
                     yield arranged + rest
+
+
+def reconstruction_tuples(unknowns):
+    """Yield exchange-relation tuples that reconstruct primary unknowns.
+
+    Each unknown's insertions g are basis indices (h^k is k + 1, the
+    divisor h is 2); a tuple splits one insertion g_i = h * h^(k-1), as
+    in the first reconstruction theorem (Kontsevich-Manin).  Family A,
+    for every unknown first: for g_i >= 4 and each other slot j, the
+    tuple (g_i - 1, h, g_j, h) + the rest (at g_i = 3 slots 1 and 4
+    coincide and the relation reads 0 = 0).  Family B: for g_i >= 3 and
+    each pair a < b of other slots, (g_a, g_b, h, g_i - 1) + the rest,
+    Kontsevich's (pt, pt, h, h) row on P^2.  The rest stays sorted; a
+    tuple is yielded once per split that gives it.
+    """
+    split = []
+    for key in unknowns:
+        g = [b for _, b in key.insertions]
+        for i, gi in enumerate(g):
+            others = g[:i] + g[i + 1:]
+            split.append((gi, others))
+    for gi, others in split:
+        if gi >= 4:
+            for j, gj in enumerate(others):
+                yield (gi - 1, 2, gj, 2) + tuple(others[:j] + others[j + 1:])
+    for gi, others in split:
+        if gi >= 3:
+            for a, b in combinations(range(len(others)), 2):
+                rest = others[:a] + others[a + 1:b] + others[b + 1:]
+                yield (others[a], others[b], 2, gi - 1) + tuple(rest)
 
 
 def wdvv_relation(target, mu, degree):
@@ -626,13 +661,12 @@ class _Eliminator:
         return all(k in sol for k in unknowns)
 
 
-def _solve_block(session, d, extras, provenance, relations):
+def _solve_block(session, d, provenance, relations):
     """Solve one primary degree block of a complex or real session.
 
     Puts the session's seed (``session._seed``, a (key, value or None)
     pair) when it is an unknown of the block, then eliminates the rows
-    of ``session._block_rows(d, cap)`` for the tuple-length caps
-    (longest unknown + extra) for each extra in turn, stopping at the
+    of ``session._block_rows(d, unknowns)`` in order, stopping at the
     first row after which every pending unknown has a value, and stores
     the values under ``provenance``.  Raises UnderdeterminedError naming
     the ``relations`` when a pending unknown stays open.
@@ -647,10 +681,7 @@ def _solve_block(session, d, extras, provenance, relations):
     if not pending:
         return
     elim = _Eliminator()
-    max_ell = max(k.num_insertions for k in unknowns)
-    rows = (row for extra in extras
-            for row in session._block_rows(d, max_ell + extra))
-    for row, rhs in rows:
+    for row, rhs in session._block_rows(d, unknowns):
         elim.add_row(row, rhs)
         if elim.is_determined(pending):
             break
@@ -709,7 +740,7 @@ class ComplexSession:
     def ensure_primary(self, max_degree):
         """Solve all primary blocks up to and including max_degree."""
         while self._solved_to < max_degree:
-            _solve_block(self, self._solved_to + 1, (1, 3), "wdvv",
+            _solve_block(self, self._solved_to + 1, "wdvv",
                          "exchange relations")
             self._solved_to += 1
 
@@ -726,11 +757,14 @@ class ComplexSession:
             total += coeff * self.value(key)
         return total
 
-    def _block_rows(self, d, ell_cap):
-        """Yield (row, rhs) for every admissible relation instance whose
-        tuple length is at most ell_cap, in deterministic order."""
-        for mu in wdvv_instances(self.target, d, ell_cap):
-            yield self._relation_row(mu, d)
+    def _block_rows(self, d, unknowns):
+        """Yield (row, rhs) for the reconstruction relations of a block's
+        unknowns (reconstruction_tuples), each distinct tuple once."""
+        seen = set()
+        for mu in reconstruction_tuples(unknowns):
+            if mu not in seen:
+                seen.add(mu)
+                yield self._relation_row(mu, d)
 
     def _relation_row(self, mu, d):
         """Evaluate one relation instance into (row-over-unknowns, rhs).

@@ -234,7 +234,7 @@ class RealSession:
         """Solve all real primary blocks up to and including max_degree
         (extending the complex table as needed)."""
         while self._solved_to < max_degree:
-            _solve_block(self, self._solved_to + 1, (2, 4), "rwdvv",
+            _solve_block(self, self._solved_to + 1, "rwdvv",
                          "real exchange relations")
             self._solved_to += 1
 
@@ -249,14 +249,17 @@ class RealSession:
             total += coeff * self.value(key)
         return total
 
-    def _block_rows(self, d, ell_cap):
-        """Yield (row, rhs) for admissible relation instances at real
-        degree d with tuple length <= ell_cap, deterministically.  The
-        complex factors reach degree d // 2, so the complex table is
-        extended first; only a block with pending keys gets here."""
+    def _block_rows(self, d, unknowns):
+        """Yield (row, rhs) for the admissible relation instances at real
+        degree d with tuple length up to the longest unknown + 2, then
+        up to the longest unknown + 4, deterministically.  The complex
+        factors reach degree d // 2, so the complex table is extended
+        first; only a block with pending keys gets here."""
         self.complex.ensure_primary(d // 2)
-        for ks in rwdvv_instances(self.target, d, ell_cap):
-            yield self._relation_row(ks, d)
+        max_ell = max(k.num_insertions for k in unknowns)
+        for extra in (2, 4):
+            for ks in rwdvv_instances(self.target, d, max_ell + extra):
+                yield self._relation_row(ks, d)
 
     def _relation_row(self, ks, d):
         """Evaluate one relation instance into (row-over-unknowns, rhs).

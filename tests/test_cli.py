@@ -337,6 +337,26 @@ def test_compute_p1_line_count(capsys):
     assert out.splitlines() == ["complex g=0 d=1 <pt, pt> = 1"]
 
 
+def test_compute_degree_zero_lists_stable_keys_only(capsys):
+    # unstable degree-0 keys (fewer than 3 complex or 2 real insertions)
+    # are structurally zero and print no row
+    code, out, err = run(capsys, "compute", "--target", "P3-tau",
+                         "--degree", "0")
+    assert code == 0
+    assert out == ""
+    code, out, err = run(capsys, "compute", "--target", "P7-tau",
+                         "--degree", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "complex g=0 d=0 <h2, h2, h3> = 1",
+        "complex g=0 d=0 <h2, h2, h2, h2> = 0",
+    ]
+    code, out, err = run(capsys, "compute", "--target", "P7-tau",
+                         "--degree", "0", "--real")
+    assert code == 0
+    assert out == ""
+
+
 def test_verify_p1_all_suites(capsys):
     # trr-cross meets one-point keys such as <tau_1(1)>_1 here
     code, out, err = run(capsys, "verify", "--target", "P1-tau",

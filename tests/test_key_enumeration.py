@@ -1,9 +1,11 @@
 """The one multiset walk and key enumerator against the enumerators they
 replaced.
 
-The references below are the earlier enumerators, kept verbatim: each
-re-derived the grading in cohomological-exponent space (an entry k
-stands for the class h^k, basis index k + 1) on its own bounded walk.
+The references below are the earlier enumerators, kept verbatim except
+that the key references now drop the unstable degree-0 keys, as the
+structural filter does: each re-derived the grading in
+cohomological-exponent space (an entry k stands for the class h^k, basis
+index k + 1) on its own bounded walk.
 The shared walk must give the same sequences, in the same order, on the
 built-in targets.
 """
@@ -51,6 +53,8 @@ def reference_complex_keys(target, degree):
         for combo in multisets_with_sum(ell, total, n, 2):
             out.append(InvariantKey(COMPLEX, 0, degree,
                                     [(0, k + 1) for k in combo]))
+    if degree == 0:  # unstable: fewer than 3 insertions
+        out = [k for k in out if k.num_insertions >= 3]
     out.sort(key=lambda k: k.sort_key())
     return out
 
@@ -72,6 +76,8 @@ def reference_real_keys(target, degree):
                 if all(k % 2 for k in combo):
                     out.append(InvariantKey(REAL, 0, degree,
                                             [(0, k + 1) for k in combo]))
+    if degree == 0:  # ineffective: fewer than 2 insertions
+        out = [k for k in out if k.num_insertions >= 2]
     out.sort(key=lambda k: k.sort_key())
     return out
 

@@ -1,0 +1,100 @@
+"""The complex primary solve by targeted reconstruction rows, against the
+full exchange-relation enumeration it replaced.
+
+The solve eliminates only the reconstruction_tuples rows of each block;
+wdvv_instances stays the verify route.  The frozen values were produced
+by the earlier solve, which eliminated every wdvv_instances tuple up to
+a length cap, and equal the targeted solve key for key.
+"""
+
+import json
+import os
+import time
+
+import pytest
+
+from gwcalc import complex_solver
+from gwcalc.complex_solver import (ComplexSession, kontsevich_p2,
+                                   reconstruction_tuples, wdvv_instances)
+from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
+from gwcalc.invariant_store import COMPLEX, InvariantKey
+
+FROZEN = os.path.join(os.path.dirname(__file__), "data",
+                      "frozen_primary.json")
+
+
+def key(d, bases):
+    return InvariantKey(COMPLEX, 0, d, [(0, b) for b in bases])
+
+
+def test_reconstruction_tuples_families():
+    # <h^3, h^3> on P^5 (indices 4, 4): family A splits either slot,
+    # family B needs three slots; <pt^5>_2 on P^2 only takes family B
+    assert list(reconstruction_tuples([key(1, [4, 4])])) == [
+        (3, 2, 4, 2), (3, 2, 4, 2)]
+    assert list(reconstruction_tuples([key(2, [3] * 3)])) == [
+        (3, 3, 2, 2)] * 3
+    p5 = [key(1, [3, 4, 5])]
+    assert list(reconstruction_tuples(p5)) == [
+        (3, 2, 3, 2, 5), (3, 2, 5, 2, 3),
+        (4, 2, 3, 2, 4), (4, 2, 4, 2, 3),
+        (4, 5, 2, 2), (3, 5, 2, 3), (3, 4, 2, 4)]
+
+
+def test_solve_never_enumerates_relations(monkeypatch):
+    """The complex solve stays a route separate from the enumeration
+    that the wdvv suite checks it against."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex solve enumerated relations")
+
+    monkeypatch.setattr(complex_solver, "wdvv_instances", refuse)
+    p2 = ComplexSession(make_p2())
+    p2.ensure_primary(5)
+    for d in range(1, 6):
+        assert p2.value(key(d, [3] * (3 * d - 1))) == kontsevich_p2(d)
+    p3 = ComplexSession(make_projective(2, "tau"))
+    p3.ensure_primary(4)
+    assert p3.value(key(4, [4] * 8)) == 4
+    for d in range(1, 5):
+        assert all(p3.table.get(k) is not None for k in p3.primary_keys(d))
+    p5 = ComplexSession(make_projective(3, "tau"))
+    p5.ensure_primary(1)
+    assert all(p5.table.get(k) is not None for k in p5.primary_keys(1))
+
+
+def _frozen(name):
+    with open(FROZEN) as fh:
+        data = json.load(fh)[name]
+    return data["max_degree"], {
+        (d, tuple(bases)): value for d, bases, value in data["values"]}
+
+
+@pytest.mark.parametrize("name,count", [("P5-tau", 170), ("P7-tau", 340)])
+def test_frozen_primary_values(name, count):
+    max_degree, want = _frozen(name)
+    assert len(want) == count
+    t0 = time.monotonic()
+    session = ComplexSession(builtin_target(name))
+    session.ensure_primary(max_degree)
+    assert time.monotonic() - t0 < 30
+    got = {}
+    for d in range(1, max_degree + 1):
+        for k in session.primary_keys(d):
+            got[(d, tuple(b for _, b in k.insertions))] = \
+                str(session.table.get(k))
+    assert got == want
+
+
+def test_p5_targeted_table_satisfies_every_relation():
+    """Every exchange relation in verify's window (longest unknown + 1,
+    at least 5) vanishes on the P5-tau table through degree 2."""
+    target = builtin_target("P5-tau")
+    session = ComplexSession(target)
+    session.ensure_primary(2)
+    checked = 0
+    for d in (1, 2):
+        cap = max(k.num_insertions for k in session.primary_keys(d)) + 1
+        for mu in wdvv_instances(target, d, max(cap, 5)):
+            assert session.relation_residual(mu, d) == 0, (mu, d)
+            checked += 1
+    assert checked == 184 + 3395
