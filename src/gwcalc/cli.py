@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
@@ -689,9 +690,7 @@ def cmd_cache(args, out=None):
         out.write("%d entries\n" % len(table))
         out.write("target: %s\n" % table.target.name)
         if len(table):
-            by_kind = {}
-            for key, _v, _p in table.items():
-                by_kind[key.kind] = by_kind.get(key.kind, 0) + 1
+            by_kind = Counter(key.kind for key in table)
             for kind in sorted(by_kind):
                 out.write("  %s: %d\n" % (kind, by_kind[kind]))
         return EXIT_OK

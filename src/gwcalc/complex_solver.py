@@ -657,8 +657,21 @@ class _Eliminator:
         return out
 
     def is_determined(self, unknowns):
-        sol = self.solution()
-        return all(k in sol for k in unknowns)
+        """Whether every key of the list ``unknowns`` is a pivot whose
+        row is a singleton, i.e. has a value in ``solution``.
+
+        Pops the keys found so off the end of the list and stops at the
+        first that is not.  A singleton row stays one (a new pivot is
+        eliminated only from rows that hold it), so a popped key needs
+        no second look when the caller passes the same list again.
+        """
+        pivots = self.pivots
+        while unknowns:
+            entry = pivots.get(unknowns[-1])
+            if entry is None or len(entry[0]) != 1:
+                return False
+            unknowns.pop()
+        return True
 
 
 def _solve_block(session, d, provenance, relations):
@@ -681,9 +694,10 @@ def _solve_block(session, d, provenance, relations):
     if not pending:
         return
     elim = _Eliminator()
+    undetermined = list(pending)
     for row, rhs in session._block_rows(d, unknowns):
         elim.add_row(row, rhs)
-        if elim.is_determined(pending):
+        if elim.is_determined(undetermined):
             break
     sol = elim.solution()
     missing = [k for k in pending if k not in sol]

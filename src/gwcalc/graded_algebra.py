@@ -21,7 +21,9 @@ from fractions import Fraction
 
 def frac_to_str(x):
     """Serialize a rational as 'p/q' (integers print without '/1')."""
-    return str(Fraction(x))
+    # a Fraction or int already prints so; converting one costs more
+    # than printing it
+    return str(x if type(x) is Fraction or type(x) is int else Fraction(x))
 
 
 def frac_from_str(s):

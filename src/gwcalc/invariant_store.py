@@ -23,8 +23,7 @@ import tempfile
 from fractions import Fraction
 
 from .combinatorics import sort_insertions_sign
-from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace, frac_from_str,
-                             frac_to_str)
+from .graded_algebra import TARGET_DATA_ERRORS, TargetSpace, frac_to_str
 
 COMPLEX = "complex"
 REAL = "real"
@@ -101,18 +100,21 @@ class InvariantKey:
         ins = ", ".join("t%d(e%d)" % (a, b) for a, b in self.insertions)
         return "<%s g=%d d=%d | %s>" % (self.kind, self.genus, self.degree, ins)
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "genus": self.genus,
-            "degree": self.degree,
-            "insertions": [{"a": a, "basis": b} for a, b in self.insertions],
-        }
-
     @classmethod
-    def from_json(cls, data):
-        return cls(data["kind"], data["genus"], data["degree"],
-                   [(ins["a"], ins["basis"]) for ins in data["insertions"]])
+    def _trusted(cls, kind, genus, degree, insertions):
+        """A key from parts already known to be canonical, skipping the
+        checks of ``__init__``: ``kind`` in KINDS, ``genus`` and
+        ``degree`` ints >= 0, ``insertions`` a sorted tuple of (int a >= 0,
+        int basis >= 1) tuples.  Hashes and compares like the key the
+        public constructor builds from the same parts."""
+        key = object.__new__(cls)
+        _set = object.__setattr__
+        _set(key, "kind", kind)
+        _set(key, "genus", genus)
+        _set(key, "degree", degree)
+        _set(key, "insertions", insertions)
+        _set(key, "_hash", hash((kind, genus, degree, insertions)))
+        return key
 
 
 def real_insertion_vanishes(target, a, basis):
@@ -171,6 +173,10 @@ class InvariantTable:
     def __contains__(self, key):
         return key in self._entries
 
+    def __iter__(self):
+        """The keys, in no particular order (``items`` sorts)."""
+        return iter(self._entries)
+
     def get(self, key):
         entry = self._entries.get(key)
         return entry[0] if entry is not None else None
@@ -204,31 +210,34 @@ class InvariantTable:
 
     # -- persistence ----------------------------------------------------
 
-    def to_json(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "target": self.target.to_json(),
-            "seed_sign": "+1" if self.seed_sign == 1 else "-1",
-            "entries": [
-                dict(key.to_json(), value=frac_to_str(value), provenance=prov)
-                for key, value, prov in self.items()
-            ],
-        }
-
     def save(self, path):
         """Atomically write the table as versioned JSON.
+
+        The file holds ``json.dumps(doc, indent=1, sort_keys=True)`` and a
+        newline, where ``doc`` has the fields ``entries`` (in ``items``
+        order), ``schema``, ``seed_sign`` and ``target``.  The entries are
+        laid out by string formatting: kinds, provenance tags, integers
+        and 'p/q' values never need escaping, so only the other fields go
+        through ``json.dumps``.
 
         Writes whether or not the table ``changed``; callers that only
         want to persist new entries check that first.  Afterwards the
         table counts as unchanged.
         """
-        payload = json.dumps(self.to_json(), indent=1, sort_keys=True)
+        rest = json.dumps({"schema": SCHEMA_VERSION,
+                           "seed_sign": "+1" if self.seed_sign == 1 else "-1",
+                           "target": self.target.to_json()},
+                          indent=1, sort_keys=True)
+        entries = ",\n".join(_entry_text(key, value, prov)
+                             for key, value, prov in self.items())
+        # rest opens with "{\n"; "entries" sorts before its fields
+        payload = '{\n "entries": %s,\n%s\n' % (
+            "[\n%s\n ]" % entries if entries else "[]", rest[2:])
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(prefix=".gwcache-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
-                fh.write("\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -246,7 +255,7 @@ class InvariantTable:
         identically, and the in-memory target object is reused.  Any
         malformed content (missing fields, wrong JSON types, unparsable
         values or keys, an invalid embedded target) raises
-        StoreFormatError.
+        StoreFormatError; ``_read_entry`` lists what an entry must hold.
         """
         data = read_cache_json(path)
         try:
@@ -269,25 +278,82 @@ class InvariantTable:
             raise StoreFormatError("cache entries must be a JSON list")
         table = cls(file_target, seed_sign)
         num_basis = file_target.num_basis
-        # each entry is checked here once, then stored without put's checks
+        # each distinct value string is parsed once; entries share the
+        # (immutable) Fraction
+        values = {}
         for number, entry in enumerate(entries, start=1):
             try:
-                key = InvariantKey.from_json(entry)
-                value = frac_from_str(entry["value"])
-                prov = entry["provenance"]
+                key, value, prov = _read_entry(entry, num_basis, values)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
                 raise StoreFormatError(
                     "bad cache entry %d: %s" % (number, _reason(e)))
-            if not key.is_canonical():
-                raise StoreFormatError("non-canonical key in cache: %r" % (key,))
-            if any(b > num_basis for _, b in key.insertions):
-                raise StoreFormatError(
-                    "basis index out of range in cache: %r" % (key,))
-            if prov not in PROVENANCE_TAGS:
-                raise StoreFormatError("unknown provenance %r" % (prov,))
             table._insert(key, value, prov)
         table._file_state = (len(table._entries), seed_sign)
         return table
+
+
+def _entry_text(key, value, provenance):
+    """One entry of a cache file, laid out as json.dumps(indent=1,
+    sort_keys=True) lays it out inside the ``entries`` list."""
+    if key.insertions:
+        ins = "[\n%s\n   ]" % ",\n".join(
+            '    {\n     "a": %d,\n     "basis": %d\n    }' % insertion
+            for insertion in key.insertions)
+    else:
+        ins = "[]"
+    return ('  {\n   "degree": %d,\n   "genus": %d,\n   "insertions": %s,\n'
+            '   "kind": "%s",\n   "provenance": "%s",\n   "value": "%s"\n  }'
+            % (key.degree, key.genus, ins, key.kind, provenance,
+               frac_to_str(value)))
+
+
+def _read_entry(entry, num_basis, values):
+    """(key, value, provenance) of one cache entry, each field checked once.
+
+    ``kind`` must be one of KINDS and ``provenance`` a known tag;
+    ``genus``, ``degree`` and each insertion's ``a`` JSON integers >= 0,
+    each ``basis`` a JSON integer in 1..num_basis, the insertions in
+    canonical order, and ``value`` a string in the form frac_to_str
+    writes ('-?N', or '-?P/Q' in lowest terms with Q > 1).  ``values``
+    maps the value strings read so far to their Fractions.  Raises
+    KeyError, TypeError or ValueError on anything else.
+    """
+    kind, genus, degree = entry["kind"], entry["genus"], entry["degree"]
+    text, prov = entry["value"], entry["provenance"]
+    if kind not in KINDS:
+        raise ValueError("unknown kind %r" % (kind,))
+    # exact types: bool is a subclass of int, and 1.0 == 1
+    if type(genus) is not int or genus < 0:
+        raise ValueError("genus must be a JSON integer >= 0, not %r"
+                         % (genus,))
+    if type(degree) is not int or degree < 0:
+        raise ValueError("degree must be a JSON integer >= 0, not %r"
+                         % (degree,))
+    if prov not in PROVENANCE_TAGS:
+        raise ValueError("unknown provenance %r" % (prov,))
+    raw = entry["insertions"]
+    if type(raw) is not list:
+        raise ValueError("insertions must be a JSON list, not %r" % (raw,))
+    insertions = []
+    for item in raw:
+        a, b = item["a"], item["basis"]
+        if type(a) is not int or a < 0 or type(b) is not int \
+                or not 1 <= b <= num_basis:
+            raise ValueError("bad insertion a=%r, basis=%r" % (a, b))
+        insertions.append((a, b))
+    if insertions != sorted(insertions):
+        raise ValueError("insertions out of canonical order")
+    if type(text) is not str:
+        raise ValueError("value must be a 'p/q' string, not %r" % (text,))
+    value = values.get(text)
+    if value is None:
+        value = Fraction(text)
+        if frac_to_str(value) != text:
+            raise ValueError("value %r is not written as %r"
+                             % (text, frac_to_str(value)))
+        values[text] = value
+    key = InvariantKey._trusted(kind, genus, degree, tuple(insertions))
+    return key, value, prov
 
 
 def read_cache_json(path):

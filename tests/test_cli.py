@@ -306,12 +306,19 @@ def test_emit_json_rows_match_the_stdlib_layout(name, case):
     target = TargetSpace.loads(_p2_json_with("name", name))
     rows = EMIT_ROWS_CASES[case]
     payload = {"target": name,
-               "entries": [dict(key.to_json(), value=frac_to_str(value))
+               "entries": [{"kind": key.kind, "genus": key.genus,
+                            "degree": key.degree,
+                            "insertions": [{"a": a, "basis": b}
+                                           for a, b in key.insertions],
+                            "value": frac_to_str(value)}
                            for key, value in rows]}
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = io.StringIO()
     emit_rows(target, rows, "json", out)
-    assert out.getvalue() == want
+    text = out.getvalue()
+    assert text == want
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
 
 
 def test_verify_p2_all_suites(capsys):
@@ -478,6 +485,20 @@ CORRUPT_CACHES = {
     "same-key-two-values": lambda data: dict(
         data, entries=data["entries"] + [dict(data["entries"][0],
                                               value="2")]),
+    # fields must hold JSON integers and values canonical 'p/q' strings;
+    # each of these used to load as some nearby key or value
+    "degree-1.5": _set_entry("degree", 1.5),
+    "degree-string": _set_entry("degree", "1"),
+    "degree-negative": _set_entry("degree", -1),
+    "genus-false": _set_entry("genus", False),
+    "a-0.7": _set_entry("insertions", [{"a": 0, "basis": 3},
+                                       {"a": 0.7, "basis": 3}]),
+    "basis-string": _set_entry("insertions", [{"a": 0, "basis": 3},
+                                              {"a": 0, "basis": "3"}]),
+    "value-number": _set_entry("value", 3.25),
+    "value-1e3": _set_entry("value", "1e3"),
+    "value-padded": _set_entry("value", " 2.50 "),
+    "value-2/4": _set_entry("value", "2/4"),
 }
 
 

@@ -41,11 +41,23 @@ def test_key_immutability():
         k.degree = 5
 
 
-def test_key_json_round_trip():
-    k = InvariantKey(REAL, 1, 3, [(0, 2), (2, 4)])
-    again = InvariantKey.from_json(k.to_json())
-    assert again == k
-    assert hash(again) == hash(k)
+def test_key_json_round_trip(tmp_path, p3):
+    # a loaded key is built by the trusted constructor; it must hash and
+    # compare like the one the public constructor builds
+    keys = [InvariantKey(REAL, 1, 3, [(0, 2), (2, 4)]),
+            InvariantKey(COMPLEX, 0, 1, [])]
+    t = InvariantTable(p3)
+    for k in keys:
+        t.put(k, Fraction(1), "wdvv")
+    path = str(tmp_path / "cache.json")
+    t.save(path)
+    loaded = [k for k, _, _ in InvariantTable.load(path).items()]
+    assert loaded == sorted(keys, key=InvariantKey.sort_key)
+    for again in loaded:
+        k = keys[keys.index(again)]
+        assert hash(again) == hash(k)
+        assert again.insertions == k.insertions
+        assert type(again.insertions) is tuple
 
 
 def test_key_sort_order():
@@ -171,6 +183,48 @@ def test_table_save_load_round_trip(tmp_path, p3):
     again.save(path + ".2")
     with open(path) as fh1, open(path + ".2") as fh2:
         assert fh1.read() == fh2.read()
+
+
+def _layout_table(target):
+    """A table with complex and real keys, a key with no insertions,
+    negative and non-integer values and seed sign -1."""
+    t = InvariantTable(target, seed_sign=-1)
+    t.put(InvariantKey(COMPLEX, 0, 1, []), Fraction(1), "seed")
+    t.put(InvariantKey(COMPLEX, 0, 2, [(0, 4), (0, 4), (1, 2)]),
+          Fraction(-3, 4), "wdvv")
+    t.put(InvariantKey(COMPLEX, 0, 12, [(0, 3)] * 12),
+          Fraction(-123456789012345678901, 17), "axiom-reduction")
+    t.put(InvariantKey(REAL, 0, 1, [(0, 4)]), Fraction(-1), "seed")
+    t.put(InvariantKey(REAL, 0, 3, [(0, 2), (2, 4)]), Fraction(5, 2),
+          "rtrr")
+    return t
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+def test_save_writes_the_stdlib_layout(tmp_path, p3, filled):
+    t = _layout_table(p3) if filled else InvariantTable(p3)
+    path = tmp_path / "cache.json"
+    t.save(str(path))
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1,
+                              sort_keys=True) + "\n"
+    again = InvariantTable.load(str(path))
+    assert again.items() == t.items()
+    assert again.seed_sign == t.seed_sign
+    resaved = tmp_path / "resaved.json"
+    again.save(str(resaved))
+    assert resaved.read_text() == text
+
+
+def test_load_parses_each_value_string_once(tmp_path, p3):
+    t = _layout_table(p3)
+    t.put(InvariantKey(COMPLEX, 0, 2, [(0, 4), (1, 3)]), Fraction(-3, 4),
+          "wdvv")
+    path = str(tmp_path / "cache.json")
+    t.save(path)
+    again = InvariantTable.load(path)
+    shared = [v for k, v, _ in again.items() if v == Fraction(-3, 4)]
+    assert len(shared) == 2 and shared[0] is shared[1]
 
 
 def test_table_load_rejects_target_mismatch(tmp_path, p2, p3):
