@@ -26,12 +26,12 @@ from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
                              frac_to_str)
 from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               InvariantTable, StoreConflictError,
-                              StoreFormatError, _reason, normalize,
-                              read_cache_json)
+                              StoreFormatError, _reason, read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
-                             UnderdeterminedError, filter_complex,
-                             filter_real, graded_keys, insertion_variables,
+                             UnderdeterminedError, evaluate_terms,
+                             filter_complex, filter_real, graded_keys,
+                             insertion_variables,
                              key_degree_sum, lift_one_point, reduce_axioms,
                              reduce_descendant_trr, vdim_complex, vdim_real,
                              wdvv_instances)
@@ -309,11 +309,10 @@ def cmd_compute(args, out=None):
         raw = parse_insertions(target, args.insertions)
         kind = REAL if args.real else COMPLEX
         session = rsession if args.real else csession
-        total = Fraction(0)
-        for coeff, key in normalize(target, kind, 0, args.degree, raw):
-            total += coeff * session.value(key)
+        # a real insertion of the wrong parity fails the structural
+        # filter, so its key evaluates to 0 like any other vanishing key
         key = InvariantKey(kind, 0, args.degree, sorted(raw))
-        rows = [(key, total)]
+        rows = [(key, session.value(key))]
     else:
         session = rsession if args.real else csession
         if args.real:
@@ -563,9 +562,7 @@ def suite_trr_cross(target, args, csession, rsession):
                 terms = reduce_axioms(key, target)
             except AxiomPreconditionError:
                 continue
-            via_axiom = Fraction(0)
-            for coeff, k in terms:
-                via_axiom += coeff * csession.value(k)
+            via_axiom = evaluate_terms(terms, csession.value)
             # the recursion needs two insertions: lift one-point keys
             # by the string relation first, as ComplexSession.value does
             trr_key = lift_one_point(key) if key.num_insertions == 1 else key
@@ -594,12 +591,9 @@ def suite_rtrr_cross(target, args, csession, rsession):
                 terms = reduce_real_axioms(key, target)
             except AxiomPreconditionError:
                 continue
-            via_axiom = Fraction(0)
-            for coeff, k in terms:
-                via_axiom += coeff * rsession.value(k)
-            via_rtrr = Fraction(0)
-            for coeff, k in reduce_descendant_rtrr(key, rsession):
-                via_rtrr += coeff * rsession.value(k)
+            via_axiom = evaluate_terms(terms, rsession.value)
+            via_rtrr = evaluate_terms(reduce_descendant_rtrr(key, rsession),
+                                      rsession.value)
             checks += 1
             if via_axiom != via_rtrr:
                 return False, "key %r: reduction %s != axiom %s" % (

@@ -83,7 +83,8 @@ def sort_insertions_sign(items, deg_of):
     ``deg_of`` maps an item to its cohomological degree.  Returns
     (sorted_items, sign) where sign is the Koszul sign of the reordering
     (insertion sort; each adjacent swap of two odd-degree items flips the
-    sign).  Used by key canonicalization and by series monomials.
+    sign).  Used by series monomials; invariant keys live on even bases
+    and sort without a sign.
     """
     items = list(items)
     exp = 0

@@ -5,8 +5,12 @@ Shared with the real solver: each theory's virtual dimension and
 structural filter, the stripping of unit and divisor insertions off a
 primary factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
->= 4), and one block-solve skeleton (_solve_block) that seeds, eliminates
-the session's relation rows and stores the values.
+>= 4), one block-solve skeleton (_solve_block) that seeds, eliminates
+the session's relation rows and stores the values, and the steps of the
+relation and recursion expansions: the term combiner (_combine), the
+two-sided slot split, the degree pin of a split factor, the first
+descendant slot, the divisor step (weight 1 complex, 2 real) and the
+evaluation of a linear combination of keys (evaluate_terms).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
@@ -93,6 +97,18 @@ def vdim_complex(genus, num_points, degree, target):
     """
     n = target.complex_dim
     return 2 * ((1 - genus) * (n - 3) + num_points + target.c1_pairing * degree)
+
+
+def _pinned_degree(target, degree_sum, num_points):
+    """The curve degree at which a genus-0 complex factor with
+    ``num_points`` insertions whose degrees add up to ``degree_sum`` meets
+    the grading (vdim_complex solved for the degree), or None when no
+    whole degree does; the caller bounds the range."""
+    num = degree_sum - vdim_complex(0, num_points, 0, target)
+    c1 = target.c1_pairing
+    if num % (2 * c1):
+        return None
+    return num // (2 * c1)
 
 
 def key_degree_sum(key, target):
@@ -173,6 +189,42 @@ def _strip_primary(target, kind, degree, basis_list):
     if _FILTER[kind](key, target) is not None:
         return None
     return key, mult
+
+
+# ---------------------------------------------------------------------------
+# steps shared by both theories' relation and recursion expansions
+
+
+def _combine(terms):
+    """The nonzero (coefficient, key) pairs of the sum of ``terms``, sorted
+    by key; a term whose key is None (normalize found it vanishing) is
+    dropped."""
+    combined = {}
+    for coeff, key in terms:
+        if key is not None:
+            combined[key] = combined.get(key, Fraction(0)) + coeff
+    items = [(c, k) for k, c in combined.items() if c]
+    items.sort(key=lambda t: t[1].sort_key())
+    return items
+
+
+def evaluate_terms(terms, value):
+    """The sum of coeff * value(key) over (coeff, key) pairs."""
+    total = Fraction(0)
+    for coeff, key in terms:
+        total += coeff * value(key)
+    return total
+
+
+def _two_sided_splits(items):
+    """Every way to send each of ``items`` to one of two sides: yields
+    2**len(items) pairs (first, second) of lists in item order, with the
+    first side's membership (bit t for items[t]) counting up from 0."""
+    for pick in range(1 << len(items)):
+        first, second = [], []
+        for t, item in enumerate(items):
+            (first if pick >> t & 1 else second).append(item)
+        yield first, second
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +410,44 @@ def _removable_slot(key, target):
     return None, None
 
 
+def _first_descendant_slot(key):
+    """Index of the first insertion tau_a(e_b) with a >= 1; raises
+    AxiomPreconditionError when the key has none."""
+    for idx, (a, _) in enumerate(key.insertions):
+        if a >= 1:
+            return idx
+    raise AxiomPreconditionError("no descendant insertion in %r" % (key,))
+
+
+def _divisor_terms(target, degree, rest, weight):
+    """The weighted insertion lists of one divisor step, in either theory:
+    tau_0(h) stripped from a key of curve degree ``degree`` leaves
+    ``degree`` times the other insertions ``rest``, plus ``weight`` (1
+    complex, 2 real) times ``rest`` with one descendant slot lowered and
+    h moved onto its class (on P^n, h * e_b = e_(b+1), and 0 past the
+    point class)."""
+    out = []
+    if degree:
+        out.append((Fraction(degree), rest))
+    for i, (a, b) in enumerate(rest):
+        if a >= 1 and b < target.num_basis:
+            ins = list(rest)
+            ins[i] = (a - 1, b + 1)
+            out.append((Fraction(weight), ins))
+    return out
+
+
 def reduce_axioms(key, target):
     """One-step string/dilaton/divisor reduction of a complex key.
 
     Returns a list of (coefficient, key) pairs whose value-sum equals the
     input key's value; zero-coefficient terms are dropped, so an
-    identically vanishing reduction returns [].  Raises
-    AxiomPreconditionError when no removable insertion exists or the
-    stripped invariant would be unstable at degree 0.
+    identically vanishing reduction returns [].  Raises SolverError for
+    a target that is not a projective space, and AxiomPreconditionError
+    when no removable insertion exists or the stripped invariant would
+    be unstable at degree 0.
     """
+    _require_projective(target)
     idx, which = _removable_slot(key, target)
     if which is None:
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
@@ -388,16 +469,9 @@ def reduce_axioms(key, target):
         if coeff:
             out.append((coeff, rest))
     else:  # divisor
-        _require_projective(target)
-        if d:
-            out.append((Fraction(d), rest))
-        # on P^n, h * e_b = e_(b+1), and 0 past the point class
-        for i, (a, b) in enumerate(rest):
-            if a >= 1 and b < target.num_basis:
-                ins = list(rest)
-                ins[i] = (a - 1, b + 1)
-                out.append((Fraction(1), ins))
-    return _collect_terms(target, COMPLEX, g, d, out)
+        out = _divisor_terms(target, d, rest, 1)
+    return _combine((c, normalize(target, COMPLEX, g, d, ins))
+                    for c, ins in out)
 
 
 def _axiom_route(key, target):
@@ -413,22 +487,6 @@ def _axiom_route(key, target):
         return False
     return (which != "divisor" or key.kind != REAL
             or target.sign(key.insertions[idx][1]) == -1)
-
-
-def _collect_terms(target, kind, genus, degree, weighted):
-    """Normalize weighted insertion lists into one combination.
-
-    ``weighted`` holds (coefficient, [(a, basis index), ...]) pairs;
-    returns the nonzero (coefficient, key) pairs of their sum, sorted by
-    key.
-    """
-    combined = {}
-    for coeff, raw in weighted:
-        for c, k in normalize(target, kind, genus, degree, raw):
-            combined[k] = combined.get(k, Fraction(0)) + coeff * c
-    items = [(c, k) for k, c in combined.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
-    return items
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +606,11 @@ def wdvv_relation(target, mu, degree):
         if not 1 <= b <= target.num_basis:
             raise ValueError("basis index out of range: %d" % b)
     terms = []
-    free = mu[4:]
     diag = target.diagonal_decomposition()
     for side, (pa, pb) in (((1), ((0, 1), (2, 3))), ((-1), ((0, 2), (1, 3)))):
-        base_i = [mu[pa[0]], mu[pa[1]]]
-        base_j = [mu[pb[0]], mu[pb[1]]]
-        for pick in range(1 << len(free)):
-            ins_i = list(base_i)
-            ins_j = list(base_j)
-            for t, b in enumerate(free):
-                (ins_i if pick >> t & 1 else ins_j).append(b)
+        for first, second in _two_sided_splits(mu[4:]):
+            ins_i = [mu[pa[0]], mu[pa[1]]] + first
+            ins_j = [mu[pb[0]], mu[pb[1]]] + second
             for d1 in range(degree + 1):
                 d2 = degree - d1
                 for gcoeff, (ei, ej) in diag:
@@ -576,9 +629,8 @@ def wdvv_relation(target, mu, degree):
                                 break
                             coeff *= val
                         else:
-                            expanded = normalize(
-                                target, COMPLEX, 0, d_f, [(0, b) for b in ins])
-                            factors.append(expanded[0][1])
+                            factors.append(normalize(
+                                target, COMPLEX, 0, d_f, [(0, b) for b in ins]))
                     if dead:
                         continue
                     terms.append((Fraction(coeff), tuple(factors)))
@@ -766,10 +818,8 @@ class ComplexSession:
         is cheap even for instances with many repeated insertions.
         """
         row, rhs = self._relation_row(mu, degree)
-        total = -rhs
-        for key, coeff in row.items():
-            total += coeff * self.value(key)
-        return total
+        return evaluate_terms(((c, k) for k, c in row.items()),
+                              self.value) - rhs
 
     def _block_rows(self, d, unknowns):
         """Yield (row, rhs) for the reconstruction relations of a block's
@@ -787,26 +837,21 @@ class ComplexSession:
         repeated non-distinguished insertions grouped by multiplicity so
         large instances stay cheap (all basis degrees are even here, so
         no sign bookkeeping is lost by grouping).  For each grouping and
-        diagonal term the grading fixes the first factor's degree
-        d1 = (sum of its degrees - 2((n-3) + its length)) / (2 c1); only
-        a whole d1 in [0, d] is tried, and the second factor's grading
-        then holds automatically.  Factors go through _factor, which
+        diagonal term the grading fixes the first factor's degree d1
+        (_pinned_degree); only a d1 in [0, d] is tried, and the second
+        factor's grading then holds automatically.  Factors go through _factor, which
         memoizes their shapes but reads values from the live table.
         """
         target = self.target
-        n = target.complex_dim
-        c1 = target.c1_pairing
         free = mu[4:]
-        groups = []
-        for b in sorted(set(free)):
-            groups.append((b, free.count(b)))
+        groups = [(b, free.count(b)) for b in sorted(set(free))]
         diag = target.diagonal_decomposition()
         row = {}
         rhs = Fraction(0)
         for side, (pa, pb) in ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3)))):
             base_i = (mu[pa[0]], mu[pa[1]])
             base_j = (mu[pb[0]], mu[pb[1]])
-            for take in self._group_choices(groups):
+            for take in product(*(range(cnt + 1) for _, cnt in groups)):
                 weight = 1
                 ins_i = list(base_i)
                 ins_j = list(base_j)
@@ -814,14 +859,11 @@ class ComplexSession:
                     weight *= math.comb(cnt, t)
                     ins_i.extend([b] * t)
                     ins_j.extend([b] * (cnt - t))
-                excess_i = sum(target.degree(b) for b in ins_i) \
-                    - 2 * ((n - 3) + len(ins_i) + 1)
+                sum_i = sum(target.degree(b) for b in ins_i)
                 for gcoeff, (ei, ej) in diag:
-                    num = excess_i + target.degree(ei)
-                    if num % (2 * c1):
-                        continue
-                    d1 = num // (2 * c1)
-                    if not 0 <= d1 <= d:
+                    d1 = _pinned_degree(target, sum_i + target.degree(ei),
+                                        len(ins_i) + 1)
+                    if d1 is None or not 0 <= d1 <= d:
                         continue
                     coeff = Fraction(side * weight) * gcoeff
                     f1 = self._factor(d1, ins_i + [ei], d)
@@ -846,16 +888,6 @@ class ComplexSession:
                         raise AssertionError(
                             "two unknown factors in one term")
         return row, rhs
-
-    @staticmethod
-    def _group_choices(groups):
-        if not groups:
-            yield ()
-            return
-        head, rest = groups[0], groups[1:]
-        for t in range(head[1] + 1):
-            for tail in ComplexSession._group_choices(rest):
-                yield (t,) + tail
 
     def _factor(self, d_f, basis_list, block_degree):
         """Classify one splitting factor at the current block degree.
@@ -950,10 +982,8 @@ class ComplexSession:
         topological recursion (one-point keys lifted by the string
         relation first)."""
         if _axiom_route(key, self.target):
-            total = Fraction(0)
-            for coeff, k in reduce_axioms(key, self.target):
-                total += coeff * self.value(k)
-            return total, "axiom-reduction"
+            return (evaluate_terms(reduce_axioms(key, self.target),
+                                   self.value), "axiom-reduction")
         if key.num_insertions == 1:
             return self.value(lift_one_point(key)), "trr"
         total = Fraction(0)
@@ -1004,13 +1034,7 @@ def reduce_descendant_trr(key, target):
     ell = len(ins)
     if ell < 2:
         raise AxiomPreconditionError("descendant reduction needs >= 2 insertions")
-    i_slot = None
-    for idx, (a, _) in enumerate(ins):
-        if a >= 1:
-            i_slot = idx
-            break
-    if i_slot is None:
-        raise AxiomPreconditionError("no descendant insertion in %r" % (key,))
+    i_slot = _first_descendant_slot(key)
     j_slot = None
     pt = target.num_basis
     for idx, (a, b) in enumerate(ins):
@@ -1039,24 +1063,17 @@ def reduce_descendant_trr(key, target):
     # here have even degree, so the factor keys can be assembled by plain
     # sorting, and the grading pins down the unique degree split per
     # diagonal term -- anything else is structurally zero and skipped.
-    others = [idx for idx in range(ell) if idx not in (i_slot, j_slot)]
+    others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
     diag = target.diagonal_decomposition()
-    n = target.complex_dim
-    c1 = target.c1_pairing
-    for pick in range(1 << len(others)):
-        side_i = [(a_i - 1, b_i)]
-        side_j = [ins[j_slot]]
-        for t, idx in enumerate(others):
-            (side_i if pick >> t & 1 else side_j).append(ins[idx])
+    for first, second in _two_sided_splits(others):
+        side_i = [(a_i - 1, b_i)] + first
+        side_j = [ins[j_slot]] + second
         sum_i = sum(2 * a + target.degree(b) for a, b in side_i)
         sum_j = sum(2 * a + target.degree(b) for a, b in side_j)
         for gcoeff, (ea, eb) in diag:
-            num = sum_i + target.degree(ea) \
-                - 2 * ((n - 3) + len(side_i) + 1)
-            if num % (2 * c1):
-                continue
-            d1 = num // (2 * c1)
-            if not 0 <= d1 < d:
+            d1 = _pinned_degree(target, sum_i + target.degree(ea),
+                                len(side_i) + 1)
+            if d1 is None or not 0 <= d1 < d:
                 continue
             d2 = d - d1
             if d1 == 0 and len(side_i) + 1 < 3:

@@ -2,12 +2,11 @@
 
 A key pins down one curve count: complex or real theory, genus, curve
 degree, and a multiset of insertions tau_a(e_b) recorded as (a, basis
-index) pairs.  Canonicalization sorts insertions by (a, basis index) and
-carries the Koszul sign of the sort separately (trivial on the all-even
-projective bases, exercised on synthetic odd-degree rings).  The
-normalizer also drops real-theory insertion lists whose eigenspace
-parity forces the invariant to vanish, so structurally zero entries
-never reach a table.
+index) pairs.  Canonicalization sorts insertions by (a, basis index);
+the sort carries no sign, since the solvers work on projective targets,
+whose basis classes all have even degree.  The normalizer also drops
+real-theory insertion lists whose eigenspace parity forces the invariant
+to vanish, so structurally zero entries never reach a table.
 
 Tables map keys to exact rationals with a provenance tag per entry and
 persist to a versioned JSON file; a conflicting put is a fatal error
@@ -22,7 +21,6 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .combinatorics import sort_insertions_sign
 from .graded_algebra import TARGET_DATA_ERRORS, TargetSpace, frac_to_str
 
 COMPLEX = "complex"
@@ -128,18 +126,16 @@ def real_insertion_vanishes(target, a, basis):
 
 
 def normalize(target, kind, genus, degree, insertions):
-    """Canonicalize a list of (a, basis index) insertions.
+    """The canonical key of a list of (a, basis index) insertions, or None
+    for a ``real`` kind list with a parity-vanishing insertion.
 
-    Returns [(sign, key)] with the Koszul sign of sorting the insertions
-    into canonical (a, basis) order, or [] for a ``real`` kind list with
-    a parity-vanishing insertion.
+    Sorting carries no sign: every caller has checked that the target is
+    a projective space, whose basis classes all have even degree.
     """
     if kind == REAL and any(real_insertion_vanishes(target, a, b)
                             for a, b in insertions):
-        return []
-    sorted_ins, sign = sort_insertions_sign(
-        insertions, lambda insertion: target.degree(insertion[1]))
-    return [(Fraction(sign), InvariantKey(kind, genus, degree, sorted_ins))]
+        return None
+    return InvariantKey(kind, genus, degree, sorted(insertions))
 
 
 class InvariantTable:
@@ -258,16 +254,22 @@ class InvariantTable:
         StoreFormatError; ``_read_entry`` lists what an entry must hold.
         """
         data = read_cache_json(path)
-        try:
-            file_target = TargetSpace.from_json(data["target"])
-        except TARGET_DATA_ERRORS as e:
-            raise StoreFormatError("bad target in cache: %s" % _reason(e))
-        if target is not None:
-            if target.to_json() != file_target.to_json():
-                raise StoreFormatError(
-                    "cache file is for target %s, session target is %s"
-                    % (file_target.name, target.name))
+        # the common case: the file holds the session target's own JSON
+        # (a string test, so 1.0 or true never stands in for 1)
+        if target is not None and json.dumps(
+                data.get("target"), sort_keys=True) == target.dumps():
             file_target = target
+        else:
+            try:
+                file_target = TargetSpace.from_json(data["target"])
+            except TARGET_DATA_ERRORS as e:
+                raise StoreFormatError("bad target in cache: %s" % _reason(e))
+            if target is not None:
+                if target.to_json() != file_target.to_json():
+                    raise StoreFormatError(
+                        "cache file is for target %s, session target is %s"
+                        % (file_target.name, target.name))
+                file_target = target
         raw_sign = data.get("seed_sign")
         seed_sign = {"+1": 1, "-1": -1}.get(raw_sign) \
             if isinstance(raw_sign, str) else None

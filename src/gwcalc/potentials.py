@@ -359,11 +359,11 @@ def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
     return out
 
 
-def build_potentials(tables, truncation, descendant_depth=2,
+def build_potentials(table, truncation, descendant_depth=2,
                      complex_value=None, real_value=None):
     """Assemble the genus-0 generating functions from an invariant table.
 
-    tables: an InvariantTable (its target is used throughout).
+    table: an InvariantTable (its target is used throughout).
     truncation: (t_max, q_max), the bounds on total t-degree and q power.
     descendant_depth: highest descendant level included as a variable.
     complex_value / real_value: optional callables mapping a canonical key
@@ -388,7 +388,6 @@ def build_potentials(tables, truncation, descendant_depth=2,
         raise SeriesError("truncation bounds must be non-negative")
     if descendant_depth < 0:
         raise SeriesError("descendant depth must be non-negative")
-    table = tables
     target = table.target
     for i in range(1, target.num_basis + 1):
         if target.degree(i) % 2:

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariant_store import (REAL, COMPLEX, InvariantKey, normalize,
-                              real_insertion_vanishes)
+from .invariant_store import REAL, COMPLEX, InvariantKey, normalize
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
-                             InconsistentSystemError, _axiom_route,
-                             _collect_terms, _multisets_exact,
+                             InconsistentSystemError, _axiom_route, _combine,
+                             _divisor_terms, _first_descendant_slot,
+                             _multisets_exact, _pinned_degree,
                              _removable_slot, _require_projective,
                              _session_table, _solve_block, _strip_primary,
-                             filter_real, primary_unknowns, vdim_real)
+                             _two_sided_splits, evaluate_terms, filter_real,
+                             primary_unknowns, vdim_real)
 
 
 def _require_real_target(target):
@@ -82,15 +83,8 @@ def reduce_real_axioms(key, target):
         if coeff:
             out.append((coeff, rest))
     else:  # divisor
-        if d:
-            out.append((Fraction(d), rest))
-        # on P^n, h * e_b = e_(b+1), and 0 past the point class
-        for i, (a, b) in enumerate(rest):
-            if a >= 1 and b < target.num_basis:
-                ins = list(rest)
-                ins[i] = (a - 1, b + 1)
-                out.append((Fraction(2), ins))
-    return _collect_terms(target, REAL, g, d, out)
+        out = _divisor_terms(target, d, rest, 2)
+    return _combine((c, normalize(target, REAL, g, d, ins)) for c, ins in out)
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +135,13 @@ def rwdvv_relation(target, mu, degree, complex_session):
     for b in mu[1:]:
         if target.sign(b) != -1:
             raise ValueError("slots 2.. must carry minus-eigenspace classes")
-    terms = {}
-    free = list(range(3, len(mu)))
+    terms = []
     diag = target.diagonal_decomposition()
     for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
         # side +1: slot 2 real side, slots 1 and 3 complex side
-        for pick in range(1 << len(free)):
-            real_side = [mu[real_anchor]]
-            complex_side = [mu[0], mu[complex_anchor]]
-            for t, idx in enumerate(free):
-                if pick >> t & 1:
-                    real_side.append(mu[idx])
-                else:
-                    complex_side.append(mu[idx])
+        for first, second in _two_sided_splits(mu[3:]):
+            real_side = [mu[real_anchor]] + first
+            complex_side = [mu[0], mu[complex_anchor]] + second
             # weight 2 per insertion on the doubled (complex) side
             weight = Fraction(2) ** len(complex_side)
             for d0 in range(1, degree + 1):
@@ -170,11 +158,8 @@ def rwdvv_relation(target, mu, degree, complex_session):
                         dprime, [ej] + complex_side)
                     if not cval:
                         continue
-                    coeff = side * weight * gcoeff * mult * cval
-                    terms[rkey] = terms.get(rkey, Fraction(0)) + coeff
-    items = [(c, k) for k, c in terms.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
-    return items
+                    terms.append((side * weight * gcoeff * mult * cval, rkey))
+    return _combine(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +229,8 @@ class RealSession:
         ``rwdvv_instances``.  Returns the exact failure amount (zero on
         a consistent table)."""
         row, rhs = self._relation_row(ks, degree)
-        total = -rhs
-        for key, coeff in row.items():
-            total += coeff * self.value(key)
-        return total
+        return evaluate_terms(((c, k) for k, c in row.items()),
+                              self.value) - rhs
 
     def _block_rows(self, d, unknowns):
         """Yield (row, rhs) for the admissible relation instances at real
@@ -287,9 +270,7 @@ class RealSession:
     def primary_value(self, degree, basis_list):
         """Value of a primary real invariant given as a degree and a list
         of basis indices (divisor/unit insertions handled on the fly)."""
-        if degree < 0:
-            return Fraction(0)
-        if degree == 0:
+        if degree <= 0:
             return Fraction(0)
         canon = _strip_primary(self.target, REAL, degree, basis_list)
         if canon is None:
@@ -335,9 +316,7 @@ class RealSession:
         else:
             terms = reduce_descendant_rtrr(key, self)
             prov = "rtrr"
-        val = Fraction(0)
-        for coeff, rkey in terms:
-            val += coeff * self.value(rkey)
+        val = evaluate_terms(terms, self.value)
         self.table.put(key, val, prov)
         return val
 
@@ -368,51 +347,31 @@ def reduce_descendant_rtrr(key, session):
     if d < 1:
         raise AxiomPreconditionError("descendant reduction needs degree >= 1")
     ins = key.insertions
-    i_slot = None
-    for idx, (a, _) in enumerate(ins):
-        if a >= 1:
-            i_slot = idx
-            break
-    if i_slot is None:
-        raise AxiomPreconditionError("no descendant insertion in %r" % (key,))
+    i_slot = _first_descendant_slot(key)
     a_i, b_i = ins[i_slot]
-    others = [idx for idx in range(len(ins)) if idx != i_slot]
+    others = [ins[idx] for idx in range(len(ins)) if idx != i_slot]
     inv_d = Fraction(1, d)
-    terms = {}
+    terms = []
 
     # leading contact term: weight -2, divisor onto the descendant slot
     # (h * e_b = e_(b+1); past the point class the term drops)
     if b_i < target.num_basis:
         contact = list(ins)
         contact[i_slot] = (a_i - 1, b_i + 1)
-        for c, k in normalize(target, REAL, 0, d, contact):
-            terms[k] = terms.get(k, Fraction(0)) - 2 * inv_d * c
+        terms.append((-2 * inv_d, normalize(target, REAL, 0, d, contact)))
 
     # All basis classes have even degree, so both factors can be built by
     # plain sorting; the grading pins down the unique degree split per
     # diagonal term and everything else is structurally zero.
     diag = target.diagonal_decomposition()
-    n = target.complex_dim
-    c1 = target.c1_pairing
-    for pick in range(1 << len(others)):
-        conj_side = [(a_i - 1, b_i)]
-        real_side = []
-        s_count = 0
-        for t, idx in enumerate(others):
-            if pick >> t & 1:
-                conj_side.append(ins[idx])
-                s_count += 1
-            else:
-                real_side.append(ins[idx])
+    for first, real_side in _two_sided_splits(others):
+        conj_side = [(a_i - 1, b_i)] + first
         sum_c = sum(2 * a + target.degree(b) for a, b in conj_side)
         sum_r = sum(2 * a + target.degree(b) for a, b in real_side)
         for gcoeff, (ea, eb) in diag:
-            num = sum_c + target.degree(ea) \
-                - 2 * ((n - 3) + len(conj_side) + 1)
-            if num % (2 * c1):
-                continue
-            dprime = num // (2 * c1)
-            if dprime < 0:
+            dprime = _pinned_degree(target, sum_c + target.degree(ea),
+                                    len(conj_side) + 1)
+            if dprime is None or dprime < 0:
                 continue
             d0 = d - 2 * dprime
             if d0 < 1:
@@ -423,16 +382,12 @@ def reduce_descendant_rtrr(key, session):
             if sum_r + target.degree(eb) != \
                     vdim_real(0, len(rfactor), d0, target):
                 continue
-            if any(real_insertion_vanishes(target, ra, rb)
-                   for ra, rb in rfactor):
+            rk = normalize(target, REAL, 0, d0, rfactor)
+            if rk is None:
                 continue
             cval = session.complex.value(InvariantKey(
                 COMPLEX, 0, dprime, sorted(conj_side + [(0, ea)])))
             if not cval:
                 continue
-            coeff = inv_d * d0 * (1 << s_count) * gcoeff * cval
-            rk = InvariantKey(REAL, 0, d0, sorted(rfactor))
-            terms[rk] = terms.get(rk, Fraction(0)) + coeff
-    items = [(c, k) for k, c in terms.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
-    return items
+            terms.append((inv_d * d0 * 2 ** len(first) * gcoeff * cval, rk))
+    return _combine(terms)

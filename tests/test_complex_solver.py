@@ -214,6 +214,16 @@ def test_reduce_axioms_preconditions(p2):
         reduce_axioms(key(0, [(0, 1), (0, 3), (0, 3)]), p2)
 
 
+def test_reduce_axioms_refuses_non_projective_target(torus):
+    # the string step would give <tau_0(b), tau_0(a)>, whose sort into
+    # canonical order swaps two odd classes; keys carry no Koszul sign,
+    # so the step is refused up front, like every other solver entry
+    k = key(1, [(0, 1), (0, 3), (1, 2)])
+    with pytest.raises(SolverError, match="projective") as info:
+        reduce_axioms(k, torus)
+    assert not isinstance(info.value, AxiomPreconditionError)
+
+
 def test_reduce_descendant_trr_terms_are_smaller(p2):
     k = key(2, [(2, 3), (1, 3), (0, 2)])
     total = k.total_descendant_power()

@@ -85,31 +85,19 @@ def test_real_insertion_vanishes_table(p3):
 
 
 def test_normalize_sorts_into_one_key(p2):
-    terms = normalize(p2, COMPLEX, 0, 1, [(1, 2), (0, 3), (0, 2)])
-    assert terms == [
-        (Fraction(1), InvariantKey(COMPLEX, 0, 1, [(0, 2), (0, 3), (1, 2)])),
-    ]
-
-
-def test_normalize_koszul_sign(torus):
-    # swapping two odd insertions flips the coefficient
-    fwd = normalize(torus, COMPLEX, 0, 0, [(0, 2), (0, 3)])
-    rev = normalize(torus, COMPLEX, 0, 0, [(0, 3), (0, 2)])
-    assert len(fwd) == len(rev) == 1
-    (cf, kf), (cr, kr) = fwd[0], rev[0]
-    assert kf == kr
-    assert cf == -cr == 1
+    assert normalize(p2, COMPLEX, 0, 1, [(1, 2), (0, 3), (0, 2)]) == \
+        InvariantKey(COMPLEX, 0, 1, [(0, 2), (0, 3), (1, 2)])
 
 
 def test_normalize_drops_real_parity_branches(p3):
     # tau_0 of a plus class vanishes in the real theory, of a minus class
     # it survives; the complex theory keeps both
-    assert normalize(p3, REAL, 0, 1, [(0, 4), (0, 2)]) == [
-        (Fraction(1), InvariantKey(REAL, 0, 1, [(0, 2), (0, 4)]))]
-    assert normalize(p3, REAL, 0, 1, [(0, 2), (0, 1)]) == []
-    assert normalize(p3, REAL, 0, 1, [(0, 1)]) == []
-    assert normalize(p3, COMPLEX, 0, 1, [(0, 2), (0, 1)]) == [
-        (Fraction(1), InvariantKey(COMPLEX, 0, 1, [(0, 1), (0, 2)]))]
+    assert normalize(p3, REAL, 0, 1, [(0, 4), (0, 2)]) == \
+        InvariantKey(REAL, 0, 1, [(0, 2), (0, 4)])
+    assert normalize(p3, REAL, 0, 1, [(0, 2), (0, 1)]) is None
+    assert normalize(p3, REAL, 0, 1, [(0, 1)]) is None
+    assert normalize(p3, COMPLEX, 0, 1, [(0, 2), (0, 1)]) == \
+        InvariantKey(COMPLEX, 0, 1, [(0, 1), (0, 2)])
 
 
 def test_table_put_get_conflict(p2):

@@ -5,7 +5,10 @@ referenced somewhere in the package outside its own definition, and
 every public method of a public class must be accessed as an attribute
 somewhere in the package outside its own body.  The allowlist names the
 few that exist for the tests or the benchmark on purpose, each with the
-reason it stays.
+reason it stays.  Private helpers get the same check with no allowlist:
+every private module-level function must be referenced, and every
+private method (dunders aside) of any class accessed as an attribute,
+outside its own body, so a replaced helper cannot linger.
 """
 
 import ast
@@ -49,6 +52,12 @@ def _public(node, kinds):
     return isinstance(node, kinds) and not node.name.startswith("_")
 
 
+def _private(node, kinds):
+    name = getattr(node, "name", "")
+    return (isinstance(node, kinds) and name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")))
+
+
 def _public_definitions(trees):
     """(module, name, first line, last line) of every public module-level
     function and class."""
@@ -75,6 +84,24 @@ def _public_methods(trees):
     return out
 
 
+def _private_definitions(trees):
+    """Private module-level functions as (module, name, first line, last
+    line), and private methods of module-level classes as (module, class,
+    method, first line, last line); dunders aside."""
+    functions, methods = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if _private(node, ast.FunctionDef):
+                functions.append((module, node.name, node.lineno,
+                                  node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if _private(meth, ast.FunctionDef):
+                        methods.append((module, node.name, meth.name,
+                                        meth.lineno, meth.end_lineno))
+    return functions, methods
+
+
 def _references(trees):
     """(module, line, name) of every name load and attribute access."""
     out = []
@@ -87,32 +114,53 @@ def _references(trees):
     return out
 
 
+def _attribute_accesses(trees):
+    """(module, line, name) of every attribute access."""
+    return [(module, node.lineno, node.attr)
+            for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def _used_outside(name, module, first, last, refs):
+    """Whether ``refs`` name ``name`` outside lines first..last of
+    ``module``."""
+    return any(ref == name and not (ref_mod == module
+                                    and first <= line <= last)
+               for ref_mod, line, ref in refs)
+
+
 def test_every_public_definition_is_used_in_the_package():
     trees = _parse_package()
     refs = _references(trees)
-    unused = []
-    for module, name, first, last in _public_definitions(trees):
-        used = any(ref == name and not (ref_mod == module
-                                        and first <= line <= last)
-                   for ref_mod, line, ref in refs)
-        if not used and name not in ALLOWED:
-            unused.append("%s:%s" % (module, name))
+    unused = ["%s:%s" % (module, name)
+              for module, name, first, last in _public_definitions(trees)
+              if not _used_outside(name, module, first, last, refs)
+              and name not in ALLOWED]
     assert not unused, "only tests reach: %s" % ", ".join(unused)
 
 
 def test_every_public_method_is_used_in_the_package():
     trees = _parse_package()
-    accesses = [(module, node.lineno, node.attr)
-                for module, tree in trees.items()
-                for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-    unused = []
-    for module, cls, name, first, last in _public_methods(trees):
-        used = any(ref == name and not (ref_mod == module
-                                        and first <= line <= last)
-                   for ref_mod, line, ref in accesses)
-        if not used and "%s.%s" % (cls, name) not in ALLOWED:
-            unused.append("%s:%s.%s" % (module, cls, name))
+    accesses = _attribute_accesses(trees)
+    unused = ["%s:%s.%s" % (module, cls, name)
+              for module, cls, name, first, last in _public_methods(trees)
+              if not _used_outside(name, module, first, last, accesses)
+              and "%s.%s" % (cls, name) not in ALLOWED]
     assert not unused, "only tests reach: %s" % ", ".join(unused)
+
+
+def test_every_private_helper_is_used_in_the_package():
+    trees = _parse_package()
+    functions, methods = _private_definitions(trees)
+    refs = _references(trees)
+    unused = ["%s:%s" % (module, name)
+              for module, name, first, last in functions
+              if not _used_outside(name, module, first, last, refs)]
+    accesses = _attribute_accesses(trees)
+    unused += ["%s:%s.%s" % (module, cls, name)
+               for module, cls, name, first, last in methods
+               if not _used_outside(name, module, first, last, accesses)]
+    assert not unused, "defined but never used: %s" % ", ".join(unused)
 
 
 def test_allowlist_is_current():
