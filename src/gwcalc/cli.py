@@ -17,6 +17,7 @@ usage error).
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -171,12 +172,13 @@ def parse_class_name(target, name):
         return nb
     if name == "h":
         k = 1
-    elif name.startswith("h^"):
-        k = int(name[2:])
-    elif name.startswith("h") and name[1:].isdigit():
-        k = int(name[1:])
     else:
-        raise UsageError("unknown class name %r" % name)
+        # ASCII digits only: int() also takes signs, spaces, '_' and
+        # other scripts' digits
+        power = re.fullmatch(r"h\^?([0-9]+)", name)
+        if power is None:
+            raise UsageError("unknown class name %r" % name)
+        k = int(power.group(1))
     if not 1 <= k <= nb - 1:
         raise UsageError("class %r out of range for this target" % name)
     return k + 1
@@ -201,12 +203,9 @@ def parse_insertions(target, spec):
             raise UsageError("empty insertion in %r" % spec)
         if ":" in item:
             a_str, cls = item.split(":", 1)
-            try:
-                a = int(a_str)
-            except ValueError:
+            if not re.fullmatch("[0-9]+", a_str):
                 raise UsageError("bad descendant power in %r" % item)
-            if a < 0:
-                raise UsageError("descendant power must be >= 0 in %r" % item)
+            a = int(a_str)
         else:
             a, cls = 0, item
         out.append((a, parse_class_name(target, cls)))

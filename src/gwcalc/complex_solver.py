@@ -316,23 +316,19 @@ def degree_zero_value(target, insertions):
     [ell >= 3][sum a = ell-3] * (ell-3)!/prod(a_i!) * integral(mu_1...mu_ell).
     The psi-power multinomial is the count of top-degree monomials on the
     (ell-3)-dimensional curve factor; it is cross-checked in the tests
-    against the string-equation recursion for pure psi-integrals.
+    against the string-equation recursion for pure psi-integrals.  Every
+    caller has passed _require_projective, so the target is P^n and
+    e_(b_1)...e_(b_ell) integrates to 1 exactly when sum (b_i - 1) = n,
+    and to 0 otherwise.
     """
     ell = len(insertions)
-    if ell < 3:
-        return Fraction(0)
-    total_a = sum(a for a, _ in insertions)
-    if total_a != ell - 3:
+    if (ell < 3 or sum(a for a, _ in insertions) != ell - 3
+            or sum(b - 1 for _, b in insertions) != target.complex_dim):
         return Fraction(0)
     coeff = math.factorial(ell - 3)
     for a, _ in insertions:
         coeff //= math.factorial(a)
-    prod = target.unit()
-    for _, b in insertions:
-        prod = prod * target.basis_element(b)
-        if not prod:
-            return Fraction(0)
-    return Fraction(coeff) * target.integral(prod)
+    return Fraction(coeff)
 
 
 def psi_multinomial_recursive(powers):
@@ -769,7 +765,7 @@ def _session_table(target, table):
     one when it is None.  A table of another target is refused."""
     if table is None:
         return InvariantTable(target)
-    if table.target.to_json() != target.to_json():
+    if table.target != target:
         raise ValueError("table belongs to a different target")
     return table
 

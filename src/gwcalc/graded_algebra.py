@@ -1,12 +1,14 @@
-"""Exact cohomology-ring arithmetic for calculator targets.
+"""Cohomology-ring data of calculator targets.
 
 A target bundles a finite graded Q-algebra basis with its intersection
 pairing, a diagonal involution action on cohomology, and the curve-class
 constants the solvers read off it (first-Chern pairing, Euler
-characteristic, how the involution acts on curve degrees).  Complex
-projective spaces are built in; arbitrary ring data can be loaded from
-JSON, mainly so the sign machinery can be exercised on odd-degree
-classes.
+characteristic, how the involution acts on curve degrees).  The ring is
+its exact structure constants on basis indices: ``mult_basis(i, j)``
+gives e_i * e_j as a {k: Fraction} dict, and there is no class type.
+Complex projective spaces are built in; arbitrary ring data can be
+loaded from JSON, mainly so the sign machinery can be exercised on
+odd-degree classes.
 
 All scalars are exact `fractions.Fraction`; basis indices are 1-based
 everywhere in the public interface, and the basis is ordered by
@@ -40,62 +42,6 @@ class TargetValidationError(ValueError):
 # and TargetValidationError (a ValueError).
 TARGET_DATA_ERRORS = (KeyError, TypeError, ValueError, IndexError,
                       ZeroDivisionError)
-
-
-class CohClass:
-    """A cohomology class: sparse rational combination of basis elements.
-
-    Coefficients live in ``coeffs`` as a dict mapping 1-based basis index
-    to a nonzero Fraction.  Instances are tied to their target and support
-    +, -, scalar multiplication and cup product via ``*``.
-    """
-
-    __slots__ = ("target", "coeffs")
-
-    def __init__(self, target, coeffs):
-        self.target = target
-        self.coeffs = {i: Fraction(c) for i, c in coeffs.items() if c}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohClass) and self.target is other.target
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return CohClass(self.target, out)
-
-    def __neg__(self):
-        return CohClass(self.target, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, r):
-        r = Fraction(r)
-        return CohClass(self.target, {i: c * r for i, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, CohClass):
-            return self.target.cup(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in sorted(self.coeffs):
-            bits.append("%s*e%d" % (self.coeffs[i], i))
-        return " + ".join(bits)
 
 
 class TargetSpace:
@@ -158,37 +104,11 @@ class TargetSpace:
     def pairing_entry(self, i, j):
         return self._pairing[i - 1][j - 1]
 
-    def basis_element(self, i):
-        return CohClass(self, {i: Fraction(1)})
-
-    def unit(self):
-        return self.basis_element(1)
-
     # -- ring operations ------------------------------------------------
 
     def mult_basis(self, i, j):
         """Structure constants of e_i * e_j as a {k: Fraction} dict."""
         return self._mult[i - 1][j - 1]
-
-    def cup(self, a, b):
-        """Cup product of two classes (graded-commutative, exact)."""
-        out = {}
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
-                for k, c in self.mult_basis(i, j).items():
-                    out[k] = out.get(k, Fraction(0)) + ca * cb * c
-        return CohClass(self, out)
-
-    def integral(self, a):
-        """Pairing of a class against the fundamental class: <a, X>.
-
-        Equals g(a, 1) with g the intersection pairing, i.e. the
-        top-degree coefficient in the chosen volume normalization.
-        """
-        tot = Fraction(0)
-        for i, c in a.coeffs.items():
-            tot += c * self.pairing_entry(i, 1)
-        return tot
 
     def pairing_inverse(self):
         """Inverse pairing matrix as nested lists, indexed from 0.
@@ -315,15 +235,20 @@ class TargetSpace:
                         "involution signs incompatible with the pairing at (%d, %d)"
                         % (i, j))
         if n <= 8:
+            def product(x, y):
+                # {index: coeff} vectors multiplied over mult_basis
+                out = {}
+                for p, a in x.items():
+                    for q, b in y.items():
+                        for r, c in self.mult_basis(p, q).items():
+                            out[r] = out.get(r, 0) + a * b * c
+                return {r: c for r, c in out.items() if c}
+
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     for k in range(1, n + 1):
-                        left = self.cup(self.cup(self.basis_element(i),
-                                                 self.basis_element(j)),
-                                        self.basis_element(k))
-                        right = self.cup(self.basis_element(i),
-                                         self.cup(self.basis_element(j),
-                                                  self.basis_element(k)))
+                        left = product(self.mult_basis(i, j), {k: 1})
+                        right = product({i: 1}, self.mult_basis(j, k))
                         if left != right:
                             raise TargetValidationError(
                                 "cup product not associative at (%d, %d, %d)"
@@ -356,9 +281,10 @@ class TargetSpace:
 
         ``involution_signs`` may also be a full square matrix; only a
         diagonal one is accepted (converted to the sign list).  ``name``
-        must be a JSON string, ``fixed_locus_empty`` a JSON bool and the
-        four integer constants JSON integers; anything else raises
-        TargetValidationError rather than being coerced.
+        must be a JSON string, ``fixed_locus_empty`` a JSON bool, and the
+        four integer constants, the basis degrees and a sign list JSON
+        integers; anything else raises TargetValidationError rather than
+        being coerced.
         """
         signs = data["involution_signs"]
         if signs and isinstance(signs[0], (list, tuple)):
@@ -384,6 +310,11 @@ class TargetSpace:
             if type(data[field]) is not int:
                 raise TargetValidationError(
                     "%s must be a JSON integer" % field)
+        for field, values in (("basis_degrees", data["basis_degrees"]),
+                              ("involution_signs", signs)):
+            if any(type(v) is not int for v in values):
+                raise TargetValidationError(
+                    "%s must be JSON integers" % field)
         return cls(
             name=data["name"],
             complex_dim=data["complex_dim"],
@@ -453,22 +384,8 @@ def make_projective(m, involution):
     if involution not in ("tau", "eta"):
         raise ValueError("involution must be 'tau' or 'eta'")
     n = 2 * m - 1
-    N = n + 1
-    mult = [[[Fraction(int(i + j == k)) for k in range(N)]
-             for j in range(N)] for i in range(N)]
-    pairing = [[Fraction(int(i + j == N - 1)) for j in range(N)] for i in range(N)]
-    return TargetSpace(
-        name="P%d-%s" % (n, involution),
-        complex_dim=n,
-        basis_degrees=[2 * k for k in range(N)],
-        mult_table=mult,
-        pairing=pairing,
-        involution_signs=[(-1) ** k for k in range(N)],
-        c1_pairing=N,
-        degree_negation=1,
-        euler_char=N,
-        fixed_locus_empty=(involution == "eta"),
-    )
+    return _projective_space(n, "P%d-%s" % (n, involution),
+                             fixed_locus_empty=(involution == "eta"))
 
 
 def make_p2():
@@ -479,22 +396,27 @@ def make_p2():
     recursion needs the odd-dimensional setup), so the involution data
     is carried but only the complex side is exercised.
     """
-    n = 2
-    N = 3
+    return _projective_space(2, "P2", fixed_locus_empty=False)
+
+
+def _projective_space(n, name, fixed_locus_empty):
+    """P^n: basis h^0..h^n, h^i h^j = h^(i+j), anti-diagonal pairing,
+    and the involution acting on h^k by (-1)^k."""
+    N = n + 1
     mult = [[[Fraction(int(i + j == k)) for k in range(N)]
              for j in range(N)] for i in range(N)]
     pairing = [[Fraction(int(i + j == N - 1)) for j in range(N)] for i in range(N)]
     return TargetSpace(
-        name="P2",
+        name=name,
         complex_dim=n,
-        basis_degrees=[0, 2, 4],
+        basis_degrees=[2 * k for k in range(N)],
         mult_table=mult,
         pairing=pairing,
-        involution_signs=[1, -1, 1],
-        c1_pairing=3,
+        involution_signs=[(-1) ** k for k in range(N)],
+        c1_pairing=N,
         degree_negation=1,
-        euler_char=3,
-        fixed_locus_empty=False,
+        euler_char=N,
+        fixed_locus_empty=fixed_locus_empty,
     )
 
 

@@ -265,7 +265,7 @@ class InvariantTable:
             except TARGET_DATA_ERRORS as e:
                 raise StoreFormatError("bad target in cache: %s" % _reason(e))
             if target is not None:
-                if target.to_json() != file_target.to_json():
+                if target != file_target:
                     raise StoreFormatError(
                         "cache file is for target %s, session target is %s"
                         % (file_target.name, target.name))

@@ -115,6 +115,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err
+    # class powers and descendant powers take ASCII digits only
+    bad_names = [("--insertions", spec) for spec in
+                 ("h^x", "h\u00b2", "h^", "h^1e3", "h^ 2", "h^+2",
+                  "h^\u0662", "1_0:pt")]
+    bad_names.append(("--insertions-only", "h^z"))
+    for flag, spec in bad_names:
+        code, out, err = run(capsys, "compute", "--target", "P2",
+                             "--degree", "1", flag, spec)
+        assert code == 2, spec
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, spec
 
 
 def test_no_command_exits_2(capsys):
@@ -186,6 +197,10 @@ BAD_TARGET_FILES = {
     "euler-char-3.0": _p2_json_with("euler_char", 3.0),
     "c1-pairing-string": _p2_json_with("c1_pairing", "3"),
     "degree-negation-true": _p2_json_with("degree_negation", True),
+    "basis-degrees-2.5": _p2_json_with("basis_degrees", [0, 2.5, 4]),
+    "basis-degrees-string": _p2_json_with("basis_degrees", ["0", "2", "4"]),
+    "signs-1.0": _p2_json_with("involution_signs", [1, -1.0, 1]),
+    "signs-true": _p2_json_with("involution_signs", [True, -1, True]),
 }
 
 

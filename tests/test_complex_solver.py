@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.graded_algebra import make_p2, make_projective
+from gwcalc.graded_algebra import (builtin_target, builtin_target_names,
+                                   make_p2, make_projective)
 from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
                                     StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
@@ -82,6 +83,35 @@ def test_degree_zero_values(p2, p3):
     assert degree_zero_value(p2, [(1, 2), (0, 2), (0, 1), (0, 1)]) == 1
     assert degree_zero_value(p3, [(0, 2), (0, 2), (0, 3)]) == 0
     assert degree_zero_value(p3, [(0, 2), (0, 2), (0, 2)]) == 1
+
+
+def test_degree_zero_value_matches_structure_constants():
+    # the P^n index rule against the ring product over mult_basis, with
+    # the psi coefficient from the string-relation oracle
+    cases = 0
+    for name in builtin_target_names():
+        target = builtin_target(name)
+        for ell in range(3, 7):
+            for basis in itertools.combinations_with_replacement(
+                    range(1, target.num_basis + 1), ell):
+                vec = {1: Fraction(1)}
+                for b in basis:
+                    out = {}
+                    for i, c in vec.items():
+                        for k, cm in target.mult_basis(i, b).items():
+                            out[k] = out.get(k, 0) + c * cm
+                    vec = out
+                integral = sum(c * target.pairing_entry(i, 1)
+                               for i, c in vec.items())
+                for powers in itertools.combinations_with_replacement(
+                        range(3), ell):
+                    if sum(powers) != ell - 3:
+                        continue
+                    insertions = list(zip(powers, basis))
+                    assert degree_zero_value(target, insertions) == \
+                        psi_multinomial_recursive(powers) * integral
+                    cases += 1
+    assert cases == 14980
 
 
 def test_p2_counts_match_oracle(p2_session):

@@ -35,7 +35,7 @@ ALLOWED = {
     "InvariantTable.provenance": "reads the tag every entry and cache "
                                  "file carries; the route tests check it, "
                                  "and a cache show breakdown by route "
-                                 "(ROADMAP item 4) would use it",
+                                 "(ROADMAP item 5(c)) would use it",
 }
 
 
