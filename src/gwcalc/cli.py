@@ -38,7 +38,7 @@ from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              wdvv_instances)
 from .real_solver import (RealSession, reduce_real_axioms,
                           reduce_descendant_rtrr, rwdvv_instances)
-from .potentials import (build_potentials,
+from .potentials import (build_potential,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
                          residual_string_real, residual_wdvv_pde,
@@ -77,11 +77,11 @@ def build_parser():
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility and ignored: "
                             "gwcalc computes in one thread")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
 
     pc = sub.add_parser("compute", help="solve and print invariants")
     add_common(pc)
+    pc.add_argument("--format", choices=("text", "json", "csv"),
+                    default="text")
     pc.add_argument("--real", action="store_true",
                     help="real invariants instead of complex")
     pc.add_argument("--max-degree", type=int, default=None)
@@ -422,11 +422,8 @@ def suite_wdvv(target, args, csession, rsession):
             return False, "instance %r at degree %d sums to %s" \
                 % (mu, d, total), len(work)
     checks = len(work)
-    pots = build_potentials(csession.table, (6, min(args.max_degree, 3)),
-                            descendant_depth=0,
-                            complex_value=csession.value,
-                            real_value=rsession.value if rsession else None)
-    phi = pots["complex_primary"]
+    phi = build_potential(target, COMPLEX, csession.value,
+                          (6, min(args.max_degree, 3)))
     nb = target.num_basis
     for i1 in range(1, nb + 1):
         for i2 in range(1, nb + 1):
@@ -452,12 +449,10 @@ def suite_rwdvv(target, args, csession, rsession):
             return False, "instance %r at degree %d sums to %s" \
                 % (ks, d, total), len(work)
     checks = len(work)
-    pots = build_potentials(rsession.table, (6, min(args.max_degree, 4)),
-                            descendant_depth=0,
-                            complex_value=csession.value,
-                            real_value=rsession.value)
-    omega = pots["real_primary"]
-    doubled = pots["complex_doubled"]
+    truncation = (6, min(args.max_degree, 4))
+    doubled = build_potential(target, COMPLEX, csession.value, truncation,
+                              doubled=True)
+    omega = build_potential(target, REAL, rsession.value, truncation)
     nb = target.num_basis
     for i1 in range(1, nb + 1):
         if target.sign(i1) != 1:
@@ -480,17 +475,16 @@ def _suite_descendant_residuals(args, csession, rsession,
                                 complex_residual, real_residual):
     """Shared body of the string and dilaton suites: build the descendant
     potentials to depth 2 and check that both residuals vanish."""
-    pots = build_potentials(
-        csession.table, (6, min(args.max_degree, 3)), descendant_depth=2,
-        complex_value=csession.value,
-        real_value=rsession.value if rsession is not None else None)
+    truncation = (6, min(args.max_degree, 3))
     checks = 1
-    res = complex_residual(pots["complex_descendant"])
+    res = complex_residual(build_potential(
+        csession.target, COMPLEX, csession.value, truncation, depth=2))
     if not res.is_zero():
         return False, "complex residual has %s" % _first_term(res), checks
     if rsession is not None:
         checks += 1
-        res = real_residual(pots["real_descendant"])
+        res = real_residual(build_potential(
+            rsession.target, REAL, rsession.value, truncation, depth=2))
         if not res.is_zero():
             return False, "real residual has %s" % _first_term(res), checks
     return True, "", checks

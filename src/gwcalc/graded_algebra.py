@@ -282,9 +282,9 @@ class TargetSpace:
         ``involution_signs`` may also be a full square matrix; only a
         diagonal one is accepted (converted to the sign list).  ``name``
         must be a JSON string, ``fixed_locus_empty`` a JSON bool, and the
-        four integer constants, the basis degrees and a sign list JSON
-        integers; anything else raises TargetValidationError rather than
-        being coerced.
+        four integer constants, the basis degrees and every sign (list or
+        matrix entry) JSON integers; anything else raises
+        TargetValidationError rather than being coerced.
         """
         signs = data["involution_signs"]
         if signs and isinstance(signs[0], (list, tuple)):
@@ -292,9 +292,12 @@ class TargetSpace:
             diag = []
             for i in range(n):
                 for j in range(n):
-                    v = Fraction(str(signs[i][j]))
+                    v = signs[i][j]
+                    if type(v) is not int:
+                        raise TargetValidationError(
+                            "involution_signs must be JSON integers")
                     if i == j:
-                        diag.append(int(v))
+                        diag.append(v)
                     elif v:
                         raise TargetValidationError(
                             "only diagonal involution actions are supported")

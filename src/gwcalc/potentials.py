@@ -12,20 +12,22 @@ variables) and the square of an odd variable is zero.  Derivatives act
 from the left: differentiating by an odd variable first anticommutes it
 to the front of the monomial.
 
-``build_potentials`` assembles the five genus-0 generating functions of a
-solved invariant table, over the keys that complex_solver's key
-enumerator (graded_keys) lists for each coefficient window:
+``build_potential`` builds one genus-0 generating function per call, over
+the keys that complex_solver's key enumerator (graded_keys) lists for each
+coefficient window, and reads every coefficient through a value function
+(a session's ``value``):
 
-* ``complex_primary``     -- primary-insertion potential, one q power per
-  curve degree, coefficient <mu>/prod(mult!);
-* ``complex_descendant``  -- the same with descendant variables up to a
-  configurable depth;
-* ``complex_doubled``     -- the primary potential re-indexed so a curve of
-  degree d' contributes q^(2d') (its image under degree doubling), the form
-  that couples to the real potential;
-* ``real_primary``        -- real-curve potential with the half-weight
-  convention, coefficient <mu>/(2^ell * prod(mult!));
-* ``real_descendant``     -- its descendant extension.
+* a complex potential, one q power per curve degree, coefficient
+  <mu>/prod(mult!), in the primary variables or with descendant variables
+  up to a given depth;
+* the doubled complex primary potential, re-indexed so a curve of degree
+  d' contributes q^(2d') (its image under degree doubling), the form that
+  couples to the real potential;
+* a real potential with the half-weight convention, coefficient
+  <mu>/(2^ell * prod(mult!)), primary or with descendants.
+
+``build_potentials`` returns these under the names complex_primary,
+complex_descendant, complex_doubled, real_primary and real_descendant.
 
 Only the genus-0 coefficient window of each potential is materialized; the
 loop-counting variable is tracked symbolically as a single exponent per
@@ -50,14 +52,6 @@ from .complex_solver import graded_keys, insertion_variables
 
 class SeriesError(Exception):
     """Raised for malformed series operations (truncation mismatch etc.)."""
-
-
-class MissingInvariantError(SeriesError):
-    """A potential coefficient needs an invariant the table does not hold."""
-
-    def __init__(self, key):
-        self.key = key
-        SeriesError.__init__(self, "missing invariant for key %r" % (key,))
 
 
 def _check_var(var):
@@ -197,9 +191,6 @@ class GradedSeries:
                 out.terms[key] = val
         return out
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
         return self + other.scale(-1)
 
@@ -295,17 +286,11 @@ class GradedSeries:
         """Copy with a tighter truncation (terms beyond it dropped)."""
         new_t = self.t_max if t_max is None else min(t_max, self.t_max)
         new_q = self.q_max if q_max is None else min(q_max, self.q_max)
-        if new_t < 0:
-            new_t = 0
-            keep_none = True
-        else:
-            keep_none = False
-        out = GradedSeries(self.target, new_t, new_q,
+        out = GradedSeries(self.target, max(new_t, 0), new_q,
                            depth=self.depth, lam_power=self.lam_power)
-        if not keep_none:
-            for (q, vars_tuple), c in self.terms.items():
-                if q <= new_q and self._t_degree(vars_tuple) <= new_t:
-                    out.terms[(q, vars_tuple)] = c
+        for (q, vars_tuple), c in self.terms.items():
+            if q <= new_q and self._t_degree(vars_tuple) <= new_t:
+                out.terms[(q, vars_tuple)] = c
         return out
 
     # ----- serialization ---------------------------------------------------
@@ -326,25 +311,42 @@ class GradedSeries:
 # ----- building the potentials ---------------------------------------------
 
 
-def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
-               doubled=False):
-    lam = -2 if kind == COMPLEX else -1
-    out = GradedSeries(target, t_max, q_max, depth=depth, lam_power=lam)
-    if kind == COMPLEX:
-        degrees = range(0, q_max + 1)
-    else:
-        degrees = range(1, q_max + 1)
+def build_potential(target, kind, value, truncation, depth=0, doubled=False):
+    """One genus-0 generating function of a theory, over the keys that
+    graded_keys lists for each coefficient window.
+
+    kind: COMPLEX or REAL.
+    value: a callable mapping a canonical key of that kind to its
+        invariant, e.g. a session's ``value`` (which reads the table first).
+    truncation: (t_max, q_max), the bounds on total t-degree and q power.
+    depth: highest descendant level included as a variable.
+    doubled: re-index so a curve of degree d contributes q^(2d), the form
+        of the complex primary potential that couples to the real one.
+
+    Coefficient conventions: the coefficient of a complex monomial is the
+    invariant divided by the product of variable-multiplicity factorials
+    (equivalently, the sum over ordered insertion sequences carries 1/ell!);
+    real coefficients carry an extra 1/2 per insertion.  Every basis class
+    must be even, so the ordered-to-canonical monomial conversion is
+    sign-free.
+    """
+    if not (isinstance(truncation, (tuple, list)) and len(truncation) == 2):
+        raise SeriesError("truncation must be (t_max, q_max)")
+    t_max, q_max = int(truncation[0]), int(truncation[1])
+    if depth < 0:
+        raise SeriesError("descendant depth must be non-negative")
+    for i in range(1, target.num_basis + 1):
+        if target.degree(i) % 2:
+            raise SeriesError(
+                "potentials need an even-degree basis; class %d is odd" % i)
+    out = GradedSeries(target, t_max, q_max, depth=depth,
+                       lam_power=-2 if kind == COMPLEX else -1)
     variables = insertion_variables(target, kind, depth)
-    for d in degrees:
-        if doubled and 2 * d > q_max:
-            break
+    step = 2 if doubled else 1
+    for d in range(0 if kind == COMPLEX else 1, q_max // step + 1):
         for ell in range(0, t_max + 1):
             for key in graded_keys(target, kind, d, ell, variables):
-                val = table.get(key)
-                if val is None:
-                    if value_fn is None:
-                        raise MissingInvariantError(key)
-                    val = value_fn(key)
+                val = value(key)
                 if val == 0:
                     continue
                 vars_tuple = tuple((var, len(list(run)))
@@ -355,60 +357,32 @@ def _build_one(table, target, kind, depth, t_max, q_max, value_fn,
                 coeff = Fraction(val, aut)
                 if kind == REAL:
                     coeff /= 2 ** ell
-                out.add_term(2 * d if doubled else d, vars_tuple, coeff)
+                out.add_term(step * d, vars_tuple, coeff)
     return out
 
 
-def build_potentials(table, truncation, descendant_depth=2,
-                     complex_value=None, real_value=None):
-    """Assemble the genus-0 generating functions from an invariant table.
-
-    table: an InvariantTable (its target is used throughout).
-    truncation: (t_max, q_max), the bounds on total t-degree and q power.
-    descendant_depth: highest descendant level included as a variable.
-    complex_value / real_value: optional callables mapping a canonical key
-        to its value; when omitted, every needed invariant must already be
-        stored and a missing one raises MissingInvariantError.
-
-    Returns a dict with keys complex_primary, complex_descendant,
-    complex_doubled and, when the target carries a real theory (odd complex
-    dimension), real_primary and real_descendant.
-
-    Coefficient conventions: the coefficient of a complex monomial is the
-    invariant divided by the product of variable-multiplicity factorials
-    (equivalently, the sum over ordered insertion sequences carries 1/ell!);
-    real coefficients carry an extra 1/2 per insertion.  All basis classes
-    of the built-in targets are even, so the ordered-to-canonical monomial
-    conversion is sign-free.
-    """
-    if not (isinstance(truncation, (tuple, list)) and len(truncation) == 2):
-        raise SeriesError("truncation must be (t_max, q_max)")
-    t_max, q_max = int(truncation[0]), int(truncation[1])
-    if t_max < 0 or q_max < 0:
-        raise SeriesError("truncation bounds must be non-negative")
-    if descendant_depth < 0:
-        raise SeriesError("descendant depth must be non-negative")
+def build_potentials(table, truncation, descendant_depth=2, *,
+                     complex_value, real_value=None):
+    """The named potentials of a table's target, one build_potential call
+    each: complex_primary, complex_descendant (to descendant_depth) and
+    complex_doubled from complex_value, and real_primary and
+    real_descendant from real_value when it is given."""
     target = table.target
-    for i in range(1, target.num_basis + 1):
-        if target.degree(i) % 2:
-            raise SeriesError(
-                "potentials need an even-degree basis; class %d is odd" % i)
     out = {
-        "complex_primary": _build_one(table, target, COMPLEX, 0,
-                                      t_max, q_max, complex_value),
-        "complex_descendant": _build_one(table, target, COMPLEX,
-                                         descendant_depth, t_max, q_max,
-                                         complex_value),
-        "complex_doubled": _build_one(table, target, COMPLEX, 0,
-                                      t_max, q_max, complex_value,
-                                      doubled=True),
+        "complex_primary": build_potential(target, COMPLEX, complex_value,
+                                           truncation),
+        "complex_descendant": build_potential(target, COMPLEX,
+                                              complex_value, truncation,
+                                              descendant_depth),
+        "complex_doubled": build_potential(target, COMPLEX, complex_value,
+                                           truncation, doubled=True),
     }
-    if target.complex_dim % 2 == 1:
-        out["real_primary"] = _build_one(table, target, REAL, 0,
-                                         t_max, q_max, real_value)
-        out["real_descendant"] = _build_one(table, target, REAL,
-                                            descendant_depth, t_max, q_max,
-                                            real_value)
+    if real_value is not None:
+        out["real_primary"] = build_potential(target, REAL, real_value,
+                                              truncation)
+        out["real_descendant"] = build_potential(target, REAL, real_value,
+                                                 truncation,
+                                                 descendant_depth)
     return out
 
 

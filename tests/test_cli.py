@@ -11,6 +11,7 @@ from gwcalc.cli import emit_rows, main
 from gwcalc.graded_algebra import TargetSpace, frac_to_str, make_p2
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable)
+from gwcalc.real_solver import RealSession
 
 
 def run(capsys, *argv):
@@ -109,6 +110,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("verify", "--target", "P2", "--max-degree", "1",
          "--descendant-depth", "2"),
         ("verify", "--target", "P2", "--suite", "nonsense"),
+        # verify prints text only
+        ("verify", "--target", "P2", "--max-degree", "1", "--suite",
+         "divisor", "--format", "csv"),
         ("cache", "show"),
     ]
     for argv in cases:
@@ -201,6 +205,12 @@ BAD_TARGET_FILES = {
     "basis-degrees-string": _p2_json_with("basis_degrees", ["0", "2", "4"]),
     "signs-1.0": _p2_json_with("involution_signs", [1, -1.0, 1]),
     "signs-true": _p2_json_with("involution_signs", [True, -1, True]),
+    "signs-matrix-1.0": _p2_json_with(
+        "involution_signs", [["1.0", 0, 0], [0, -1, 0], [0, 0, 1]]),
+    "signs-matrix--2/2": _p2_json_with(
+        "involution_signs", [[1, 0, 0], [0, "-2/2", 0], [0, 0, 1]]),
+    "signs-matrix-true": _p2_json_with(
+        "involution_signs", [[True, 0, 0], [0, -1, 0], [0, 0, 1]]),
 }
 
 
@@ -395,6 +405,19 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert out.startswith("suite rwdvv")
     assert "pass" in out
+
+
+def test_verify_wdvv_reads_no_real_value(capsys, monkeypatch):
+    # the complex associativity checks need no real invariant, even on a
+    # target that has a real theory
+    def refuse(self, key):
+        raise AssertionError("real value %r read" % (key,))
+
+    monkeypatch.setattr(RealSession, "value", refuse)
+    code, out, err = run(capsys, "verify", "--target", "P3-tau",
+                         "--max-degree", "2", "--suite", "wdvv")
+    assert code == 0
+    assert out.startswith("suite wdvv") and "pass" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,9 @@ ALLOWED = {
     "GradedSeries.coefficient": "oracle: the benchmark's potentials-p2 "
                                 "workload reads plane counts off the "
                                 "potential with it",
+    "build_potentials": "the benchmark's potentials-p2 workload and "
+                        "acceptance criterion 6 build the named potentials "
+                        "through it",
     "InvariantTable.provenance": "reads the tag every entry and cache "
                                  "file carries; the route tests check it, "
                                  "and a cache show breakdown by route "

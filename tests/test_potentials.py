@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.invariant_store import InvariantTable
-from gwcalc.potentials import (GradedSeries, MissingInvariantError,
-                               SeriesError, build_potentials,
+from gwcalc.invariant_store import COMPLEX, InvariantTable
+from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
+                               build_potentials,
                                residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
@@ -126,6 +126,8 @@ def test_truncated_copy(p2):
     assert cut.coefficient(1, [(0, 3)]) == 2
     assert cut.terms.get((2, (((0, 3), 4),))) is None
     assert (cut.t_max, cut.q_max) == (2, 1)
+    empty = s.truncated(-1)
+    assert empty.is_zero() and (empty.t_max, empty.q_max) == (0, 3)
 
 
 def test_monomial_string():
@@ -214,28 +216,26 @@ def test_dilaton_window_guards(p3_sessions):
         residual_dilaton_real(pots["complex_descendant"])
 
 
-def test_missing_invariant_in_strict_mode(p2):
-    table = InvariantTable(p2)
-    with pytest.raises(MissingInvariantError):
-        build_potentials(table, (4, 1))
-
-
 def test_build_rejects_odd_basis(torus):
     table = InvariantTable(torus)
+
+    def value(key):
+        return Fraction(1)
+
     with pytest.raises(SeriesError):
-        build_potentials(table, (4, 1))
+        build_potentials(table, (4, 1), complex_value=value)
+    with pytest.raises(SeriesError):
+        build_potential(torus, COMPLEX, value, (4, 1))
 
 
 def test_build_validates_truncation(p2_session):
-    with pytest.raises(SeriesError):
-        build_potentials(p2_session.table, (4,),
-                         complex_value=p2_session.value)
-    with pytest.raises(SeriesError):
-        build_potentials(p2_session.table, (4, 1, 0),
-                         complex_value=p2_session.value)
-    with pytest.raises(SeriesError):
-        build_potentials(p2_session.table, (-1, 2),
-                         complex_value=p2_session.value)
-    with pytest.raises(SeriesError):
-        build_potentials(p2_session.table, (4, 1), descendant_depth=-1,
-                         complex_value=p2_session.value)
+    bad = [((4,), 0), ((4, 1, 0), 0), ((-1, 2), 0), ((2, -1), 0),
+           ((4, 1), -1)]
+    for truncation, depth in bad:
+        with pytest.raises(SeriesError):
+            build_potentials(p2_session.table, truncation,
+                             descendant_depth=depth,
+                             complex_value=p2_session.value)
+        with pytest.raises(SeriesError):
+            build_potential(p2_session.target, COMPLEX, p2_session.value,
+                            truncation, depth)
