@@ -41,7 +41,7 @@ from .real_solver import (RealSession, reduce_real_axioms,
 from .potentials import (build_potential,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
-                         residual_string_real, residual_wdvv_pde,
+                         residual_string_real, wdvv_pde_residuals,
                          GradedSeries)
 
 EXIT_OK = 0
@@ -424,16 +424,11 @@ def suite_wdvv(target, args, csession, rsession):
     checks = len(work)
     phi = build_potential(target, COMPLEX, csession.value,
                           (6, min(args.max_degree, 3)))
-    nb = target.num_basis
-    for i1 in range(1, nb + 1):
-        for i2 in range(1, nb + 1):
-            for i3 in range(1, nb + 1):
-                for i4 in range(1, nb + 1):
-                    checks += 1
-                    res = residual_wdvv_pde(phi, (i1, i2, i3, i4))
-                    if not res.is_zero():
-                        return False, "PDE residual (%d,%d,%d,%d) has %s" \
-                            % (i1, i2, i3, i4, _first_term(res)), checks
+    for indices, res in wdvv_pde_residuals(phi):
+        checks += 1
+        if not res.is_zero():
+            return False, "PDE residual (%d,%d,%d,%d) has %s" \
+                % (*indices, _first_term(res)), checks
     return True, "", checks
 
 

@@ -38,12 +38,21 @@ The residual_* functions evaluate the differential equations satisfied by
 the potentials (string, dilaton, associativity PDEs and their real
 analogues) and return the residual restricted to the window where the
 truncated data determines it exactly; on a correct table every residual is
-the zero series.
+the zero series.  Like the builder, they take an even basis only (and
+raise SeriesError otherwise), so none of them needs a Koszul sign:
+
+* the string and dilaton residuals make one pass over the potential's
+  terms, the t dF sums becoming a shift of one factor or a count of
+  factors on each monomial;
+* the associativity residuals share their pieces -- each third partial
+  once per sorted index triple, each contraction sum_jk g^jk F_abj F_kce
+  once per unordered pair of sorted pairs -- through a memo that lives
+  for one residual_wdvv_pde or wdvv_pde_residuals call.
 """
 
 import math
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 from .combinatorics import sort_insertions_sign
 from .invariant_store import COMPLEX, REAL
@@ -59,6 +68,14 @@ def _check_var(var):
             or not isinstance(var[0], int) or not isinstance(var[1], int)
             or var[0] < 0 or var[1] < 1):
         raise SeriesError("variable must be a pair (level >= 0, basis >= 1), got %r" % (var,))
+
+
+def _without(vars_tuple, pos):
+    """vars_tuple with one factor of its pos-th variable taken out."""
+    v, m = vars_tuple[pos]
+    if m > 1:
+        return vars_tuple[:pos] + ((v, m - 1),) + vars_tuple[pos + 1:]
+    return vars_tuple[:pos] + vars_tuple[pos + 1:]
 
 
 class GradedSeries:
@@ -260,21 +277,17 @@ class GradedSeries:
         v_odd = self.var_parity(var)
         out = self._like()
         for (q, vars_tuple), coeff in self.terms.items():
-            mult = None
-            for v, m in vars_tuple:
+            for pos, (v, mult) in enumerate(vars_tuple):
                 if v == var:
-                    mult = m
                     break
-            if mult is None:
+            else:
                 continue
             sign = 1
             if v_odd:
                 before = sum(1 for v, _ in vars_tuple
                              if v < var and self.var_parity(v))
                 sign = -1 if before % 2 else 1
-            new_vars = tuple((v, m if v != var else m - 1)
-                             for v, m in vars_tuple if v != var or m > 1)
-            key = (q, new_vars)
+            key = (q, _without(vars_tuple, pos))
             val = out.terms.get(key, Fraction(0)) + sign * mult * coeff
             if val == 0:
                 out.terms.pop(key, None)
@@ -311,6 +324,15 @@ class GradedSeries:
 # ----- building the potentials ---------------------------------------------
 
 
+def _require_even(target):
+    """Refuse a target with an odd basis class: the potentials and their
+    residuals are written sign-free, for an even basis only."""
+    for i in range(1, target.num_basis + 1):
+        if target.degree(i) % 2:
+            raise SeriesError(
+                "potentials need an even-degree basis; class %d is odd" % i)
+
+
 def build_potential(target, kind, value, truncation, depth=0, doubled=False):
     """One genus-0 generating function of a theory, over the keys that
     graded_keys lists for each coefficient window.
@@ -332,13 +354,13 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
     """
     if not (isinstance(truncation, (tuple, list)) and len(truncation) == 2):
         raise SeriesError("truncation must be (t_max, q_max)")
-    t_max, q_max = int(truncation[0]), int(truncation[1])
+    t_max, q_max = truncation
+    if not all(type(x) is int for x in (t_max, q_max, depth)):
+        raise SeriesError("truncation bounds and descendant depth must be "
+                          "integers, got %r and %r" % (truncation, depth))
     if depth < 0:
         raise SeriesError("descendant depth must be non-negative")
-    for i in range(1, target.num_basis + 1):
-        if target.degree(i) % 2:
-            raise SeriesError(
-                "potentials need an even-degree basis; class %d is odd" % i)
+    _require_even(target)
     out = GradedSeries(target, t_max, q_max, depth=depth,
                        lam_power=-2 if kind == COMPLEX else -1)
     variables = insertion_variables(target, kind, depth)
@@ -389,6 +411,28 @@ def build_potentials(table, truncation, descendant_depth=2, *,
 # ----- differential-equation residuals --------------------------------------
 
 
+def _moved(vars_tuple, pos, new):
+    """vars_tuple with one factor of its pos-th variable replaced by the
+    variable new, which sorts after it (sign-free on an even basis)."""
+    rest = _without(vars_tuple, pos)
+    for k in range(pos, len(rest)):
+        w, m = rest[k]
+        if w == new:
+            return rest[:k] + ((new, m + 1),) + rest[k + 1:]
+        if w > new:
+            return rest[:k] + ((new, 1),) + rest[k:]
+    return rest + ((new, 1),)
+
+
+def _residual_series(F, t_max, terms):
+    """The residual series of F truncated to t_max, holding the nonzero
+    entries of terms; every entry must already lie inside that window."""
+    out = GradedSeries(F.target, max(t_max, 0), F.q_max, depth=F.depth,
+                       lam_power=F.lam_power)
+    out.terms = {key: c for key, c in terms.items() if c}
+    return out
+
+
 def residual_string_complex(F):
     """Residual of the string equation on a complex potential.
 
@@ -396,47 +440,59 @@ def residual_string_complex(F):
     t_{0,j} minus sum_{a,i} t_{a+1,i} dF/dt_{a,i}, restricted to total
     t-degree <= t_max - 1 where the truncated data determines it exactly.
     Zero on a potential built from a correct table.
+
+    On monomial m the last sum is a shift: each factor t_{a,i} of m with
+    a < depth, taken with its multiplicity k, sends -k F_m to the monomial
+    with one t_{a,i} replaced by t_{a+1,i}.
     """
     target = F.target
-    res = F.partial_derivative((0, 1))
-    quad = F._like()
-    nb = target.num_basis
-    for i in range(1, nb + 1):
-        gii = target.pairing_entry(i, i)
-        if gii:
-            quad.add_term(0, (((0, i), 2),), Fraction(gii, 2))
-        for j in range(i + 1, nb + 1):
-            gji = target.pairing_entry(j, i)
-            if gji:
-                sign, vt = quad.monomial([(0, i), (0, j)])
-                if sign:
-                    quad.add_term(0, vt, sign * gji)
-    res = res - quad
-    for a in range(F.depth):
+    _require_even(target)
+    cut = F.t_max - 1
+    terms = {}
+    for (q, vt), c in F.terms.items():
+        inside = sum(m for _, m in vt) <= cut
+        for pos, ((a, i), m) in enumerate(vt):
+            if a == 0 and i == 1:
+                key = (q, _without(vt, pos))
+                terms[key] = terms.get(key, 0) + m * c
+            if a < F.depth and inside:
+                key = (q, _moved(vt, pos, (a + 1, i)))
+                terms[key] = terms.get(key, 0) - m * c
+    if cut >= 2:
+        nb = target.num_basis
         for i in range(1, nb + 1):
-            dF = F.partial_derivative((a, i))
-            if dF.is_zero():
-                continue
-            tvar = F._like()
-            tvar.add_term(0, (((a + 1, i), 1),), 1)
-            res = res - tvar * dF
-    return res.truncated(F.t_max - 1)
+            gii = target.pairing_entry(i, i)
+            if gii:
+                key = (0, (((0, i), 2),))
+                terms[key] = terms.get(key, 0) - Fraction(gii, 2)
+            for j in range(i + 1, nb + 1):
+                gji = target.pairing_entry(j, i)
+                if gji:
+                    key = (0, (((0, i), 1), ((0, j), 1)))
+                    terms[key] = terms.get(key, 0) - gji
+    return _residual_series(F, cut, terms)
 
 
 def _residual_dilaton(F):
-    if F.lam_power is None:
-        raise SeriesError("dilaton residual needs the loop exponent "
-                          "(lam_power) of the series window")
-    res = F.partial_derivative((1, 1)) - F.scale(F.lam_power)
-    for a in range(F.depth + 1):
-        for i in range(1, F.target.num_basis + 1):
-            dF = F.partial_derivative((a, i))
-            if dF.is_zero():
-                continue
-            tvar = F._like()
-            tvar.add_term(0, (((a, i), 1),), 1)
-            res = res - tvar * dF
-    return res.truncated(F.t_max - 1)
+    """dF/dt_{1,1} - lam_power F - sum_{a <= depth, i} t_{a,i} dF/dt_{a,i}
+    on t-degree <= t_max - 1.  On monomial m the last sum is e(m) F_m,
+    with e(m) the number of factors of m at level <= depth."""
+    _require_even(F.target)
+    cut = F.t_max - 1
+    terms = {}
+    for (q, vt), c in F.terms.items():
+        degree = level_count = 0
+        for pos, ((a, i), m) in enumerate(vt):
+            degree += m
+            if a <= F.depth:
+                level_count += m
+            if a == 1 and i == 1:
+                key = (q, _without(vt, pos))
+                terms[key] = terms.get(key, 0) + m * c
+        if degree <= cut:
+            key = (q, vt)
+            terms[key] = terms.get(key, 0) - (F.lam_power + level_count) * c
+    return _residual_series(F, cut, terms)
 
 
 def residual_dilaton_complex(F):
@@ -464,7 +520,65 @@ def residual_string_real(F):
     """Residual of the real string equation: dF/dt_{0,1}, expected to be
     identically zero (the unit class never appears in a nonzero real
     invariant).  Exact on t-degree <= t_max - 1."""
+    _require_even(F.target)
     return F.partial_derivative((0, 1)).truncated(F.t_max - 1)
+
+
+def _wdvv_pde(F):
+    """The associativity PDE residual of F as a function of the index
+    quadruple, over one memo of its pieces.
+
+    On an even basis F_{abc} is symmetric in a, b, c, so each third
+    partial is computed once per sorted triple, cut to t-degree
+    <= t_max - 3 (higher terms only feed products outside the window).
+    G(ab; ce) = sum_{j,k} g^{jk} F_{abj} F_{kce} is symmetric under a <-> b,
+    c <-> e and swapping the two pairs, so it is formed once per unordered
+    pair of sorted pairs.
+    """
+    target = F.target
+    _require_even(target)
+    diag = target.diagonal_decomposition()
+    cut = F.t_max - 3
+    partials = {(): F}
+    pair_products = {}
+
+    def partial(idx):
+        got = partials.get(idx)
+        if got is None:
+            got = partial(idx[:-1]).partial_derivative((0, idx[-1]))
+            if len(idx) == 3:
+                got = got.truncated(cut)
+            partials[idx] = got
+        return got
+
+    def pair_product(p, r):
+        key = (p, r) if p <= r else (r, p)
+        got = pair_products.get(key)
+        if got is None:
+            got = {}
+            for coeff, (j, k) in diag:
+                lj = partial(tuple(sorted(key[0] + (j,))))
+                if lj.is_zero():
+                    continue
+                rk = partial(tuple(sorted(key[1] + (k,))))
+                if rk.is_zero():
+                    continue
+                for mono, c in (lj * rk).terms.items():
+                    got[mono] = got.get(mono, 0) + coeff * c
+            pair_products[key] = got
+        return got
+
+    def pair(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def residual(indices):
+        i1, i2, i3, i4 = indices
+        terms = dict(pair_product(pair(i1, i2), pair(i3, i4)))
+        for mono, c in pair_product(pair(i1, i3), pair(i2, i4)).items():
+            terms[mono] = terms.get(mono, 0) - c
+        return _residual_series(F, cut, terms)
+
+    return residual
 
 
 def residual_wdvv_pde(F, indices):
@@ -476,31 +590,22 @@ def residual_wdvv_pde(F, indices):
 
     with F_{abc} third partials in the t_{0,*} directions.  Exact on total
     t-degree <= t_max - 3; zero for every index quadruple on a potential
-    built from a consistent table.
+    built from a consistent table.  To check every quadruple, use
+    wdvv_pde_residuals, which shares the pieces between them.
     """
     i1, i2, i3, i4 = indices
     for i in (i1, i2, i3, i4):
         if not (1 <= i <= F.target.num_basis):
             raise SeriesError("basis index out of range: %r" % (i,))
+    return _wdvv_pde(F)(indices)
 
-    def third(a, b):
-        return (F.partial_derivative((0, a))
-                .partial_derivative((0, b)))
 
-    diag = F.target.diagonal_decomposition()
-    res = F._like()
-    for sgn, (a, b, c, e) in ((1, (i1, i2, i3, i4)), (-1, (i1, i3, i2, i4))):
-        left = third(a, b)
-        right_base = third(c, e)
-        for coeff, (j, k) in diag:
-            lj = left.partial_derivative((0, j))
-            if lj.is_zero():
-                continue
-            rk = right_base.partial_derivative((0, k))
-            if rk.is_zero():
-                continue
-            res = res + (lj * rk).scale(sgn * coeff)
-    return res.truncated(F.t_max - 3)
+def wdvv_pde_residuals(F):
+    """(indices, residual_wdvv_pde(F, indices)) for every index quadruple,
+    in itertools.product order, computed lazily from one shared memo."""
+    residual = _wdvv_pde(F)
+    quadruples = product(range(1, F.target.num_basis + 1), repeat=4)
+    return ((indices, residual(indices)) for indices in quadruples)
 
 
 def residual_rwdvv_pde(F_doubled, F_real, indices):
@@ -522,6 +627,7 @@ def residual_rwdvv_pde(F_doubled, F_real, indices):
     """
     target = F_real.target
     F_doubled._compatible(F_real)
+    _require_even(target)
     i1, i2, i3 = indices
     for i in (i1, i2, i3):
         if not (1 <= i <= target.num_basis):
@@ -535,9 +641,8 @@ def residual_rwdvv_pde(F_doubled, F_real, indices):
             "second and third indices must carry -1-eigenspace classes")
 
     diag = target.diagonal_decomposition()
-    swap_sign = -1 if (target.degree(i2) % 2) and (target.degree(i3) % 2) else 1
     res = F_real._like()
-    for sgn, (b, c) in ((1, (i2, i3)), (-swap_sign, (i3, i2))):
+    for sgn, (b, c) in ((1, (i2, i3)), (-1, (i3, i2))):
         left_base = (F_doubled.partial_derivative((0, i1))
                      .partial_derivative((0, b)))
         right_base = F_real.partial_derivative((0, c))

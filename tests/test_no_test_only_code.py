@@ -35,6 +35,9 @@ ALLOWED = {
     "build_potentials": "the benchmark's potentials-p2 workload and "
                         "acceptance criterion 6 build the named potentials "
                         "through it",
+    "residual_wdvv_pde": "the benchmark's potentials-p2 workload and "
+                         "acceptance criterion 6 check one quadruple per "
+                         "call",
     "InvariantTable.provenance": "reads the tag every entry and cache "
                                  "file carries; the route tests check it, "
                                  "and a cache show breakdown by route "

@@ -11,7 +11,7 @@ from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
                                residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
-                               residual_wdvv_pde)
+                               residual_wdvv_pde, wdvv_pde_residuals)
 
 
 def test_series_basics(p2):
@@ -228,9 +228,29 @@ def test_build_rejects_odd_basis(torus):
         build_potential(torus, COMPLEX, value, (4, 1))
 
 
+def test_residuals_refuse_odd_basis(torus):
+    def series(lam_power):
+        s = GradedSeries(torus, 4, 2, depth=1, lam_power=lam_power)
+        s.add_term(0, (((0, 1), 3),), 1)
+        return s
+
+    C, R = series(-2), series(-1)
+    calls = [lambda: residual_string_complex(C),
+             lambda: residual_dilaton_complex(C),
+             lambda: residual_string_real(R),
+             lambda: residual_dilaton_real(R),
+             lambda: residual_wdvv_pde(C, (1, 1, 1, 1)),
+             lambda: wdvv_pde_residuals(C),
+             lambda: residual_rwdvv_pde(C, R, (1, 3, 3))]
+    for call in calls:
+        with pytest.raises(SeriesError, match="class 2 is odd"):
+            call()
+
+
 def test_build_validates_truncation(p2_session):
     bad = [((4,), 0), ((4, 1, 0), 0), ((-1, 2), 0), ((2, -1), 0),
-           ((4, 1), -1)]
+           ((4, 1), -1), ((2.5, 1), 0), (("6", 1), 0), ((4, 1), 1.5),
+           ((4, 1), True)]
     for truncation, depth in bad:
         with pytest.raises(SeriesError):
             build_potentials(p2_session.table, truncation,
