@@ -32,9 +32,8 @@ from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, evaluate_terms,
                              filter_complex, filter_real, graded_keys,
-                             insertion_variables,
-                             key_degree_sum, lift_one_point, reduce_axioms,
-                             reduce_descendant_trr, vdim_complex, vdim_real,
+                             insertion_variables, lift_one_point,
+                             reduce_axioms, reduce_descendant_trr,
                              wdvv_instances)
 from .real_solver import (RealSession, reduce_real_axioms,
                           reduce_descendant_rtrr, rwdvv_instances)
@@ -367,25 +366,20 @@ def _first_term(res):
 
 
 def suite_grading(target, args, csession, rsession):
-    """Every stored entry passes the structural filters and the grading
-    identity; a deterministic sample of filter-flagged keys evaluates to 0."""
+    """No stored nonzero entry fails the structural filters (the grading
+    identity among them); a deterministic sample of filter-flagged keys
+    evaluates to 0."""
     import random
     checks = 0
     for key, value, _prov in csession.table.items():
         checks += 1
         if key.kind == COMPLEX:
             reason = filter_complex(key, target)
-            want = vdim_complex(key.genus, key.num_insertions,
-                                key.degree, target)
         else:
             reason = filter_real(key, target)
-            want = vdim_real(key.genus, key.num_insertions,
-                             key.degree, target)
         if value != 0 and reason is not None:
             return False, "stored nonzero value at structurally-zero key " \
                 "%r (%s)" % (key, reason), checks
-        if value != 0 and key_degree_sum(key, target) != want:
-            return False, "grading violation at %r" % (key,), checks
     rng = random.Random(20240811)
     nb = target.num_basis
     for _ in range(2000):
@@ -412,7 +406,6 @@ def suite_grading(target, args, csession, rsession):
 def suite_wdvv(target, args, csession, rsession):
     """Every exchange-relation instance in the solving window evaluates
     to zero on the table, and the associativity PDE residuals vanish."""
-    csession.ensure_primary(args.max_degree)
     caps = _instance_caps(csession, args.max_degree)
     work = [(d, mu) for d, cap in sorted(caps.items())
             for mu in wdvv_instances(target, d, max(cap + 1, 5))]
@@ -434,7 +427,6 @@ def suite_wdvv(target, args, csession, rsession):
 
 def suite_rwdvv(target, args, csession, rsession):
     """Real exchange-relation instances and the real associativity PDE."""
-    rsession.ensure_real(args.max_degree)
     caps = _instance_caps(rsession, args.max_degree)
     work = [(d, ks) for d, cap in sorted(caps.items())
             for ks in rwdvv_instances(target, d, max(cap + 2, 5))]
@@ -571,7 +563,6 @@ def suite_trr_cross(target, args, csession, rsession):
 
 def suite_rtrr_cross(target, args, csession, rsession):
     """Real descendant reduction agrees with the real axiom reductions."""
-    rsession.ensure_real(args.max_degree)
     checks = 0
     for d in range(1, args.max_degree + 1):
         for key in _descendant_keys(target, REAL, d, 4, 2):
@@ -627,6 +618,7 @@ def cmd_verify(args, out=None):
     if has_real:
         rsession = RealSession(target, table, seed_sign=seed_sign,
                                complex_session=csession)
+    # the suites read the solved blocks and do not solve them again
     csession.ensure_primary(args.max_degree)
     if rsession is not None and any(s in ("rwdvv", "rtrr-cross", "string",
                                           "dilaton", "divisor", "grading")

@@ -8,9 +8,10 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one block-solve skeleton (_solve_block) that seeds, eliminates
 the session's relation rows and stores the values, and the steps of the
 relation and recursion expansions: the term combiner (_combine), the
-two-sided slot split, the degree pin of a split factor, the first
-descendant slot, the divisor step (weight 1 complex, 2 real) and the
-evaluation of a linear combination of keys (evaluate_terms).
+two-sided slot split (_grouped_splits, each distinct split once with
+its count of ordered splits), the degree pin of a split factor, the
+first descendant slot, the divisor step (weight 1 complex, 2 real) and
+the evaluation of a linear combination of keys (evaluate_terms).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -216,15 +217,21 @@ def evaluate_terms(terms, value):
     return total
 
 
-def _two_sided_splits(items):
-    """Every way to send each of ``items`` to one of two sides: yields
-    2**len(items) pairs (first, second) of lists in item order, with the
-    first side's membership (bit t for items[t]) counting up from 0."""
-    for pick in range(1 << len(items)):
+def _grouped_splits(items):
+    """Each distinct way to send the multiset ``items`` to two sides, as
+    (weight, first, second) with both sides sorted lists.  The weight,
+    comb(cnt, t) multiplied over the distinct items with t of cnt copies
+    first, counts the ordered picks that give the split, so the weights
+    add up to 2**len(items).  The last distinct item's t varies fastest."""
+    groups = sorted(Counter(items).items())
+    for take in product(*(range(cnt + 1) for _, cnt in groups)):
+        weight = 1
         first, second = [], []
-        for t, item in enumerate(items):
-            (first if pick >> t & 1 else second).append(item)
-        yield first, second
+        for (item, cnt), t in zip(groups, take):
+            weight *= math.comb(cnt, t)
+            first.extend([item] * t)
+            second.extend([item] * (cnt - t))
+        yield weight, first, second
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +600,7 @@ def wdvv_relation(target, mu, degree):
     tuple of at most two canonical keys; degree-0 factor values are
     folded into the coefficient (unstable ones drop the term).  In the
     degree-ordered solve at most one factor per term is ever unknown.
+    Slots 5.. split over the two sides in all 2**k orders, ungrouped.
     """
     _require_projective(target)
     mu = tuple(int(m) for m in mu)
@@ -604,9 +612,11 @@ def wdvv_relation(target, mu, degree):
     terms = []
     diag = target.diagonal_decomposition()
     for side, (pa, pb) in (((1), ((0, 1), (2, 3))), ((-1), ((0, 2), (1, 3)))):
-        for first, second in _two_sided_splits(mu[4:]):
-            ins_i = [mu[pa[0]], mu[pa[1]]] + first
-            ins_j = [mu[pb[0]], mu[pb[1]]] + second
+        for pick in range(1 << (len(mu) - 4)):
+            ins_i = [mu[pa[0]], mu[pa[1]]]
+            ins_j = [mu[pb[0]], mu[pb[1]]]
+            for t, b in enumerate(mu[4:]):
+                (ins_i if pick >> t & 1 else ins_j).append(b)
             for d1 in range(degree + 1):
                 d2 = degree - d1
                 for gcoeff, (ei, ej) in diag:
@@ -829,32 +839,23 @@ class ComplexSession:
     def _relation_row(self, mu, d):
         """Evaluate one relation instance into (row-over-unknowns, rhs).
 
-        Equivalent to evaluating wdvv_relation term by term, but with the
-        repeated non-distinguished insertions grouped by multiplicity so
-        large instances stay cheap (all basis degrees are even here, so
-        no sign bookkeeping is lost by grouping).  For each grouping and
+        Equivalent to evaluating wdvv_relation term by term, but once per
+        distinct split of the other insertions, with its weight
+        (_grouped_splits), so large instances stay cheap (all basis
+        degrees are even, so grouping loses no sign).  For each split and
         diagonal term the grading fixes the first factor's degree d1
         (_pinned_degree); only a d1 in [0, d] is tried, and the second
-        factor's grading then holds automatically.  Factors go through _factor, which
-        memoizes their shapes but reads values from the live table.
+        factor's grading then holds automatically.  Factors go through
+        _factor, which memoizes shapes but reads values from the table.
         """
         target = self.target
-        free = mu[4:]
-        groups = [(b, free.count(b)) for b in sorted(set(free))]
         diag = target.diagonal_decomposition()
         row = {}
         rhs = Fraction(0)
         for side, (pa, pb) in ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3)))):
-            base_i = (mu[pa[0]], mu[pa[1]])
-            base_j = (mu[pb[0]], mu[pb[1]])
-            for take in product(*(range(cnt + 1) for _, cnt in groups)):
-                weight = 1
-                ins_i = list(base_i)
-                ins_j = list(base_j)
-                for (b, cnt), t in zip(groups, take):
-                    weight *= math.comb(cnt, t)
-                    ins_i.extend([b] * t)
-                    ins_j.extend([b] * (cnt - t))
+            for weight, first, second in _grouped_splits(mu[4:]):
+                ins_i = [mu[pa[0]], mu[pa[1]]] + first
+                ins_j = [mu[pb[0]], mu[pb[1]]] + second
                 sum_i = sum(target.degree(b) for b in ins_i)
                 for gcoeff, (ei, ej) in diag:
                     d1 = _pinned_degree(target, sum_i + target.degree(ei),
@@ -1016,9 +1017,9 @@ def reduce_descendant_trr(key, target):
                                       <e_b, j-side>_{d2} ]
 
     where the remaining slots distribute over the two sides in all ways
-    (slot j always on the second side), and unstable degree-0 factors
-    vanish.  Terms are returned as (coefficient, factors) with factors a
-    tuple of one or two canonical keys.
+    (slot j always on the second side; equal splits come once, times
+    their number), and unstable degree-0 factors vanish.  Terms are
+    (coefficient, factors) with factors a tuple of 1-2 canonical keys.
     """
     _require_projective(target)
     if key.genus != 0:
@@ -1061,7 +1062,7 @@ def reduce_descendant_trr(key, target):
     # diagonal term -- anything else is structurally zero and skipped.
     others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
     diag = target.diagonal_decomposition()
-    for first, second in _two_sided_splits(others):
+    for weight, first, second in _grouped_splits(others):
         side_i = [(a_i - 1, b_i)] + first
         side_j = [ins[j_slot]] + second
         sum_i = sum(2 * a + target.degree(b) for a, b in side_i)
@@ -1079,5 +1080,5 @@ def reduce_descendant_trr(key, target):
                 continue
             k1 = InvariantKey(COMPLEX, 0, d1, sorted(side_i + [(0, ea)]))
             k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
-            raw_terms.append((inv_d * d2 * gcoeff, (k1, k2)))
+            raw_terms.append((inv_d * d2 * weight * gcoeff, (k1, k2)))
     return raw_terms

@@ -37,7 +37,7 @@ from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError
                              _multisets_exact, _pinned_degree,
                              _removable_slot, _require_projective,
                              _session_table, _solve_block, _strip_primary,
-                             _two_sided_splits, evaluate_terms, filter_real,
+                             _grouped_splits, evaluate_terms, filter_real,
                              primary_unknowns, vdim_real)
 
 
@@ -123,8 +123,10 @@ def rwdvv_relation(target, mu, degree, complex_session):
     classes.  The relation's two sides pull slot 2 (resp. slot 3) onto
     the real side; each term pairs a real key of degree d0 with a fully
     evaluated complex invariant of degree d' where d0 + 2d' = degree.
-    Returns (coefficient, real-key) pairs summing to zero; constant
-    contributions cannot arise because degree-0 real factors vanish.
+    Slots 4.. go to either side once per distinct split, weighted by its
+    count of ordered splits times 2 per complex-side insertion.  Returns
+    (coefficient, real-key) pairs summing to zero; constant contributions
+    cannot arise because degree-0 real factors vanish.
     """
     _require_real_target(target)
     mu = tuple(int(m) for m in mu)
@@ -139,11 +141,11 @@ def rwdvv_relation(target, mu, degree, complex_session):
     diag = target.diagonal_decomposition()
     for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
         # side +1: slot 2 real side, slots 1 and 3 complex side
-        for first, second in _two_sided_splits(mu[3:]):
+        for weight, first, second in _grouped_splits(mu[3:]):
             real_side = [mu[real_anchor]] + first
             complex_side = [mu[0], mu[complex_anchor]] + second
-            # weight 2 per insertion on the doubled (complex) side
-            weight = Fraction(2) ** len(complex_side)
+            # times 2 per insertion on the doubled (complex) side
+            weight *= 2 ** len(complex_side)
             for d0 in range(1, degree + 1):
                 if (degree - d0) % 2:
                     continue
@@ -234,15 +236,15 @@ class RealSession:
 
     def _block_rows(self, d, unknowns):
         """Yield (row, rhs) for the admissible relation instances at real
-        degree d with tuple length up to the longest unknown + 2, then
-        up to the longest unknown + 4, deterministically.  The complex
-        factors reach degree d // 2, so the complex table is extended
-        first; only a block with pending keys gets here."""
+        degree d with tuple length up to the longest unknown + 4, in
+        rwdvv_instances order (shorter tuples first, so the solve
+        usually closes on those up to the longest unknown + 2).  The
+        complex factors reach degree d // 2, so the complex table is
+        extended first; only a block with pending keys gets here."""
         self.complex.ensure_primary(d // 2)
         max_ell = max(k.num_insertions for k in unknowns)
-        for extra in (2, 4):
-            for ks in rwdvv_instances(self.target, d, max_ell + extra):
-                yield self._relation_row(ks, d)
+        for ks in rwdvv_instances(self.target, d, max_ell + 4):
+            yield self._relation_row(ks, d)
 
     def _relation_row(self, ks, d):
         """Evaluate one relation instance into (row-over-unknowns, rhs).
@@ -337,7 +339,8 @@ def reduce_descendant_rtrr(key, session):
     the result is a genuinely linear expression in real keys of strictly
     smaller total descendant power.  The 2^|S| weight counts the two
     placements of each doubled-side slot; it is validated against the
-    string/dilaton/divisor reductions in the tests.
+    string/dilaton/divisor reductions in the tests.  Equal subsets S
+    come once (_grouped_splits), times their number.
     """
     target = session.target
     _require_real_target(target)
@@ -364,7 +367,8 @@ def reduce_descendant_rtrr(key, session):
     # plain sorting; the grading pins down the unique degree split per
     # diagonal term and everything else is structurally zero.
     diag = target.diagonal_decomposition()
-    for first, real_side in _two_sided_splits(others):
+    for weight, first, real_side in _grouped_splits(others):
+        weight *= 2 ** len(first)  # two placements per doubled-side slot
         conj_side = [(a_i - 1, b_i)] + first
         sum_c = sum(2 * a + target.degree(b) for a, b in conj_side)
         sum_r = sum(2 * a + target.degree(b) for a, b in real_side)
@@ -389,5 +393,5 @@ def reduce_descendant_rtrr(key, session):
                 COMPLEX, 0, dprime, sorted(conj_side + [(0, ea)])))
             if not cval:
                 continue
-            terms.append((inv_d * d0 * 2 ** len(first) * gcoeff * cval, rk))
+            terms.append((inv_d * d0 * weight * gcoeff * cval, rk))
     return _combine(terms)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
                                     StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   _sub_multisets_4, degree_zero_value,
+                                   _grouped_splits, _sub_multisets_4,
+                                   degree_zero_value,
                                    filter_complex, key_degree_sum,
                                    kontsevich_p2, psi_multinomial_recursive,
                                    reduce_axioms, reduce_descendant_trr,
@@ -263,6 +265,44 @@ def test_reduce_descendant_trr_terms_are_smaller(p2):
         for f in factors:
             assert f.is_canonical()
             assert filter_complex(f, p2) is None or f.degree == 0
+
+
+def test_grouped_trr_visits_each_distinct_split_once(p2):
+    """One recursion step on <tau_1(pt), pt^6>_3 over P2 splits five
+    equal point insertions: 6 distinct splits, not 2**5 ordered ones,
+    and no contact term (the divisor slides only onto point classes)."""
+    k = key(3, [(1, 3)] + [(0, 3)] * 6)
+    assert filter_complex(k, p2) is None
+    assert len(reduce_descendant_trr(k, p2)) <= 6
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["indices", "pairs"])
+def test_grouped_splits_match_ordered_walk(pairs):
+    """_grouped_splits yields each distinct (first, second) split of a
+    multiset once, both sides sorted, with the number of ordered picks
+    that give it as its weight; the weights add up to 2**k."""
+    rng = random.Random(7)
+    for _ in range(150):
+        if pairs:
+            items = [(rng.randint(0, 2), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 7))]
+        else:
+            items = [rng.randint(1, 4) for _ in range(rng.randint(0, 7))]
+        k = len(items)
+        want = Counter()
+        for pick in range(1 << k):
+            first = sorted(x for t, x in enumerate(items) if pick >> t & 1)
+            second = sorted(x for t, x in enumerate(items)
+                            if not pick >> t & 1)
+            want[tuple(first), tuple(second)] += 1
+        got = Counter()
+        for weight, first, second in _grouped_splits(items):
+            assert first == sorted(first) and second == sorted(second)
+            split = (tuple(first), tuple(second))
+            assert split not in got, (items, split)
+            got[split] = weight
+        assert got == want, items
+        assert sum(got.values()) == 2 ** k
 
 
 def test_trr_cross_agreement(p2_session):

@@ -125,6 +125,24 @@ def test_free_involution_needs_explicit_seed():
     assert seeded.value(rkey(3, [(0, 4)] * 3)) == 1
 
 
+def test_unseeded_block_evaluates_each_instance_once(monkeypatch):
+    """On an unseeded free involution the degree-1 block walks every
+    relation instance once (14 on P7-eta) before it reports the keys it
+    cannot determine."""
+    session = RealSession(make_projective(4, "eta"))
+    seen = []
+    evaluate = session._relation_row
+
+    def counted(ks, d):
+        seen.append(ks)
+        return evaluate(ks, d)
+
+    monkeypatch.setattr(session, "_relation_row", counted)
+    with pytest.raises(UnderdeterminedError, match=r"left 3 key\(s\)"):
+        session.ensure_real(1)
+    assert len(seen) == len(set(seen)) == 14
+
+
 def test_seed_conflict_with_table(p3, p3_sessions):
     table = p3_sessions[1].table
     with pytest.raises(InconsistentSystemError):
