@@ -20,7 +20,6 @@ import os
 import re
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
                              builtin_target, builtin_target_names,
@@ -30,11 +29,11 @@ from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               StoreFormatError, _reason, read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
-                             UnderdeterminedError, evaluate_terms,
-                             filter_complex, filter_real, graded_keys,
-                             insertion_variables, lift_one_point,
-                             reduce_axioms, reduce_descendant_trr,
-                             wdvv_instances)
+                             UnderdeterminedError, evaluate_products,
+                             evaluate_terms, filter_complex, filter_real,
+                             graded_keys, insertion_variables,
+                             lift_one_point, reduce_axioms,
+                             reduce_descendant_trr, wdvv_instances)
 from .real_solver import (RealSession, reduce_real_axioms,
                           reduce_descendant_rtrr, rwdvv_instances)
 from .potentials import (build_potential,
@@ -115,11 +114,15 @@ def _load_target(args):
     if args.target_file:
         try:
             with open(args.target_file, "r") as fh:
-                return TargetSpace.loads(fh.read())
+                target = TargetSpace.loads(fh.read())
         except OSError as e:
             raise UsageError("cannot read target file: %s" % e)
         except TARGET_DATA_ERRORS as e:
             raise UsageError("bad target file: %s" % _reason(e))
+        if not target.is_projective_space():
+            raise UsageError("target file: %s is not a projective space"
+                             % target.name)
+        return target
     if args.target:
         try:
             return builtin_target(args.target)
@@ -546,12 +549,8 @@ def suite_trr_cross(target, args, csession, rsession):
             # the recursion needs two insertions: lift one-point keys
             # by the string relation first, as ComplexSession.value does
             trr_key = lift_one_point(key) if key.num_insertions == 1 else key
-            via_trr = Fraction(0)
-            for coeff, keys in reduce_descendant_trr(trr_key, target):
-                prod = coeff
-                for k in keys:
-                    prod *= csession.value(k)
-                via_trr += prod
+            via_trr = evaluate_products(
+                reduce_descendant_trr(trr_key, target), csession.value)
             checks += 1
             if via_axiom != via_trr:
                 return False, "key %r: reduction %s != axiom %s" % (

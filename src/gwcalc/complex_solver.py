@@ -9,9 +9,11 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 the session's relation rows and stores the values, and the steps of the
 relation and recursion expansions: the term combiner (_combine), the
 two-sided slot split (_grouped_splits, each distinct split once with
-its count of ordered splits), the degree pin of a split factor, the
-first descendant slot, the divisor step (weight 1 complex, 2 real) and
-the evaluation of a linear combination of keys (evaluate_terms).
+its count of ordered splits), the diagonal term and curve degree the
+grading leaves per split (_split_class), the first descendant slot, the
+divisor step (weight 1 complex, 2 real), the relation-row builder
+(_relation_row) and the evaluation of a sum of keys (evaluate_terms) or
+of products of keys (evaluate_products).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -38,11 +40,11 @@ lower-degree factors are read from the table, degree-0 factors evaluate
 classically, and inconsistencies abort.  The enumeration of every
 admissible tuple (wdvv_instances) stays out of the solve: it is the
 independent route by which the wdvv suite of verify checks the table.
-In each term of a relation the grading pins the curve degree of the
-first factor (that of the second follows), so only that one split is
-evaluated; the structural part of each factor (vanishing, degree-0
-value, or canonical key with its divisor multiplier) is memoized per
-session by shape, while its value is always read from the live table.
+For each split of a relation the grading picks the diagonal term and
+the curve degree of the first factor (that of the second follows), so
+only that one term is evaluated; the structural part of each factor is
+memoized per session by shape, while its value is always read from the
+live table.  The oracle wdvv_relation tries every term and degree.
 """
 
 from __future__ import annotations
@@ -100,16 +102,17 @@ def vdim_complex(genus, num_points, degree, target):
     return 2 * ((1 - genus) * (n - 3) + num_points + target.c1_pairing * degree)
 
 
-def _pinned_degree(target, degree_sum, num_points):
-    """The curve degree at which a genus-0 complex factor with
-    ``num_points`` insertions whose degrees add up to ``degree_sum`` meets
-    the grading (vdim_complex solved for the degree), or None when no
-    whole degree does; the caller bounds the range."""
-    num = degree_sum - vdim_complex(0, num_points, 0, target)
-    c1 = target.c1_pairing
-    if num % (2 * c1):
-        return None
-    return num // (2 * c1)
+def _split_class(target, degree_sum, num_points):
+    """(a, b, d) for one side of a node split of P^n: a genus-0 complex
+    factor with ``num_points`` insertions, e_a and others of degrees
+    adding up to ``degree_sum``, meets the grading (vdim_complex) for
+    exactly one a in 1..n+1, at curve degree d; e_b (b = n+2-a, g^ab = 1)
+    goes to the other side.  The caller bounds d.  Every caller has
+    passed _require_projective."""
+    n = target.complex_dim
+    excess = degree_sum // 2 - (n - 3 + num_points)
+    a = -excess % (n + 1) + 1
+    return a, n + 2 - a, (excess + a - 1) // (n + 1)
 
 
 def key_degree_sum(key, target):
@@ -215,6 +218,47 @@ def evaluate_terms(terms, value):
     for coeff, key in terms:
         total += coeff * value(key)
     return total
+
+
+def evaluate_products(terms, value):
+    """The sum of coeff * value(k_1) * ... over (coeff, keys) product
+    terms; a term stops at its first zero factor, so the keys after it
+    are not evaluated."""
+    total = Fraction(0)
+    for coeff, keys in terms:
+        for key in keys:
+            coeff *= value(key)
+            if not coeff:
+                break
+        total += coeff
+    return total
+
+
+def _relation_row(table, terms, d):
+    """The (row over unknowns, rhs) of one relation instance's (coeff,
+    keys) terms at block degree ``d``, in either theory: a key stored in
+    the live table folds into its coefficient, a missing key below
+    degree d raises SolverError, the one key left takes the term into
+    the row, and a term with none left goes to the rhs."""
+    row = {}
+    rhs = Fraction(0)
+    for coeff, keys in terms:
+        unknown = None
+        for key in keys:
+            val = table.get(key)
+            if val is not None:
+                coeff *= val
+            elif key.degree < d:
+                raise SolverError("missing lower-degree value %r" % (key,))
+            elif unknown is None:
+                unknown = key
+            else:
+                raise AssertionError("two unknown factors in one term")
+        if unknown is None:
+            rhs -= coeff
+        else:
+            row[unknown] = row.get(unknown, Fraction(0)) + coeff
+    return row, rhs
 
 
 def _grouped_splits(items):
@@ -600,7 +644,9 @@ def wdvv_relation(target, mu, degree):
     tuple of at most two canonical keys; degree-0 factor values are
     folded into the coefficient (unstable ones drop the term).  In the
     degree-ordered solve at most one factor per term is ever unknown.
-    Slots 5.. split over the two sides in all 2**k orders, ungrouped.
+    Slots 5.. split over the two sides in all 2**k orders, ungrouped, and
+    every diagonal term and degree split is tried, so this route shares
+    neither _grouped_splits nor _split_class with the relation rows.
     """
     _require_projective(target)
     mu = tuple(int(m) for m in mu)
@@ -799,7 +845,7 @@ class ComplexSession:
             target, COMPLEX, 1, [target.num_basis, target.num_basis])
         self._seed = (seed_key, 1 / seed_mult)
         # structural part of relation-row factors, keyed by
-        # (degree, sorted basis tuple); see _factor
+        # (degree, sorted basis tuple); see _relation_terms
         self._shapes = {}
 
     # -- primary unknowns and block solving -----------------------------
@@ -823,7 +869,8 @@ class ComplexSession:
         (zero on a consistent table).  Uses the grouped fast path, so it
         is cheap even for instances with many repeated insertions.
         """
-        row, rhs = self._relation_row(mu, degree)
+        row, rhs = _relation_row(self.table, self._relation_terms(mu, degree),
+                                 degree)
         return evaluate_terms(((c, k) for k, c in row.items()),
                               self.value) - rhs
 
@@ -834,95 +881,55 @@ class ComplexSession:
         for mu in reconstruction_tuples(unknowns):
             if mu not in seen:
                 seen.add(mu)
-                yield self._relation_row(mu, d)
+                yield _relation_row(self.table, self._relation_terms(mu, d), d)
 
-    def _relation_row(self, mu, d):
-        """Evaluate one relation instance into (row-over-unknowns, rhs).
+    def _relation_terms(self, mu, d):
+        """Yield the (coefficient, keys) terms of one relation instance.
 
-        Equivalent to evaluating wdvv_relation term by term, but once per
-        distinct split of the other insertions, with its weight
-        (_grouped_splits), so large instances stay cheap (all basis
-        degrees are even, so grouping loses no sign).  For each split and
-        diagonal term the grading fixes the first factor's degree d1
-        (_pinned_degree); only a d1 in [0, d] is tried, and the second
-        factor's grading then holds automatically.  Factors go through
-        _factor, which memoizes shapes but reads values from the table.
+        Equivalent to wdvv_relation, but once per distinct split of the
+        other insertions, with its weight (_grouped_splits; all basis
+        degrees are even, so grouping loses no sign), and only with the
+        diagonal term and first-factor degree d1 the grading leaves
+        (_split_class), when d1 is in [0, d].  A factor whose memoized
+        shape vanishes drops the term; otherwise its multiplier folds
+        into the coefficient and its key, if any, joins the keys.
         """
         target = self.target
-        diag = target.diagonal_decomposition()
-        row = {}
-        rhs = Fraction(0)
+        shapes = self._shapes
         for side, (pa, pb) in ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3)))):
             for weight, first, second in _grouped_splits(mu[4:]):
                 ins_i = [mu[pa[0]], mu[pa[1]]] + first
                 ins_j = [mu[pb[0]], mu[pb[1]]] + second
-                sum_i = sum(target.degree(b) for b in ins_i)
-                for gcoeff, (ei, ej) in diag:
-                    d1 = _pinned_degree(target, sum_i + target.degree(ei),
-                                        len(ins_i) + 1)
-                    if d1 is None or not 0 <= d1 <= d:
-                        continue
-                    coeff = Fraction(side * weight) * gcoeff
-                    f1 = self._factor(d1, ins_i + [ei], d)
-                    if f1 is None:
-                        continue
-                    f2 = self._factor(d - d1, [ej] + ins_j, d)
-                    if f2 is None:
-                        continue
-                    kind1, val1 = f1
-                    kind2, val2 = f2
-                    if kind1 == "num" and kind2 == "num":
-                        rhs -= coeff * val1 * val2
-                    elif kind1 == "num":
-                        ukey, mult = val2
-                        row[ukey] = row.get(ukey, Fraction(0)) \
-                            + coeff * val1 * mult
-                    elif kind2 == "num":
-                        ukey, mult = val1
-                        row[ukey] = row.get(ukey, Fraction(0)) \
-                            + coeff * val2 * mult
-                    else:
-                        raise AssertionError(
-                            "two unknown factors in one term")
-        return row, rhs
-
-    def _factor(self, d_f, basis_list, block_degree):
-        """Classify one splitting factor at the current block degree.
-
-        Returns None for a structurally zero factor, ("num", value) for
-        a known one, or ("unknown", (key, multiplier)) for a canonical
-        unknown of the block (multiplier from divisor stripping).  The
-        structural shape is memoized by (d_f, sorted basis tuple); the
-        value is looked up in the table on every call, so a lower-degree
-        gap still raises and pre-filled or seeded entries are honoured.
-        """
-        shape_key = (d_f, tuple(sorted(basis_list)))
-        if shape_key in self._shapes:
-            shape = self._shapes[shape_key]
-        else:
-            shape = self._factor_shape(d_f, basis_list)
-            self._shapes[shape_key] = shape
-        if shape is None:
-            return None
-        if d_f == 0:
-            return ("num", shape)
-        key, mult = shape
-        val = self.table.get(key)
-        if val is not None:
-            return ("num", mult * val)
-        if d_f < block_degree:
-            raise SolverError("missing lower-degree value %r" % (key,))
-        return ("unknown", shape)
+                ei, ej, d1 = _split_class(
+                    target, sum(target.degree(b) for b in ins_i),
+                    len(ins_i) + 1)
+                if not 0 <= d1 <= d:
+                    continue
+                coeff = Fraction(side * weight)
+                keys = []
+                for d_f, ins in ((d1, ins_i + [ei]), (d - d1, [ej] + ins_j)):
+                    shape_key = (d_f, tuple(sorted(ins)))
+                    if shape_key not in shapes:
+                        shapes[shape_key] = self._factor_shape(d_f, ins)
+                    shape = shapes[shape_key]
+                    if shape is None:
+                        break
+                    coeff *= shape[0]
+                    keys.extend(shape[1:])
+                else:
+                    yield coeff, keys
 
     def _factor_shape(self, d_f, basis_list):
-        """Structural part of a factor: None when it vanishes, its value
-        at degree 0, else (canonical key, divisor multiplier)."""
+        """Structural part of a factor: None when it vanishes, (value,)
+        at degree 0, else (divisor multiplier, canonical key)."""
         if d_f == 0:
-            if len(basis_list) < 3:
-                return None
             val = degree_zero_value(self.target, [(0, b) for b in basis_list])
-            return val if val else None
-        return _strip_primary(self.target, COMPLEX, d_f, basis_list)
+            return (val,) if val else None
+        canon = _strip_primary(self.target, COMPLEX, d_f, basis_list)
+        if canon is None:
+            return None
+        key, mult = canon
+        return mult, key
 
     # -- evaluation -----------------------------------------------------
 
@@ -983,15 +990,8 @@ class ComplexSession:
                                    self.value), "axiom-reduction")
         if key.num_insertions == 1:
             return self.value(lift_one_point(key)), "trr"
-        total = Fraction(0)
-        for coeff, factors in reduce_descendant_trr(key, self.target):
-            prod = coeff
-            for fk in factors:
-                prod *= self.value(fk)
-                if not prod:
-                    break
-            total += prod
-        return total, "trr"
+        return (evaluate_products(reduce_descendant_trr(key, self.target),
+                                  self.value), "trr")
 
 
 def lift_one_point(key):
@@ -1018,8 +1018,10 @@ def reduce_descendant_trr(key, target):
 
     where the remaining slots distribute over the two sides in all ways
     (slot j always on the second side; equal splits come once, times
-    their number), and unstable degree-0 factors vanish.  Terms are
-    (coefficient, factors) with factors a tuple of 1-2 canonical keys.
+    their number), and unstable degree-0 factors vanish.  Per split of
+    the slots the grading leaves one diagonal term, with g^{ab} = 1, and
+    pins d1 (_split_class).  Terms are (coefficient, factors) with
+    factors a tuple of 1-2 canonical keys.
     """
     _require_projective(target)
     if key.genus != 0:
@@ -1058,27 +1060,23 @@ def reduce_descendant_trr(key, target):
     # splitting terms: slot i with a_i-1 on the first side, slot j on the
     # second; d2 = 0 contributes nothing (weight d2).  All basis classes
     # here have even degree, so the factor keys can be assembled by plain
-    # sorting, and the grading pins down the unique degree split per
-    # diagonal term -- anything else is structurally zero and skipped.
+    # sorting, and the grading leaves one diagonal term and one degree
+    # split per split of the slots -- anything else is structurally zero.
     others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
-    diag = target.diagonal_decomposition()
     for weight, first, second in _grouped_splits(others):
         side_i = [(a_i - 1, b_i)] + first
         side_j = [ins[j_slot]] + second
-        sum_i = sum(2 * a + target.degree(b) for a, b in side_i)
+        ea, eb, d1 = _split_class(
+            target, sum(2 * a + target.degree(b) for a, b in side_i),
+            len(side_i) + 1)
+        if not 0 <= d1 < d or (d1 == 0 and len(side_i) + 1 < 3):
+            continue
+        d2 = d - d1
         sum_j = sum(2 * a + target.degree(b) for a, b in side_j)
-        for gcoeff, (ea, eb) in diag:
-            d1 = _pinned_degree(target, sum_i + target.degree(ea),
-                                len(side_i) + 1)
-            if d1 is None or not 0 <= d1 < d:
-                continue
-            d2 = d - d1
-            if d1 == 0 and len(side_i) + 1 < 3:
-                continue
-            if sum_j + target.degree(eb) != \
-                    vdim_complex(0, len(side_j) + 1, d2, target):
-                continue
-            k1 = InvariantKey(COMPLEX, 0, d1, sorted(side_i + [(0, ea)]))
-            k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
-            raw_terms.append((inv_d * d2 * weight * gcoeff, (k1, k2)))
+        if sum_j + target.degree(eb) != \
+                vdim_complex(0, len(side_j) + 1, d2, target):
+            continue
+        k1 = InvariantKey(COMPLEX, 0, d1, sorted(side_i + [(0, ea)]))
+        k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
+        raw_terms.append((inv_d * d2 * weight, (k1, k2)))
     return raw_terms

@@ -14,16 +14,18 @@ term pairs a real factor with a fully known complex factor, weighted by
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
-filter (vdim_real, filter_real), the primary unknowns and the block-solve
-skeleton are the ones complex_solver keeps for both theories; this
-module supplies the real relation rows.  Descendant invariants reduce
-axiom-first, as in the complex theory: a key with >= 3 insertions and a
-dilaton or minus-eigenspace divisor insertion takes one such step
-(reduce_real_axioms; a string insertion kills the invariant), any other
-goes through the real topological recursion (reduce_descendant_rtrr),
-whose leading term slides a divisor onto the descendant slot with
-weight -2.  The rtrr-cross suite compares one step of each route over
-the same lower values.
+filter (vdim_real, filter_real), the primary unknowns, the block-solve
+skeleton, the split class and the relation-row builder are the ones
+complex_solver keeps for both theories; this module supplies the real
+relation terms, in which the grading of the complex side picks the
+diagonal term and pins its degree d' per split.  Descendant invariants
+reduce axiom-first, as in the complex theory: a key with >= 3
+insertions and a dilaton or minus-eigenspace divisor insertion takes
+one such step (reduce_real_axioms; a string insertion kills the
+invariant), any other goes through the real topological recursion
+(reduce_descendant_rtrr), whose leading term slides a divisor onto the
+descendant slot with weight -2.  The rtrr-cross suite compares one step
+of each route over the same lower values.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .invariant_store import REAL, COMPLEX, InvariantKey, normalize
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
                              InconsistentSystemError, _axiom_route, _combine,
                              _divisor_terms, _first_descendant_slot,
-                             _multisets_exact, _pinned_degree,
+                             _multisets_exact, _relation_row,
                              _removable_slot, _require_projective,
-                             _session_table, _solve_block, _strip_primary,
-                             _grouped_splits, evaluate_terms, filter_real,
-                             primary_unknowns, vdim_real)
+                             _session_table, _solve_block, _split_class,
+                             _strip_primary, _grouped_splits, evaluate_terms,
+                             filter_real, primary_unknowns, vdim_real)
 
 
 def _require_real_target(target):
@@ -124,9 +126,11 @@ def rwdvv_relation(target, mu, degree, complex_session):
     the real side; each term pairs a real key of degree d0 with a fully
     evaluated complex invariant of degree d' where d0 + 2d' = degree.
     Slots 4.. go to either side once per distinct split, weighted by its
-    count of ordered splits times 2 per complex-side insertion.  Returns
-    (coefficient, real-key) pairs summing to zero; constant contributions
-    cannot arise because degree-0 real factors vanish.
+    count of ordered splits times 2 per complex-side insertion.  Per
+    split the grading of the complex side leaves one diagonal term, with
+    coefficient 1, and pins d' (_split_class).  Returns (coefficient,
+    real-key) pairs summing to zero; constant contributions cannot arise
+    because degree-0 real factors vanish.
     """
     _require_real_target(target)
     mu = tuple(int(m) for m in mu)
@@ -138,7 +142,6 @@ def rwdvv_relation(target, mu, degree, complex_session):
         if target.sign(b) != -1:
             raise ValueError("slots 2.. must carry minus-eigenspace classes")
     terms = []
-    diag = target.diagonal_decomposition()
     for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
         # side +1: slot 2 real side, slots 1 and 3 complex side
         for weight, first, second in _grouped_splits(mu[3:]):
@@ -146,21 +149,20 @@ def rwdvv_relation(target, mu, degree, complex_session):
             complex_side = [mu[0], mu[complex_anchor]] + second
             # times 2 per insertion on the doubled (complex) side
             weight *= 2 ** len(complex_side)
-            for d0 in range(1, degree + 1):
-                if (degree - d0) % 2:
-                    continue
-                dprime = (degree - d0) // 2
-                for gcoeff, (ei, ej) in diag:
-                    canon = _strip_primary(
-                        target, REAL, d0, real_side + [ei])
-                    if canon is None:
-                        continue
-                    rkey, mult = canon
-                    cval = complex_session.primary_value(
-                        dprime, [ej] + complex_side)
-                    if not cval:
-                        continue
-                    terms.append((side * weight * gcoeff * mult * cval, rkey))
+            ej, ei, dprime = _split_class(
+                target, sum(target.degree(b) for b in complex_side),
+                len(complex_side) + 1)
+            d0 = degree - 2 * dprime
+            if dprime < 0 or d0 < 1:
+                continue
+            canon = _strip_primary(target, REAL, d0, real_side + [ei])
+            if canon is None:
+                continue
+            rkey, mult = canon
+            cval = complex_session.primary_value(dprime, [ej] + complex_side)
+            if not cval:
+                continue
+            terms.append((side * weight * mult * cval, rkey))
     return _combine(terms)
 
 
@@ -230,7 +232,8 @@ class RealSession:
         values; ``ks`` is a degree tuple as yielded by
         ``rwdvv_instances``.  Returns the exact failure amount (zero on
         a consistent table)."""
-        row, rhs = self._relation_row(ks, degree)
+        row, rhs = _relation_row(self.table, self._relation_terms(ks, degree),
+                                 degree)
         return evaluate_terms(((c, k) for k, c in row.items()),
                               self.value) - rhs
 
@@ -244,28 +247,15 @@ class RealSession:
         self.complex.ensure_primary(d // 2)
         max_ell = max(k.num_insertions for k in unknowns)
         for ks in rwdvv_instances(self.target, d, max_ell + 4):
-            yield self._relation_row(ks, d)
+            yield _relation_row(self.table, self._relation_terms(ks, d), d)
 
-    def _relation_row(self, ks, d):
-        """Evaluate one relation instance into (row-over-unknowns, rhs).
-
-        The terms come from rwdvv_relation; a term whose real key has a
-        stored value moves to the rhs, the others form the row.  A key
-        below degree d must already be stored.
-        """
-        row = {}
-        rhs = Fraction(0)
+    def _relation_terms(self, ks, d):
+        """The terms of one relation instance (a degree tuple as yielded
+        by rwdvv_instances) at real degree d: rwdvv_relation's
+        (coefficient, real key) pairs as (coefficient, (key,)) terms."""
         mu = tuple(k + 1 for k in ks)
-        for coeff, rkey in rwdvv_relation(self.target, mu, d, self.complex):
-            known = self.table.get(rkey)
-            if known is not None:
-                rhs -= coeff * known
-            elif rkey.degree < d:
-                raise SolverError(
-                    "missing lower-degree real value %r" % (rkey,))
-            else:
-                row[rkey] = coeff
-        return row, rhs
+        return [(coeff, (rkey,)) for coeff, rkey
+                in rwdvv_relation(self.target, mu, d, self.complex)]
 
     # -- evaluation -----------------------------------------------------
 
@@ -340,7 +330,9 @@ def reduce_descendant_rtrr(key, session):
     smaller total descendant power.  The 2^|S| weight counts the two
     placements of each doubled-side slot; it is validated against the
     string/dilaton/divisor reductions in the tests.  Equal subsets S
-    come once (_grouped_splits), times their number.
+    come once (_grouped_splits), times their number, and per subset the
+    grading of the complex factor leaves one diagonal term, with
+    g^{ab} = 1, and pins d' (_split_class).
     """
     target = session.target
     _require_real_target(target)
@@ -364,34 +356,28 @@ def reduce_descendant_rtrr(key, session):
         terms.append((-2 * inv_d, normalize(target, REAL, 0, d, contact)))
 
     # All basis classes have even degree, so both factors can be built by
-    # plain sorting; the grading pins down the unique degree split per
-    # diagonal term and everything else is structurally zero.
-    diag = target.diagonal_decomposition()
+    # plain sorting; the grading leaves one diagonal term and one degree
+    # split per split of the slots, and everything else is structurally
+    # zero.
     for weight, first, real_side in _grouped_splits(others):
         weight *= 2 ** len(first)  # two placements per doubled-side slot
         conj_side = [(a_i - 1, b_i)] + first
-        sum_c = sum(2 * a + target.degree(b) for a, b in conj_side)
-        sum_r = sum(2 * a + target.degree(b) for a, b in real_side)
-        for gcoeff, (ea, eb) in diag:
-            dprime = _pinned_degree(target, sum_c + target.degree(ea),
-                                    len(conj_side) + 1)
-            if dprime is None or dprime < 0:
-                continue
-            d0 = d - 2 * dprime
-            if d0 < 1:
-                continue
-            if dprime == 0 and len(conj_side) + 1 < 3:
-                continue
-            rfactor = real_side + [(0, eb)]
-            if sum_r + target.degree(eb) != \
-                    vdim_real(0, len(rfactor), d0, target):
-                continue
-            rk = normalize(target, REAL, 0, d0, rfactor)
-            if rk is None:
-                continue
-            cval = session.complex.value(InvariantKey(
-                COMPLEX, 0, dprime, sorted(conj_side + [(0, ea)])))
-            if not cval:
-                continue
-            terms.append((inv_d * d0 * weight * gcoeff * cval, rk))
+        ea, eb, dprime = _split_class(
+            target, sum(2 * a + target.degree(b) for a, b in conj_side),
+            len(conj_side) + 1)
+        d0 = d - 2 * dprime
+        if dprime < 0 or d0 < 1 or (dprime == 0 and len(conj_side) + 1 < 3):
+            continue
+        rfactor = real_side + [(0, eb)]
+        if sum(2 * a + target.degree(b) for a, b in rfactor) != \
+                vdim_real(0, len(rfactor), d0, target):
+            continue
+        rk = normalize(target, REAL, 0, d0, rfactor)
+        if rk is None:
+            continue
+        cval = session.complex.value(InvariantKey(
+            COMPLEX, 0, dprime, sorted(conj_side + [(0, ea)])))
+        if not cval:
+            continue
+        terms.append((inv_d * d0 * weight * cval, rk))
     return _combine(terms)

@@ -13,6 +13,8 @@ from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable)
 from gwcalc.real_solver import RealSession
 
+from conftest import torus_ring_data
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -224,6 +226,18 @@ def test_bad_target_file_exits_2(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("error: bad target file: ")
     assert err.count("\n") == 1
+
+
+def test_non_projective_target_file_exits_2(capsys, tmp_path):
+    """A well-formed target file whose ring is not P^n is refused up
+    front, as bad input."""
+    spec = tmp_path / "target.json"
+    spec.write_text(json.dumps(torus_ring_data()))
+    for command in ("compute", "verify"):
+        code, out, err = run(capsys, command, "--target-file", str(spec),
+                             "--max-degree", "1")
+        assert (code, out) == (2, ""), command
+        assert err == "error: target file: torus is not a projective space\n"
 
 
 def test_cache_flows(capsys, tmp_path):

@@ -9,14 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.graded_algebra import (builtin_target, builtin_target_names,
-                                   make_p2, make_projective)
+from gwcalc import complex_solver
+from gwcalc.graded_algebra import (_projective_space, builtin_target,
+                                   builtin_target_names, make_p2,
+                                   make_projective)
 from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
                                     StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   _grouped_splits, _sub_multisets_4,
-                                   degree_zero_value,
+                                   _grouped_splits, _split_class,
+                                   _sub_multisets_4, degree_zero_value,
+                                   evaluate_products,
                                    filter_complex, key_degree_sum,
                                    kontsevich_p2, psi_multinomial_recursive,
                                    reduce_axioms, reduce_descendant_trr,
@@ -341,6 +344,66 @@ def test_wdvv_relation_sums_to_zero(p2_session):
                 prod *= p2_session.value(f)
             total += prod
         assert total == 0, (mu, d)
+
+
+@pytest.mark.parametrize("target", [
+    builtin_target(name) for name in builtin_target_names()] + [
+    _projective_space(4, "P4", False), _projective_space(6, "P6", False)],
+    ids=lambda t: t.name)
+def test_split_class_is_the_one_graded_diagonal_term(target):
+    """Of every term g^ab e_a (x) e_b of the diagonal class, exactly one
+    lets a side with num_points insertions (e_a among them) meet the
+    grading at a whole curve degree; _split_class returns that term, and
+    its coefficient is 1."""
+    c1 = target.c1_pairing
+    diag = target.diagonal_decomposition()
+    for num_points in range(1, 9):
+        base = vdim_complex(0, num_points, 0, target)
+        for degree_sum in range(0, 2 * target.complex_dim * num_points + 1,
+                                2):
+            hits = []
+            for gcoeff, (a, b) in diag:
+                excess = degree_sum + target.degree(a) - base
+                if excess % (2 * c1) == 0:
+                    hits.append((gcoeff, (a, b, excess // (2 * c1))))
+            assert len(hits) == 1, (num_points, degree_sum)
+            (gcoeff, want), = hits
+            assert gcoeff == 1
+            assert _split_class(target, degree_sum, num_points) == want
+
+
+def test_wdvv_oracle_needs_no_grouped_step(p3_sessions, monkeypatch):
+    """wdvv_relation stays an independent route: with the grouped split
+    and the split-class step of the fast path broken, it still expands
+    every instance of P3-tau d <= 3 in verify's window, and those below
+    degree 3 (a few percent of the terms) sum to zero on the solved
+    table."""
+    from gwcalc.cli import _instance_caps
+
+    cs = p3_sessions[0]
+    p3 = cs.target
+
+    def broken(*args):
+        raise AssertionError("the oracle reached the fast path")
+
+    monkeypatch.setattr(complex_solver, "_split_class", broken)
+    monkeypatch.setattr(complex_solver, "_grouped_splits", broken)
+    checked = 0
+    for d, cap in sorted(_instance_caps(cs, 3).items()):
+        for mu in wdvv_instances(p3, d, max(cap + 1, 5)):
+            terms = wdvv_relation(p3, mu, d)
+            assert terms, mu
+            assert d == 3 or evaluate_products(terms, cs.value) == 0, mu
+            checked += 1
+    assert checked == 3 + 43 + 111
+
+
+def test_relation_residual_needs_lower_degrees(p2):
+    """A fresh session has no degree-1 values, so a degree-2 instance
+    cannot be sorted into a row."""
+    mu = next(wdvv_instances(p2, 2, 7))
+    with pytest.raises(SolverError, match="missing lower-degree value"):
+        ComplexSession(p2).relation_residual(mu, 2)
 
 
 def test_wdvv_relation_rejects(p2):

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.graded_algebra import make_p2, make_projective
+from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
 from gwcalc.invariant_store import (REAL, InvariantKey, InvariantTable,
                                     real_insertion_vanishes)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   UnderdeterminedError)
+                                   UnderdeterminedError, _combine,
+                                   _grouped_splits, _strip_primary)
 from gwcalc.real_solver import (RealSession, filter_real,
                                 reduce_descendant_rtrr, reduce_real_axioms,
                                 rwdvv_instances, rwdvv_relation, vdim_real)
@@ -131,13 +132,13 @@ def test_unseeded_block_evaluates_each_instance_once(monkeypatch):
     cannot determine."""
     session = RealSession(make_projective(4, "eta"))
     seen = []
-    evaluate = session._relation_row
+    evaluate = session._relation_terms
 
     def counted(ks, d):
         seen.append(ks)
         return evaluate(ks, d)
 
-    monkeypatch.setattr(session, "_relation_row", counted)
+    monkeypatch.setattr(session, "_relation_terms", counted)
     with pytest.raises(UnderdeterminedError, match=r"left 3 key\(s\)"):
         session.ensure_real(1)
     assert len(seen) == len(set(seen)) == 14
@@ -261,6 +262,63 @@ def test_rwdvv_relation_sums_to_zero(p3_sessions):
             assert k.kind == REAL
             total += coeff * rs.value(k)
         assert total == 0
+
+
+def _rwdvv_relation_every_degree(target, mu, degree, cs):
+    """rwdvv_relation's terms by a walk over every real degree d0 and
+    every diagonal term, leaving the grading to drop the rest."""
+    terms = []
+    for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
+        for weight, first, second in _grouped_splits(mu[3:]):
+            real_side = [mu[real_anchor]] + first
+            complex_side = [mu[0], mu[complex_anchor]] + second
+            weight *= 2 ** len(complex_side)
+            for d0 in range(1, degree + 1):
+                if (degree - d0) % 2:
+                    continue
+                dprime = (degree - d0) // 2
+                for gcoeff, (ei, ej) in target.diagonal_decomposition():
+                    canon = _strip_primary(
+                        target, REAL, d0, real_side + [ei])
+                    if canon is None:
+                        continue
+                    rk, mult = canon
+                    cval = cs.primary_value(dprime, [ej] + complex_side)
+                    if cval:
+                        terms.append((side * weight * gcoeff * mult * cval,
+                                      rk))
+    return _combine(terms)
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("P3-tau", 5), ("P5-tau", 3), ("P7-tau", 3), ("P3-eta", 3)])
+def test_rwdvv_relation_matches_every_degree_walk(name, max_degree):
+    """The split-class step pins d' on the complex side and leaves the
+    same terms as a walk over every d0 and every diagonal term, on every
+    instance the block solve would try."""
+    target = builtin_target(name)
+    session = RealSession(target, seed_sign=1)
+    cs = session.complex
+    checked = nonempty = 0
+    for d in range(1, max_degree + 1):
+        keys = session.primary_keys(d)
+        cap = max((k.num_insertions for k in keys), default=0) + 4
+        for ks in rwdvv_instances(target, d, cap):
+            mu = tuple(k + 1 for k in ks)
+            terms = rwdvv_relation(target, mu, d, cs)
+            assert terms == _rwdvv_relation_every_degree(target, mu, d, cs), \
+                (ks, d)
+            checked += 1
+            nonempty += bool(terms)
+    assert nonempty > checked // 2
+
+
+def test_real_relation_residual_needs_lower_degrees(p3):
+    """A fresh session has no degree-1 real values, so a degree-3
+    instance cannot be sorted into a row."""
+    ks = next(rwdvv_instances(p3, 3, 5))
+    with pytest.raises(SolverError, match="missing lower-degree value"):
+        RealSession(p3, seed_sign=1).relation_residual(ks, 3)
 
 
 def test_relation_residuals_vanish(p3_sessions):
