@@ -15,6 +15,7 @@ usage error).
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -351,6 +352,28 @@ def _instance_caps(session, max_degree):
     return caps
 
 
+def _relation_suite(session, max_degree, instances, slack, pde_residuals):
+    """Shared body of the wdvv and rwdvv suites: every instance that
+    ``instances(target, d, length)`` lists in verify's window (the longest
+    unknown of the degree + slack, at least 5) sums to zero on the table,
+    then every (indices, residual) of ``pde_residuals()`` vanishes."""
+    work = [(d, inst) for d, cap in sorted(
+                _instance_caps(session, max_degree).items())
+            for inst in instances(session.target, d, max(cap + slack, 5))]
+    for d, inst in work:
+        total = session.relation_residual(inst, d)
+        if total:
+            return False, "instance %r at degree %d sums to %s" \
+                % (inst, d, total), len(work)
+    checks = len(work)
+    for indices, res in pde_residuals():
+        checks += 1
+        if not res.is_zero():
+            return False, "PDE residual (%s) has %s" % (
+                ",".join(map(str, indices)), _first_term(res)), checks
+    return True, "", checks
+
+
 def _descendant_keys(target, kind, degree, max_insertions, depth):
     """All structurally nonzero canonical keys with descendants at a
     degree, with 1..max_insertions insertions, sorted."""
@@ -368,18 +391,17 @@ def _first_term(res):
     return "%s at %s" % (frac_to_str(c), GradedSeries.monomial_string(q, vt))
 
 
-def suite_grading(target, args, csession, rsession):
+def suite_grading(target, args, csession, rsession, potential):
     """No stored nonzero entry fails the structural filters (the grading
     identity among them); a deterministic sample of filter-flagged keys
     evaluates to 0."""
     import random
+    routes = {COMPLEX: (filter_complex, csession),
+              REAL: (filter_real, rsession)}
     checks = 0
     for key, value, _prov in csession.table.items():
         checks += 1
-        if key.kind == COMPLEX:
-            reason = filter_complex(key, target)
-        else:
-            reason = filter_real(key, target)
+        reason = routes[key.kind][0](key, target)
         if value != 0 and reason is not None:
             return False, "stored nonzero value at structurally-zero key " \
                 "%r (%s)" % (key, reason), checks
@@ -392,109 +414,73 @@ def suite_grading(target, args, csession, rsession):
         ins = sorted((rng.randint(0, 2), rng.randint(1, nb))
                      for _ in range(ell))
         key = InvariantKey(kind, 0, rng.randint(0, args.max_degree), ins)
-        if kind == COMPLEX:
-            flagged = filter_complex(key, target) is not None
-            val = csession.value(key) if flagged else None
-        else:
-            flagged = filter_real(key, target) is not None
-            val = rsession.value(key) if flagged else None
-        if flagged:
+        filt, session = routes[kind]
+        if filt(key, target) is not None:
             checks += 1
+            val = session.value(key)
             if val != 0:
                 return False, "flagged key %r evaluated to %s" \
                     % (key, val), checks
     return True, "", checks
 
 
-def suite_wdvv(target, args, csession, rsession):
+def suite_wdvv(target, args, csession, rsession, potential):
     """Every exchange-relation instance in the solving window evaluates
     to zero on the table, and the associativity PDE residuals vanish."""
-    caps = _instance_caps(csession, args.max_degree)
-    work = [(d, mu) for d, cap in sorted(caps.items())
-            for mu in wdvv_instances(target, d, max(cap + 1, 5))]
-    for d, mu in work:
-        total = csession.relation_residual(mu, d)
-        if total:
-            return False, "instance %r at degree %d sums to %s" \
-                % (mu, d, total), len(work)
-    checks = len(work)
-    phi = build_potential(target, COMPLEX, csession.value,
-                          (6, min(args.max_degree, 3)))
-    for indices, res in wdvv_pde_residuals(phi):
-        checks += 1
-        if not res.is_zero():
-            return False, "PDE residual (%d,%d,%d,%d) has %s" \
-                % (*indices, _first_term(res)), checks
-    return True, "", checks
+    def pde_residuals():
+        return wdvv_pde_residuals(
+            potential(COMPLEX, (6, min(args.max_degree, 3))))
+    return _relation_suite(csession, args.max_degree, wdvv_instances, 1,
+                           pde_residuals)
 
 
-def suite_rwdvv(target, args, csession, rsession):
+def suite_rwdvv(target, args, csession, rsession, potential):
     """Real exchange-relation instances and the real associativity PDE."""
-    caps = _instance_caps(rsession, args.max_degree)
-    work = [(d, ks) for d, cap in sorted(caps.items())
-            for ks in rwdvv_instances(target, d, max(cap + 2, 5))]
-    for d, ks in work:
-        total = rsession.relation_residual(ks, d)
-        if total:
-            return False, "instance %r at degree %d sums to %s" \
-                % (ks, d, total), len(work)
-    checks = len(work)
-    truncation = (6, min(args.max_degree, 4))
-    doubled = build_potential(target, COMPLEX, csession.value, truncation,
-                              doubled=True)
-    omega = build_potential(target, REAL, rsession.value, truncation)
-    nb = target.num_basis
-    for i1 in range(1, nb + 1):
-        if target.sign(i1) != 1:
-            continue
-        for i2 in range(1, nb + 1):
-            if target.sign(i2) != -1:
-                continue
-            for i3 in range(1, nb + 1):
-                if target.sign(i3) != -1:
-                    continue
-                checks += 1
-                res = residual_rwdvv_pde(doubled, omega, (i1, i2, i3))
-                if not res.is_zero():
-                    return False, "PDE residual (%d,%d,%d) has %s" \
-                        % (i1, i2, i3, _first_term(res)), checks
-    return True, "", checks
+    def pde_residuals():
+        truncation = (6, min(args.max_degree, 4))
+        doubled = potential(COMPLEX, truncation, doubled=True)
+        omega = potential(REAL, truncation)
+        by_sign = {s: [i for i in range(1, target.num_basis + 1)
+                       if target.sign(i) == s] for s in (1, -1)}
+        for indices in itertools.product(by_sign[1], by_sign[-1],
+                                         by_sign[-1]):
+            yield indices, residual_rwdvv_pde(doubled, omega, indices)
+    return _relation_suite(rsession, args.max_degree, rwdvv_instances, 2,
+                           pde_residuals)
 
 
-def _suite_descendant_residuals(args, csession, rsession,
+def _suite_descendant_residuals(args, rsession, potential,
                                 complex_residual, real_residual):
-    """Shared body of the string and dilaton suites: build the descendant
-    potentials to depth 2 and check that both residuals vanish."""
+    """Shared body of the string and dilaton suites: both residuals vanish
+    on the depth-2 descendant potentials, which the two suites share."""
     truncation = (6, min(args.max_degree, 3))
     checks = 1
-    res = complex_residual(build_potential(
-        csession.target, COMPLEX, csession.value, truncation, depth=2))
+    res = complex_residual(potential(COMPLEX, truncation, depth=2))
     if not res.is_zero():
         return False, "complex residual has %s" % _first_term(res), checks
     if rsession is not None:
         checks += 1
-        res = real_residual(build_potential(
-            rsession.target, REAL, rsession.value, truncation, depth=2))
+        res = real_residual(potential(REAL, truncation, depth=2))
         if not res.is_zero():
             return False, "real residual has %s" % _first_term(res), checks
     return True, "", checks
 
 
-def suite_string(target, args, csession, rsession):
+def suite_string(target, args, csession, rsession, potential):
     """String-equation residuals on the descendant potentials."""
-    return _suite_descendant_residuals(args, csession, rsession,
+    return _suite_descendant_residuals(args, rsession, potential,
                                        residual_string_complex,
                                        residual_string_real)
 
 
-def suite_dilaton(target, args, csession, rsession):
+def suite_dilaton(target, args, csession, rsession, potential):
     """Dilaton-equation residuals on the descendant potentials."""
-    return _suite_descendant_residuals(args, csession, rsession,
+    return _suite_descendant_residuals(args, rsession, potential,
                                        residual_dilaton_complex,
                                        residual_dilaton_real)
 
 
-def suite_divisor(target, args, csession, rsession):
+def suite_divisor(target, args, csession, rsession, potential):
     """Adding a unit, a dilaton slot, or a divisor to a solved key gives
     the predicted value."""
     checks = 0
@@ -535,50 +521,52 @@ def suite_divisor(target, args, csession, rsession):
     return True, "", checks
 
 
-def suite_trr_cross(target, args, csession, rsession):
+def _cross_check(session, kind, max_degree, max_insertions, axiom_step,
+                 recursion_value):
+    """Shared body of trr-cross and rtrr-cross: the theory's descendant
+    recursion (``recursion_value(key)``) agrees with its axiom reductions
+    (``axiom_step``) on every admissible descendant key both can handle."""
+    target = session.target
+    checks = 0
+    for d in range(1, max_degree + 1):
+        for key in _descendant_keys(target, kind, d, max_insertions, 2):
+            try:
+                terms = axiom_step(key, target)
+            except AxiomPreconditionError:
+                continue
+            via_axiom = evaluate_terms(terms, session.value)
+            via_recursion = recursion_value(key)
+            checks += 1
+            if via_axiom != via_recursion:
+                return False, "key %r: reduction %s != axiom %s" % (
+                    key, via_recursion, via_axiom), checks
+    if checks == 0:
+        return False, "no cross-checkable %sdescendant keys in range" % (
+            "real " if kind == REAL else ""), 0
+    return True, "", checks
+
+
+def suite_trr_cross(target, args, csession, rsession, potential):
     """Descendant reduction agrees with the axiom reductions on every
     admissible descendant key that both can handle."""
-    checks = 0
-    for d in range(1, args.max_degree + 1):
-        for key in _descendant_keys(target, COMPLEX, d, 5, 2):
-            try:
-                terms = reduce_axioms(key, target)
-            except AxiomPreconditionError:
-                continue
-            via_axiom = evaluate_terms(terms, csession.value)
-            # the recursion needs two insertions: lift one-point keys
-            # by the string relation first, as ComplexSession.value does
-            trr_key = lift_one_point(key) if key.num_insertions == 1 else key
-            via_trr = evaluate_products(
-                reduce_descendant_trr(trr_key, target), csession.value)
-            checks += 1
-            if via_axiom != via_trr:
-                return False, "key %r: reduction %s != axiom %s" % (
-                    key, via_trr, via_axiom), checks
-    if checks == 0:
-        return False, "no cross-checkable descendant keys in range", 0
-    return True, "", checks
+    def via_trr(key):
+        # the recursion needs two insertions: lift one-point keys by the
+        # string relation first, as ComplexSession.value does
+        if key.num_insertions == 1:
+            key = lift_one_point(key)
+        return evaluate_products(reduce_descendant_trr(key, target),
+                                 csession.value)
+    return _cross_check(csession, COMPLEX, args.max_degree, 5,
+                        reduce_axioms, via_trr)
 
 
-def suite_rtrr_cross(target, args, csession, rsession):
+def suite_rtrr_cross(target, args, csession, rsession, potential):
     """Real descendant reduction agrees with the real axiom reductions."""
-    checks = 0
-    for d in range(1, args.max_degree + 1):
-        for key in _descendant_keys(target, REAL, d, 4, 2):
-            try:
-                terms = reduce_real_axioms(key, target)
-            except AxiomPreconditionError:
-                continue
-            via_axiom = evaluate_terms(terms, rsession.value)
-            via_rtrr = evaluate_terms(reduce_descendant_rtrr(key, rsession),
-                                      rsession.value)
-            checks += 1
-            if via_axiom != via_rtrr:
-                return False, "key %r: reduction %s != axiom %s" % (
-                    key, via_rtrr, via_axiom), checks
-    if checks == 0:
-        return False, "no cross-checkable real descendant keys in range", 0
-    return True, "", checks
+    def via_rtrr(key):
+        return evaluate_terms(reduce_descendant_rtrr(key, rsession),
+                              rsession.value)
+    return _cross_check(rsession, REAL, args.max_degree, 4,
+                        reduce_real_axioms, via_rtrr)
 
 
 SUITE_FUNCS = {
@@ -619,14 +607,23 @@ def cmd_verify(args, out=None):
                                complex_session=csession)
     # the suites read the solved blocks and do not solve them again
     csession.ensure_primary(args.max_degree)
-    if rsession is not None and any(s in ("rwdvv", "rtrr-cross", "string",
-                                          "dilaton", "divisor", "grading")
-                                    for s in names):
+    if rsession is not None and not set(names) <= {"wdvv", "trr-cross"}:
         rsession.ensure_real(args.max_degree)
+    sessions = {COMPLEX: csession, REAL: rsession}
+    built = {}
+
+    def potential(kind, truncation, depth=0, doubled=False):
+        """Each generating function the suites read, built once per run."""
+        spec = (kind, truncation, depth, doubled)
+        if spec not in built:
+            built[spec] = build_potential(target, kind, sessions[kind].value,
+                                          truncation, depth, doubled)
+        return built[spec]
+
     all_ok = True
     for name in names:
         ok, detail, checks = SUITE_FUNCS[name](target, args, csession,
-                                               rsession)
+                                               rsession, potential)
         if ok:
             out.write("suite %-10s pass (%d checks)\n" % (name, checks))
         else:

@@ -144,10 +144,11 @@ class TargetSpace:
     def is_projective_space(self):
         """Structural check for the single-generator projective ring shape.
 
-        True when the basis is 1, h, ..., h^n with h^i * h^j = h^{i+j}
-        (zero past the top), the pairing is the anti-diagonal unit matrix,
-        and the curve constants match (c1 = n+1, Euler characteristic
-        n+1).  The solver modules only accept such targets.
+        True when the basis is 1, h, ..., h^n with n >= 1 and
+        h^i * h^j = h^{i+j} (zero past the top), the pairing is the
+        anti-diagonal unit matrix, and the curve constants match (c1 =
+        n+1, Euler characteristic n+1).  The solver modules only accept
+        such targets.
         """
         if self._is_proj is None:
             self._is_proj = self._projective_check()
@@ -156,7 +157,8 @@ class TargetSpace:
     def _projective_check(self):
         n = self.complex_dim
         N = self.num_basis
-        if N != n + 1 or self._degs != [2 * k for k in range(N)]:
+        # P^0 has no hyperplane class and no curves to count
+        if n < 1 or N != n + 1 or self._degs != [2 * k for k in range(N)]:
             return False
         for i in range(1, N + 1):
             for j in range(1, N + 1):

@@ -293,9 +293,6 @@ class RealSession:
             # class has codimension 0 while the real curve moduli has
             # positive dimension for ell >= 2 (ell <= 1 fails effectivity)
             return Fraction(0)
-        if any(a == 0 and self.target.degree(b) == 0
-               for a, b in key.insertions):
-            return Fraction(0)  # string insertion annihilates
         if key.total_descendant_power() == 0:
             val = self.primary_value(key.degree,
                                      [b for _, b in key.insertions])

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, cache round trips."""
 
+import contextlib
 import io
 import json
 import os
@@ -7,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from gwcalc import cli
 from gwcalc.cli import emit_rows, main
-from gwcalc.graded_algebra import TargetSpace, frac_to_str, make_p2
+from gwcalc.graded_algebra import (TargetSpace, _projective_space,
+                                   frac_to_str, make_p2)
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable)
+from gwcalc.potentials import build_potential
 from gwcalc.real_solver import RealSession
 
 from conftest import torus_ring_data
@@ -229,15 +233,19 @@ def test_bad_target_file_exits_2(capsys, tmp_path, case):
 
 
 def test_non_projective_target_file_exits_2(capsys, tmp_path):
-    """A well-formed target file whose ring is not P^n is refused up
-    front, as bad input."""
+    """A well-formed target file whose ring is not P^n with n >= 1 is
+    refused up front, as bad input.  P^0 has the ring shape but no
+    hyperplane class and no curves."""
     spec = tmp_path / "target.json"
-    spec.write_text(json.dumps(torus_ring_data()))
-    for command in ("compute", "verify"):
-        code, out, err = run(capsys, command, "--target-file", str(spec),
-                             "--max-degree", "1")
-        assert (code, out) == (2, ""), command
-        assert err == "error: target file: torus is not a projective space\n"
+    for name, text in (("torus", json.dumps(torus_ring_data())),
+                       ("P0", _projective_space(0, "P0", False).dumps())):
+        spec.write_text(text)
+        for command in ("compute", "verify"):
+            code, out, err = run(capsys, command, "--target-file", str(spec),
+                                 "--max-degree", "1")
+            assert (code, out) == (2, ""), (name, command)
+            assert err == "error: target file: %s is not a projective " \
+                "space\n" % name
 
 
 def test_cache_flows(capsys, tmp_path):
@@ -421,17 +429,86 @@ def test_verify_single_suite(capsys):
     assert "pass" in out
 
 
-def test_verify_wdvv_reads_no_real_value(capsys, monkeypatch):
-    # the complex associativity checks need no real invariant, even on a
-    # target that has a real theory
+@pytest.mark.parametrize("suite", ["wdvv", "trr-cross"])
+def test_verify_wdvv_reads_no_real_value(capsys, monkeypatch, suite):
+    # the complex associativity checks and the complex cross-check need
+    # no real invariant, even on a target that has a real theory
     def refuse(self, key):
         raise AssertionError("real value %r read" % (key,))
 
     monkeypatch.setattr(RealSession, "value", refuse)
     code, out, err = run(capsys, "verify", "--target", "P3-tau",
-                         "--max-degree", "2", "--suite", "wdvv")
+                         "--max-degree", "2", "--suite", suite)
     assert code == 0
-    assert out.startswith("suite wdvv") and "pass" in out
+    assert out.startswith("suite %s" % suite) and "pass" in out
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("--target", "P3-tau"), 5),
+    (("--target", "P2"), 2),
+    (("--target", "P3-tau", "--suite", "dilaton"), 2),
+], ids=["P3-tau-all", "P2-all", "P3-tau-dilaton"])
+def test_verify_builds_each_potential_once(capsys, monkeypatch, argv,
+                                           builds):
+    """The string and dilaton suites read the same two depth-2
+    potentials, built once per run: on P3-tau wdvv builds one potential,
+    rwdvv two and string two; on P2 wdvv one and string one."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_potential(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_potential", counted)
+    code, out, err = run(capsys, "verify", *argv, "--max-degree", "2")
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == builds
+
+
+@pytest.fixture(scope="module")
+def p3_d2_cache(tmp_path_factory):
+    """The cache a passing verify of P3-tau d <= 2 writes, as JSON data."""
+    path = tmp_path_factory.mktemp("p3_d2") / "cache.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--target", "P3-tau", "--max-degree", "2",
+                     "--cache", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("suite, kind, degree, insertions, line", [
+    ("wdvv", COMPLEX, 2, [(0, 4)] * 4,
+     "suite wdvv       FAIL: instance (2, 3, 4, 4, 4) at degree 2 sums "
+     "to 1"),
+    ("wdvv", COMPLEX, 1, [(0, 2), (0, 4), (0, 4)],
+     "suite wdvv       FAIL: PDE residual (2,2,3,4) has -1 at q^1"),
+    ("rwdvv", REAL, 2, [(0, 4), (0, 4)],
+     "suite rwdvv      FAIL: instance (2, 1, 3) at degree 2 sums to -4"),
+    ("rwdvv", REAL, 2, [(0, 2), (0, 4), (0, 4)],
+     "suite rwdvv      FAIL: PDE residual (3,2,4) has 1/8 at q^2 t[0,2]"),
+    ("trr-cross", COMPLEX, 2, [(2, 4), (2, 4)],
+     "suite trr-cross  FAIL: key <complex g=0 d=2 | t0(e2), t2(e4), "
+     "t2(e4)>: reduction 1 != axiom 3"),
+    ("rtrr-cross", REAL, 2, [(2, 4)],
+     "suite rtrr-cross FAIL: key <real g=0 d=2 | t0(e2), t2(e4)>: "
+     "reduction 0 != axiom 2"),
+], ids=["wdvv-instance", "wdvv-pde", "rwdvv-instance", "rwdvv-pde",
+        "trr-cross", "rtrr-cross"])
+def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
+                                          suite, kind, degree, insertions,
+                                          line):
+    """One stored value raised by 1 makes the suite that reads it fail,
+    with its first failing check named the same way in both theories."""
+    data = json.loads(json.dumps(p3_d2_cache))
+    want = [{"a": a, "basis": b} for a, b in insertions]
+    entry, = [e for e in data["entries"] if e["kind"] == kind
+              and e["degree"] == degree and e["insertions"] == want]
+    entry["value"] = frac_to_str(Fraction(entry["value"]) + 1)
+    cache = tmp_path / "tampered.json"
+    cache.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--target", "P3-tau",
+                         "--max-degree", "2", "--suite", suite,
+                         "--cache", str(cache))
+    assert (code, out, err) == (1, line + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,6 +45,9 @@ def test_filter_real(p3):
     assert filter_real(rkey(1, [(0, 3)]), p3) == "parity"
     # tau_1 of a minus-eigenspace class dies by parity
     assert filter_real(rkey(1, [(1, 4)]), p3) == "parity"
+    # the unit is a plus-eigenspace class: a string insertion dies by
+    # parity before any other rule reaches it
+    assert filter_real(rkey(1, [(0, 1), (0, 4)]), p3) == "parity"
     # grading: <pt> at degree 1 needs degree sum 6
     assert filter_real(rkey(1, [(0, 4)]), p3) is None
     assert filter_real(rkey(1, [(0, 2)]), p3) == "grading"

@@ -1,0 +1,62 @@
+"""The benchmark tracer's view of ``verify``.
+
+perfbench/tracer.py measures by rebinding names in the gwcalc modules
+while it runs.  A ``verify`` suite that reached one of those functions
+through a reference taken at import time would bypass the rebinding, and
+the per-layer metric for it would silently read 0.  The test below
+counts calls through every name the tracer rebinds in ``gwcalc.cli`` and
+through every suite, on one ``verify`` run.
+"""
+
+import importlib.util
+import os
+from collections import Counter
+
+from gwcalc import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the names the per-layer metrics of verify-p3 are read through
+VERIFY_LAYERS = {"wdvv_instances", "rwdvv_instances", "reduce_axioms",
+                 "reduce_descendant_trr", "reduce_descendant_rtrr",
+                 "residual_string_complex", "residual_string_real",
+                 "residual_dilaton_complex", "residual_dilaton_real",
+                 "residual_rwdvv_pde"}
+
+
+def _names_the_tracer_rebinds_in_cli():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = dict(vars(cli))
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        return {name for name, obj in vars(cli).items()
+                if before.get(name) is not obj}
+    finally:
+        tracer.uninstall()
+
+
+def test_verify_calls_every_traced_name(capsys, monkeypatch):
+    names = _names_the_tracer_rebinds_in_cli()
+    assert VERIFY_LAYERS <= names
+    names.discard("emit_rows")  # verify prints no invariant rows
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for name, fn in list(cli.SUITE_FUNCS.items()):
+        monkeypatch.setitem(cli.SUITE_FUNCS, name,
+                            counted("suite " + name, fn))
+    code = cli.main(["verify", "--target", "P3-tau", "--max-degree", "2"])
+    assert code == 0 and "FAIL" not in capsys.readouterr().out
+    labels = names | {"suite " + name for name in cli.SUITE_FUNCS}
+    assert sorted(label for label in labels if not calls[label]) == []
