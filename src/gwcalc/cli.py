@@ -294,11 +294,10 @@ def cmd_compute(args, out=None):
     if args.real and target.complex_dim % 2 == 0:
         raise UsageError("--real needs a target of odd complex dimension")
     table, path = _load_table(args, target)
-    csession = ComplexSession(target, table)
-    rsession = None
+    session = ComplexSession(target, table)
     if args.real:
-        rsession = RealSession(target, table, seed_sign=seed_sign,
-                               complex_session=csession)
+        session = RealSession(target, table, seed_sign=seed_sign,
+                              complex_session=session)
     top = args.degree if args.degree is not None else args.max_degree
     degrees = [args.degree] if args.degree is not None else \
         list(range(1, args.max_degree + 1))
@@ -309,18 +308,15 @@ def cmd_compute(args, out=None):
         if args.degree is None:
             raise UsageError("--insertions needs --degree")
         raw = parse_insertions(target, args.insertions)
-        kind = REAL if args.real else COMPLEX
-        session = rsession if args.real else csession
         # a real insertion of the wrong parity fails the structural
         # filter, so its key evaluates to 0 like any other vanishing key
-        key = InvariantKey(kind, 0, args.degree, sorted(raw))
+        key = InvariantKey(session.kind, 0, args.degree, sorted(raw))
         rows = [(key, session.value(key))]
     else:
-        session = rsession if args.real else csession
         if args.real:
-            rsession.ensure_real(top)
+            session.ensure_real(top)
         else:
-            csession.ensure_primary(top)
+            session.ensure_primary(top)
         keys = []
         for d in degrees:
             keys.extend(session.primary_keys(d))
@@ -393,18 +389,29 @@ def _first_term(res):
 
 def suite_grading(target, args, csession, rsession, potential):
     """No stored nonzero entry fails the structural filters (the grading
-    identity among them); a deterministic sample of filter-flagged keys
-    evaluates to 0."""
+    identity among them), each stored genus-0 descendant-free entry in
+    the degree window equals its session's primary_value (its stripped
+    unknown times the divisor multiplier, or the degree-0 rule), and a
+    deterministic sample of filter-flagged keys evaluates to 0."""
     import random
     routes = {COMPLEX: (filter_complex, csession),
               REAL: (filter_real, rsession)}
     checks = 0
     for key, value, _prov in csession.table.items():
         checks += 1
-        reason = routes[key.kind][0](key, target)
+        filt, session = routes[key.kind]
+        reason = filt(key, target)
         if value != 0 and reason is not None:
             return False, "stored nonzero value at structurally-zero key " \
                 "%r (%s)" % (key, reason), checks
+        if (session is not None and key.genus == 0
+                and key.degree <= args.max_degree
+                and not key.total_descendant_power()):
+            want = session.primary_value(
+                key.degree, [b for _, b in key.insertions])
+            if value != want:
+                return False, "stored value %s at %r, primary value %s" \
+                    % (value, key, want), checks
     rng = random.Random(20240811)
     nb = target.num_basis
     for _ in range(2000):
@@ -521,15 +528,16 @@ def suite_divisor(target, args, csession, rsession, potential):
     return True, "", checks
 
 
-def _cross_check(session, kind, max_degree, max_insertions, axiom_step,
+def _cross_check(session, max_degree, max_insertions, axiom_step,
                  recursion_value):
-    """Shared body of trr-cross and rtrr-cross: the theory's descendant
+    """Shared body of trr-cross and rtrr-cross: the session's descendant
     recursion (``recursion_value(key)``) agrees with its axiom reductions
     (``axiom_step``) on every admissible descendant key both can handle."""
     target = session.target
     checks = 0
     for d in range(1, max_degree + 1):
-        for key in _descendant_keys(target, kind, d, max_insertions, 2):
+        for key in _descendant_keys(target, session.kind, d,
+                                    max_insertions, 2):
             try:
                 terms = axiom_step(key, target)
             except AxiomPreconditionError:
@@ -542,7 +550,7 @@ def _cross_check(session, kind, max_degree, max_insertions, axiom_step,
                     key, via_recursion, via_axiom), checks
     if checks == 0:
         return False, "no cross-checkable %sdescendant keys in range" % (
-            "real " if kind == REAL else ""), 0
+            "real " if session.kind == REAL else ""), 0
     return True, "", checks
 
 
@@ -556,7 +564,7 @@ def suite_trr_cross(target, args, csession, rsession, potential):
             key = lift_one_point(key)
         return evaluate_products(reduce_descendant_trr(key, target),
                                  csession.value)
-    return _cross_check(csession, COMPLEX, args.max_degree, 5,
+    return _cross_check(csession, args.max_degree, 5,
                         reduce_axioms, via_trr)
 
 
@@ -565,7 +573,7 @@ def suite_rtrr_cross(target, args, csession, rsession, potential):
     def via_rtrr(key):
         return evaluate_terms(reduce_descendant_rtrr(key, rsession),
                               rsession.value)
-    return _cross_check(rsession, REAL, args.max_degree, 4,
+    return _cross_check(rsession, args.max_degree, 4,
                         reduce_real_axioms, via_rtrr)
 
 

@@ -5,15 +5,18 @@ Shared with the real solver: each theory's virtual dimension and
 structural filter, the stripping of unit and divisor insertions off a
 primary factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
->= 4), one block-solve skeleton (_solve_block) that seeds, eliminates
-the session's relation rows and stores the values, and the steps of the
-relation and recursion expansions: the term combiner (_combine), the
-two-sided slot split (_grouped_splits, each distinct split once with
-its count of ordered splits), the diagonal term and curve degree the
-grading leaves per split (_split_class), the first descendant slot, the
-divisor step (weight 1 complex, 2 real), the relation-row builder
-(_relation_row) and the evaluation of a sum of keys (evaluate_terms) or
-of products of keys (evaluate_products).
+>= 4), one session evaluator (_Session: the primary unknowns, the
+relation residual and the values of primary and any keys; each session
+keeps its seed, block solve, relation terms, degree-0 rule and
+descendant route), one block-solve skeleton (_solve_block) that seeds,
+eliminates the session's relation rows and stores the values, and the
+steps of the relation and recursion expansions: the term combiner
+(_combine), the two-sided slot split (_grouped_splits, each distinct
+split once with its count of ordered splits), the diagonal term and
+curve degree the grading leaves per split (_split_class), the first
+descendant slot, the divisor step (weight 1 complex, 2 real), the
+relation-row builder (_relation_row) and the evaluation of a sum of keys
+(evaluate_terms) or of products of keys (evaluate_products).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -816,54 +819,40 @@ def _solve_block(session, d, provenance, relations):
             session.table.put(k, sol[k], provenance)
 
 
-def _session_table(target, table):
-    """The table a session of ``target`` works in: ``table``, or a new
-    one when it is None.  A table of another target is refused."""
-    if table is None:
-        return InvariantTable(target)
-    if table.target != target:
-        raise ValueError("table belongs to a different target")
-    return table
-
-
 # ---------------------------------------------------------------------------
-# the degree-by-degree session
+# the degree-by-degree sessions
 
 
-class ComplexSession:
-    """Stateful evaluator for one target: solves primary blocks on demand
-    and reduces descendant keys, memoizing everything in a table."""
+class _Session:
+    """The evaluator both theories' sessions share: a target, the table
+    its values live in (a new one when ``table`` is None; a table of
+    another target is refused), the primary unknowns and the evaluation
+    of keys.  A subclass sets ``kind`` and supplies the seed (``_seed``),
+    its block solve (ensure_primary or ensure_real), the relation terms
+    and block rows, the degree-0 rule (_degree_zero_value) and the
+    descendant route (_descendant_value).  The shared bodies reach value,
+    relation_residual and the block solve through the instance at call
+    time, and each subclass binds value and relation_residual in its own
+    class body, so both can be rebound per class."""
 
-    def __init__(self, target, table=None):
-        _require_projective(target)
+    def __init__(self, target, table):
+        if table is None:
+            table = InvariantTable(target)
+        elif table.target != target:
+            raise ValueError("table belongs to a different target")
         self.target = target
-        self.table = _session_table(target, table)
+        self.table = table
         self._solved_to = 0
-        # the line count <pt, pt>_1 = 1, divisor-stripped (on P^1 the
-        # point class is the divisor, so the canonical unknown is <>_1)
-        seed_key, seed_mult = _strip_primary(
-            target, COMPLEX, 1, [target.num_basis, target.num_basis])
-        self._seed = (seed_key, 1 / seed_mult)
-        # structural part of relation-row factors, keyed by
-        # (degree, sorted basis tuple); see _relation_terms
-        self._shapes = {}
-
-    # -- primary unknowns and block solving -----------------------------
 
     def primary_keys(self, degree):
-        """Canonical primary unknowns at a degree: sorted multisets of
-        classes of cohomological degree >= 4 matching the grading."""
-        return primary_unknowns(self.target, COMPLEX, degree)
-
-    def ensure_primary(self, max_degree):
-        """Solve all primary blocks up to and including max_degree."""
-        while self._solved_to < max_degree:
-            _solve_block(self, self._solved_to + 1, "wdvv",
-                         "exchange relations")
-            self._solved_to += 1
+        """Canonical primary unknowns of the session's theory at a degree
+        (primary_unknowns: the sorted multisets of non-vanishing classes
+        of cohomological degree >= 4 matching the grading)."""
+        return primary_unknowns(self.target, self.kind, degree)
 
     def relation_residual(self, mu, degree):
-        """Evaluate one exchange-relation instance against solved values.
+        """Evaluate one relation instance (a tuple as the theory's
+        _relation_terms reads it) against solved values.
 
         Returns the exact amount by which the instance fails to vanish
         (zero on a consistent table).  Uses the grouped fast path, so it
@@ -873,6 +862,85 @@ class ComplexSession:
                                  degree)
         return evaluate_terms(((c, k) for k, c in row.items()),
                               self.value) - rhs
+
+    def primary_value(self, degree, basis_list):
+        """Value of a primary invariant given as a degree and a list of
+        basis indices (any classes; unit and divisor insertions are
+        stripped on the fly, and degree 0 follows the theory's rule)."""
+        if degree < 0:
+            return Fraction(0)
+        if degree == 0:
+            return self._degree_zero_value([(0, b) for b in basis_list])
+        canon = _strip_primary(self.target, self.kind, degree, basis_list)
+        if canon is None:
+            return Fraction(0)
+        key, mult = canon
+        (self.ensure_primary if self.kind == COMPLEX
+         else self.ensure_real)(degree)
+        val = self.table.get(key)
+        if val is None:
+            raise SolverError("primary value %r not determined" % (key,))
+        return mult * val
+
+    def value(self, key):
+        """Value of any canonical genus-0 key (primary or descendant) of
+        the session's theory.  A primary key is stored as axiom-reduction,
+        unless it is a solved unknown, which keeps its seed or relation
+        tag (put of a held value changes nothing)."""
+        if key.kind != self.kind:
+            raise ValueError("%s session got %r" % (self.kind, key))
+        if key.genus != 0:
+            raise SolverError("only genus-0 invariants are computed")
+        if not key.is_canonical():
+            key = key.canonical()
+        cached = self.table.get(key)
+        if cached is not None:
+            return cached
+        if _FILTER[self.kind](key, self.target) is not None:
+            return Fraction(0)
+        if key.degree == 0:
+            val = self._degree_zero_value(key.insertions)
+            if self.kind == COMPLEX:  # the real rule stores nothing
+                self.table.put(key, val, "classical")
+            return val
+        if key.total_descendant_power():
+            val, prov = self._descendant_value(key)
+        else:
+            val = self.primary_value(key.degree,
+                                     [b for _, b in key.insertions])
+            prov = "axiom-reduction"
+        self.table.put(key, val, prov)
+        return val
+
+
+class ComplexSession(_Session):
+    """Stateful evaluator for one target: solves primary blocks on demand
+    and reduces descendant keys, memoizing everything in a table."""
+
+    kind = COMPLEX
+    value = _Session.value
+    relation_residual = _Session.relation_residual
+
+    def __init__(self, target, table=None):
+        _require_projective(target)
+        super().__init__(target, table)
+        # the line count <pt, pt>_1 = 1, divisor-stripped (on P^1 the
+        # point class is the divisor, so the canonical unknown is <>_1)
+        seed_key, seed_mult = _strip_primary(
+            target, COMPLEX, 1, [target.num_basis, target.num_basis])
+        self._seed = (seed_key, 1 / seed_mult)
+        # structural part of relation-row factors, keyed by
+        # (degree, sorted basis tuple); see _relation_terms
+        self._shapes = {}
+
+    # -- block solving --------------------------------------------------
+
+    def ensure_primary(self, max_degree):
+        """Solve all primary blocks up to and including max_degree."""
+        while self._solved_to < max_degree:
+            _solve_block(self, self._solved_to + 1, "wdvv",
+                         "exchange relations")
+            self._solved_to += 1
 
     def _block_rows(self, d, unknowns):
         """Yield (row, rhs) for the reconstruction relations of a block's
@@ -933,52 +1001,9 @@ class ComplexSession:
 
     # -- evaluation -----------------------------------------------------
 
-    def primary_value(self, degree, basis_list):
-        """Value of a primary invariant given as a degree and a list of
-        basis indices (any classes; unit and divisor insertions are
-        stripped on the fly)."""
-        target = self.target
-        if degree < 0:
-            return Fraction(0)
-        if degree == 0:
-            return degree_zero_value(target, [(0, b) for b in basis_list])
-        canon = _strip_primary(target, COMPLEX, degree, basis_list)
-        if canon is None:
-            return Fraction(0)
-        key, mult = canon
-        self.ensure_primary(degree)
-        val = self.table.get(key)
-        if val is None:
-            raise SolverError("primary value %r not determined" % (key,))
-        return mult * val
-
-    def value(self, key):
-        """Value of any canonical genus-0 key (primary or descendant)."""
-        if key.kind != COMPLEX:
-            raise ValueError("complex session got %r" % (key,))
-        if key.genus != 0:
-            raise SolverError("only genus-0 invariants are computed")
-        if not key.is_canonical():
-            key = key.canonical()
-        cached = self.table.get(key)
-        if cached is not None:
-            return cached
-        if filter_complex(key, self.target) is not None:
-            return Fraction(0)
-        if key.degree == 0:
-            val = degree_zero_value(self.target, key.insertions)
-            self.table.put(key, val, "classical")
-            return val
-        if key.total_descendant_power():
-            val, prov = self._descendant_value(key)
-        else:
-            basis = [b for _, b in key.insertions]
-            val = self.primary_value(key.degree, basis)
-            # unit and divisor insertions were stripped by the axioms
-            prov = "axiom-reduction" \
-                if any(self.target.degree(b) < 4 for b in basis) else "wdvv"
-        self.table.put(key, val, prov)
-        return val
+    def _degree_zero_value(self, insertions):
+        """The closed form of a degree-0 key (degree_zero_value)."""
+        return degree_zero_value(self.target, insertions)
 
     def _descendant_value(self, key):
         """Value and provenance of a descendant key: one string, dilaton
@@ -1062,6 +1087,7 @@ def reduce_descendant_trr(key, target):
     # here have even degree, so the factor keys can be assembled by plain
     # sorting, and the grading leaves one diagonal term and one degree
     # split per split of the slots -- anything else is structurally zero.
+    # On a key that meets the grading, the j-side factor meets it too.
     others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
     for weight, first, second in _grouped_splits(others):
         side_i = [(a_i - 1, b_i)] + first
@@ -1072,10 +1098,6 @@ def reduce_descendant_trr(key, target):
         if not 0 <= d1 < d or (d1 == 0 and len(side_i) + 1 < 3):
             continue
         d2 = d - d1
-        sum_j = sum(2 * a + target.degree(b) for a, b in side_j)
-        if sum_j + target.degree(eb) != \
-                vdim_complex(0, len(side_j) + 1, d2, target):
-            continue
         k1 = InvariantKey(COMPLEX, 0, d1, sorted(side_i + [(0, ea)]))
         k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
         raw_terms.append((inv_d * d2 * weight, (k1, k2)))

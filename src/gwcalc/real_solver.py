@@ -14,18 +14,20 @@ term pairs a real factor with a fully known complex factor, weighted by
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
-filter (vdim_real, filter_real), the primary unknowns, the block-solve
-skeleton, the split class and the relation-row builder are the ones
-complex_solver keeps for both theories; this module supplies the real
-relation terms, in which the grading of the complex side picks the
-diagonal term and pins its degree d' per split.  Descendant invariants
-reduce axiom-first, as in the complex theory: a key with >= 3
-insertions and a dilaton or minus-eigenspace divisor insertion takes
-one such step (reduce_real_axioms; a string insertion kills the
-invariant), any other goes through the real topological recursion
-(reduce_descendant_rtrr), whose leading term slides a divisor onto the
-descendant slot with weight -2.  The rtrr-cross suite compares one step
-of each route over the same lower values.
+filter (vdim_real, filter_real), the primary unknowns, the session
+evaluator (_Session), the block-solve skeleton, the split class and the
+relation-row builder are the ones complex_solver keeps for both
+theories; this module supplies the real relation terms, in which the
+grading of the complex side picks the diagonal term and pins its degree
+d' per split, and the real degree-0 rule (the invariant is 0 and is not
+stored).  Descendant invariants reduce axiom-first, as in the complex
+theory: a key with >= 3 insertions and a dilaton or minus-eigenspace
+divisor insertion takes one such step (reduce_real_axioms; a string
+insertion kills the invariant), any other goes through the real
+topological recursion (reduce_descendant_rtrr), whose leading term
+slides a divisor onto the descendant slot with weight -2.  The
+rtrr-cross suite compares one step of each route over the same lower
+values.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from fractions import Fraction
 
 from .invariant_store import REAL, COMPLEX, InvariantKey, normalize
 from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
-                             InconsistentSystemError, _axiom_route, _combine,
-                             _divisor_terms, _first_descendant_slot,
-                             _multisets_exact, _relation_row,
-                             _removable_slot, _require_projective,
-                             _session_table, _solve_block, _split_class,
-                             _strip_primary, _grouped_splits, evaluate_terms,
-                             filter_real, primary_unknowns, vdim_real)
+                             InconsistentSystemError, _Session, _axiom_route,
+                             _combine, _divisor_terms, _first_descendant_slot,
+                             _multisets_exact, _removable_slot,
+                             _require_projective, _solve_block, _split_class,
+                             _strip_primary, _grouped_splits, _relation_row,
+                             evaluate_terms)
 
 
 def _require_real_target(target):
@@ -170,7 +171,7 @@ def rwdvv_relation(target, mu, degree, complex_session):
 # the degree-by-degree session
 
 
-class RealSession:
+class RealSession(_Session):
     """Stateful evaluator for one real target.
 
     Shares an InvariantTable with a complex session for the same target
@@ -180,14 +181,16 @@ class RealSession:
     involution unseeded so solving reports the undetermined keys.
     """
 
+    kind = REAL
+    value = _Session.value
+    relation_residual = _Session.relation_residual
+
     def __init__(self, target, table=None, seed_sign=None, complex_session=None):
         _require_real_target(target)
-        self.target = target
-        self.table = _session_table(target, table)
+        super().__init__(target, table)
         if complex_session is None:
             complex_session = ComplexSession(target, table=self.table)
         self.complex = complex_session
-        self._solved_to = 0
         canon = _strip_primary(target, REAL, 1, [target.num_basis])
         if canon is None:
             raise SolverError("degree-1 point count is structurally zero")
@@ -209,14 +212,6 @@ class RealSession:
         self._seed = (seed_key, None if seed_sign is None
                       else Fraction(seed_sign) / seed_mult)
 
-    # -- unknown enumeration --------------------------------------------
-
-    def primary_keys(self, degree):
-        """Canonical real primary unknowns at a degree: sorted multisets
-        of minus-eigenspace classes of cohomological degree >= 6 (unit
-        insertions die by the string relation, divisor insertions strip)."""
-        return primary_unknowns(self.target, REAL, degree)
-
     # -- block solving --------------------------------------------------
 
     def ensure_real(self, max_degree):
@@ -226,16 +221,6 @@ class RealSession:
             _solve_block(self, self._solved_to + 1, "rwdvv",
                          "real exchange relations")
             self._solved_to += 1
-
-    def relation_residual(self, ks, degree):
-        """Evaluate one real exchange-relation instance against solved
-        values; ``ks`` is a degree tuple as yielded by
-        ``rwdvv_instances``.  Returns the exact failure amount (zero on
-        a consistent table)."""
-        row, rhs = _relation_row(self.table, self._relation_terms(ks, degree),
-                                 degree)
-        return evaluate_terms(((c, k) for k, c in row.items()),
-                              self.value) - rhs
 
     def _block_rows(self, d, unknowns):
         """Yield (row, rhs) for the admissible relation instances at real
@@ -259,55 +244,22 @@ class RealSession:
 
     # -- evaluation -----------------------------------------------------
 
-    def primary_value(self, degree, basis_list):
-        """Value of a primary real invariant given as a degree and a list
-        of basis indices (divisor/unit insertions handled on the fly)."""
-        if degree <= 0:
-            return Fraction(0)
-        canon = _strip_primary(self.target, REAL, degree, basis_list)
-        if canon is None:
-            return Fraction(0)
-        key, mult = canon
-        self.ensure_real(degree)
-        val = self.table.get(key)
-        if val is None:
-            raise SolverError("real primary value %r not determined" % (key,))
-        return mult * val
+    def _degree_zero_value(self, insertions):
+        """0: genus-0 degree-0 real invariants vanish.  For an empty real
+        locus there is nothing to integrate over; otherwise the class
+        has codimension 0 while the real curve moduli has positive
+        dimension for ell >= 2 (ell <= 1 fails effectivity)."""
+        return Fraction(0)
 
-    def value(self, key):
-        """Value of any canonical genus-0 real key."""
-        if key.kind != REAL:
-            raise ValueError("real session got %r" % (key,))
-        if key.genus != 0:
-            raise SolverError("only genus-0 invariants are computed")
-        if not key.is_canonical():
-            key = key.canonical()
-        cached = self.table.get(key)
-        if cached is not None:
-            return cached
-        if filter_real(key, self.target) is not None:
-            return Fraction(0)
-        if key.degree == 0:
-            # genus-0 degree-0 real invariants vanish: for an empty real
-            # locus there is nothing to integrate over; otherwise the
-            # class has codimension 0 while the real curve moduli has
-            # positive dimension for ell >= 2 (ell <= 1 fails effectivity)
-            return Fraction(0)
-        if key.total_descendant_power() == 0:
-            val = self.primary_value(key.degree,
-                                     [b for _, b in key.insertions])
-            if self.table.get(key) is None:
-                self.table.put(key, val, "axiom-reduction")
-            return val
+    def _descendant_value(self, key):
+        """Value and provenance of a descendant key: one dilaton or
+        divisor step where _axiom_route allows it, else the real
+        topological recursion."""
         if _axiom_route(key, self.target):
-            terms = reduce_real_axioms(key, self.target)
-            prov = "axiom-reduction"
-        else:
-            terms = reduce_descendant_rtrr(key, self)
-            prov = "rtrr"
-        val = evaluate_terms(terms, self.value)
-        self.table.put(key, val, prov)
-        return val
+            return (evaluate_terms(reduce_real_axioms(key, self.target),
+                                   self.value), "axiom-reduction")
+        return (evaluate_terms(reduce_descendant_rtrr(key, self),
+                               self.value), "rtrr")
 
 
 def reduce_descendant_rtrr(key, session):
@@ -355,7 +307,7 @@ def reduce_descendant_rtrr(key, session):
     # All basis classes have even degree, so both factors can be built by
     # plain sorting; the grading leaves one diagonal term and one degree
     # split per split of the slots, and everything else is structurally
-    # zero.
+    # zero.  On a key that meets the grading, the real factor meets it too.
     for weight, first, real_side in _grouped_splits(others):
         weight *= 2 ** len(first)  # two placements per doubled-side slot
         conj_side = [(a_i - 1, b_i)] + first
@@ -365,11 +317,7 @@ def reduce_descendant_rtrr(key, session):
         d0 = d - 2 * dprime
         if dprime < 0 or d0 < 1 or (dprime == 0 and len(conj_side) + 1 < 3):
             continue
-        rfactor = real_side + [(0, eb)]
-        if sum(2 * a + target.degree(b) for a, b in rfactor) != \
-                vdim_real(0, len(rfactor), d0, target):
-            continue
-        rk = normalize(target, REAL, 0, d0, rfactor)
+        rk = normalize(target, REAL, 0, d0, real_side + [(0, eb)])
         if rk is None:
             continue
         cval = session.complex.value(InvariantKey(

@@ -16,12 +16,11 @@ from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
 from gwcalc.combinatorics import (koszul_sign_permutation, split_sign,
                                   sort_insertions_sign)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
-                                   filter_complex, kontsevich_p2,
+                                   filter_complex, filter_real, kontsevich_p2,
                                    lift_one_point, reduce_axioms,
-                                   reduce_descendant_trr)
-from gwcalc.real_solver import (RealSession, filter_real,
-                                reduce_descendant_rtrr, reduce_real_axioms,
-                                rwdvv_instances, vdim_real)
+                                   reduce_descendant_trr, vdim_real)
+from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
+                                reduce_real_axioms, rwdvv_instances)
 from gwcalc.potentials import (build_potentials, residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,

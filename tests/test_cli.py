@@ -491,8 +491,14 @@ def p3_d2_cache(tmp_path_factory):
     ("rtrr-cross", REAL, 2, [(2, 4)],
      "suite rtrr-cross FAIL: key <real g=0 d=2 | t0(e2), t2(e4)>: "
      "reduction 0 != axiom 2"),
+    ("grading", REAL, 2, [(0, 2)] * 4 + [(0, 4)] * 2,
+     "suite grading    FAIL: stored value 1 at <real g=0 d=2 | t0(e2), "
+     "t0(e2), t0(e2), t0(e2), t0(e4), t0(e4)>, primary value 0"),
+    ("grading", COMPLEX, 2, [(0, 2)] + [(0, 3)] * 4 + [(0, 4)] * 2,
+     "suite grading    FAIL: stored value 9 at <complex g=0 d=2 | t0(e2), "
+     "t0(e3), t0(e3), t0(e3), t0(e3), t0(e4), t0(e4)>, primary value 8"),
 ], ids=["wdvv-instance", "wdvv-pde", "rwdvv-instance", "rwdvv-pde",
-        "trr-cross", "rtrr-cross"])
+        "trr-cross", "rtrr-cross", "grading-real", "grading-complex"])
 def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
                                           suite, kind, degree, insertions,
                                           line):

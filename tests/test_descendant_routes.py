@@ -10,11 +10,11 @@ import pytest
 
 from gwcalc.cli import _descendant_keys
 from gwcalc.complex_solver import (ComplexSession, filter_complex,
-                                   lift_one_point, reduce_descendant_trr)
-from gwcalc.graded_algebra import make_p2, make_projective
+                                   filter_real, lift_one_point,
+                                   reduce_descendant_trr)
+from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
-from gwcalc.real_solver import (RealSession, filter_real,
-                                reduce_descendant_rtrr)
+from gwcalc.real_solver import RealSession, reduce_descendant_rtrr
 
 
 def trr_only_complex(target):
@@ -102,12 +102,15 @@ def test_real_axiom_first_matches_trr_only():
 
 def test_descendant_provenance_names_the_route(p2, p3):
     """An entry says which route computed it: an axiom step on >= 3
-    insertions with a removable slot, the recursion otherwise."""
-    def ck(*ins):
-        return InvariantKey(COMPLEX, 0, 1, sorted(ins))
+    insertions with a removable slot, the recursion otherwise.  A primary
+    key with a divisor insertion is an axiom reduction, a solved unknown
+    keeps its relation tag, a complex degree-0 key is classical, and a
+    real degree-0 key is 0 and stored nowhere."""
+    def ck(*ins, d=1):
+        return InvariantKey(COMPLEX, 0, d, sorted(ins))
 
-    def rk(*ins):
-        return InvariantKey(REAL, 0, 1, sorted(ins))
+    def rk(*ins, d=1):
+        return InvariantKey(REAL, 0, d, sorted(ins))
 
     cs = ComplexSession(p2)
     rs = RealSession(p3, seed_sign=1)
@@ -117,14 +120,57 @@ def test_descendant_provenance_names_the_route(p2, p3):
         (cs, ck((0, 1), (0, 3), (1, 3)), "axiom-reduction"),  # string
         (cs, ck((0, 2), (1, 3)), "trr"),
         (cs, ck((1, 3),), "trr"),
+        (cs, ck((0, 2), (0, 3), (0, 3)), "axiom-reduction"),  # <h,pt,pt>_1
+        (cs, ck(*[(0, 3)] * 5, d=2), "wdvv"),
+        (cs, ck((0, 1), (0, 2), (0, 2), d=0), "classical"),
         (rs, rk((0, 2), (0, 2), (1, 3)), "axiom-reduction"),  # divisor
         (rs, rk((1, 1), (1, 1), (1, 3)), "axiom-reduction"),  # dilaton
         (rs, rk((0, 2), (1, 3)), "rtrr"),
         (rs, rk((1, 3),), "rtrr"),
+        (rs, rk((0, 2), (0, 4)), "axiom-reduction"),  # <h,pt>_1
+        (rs, rk((0, 4), (0, 4), d=2), "rwdvv"),
     ]
     for session, key, prov in cases:
         session.value(key)
         assert session.table.provenance(key) == prov, key
+    assert cs.value(ck((0, 1), (0, 2), (0, 2), d=0)) == 1
+    real_d0 = rk((0, 2), (0, 2), (0, 2), d=0)
+    assert filter_real(real_d0, p3) is None
+    assert rs.value(real_d0) == 0
+    assert rs.table.provenance(real_d0) is None
+
+
+@pytest.mark.parametrize("name, max_degree, max_insertions", [
+    ("P2", 3, 5), ("P1-tau", 3, 5), ("P3-tau", 3, 5), ("P5-tau", 2, 4),
+    ("P7-tau", 1, 4),
+])
+def test_recursion_factor_keys_pass_the_filter(name, max_degree,
+                                               max_insertions):
+    """On a key that meets the grading, _split_class pins one side of
+    each split and the other side follows: every factor key of the
+    topological recursion, and every real and complex key of the real
+    one, passes its theory's structural filter."""
+    target = builtin_target(name)
+    checked = 0
+    for key in _keys(target, COMPLEX, max_degree, max_insertions):
+        if key.num_insertions == 1:
+            key = lift_one_point(key)
+        for _coeff, factors in reduce_descendant_trr(key, target):
+            for factor in factors:
+                assert filter_complex(factor, target) is None, (key, factor)
+                checked += 1
+    if target.complex_dim % 2:
+        asked = []
+        shim = SimpleNamespace(target=target, complex=SimpleNamespace(
+            value=lambda k: asked.append(k) or 1))
+        for key in _keys(target, REAL, max_degree, max_insertions):
+            for _coeff, rkey in reduce_descendant_rtrr(key, shim):
+                assert filter_real(rkey, target) is None, (key, rkey)
+                checked += 1
+        assert asked
+        for ckey in asked:
+            assert filter_complex(ckey, target) is None, ckey
+    assert checked
 
 
 def test_trr_contact_terms_frozen(p3):

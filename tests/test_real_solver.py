@@ -10,10 +10,11 @@ from gwcalc.invariant_store import (REAL, InvariantKey, InvariantTable,
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    UnderdeterminedError, _combine,
-                                   _grouped_splits, _strip_primary)
-from gwcalc.real_solver import (RealSession, filter_real,
-                                reduce_descendant_rtrr, reduce_real_axioms,
-                                rwdvv_instances, rwdvv_relation, vdim_real)
+                                   _grouped_splits, _strip_primary,
+                                   filter_real, vdim_real)
+from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
+                                reduce_real_axioms, rwdvv_instances,
+                                rwdvv_relation)
 
 
 def rkey(d, ins, genus=0):
