@@ -389,10 +389,12 @@ def _first_term(res):
 
 def suite_grading(target, args, csession, rsession, potential):
     """No stored nonzero entry fails the structural filters (the grading
-    identity among them), each stored genus-0 descendant-free entry in
-    the degree window equals its session's primary_value (its stripped
-    unknown times the divisor multiplier, or the degree-0 rule), and a
-    deterministic sample of filter-flagged keys evaluates to 0."""
+    identity among them), each stored genus-0 entry in the degree window
+    equals one step of its session's route over the table's other values
+    (a primary entry its stripped unknown times the divisor multiplier, a
+    descendant entry its axiom step or recursion, a degree-0 entry the
+    theory's rule), and a deterministic sample of filter-flagged keys
+    evaluates to 0."""
     import random
     routes = {COMPLEX: (filter_complex, csession),
               REAL: (filter_real, rsession)}
@@ -405,13 +407,12 @@ def suite_grading(target, args, csession, rsession, potential):
             return False, "stored nonzero value at structurally-zero key " \
                 "%r (%s)" % (key, reason), checks
         if (session is not None and key.genus == 0
-                and key.degree <= args.max_degree
-                and not key.total_descendant_power()):
-            want = session.primary_value(
-                key.degree, [b for _, b in key.insertions])
+                and key.degree <= args.max_degree):
+            want, _route = session._recompute(key)
             if value != want:
-                return False, "stored value %s at %r, primary value %s" \
-                    % (value, key, want), checks
+                return False, "stored value %s at %r, %s value %s" % (
+                    value, key, "descendant" if key.total_descendant_power()
+                    else "primary", want), checks
     rng = random.Random(20240811)
     nb = target.num_basis
     for _ in range(2000):

@@ -105,15 +105,19 @@ def vdim_complex(genus, num_points, degree, target):
     return 2 * ((1 - genus) * (n - 3) + num_points + target.c1_pairing * degree)
 
 
-def _split_class(target, degree_sum, num_points):
+def _split_class(target, index_sum, side_len):
     """(a, b, d) for one side of a node split of P^n: a genus-0 complex
-    factor with ``num_points`` insertions, e_a and others of degrees
-    adding up to ``degree_sum``, meets the grading (vdim_complex) for
-    exactly one a in 1..n+1, at curve degree d; e_b (b = n+2-a, g^ab = 1)
-    goes to the other side.  The caller bounds d.  Every caller has
-    passed _require_projective."""
+    factor with ``side_len`` insertions tau_(a_i)(e_(b_i)) whose a_i + b_i
+    add up to ``index_sum``, plus e_a, meets the grading (vdim_complex)
+    for exactly one a in 1..n+1, at curve degree d; e_b (b = n+2-a,
+    g^ab = 1) goes to the other side.  On P^n the class e_b has degree
+    2(b - 1), so the side's insertions have degrees adding up to
+    2 * (index_sum - side_len); a side of plain classes passes the sum
+    of its basis indices.  The caller bounds d.  Every caller has passed
+    _require_projective."""
     n = target.complex_dim
-    excess = degree_sum // 2 - (n - 3 + num_points)
+    # the side's degrees over 2, minus the grading's n - 3 + (side_len + 1)
+    excess = index_sum - 2 * side_len - n + 2
     a = -excess % (n + 1) + 1
     return a, n + 2 - a, (excess + a - 1) // (n + 1)
 
@@ -205,11 +209,12 @@ def _strip_primary(target, kind, degree, basis_list):
 def _combine(terms):
     """The nonzero (coefficient, key) pairs of the sum of ``terms``, sorted
     by key; a term whose key is None (normalize found it vanishing) is
-    dropped."""
+    dropped.  Sums start from int 0, so the int coefficients of the axiom
+    steps stay ints (evaluate_terms turns every value into a Fraction)."""
     combined = {}
     for coeff, key in terms:
         if key is not None:
-            combined[key] = combined.get(key, Fraction(0)) + coeff
+            combined[key] = combined.get(key, 0) + coeff
     items = [(c, k) for k, c in combined.items() if c]
     items.sort(key=lambda t: t[1].sort_key())
     return items
@@ -330,7 +335,8 @@ def _graded(target, kind, degree, ell, variables):
     weights = [2 * a + target.degree(b) for a, b in variables]
     want = _VDIM[kind](0, ell, degree, target)
     for insertions in _multisets_exact(variables, weights, ell, want):
-        yield InvariantKey(kind, 0, degree, sorted(insertions))
+        yield InvariantKey._trusted(kind, 0, degree,
+                                    tuple(sorted(insertions)))
 
 
 def graded_keys(target, kind, degree, ell, variables):
@@ -475,15 +481,15 @@ def _divisor_terms(target, degree, rest, weight):
     ``degree`` times the other insertions ``rest``, plus ``weight`` (1
     complex, 2 real) times ``rest`` with one descendant slot lowered and
     h moved onto its class (on P^n, h * e_b = e_(b+1), and 0 past the
-    point class)."""
+    point class).  The coefficients are ints."""
     out = []
     if degree:
-        out.append((Fraction(degree), rest))
+        out.append((degree, rest))
     for i, (a, b) in enumerate(rest):
         if a >= 1 and b < target.num_basis:
             ins = list(rest)
             ins[i] = (a - 1, b + 1)
-            out.append((Fraction(weight), ins))
+            out.append((weight, ins))
     return out
 
 
@@ -491,8 +497,10 @@ def reduce_axioms(key, target):
     """One-step string/dilaton/divisor reduction of a complex key.
 
     Returns a list of (coefficient, key) pairs whose value-sum equals the
-    input key's value; zero-coefficient terms are dropped, so an
-    identically vanishing reduction returns [].  Raises SolverError for
+    input key's value; the coefficients are ints (1 per string term,
+    2g - 2 + ell for the dilaton, d and 1 for the divisor), and
+    zero-coefficient terms are dropped, so an identically vanishing
+    reduction returns [].  Raises SolverError for
     a target that is not a projective space, and AxiomPreconditionError
     when no removable insertion exists or the stripped invariant would
     be unstable at degree 0.
@@ -513,9 +521,9 @@ def reduce_axioms(key, target):
             if a >= 1:
                 ins = list(rest)
                 ins[i] = (a - 1, b)
-                out.append((Fraction(1), ins))
+                out.append((1, ins))
     elif which == "dilaton":
-        coeff = Fraction(2 * g - 2 + ell)
+        coeff = 2 * g - 2 + ell
         if coeff:
             out.append((coeff, rest))
     else:  # divisor
@@ -827,10 +835,11 @@ class _Session:
     """The evaluator both theories' sessions share: a target, the table
     its values live in (a new one when ``table`` is None; a table of
     another target is refused), the primary unknowns and the evaluation
-    of keys.  A subclass sets ``kind`` and supplies the seed (``_seed``),
-    its block solve (ensure_primary or ensure_real), the relation terms
-    and block rows, the degree-0 rule (_degree_zero_value) and the
-    descendant route (_descendant_value).  The shared bodies reach value,
+    of keys (value, over one step of a key's route in _recompute).  A
+    subclass sets ``kind`` and supplies the seed (``_seed``), its block
+    solve (ensure_primary or ensure_real), the relation terms and block
+    rows, the degree-0 rule (_degree_zero_value) and the descendant route
+    (_descendant_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
     time, and each subclass binds value and relation_residual in its own
     class body, so both can be rebound per class."""
@@ -883,34 +892,43 @@ class _Session:
         return mult * val
 
     def value(self, key):
-        """Value of any canonical genus-0 key (primary or descendant) of
-        the session's theory.  A primary key is stored as axiom-reduction,
-        unless it is a solved unknown, which keeps its seed or relation
-        tag (put of a held value changes nothing)."""
+        """Value of any genus-0 key (primary or descendant) of the
+        session's theory; a non-canonical key reads its canonical key's
+        value.  A primary key is stored as axiom-reduction, unless it is a
+        solved unknown, which keeps its seed or relation tag (put of a
+        held value changes nothing)."""
         if key.kind != self.kind:
             raise ValueError("%s session got %r" % (self.kind, key))
         if key.genus != 0:
             raise SolverError("only genus-0 invariants are computed")
-        if not key.is_canonical():
-            key = key.canonical()
+        # a table holds canonical keys only, so a hit needs no order check
         cached = self.table.get(key)
         if cached is not None:
             return cached
-        if _FILTER[self.kind](key, self.target) is not None:
-            return Fraction(0)
-        if key.degree == 0:
-            val = self._degree_zero_value(key.insertions)
-            if self.kind == COMPLEX:  # the real rule stores nothing
-                self.table.put(key, val, "classical")
-            return val
-        if key.total_descendant_power():
-            val, prov = self._descendant_value(key)
-        else:
-            val = self.primary_value(key.degree,
-                                     [b for _, b in key.insertions])
-            prov = "axiom-reduction"
-        self.table.put(key, val, prov)
+        if not key.is_canonical():
+            return self.value(key.canonical())
+        val, prov = self._recompute(key)
+        if prov is not None:
+            self.table.put(key, val, prov)
         return val
+
+    def _recompute(self, key):
+        """Value and provenance of a canonical genus-0 key of the
+        session's theory from one step of its route, reading lower keys
+        through value but never the key's own entry; the provenance is
+        None when nothing is stored (a structural zero, or a real
+        degree-0 key).  verify's grading suite rechecks stored entries
+        with it."""
+        if _FILTER[self.kind](key, self.target) is not None:
+            return Fraction(0), None
+        if key.degree == 0:
+            return (self._degree_zero_value(key.insertions),
+                    "classical" if self.kind == COMPLEX else None)
+        if key.total_descendant_power():
+            return self._descendant_value(key)
+        return (self.primary_value(key.degree,
+                                   [b for _, b in key.insertions]),
+                "axiom-reduction")
 
 
 class ComplexSession(_Session):
@@ -968,9 +986,7 @@ class ComplexSession(_Session):
             for weight, first, second in _grouped_splits(mu[4:]):
                 ins_i = [mu[pa[0]], mu[pa[1]]] + first
                 ins_j = [mu[pb[0]], mu[pb[1]]] + second
-                ei, ej, d1 = _split_class(
-                    target, sum(target.degree(b) for b in ins_i),
-                    len(ins_i) + 1)
+                ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
                 if not 0 <= d1 <= d:
                     continue
                 coeff = Fraction(side * weight)
@@ -1024,7 +1040,8 @@ def lift_one_point(key):
     <tau_a(b)>_d = <tau_{a+1}(b), tau_0(1)>_d, a key the topological
     recursion can reduce."""
     (a, b), = key.insertions
-    return InvariantKey(COMPLEX, 0, key.degree, sorted([(a + 1, b), (0, 1)]))
+    return InvariantKey._trusted(COMPLEX, 0, key.degree,
+                                 ((0, 1), (a + 1, b)))
 
 
 def reduce_descendant_trr(key, target):
@@ -1079,8 +1096,8 @@ def reduce_descendant_trr(key, target):
             contact = list(ins)
             contact[i_slot] = (a_i - 1, b_i)
             contact[slot] = (contact[slot][0], contact[slot][1] + 1)
-            raw_terms.append(
-                (coeff, (InvariantKey(COMPLEX, 0, d, sorted(contact)),)))
+            raw_terms.append((coeff, (InvariantKey._trusted(
+                COMPLEX, 0, d, tuple(sorted(contact))),)))
 
     # splitting terms: slot i with a_i-1 on the first side, slot j on the
     # second; d2 = 0 contributes nothing (weight d2).  All basis classes
@@ -1093,12 +1110,13 @@ def reduce_descendant_trr(key, target):
         side_i = [(a_i - 1, b_i)] + first
         side_j = [ins[j_slot]] + second
         ea, eb, d1 = _split_class(
-            target, sum(2 * a + target.degree(b) for a, b in side_i),
-            len(side_i) + 1)
+            target, sum(a + b for a, b in side_i), len(side_i))
         if not 0 <= d1 < d or (d1 == 0 and len(side_i) + 1 < 3):
             continue
         d2 = d - d1
-        k1 = InvariantKey(COMPLEX, 0, d1, sorted(side_i + [(0, ea)]))
-        k2 = InvariantKey(COMPLEX, 0, d2, sorted(side_j + [(0, eb)]))
+        k1 = InvariantKey._trusted(COMPLEX, 0, d1,
+                                   tuple(sorted(side_i + [(0, ea)])))
+        k2 = InvariantKey._trusted(COMPLEX, 0, d2,
+                                   tuple(sorted(side_j + [(0, eb)])))
         raw_terms.append((inv_d * d2 * weight, (k1, k2)))
     return raw_terms

@@ -130,12 +130,16 @@ def normalize(target, kind, genus, degree, insertions):
     for a ``real`` kind list with a parity-vanishing insertion.
 
     Sorting carries no sign: every caller has checked that the target is
-    a projective space, whose basis classes all have even degree.
+    a projective space, whose basis classes all have even degree.  The
+    key is built unchecked (InvariantKey._trusted): every caller passes
+    int parts taken from a valid key or a range-checked relation tuple,
+    as (a, basis index) tuples.
     """
     if kind == REAL and any(real_insertion_vanishes(target, a, b)
                             for a, b in insertions):
         return None
-    return InvariantKey(kind, genus, degree, sorted(insertions))
+    return InvariantKey._trusted(kind, genus, degree,
+                                 tuple(sorted(insertions)))
 
 
 class InvariantTable:

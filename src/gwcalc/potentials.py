@@ -46,8 +46,10 @@ raise SeriesError otherwise), so none of them needs a Koszul sign:
   factors on each monomial;
 * the associativity residuals share their pieces -- each third partial
   once per sorted index triple, each contraction sum_jk g^jk F_abj F_kce
-  once per unordered pair of sorted pairs -- through a memo that lives
-  for one residual_wdvv_pde or wdvv_pde_residuals call.
+  once per unordered pair of sorted pairs -- through one memo per
+  series, kept on it: every residual_wdvv_pde and wdvv_pde_residuals
+  call on the same potential reads it, and a change to the series's
+  terms or truncation rebuilds it.
 """
 
 import math
@@ -87,7 +89,8 @@ class GradedSeries:
     every operation, so arithmetic is closed on the truncation.
     """
 
-    __slots__ = ("target", "t_max", "q_max", "depth", "lam_power", "terms")
+    __slots__ = ("target", "t_max", "q_max", "depth", "lam_power", "terms",
+                 "_wdvv_pde")
 
     def __init__(self, target, t_max, q_max, depth=0, lam_power=None):
         if t_max < 0 or q_max < 0:
@@ -98,6 +101,9 @@ class GradedSeries:
         self.depth = depth
         self.lam_power = lam_power
         self.terms = {}
+        # ((t_max, q_max), terms copy, residual) of the associativity PDE
+        # memo, or None; see _wdvv_pde
+        self._wdvv_pde = None
 
     # ----- basic structure -------------------------------------------------
 
@@ -526,6 +532,25 @@ def residual_string_real(F):
 
 def _wdvv_pde(F):
     """The associativity PDE residual of F as a function of the index
+    quadruple, over one memo of its pieces kept on F.
+
+    The memo holds F's truncation, a copy of its terms and the residual
+    function; it is reused while both still compare equal to F's, and
+    rebuilt otherwise (say after an add_term), so it never serves stale
+    pieces.  Its base series shares that copy, not F, so F and its memo
+    form no reference cycle.
+    """
+    bounds = (F.t_max, F.q_max)
+    memo = F._wdvv_pde
+    if memo is None or memo[0] != bounds or memo[1] != F.terms:
+        base = F._like()
+        base.terms = dict(F.terms)
+        memo = F._wdvv_pde = (bounds, base.terms, _wdvv_pde_pieces(base))
+    return memo[2]
+
+
+def _wdvv_pde_pieces(F):
+    """The associativity PDE residual of F as a function of the index
     quadruple, over one memo of its pieces.
 
     On an even basis F_{abc} is symmetric in a, b, c, so each third
@@ -590,8 +615,9 @@ def residual_wdvv_pde(F, indices):
 
     with F_{abc} third partials in the t_{0,*} directions.  Exact on total
     t-degree <= t_max - 3; zero for every index quadruple on a potential
-    built from a consistent table.  To check every quadruple, use
-    wdvv_pde_residuals, which shares the pieces between them.
+    built from a consistent table.  Calls on the same series share the
+    pieces through the memo kept on it (_wdvv_pde), as wdvv_pde_residuals
+    does.
     """
     i1, i2, i3, i4 = indices
     for i in (i1, i2, i3, i4):
@@ -602,7 +628,8 @@ def residual_wdvv_pde(F, indices):
 
 def wdvv_pde_residuals(F):
     """(indices, residual_wdvv_pde(F, indices)) for every index quadruple,
-    in itertools.product order, computed lazily from one shared memo."""
+    in itertools.product order, computed lazily from the memo kept on F
+    (the one residual_wdvv_pde reads)."""
     residual = _wdvv_pde(F)
     quadruples = product(range(1, F.target.num_basis + 1), repeat=4)
     return ((indices, residual(indices)) for indices in quadruples)

@@ -59,10 +59,11 @@ def _require_real_target(target):
 def reduce_real_axioms(key, target):
     """One-step string/dilaton/divisor reduction of a real key.
 
-    Returns (coefficient, key) pairs; the string case (a tau_0(unit)
-    insertion) annihilates the invariant and returns [].  The divisor
-    case requires a minus-eigenspace degree-2 class and carries the
-    factor-2 descendant corrections.
+    Returns (coefficient, key) pairs with int coefficients; the string
+    case (a tau_0(unit) insertion) annihilates the invariant and returns
+    [].  The dilaton case carries 2(g - 1 + ell).  The divisor case
+    requires a minus-eigenspace degree-2 class and carries the factor-2
+    descendant corrections.
     """
     _require_real_target(target)
     idx, which = _removable_slot(key, target)
@@ -82,7 +83,7 @@ def reduce_real_axioms(key, target):
             % (key,))
     out = []
     if which == "dilaton":
-        coeff = Fraction(2 * (g - 1 + ell))
+        coeff = 2 * (g - 1 + ell)
         if coeff:
             out.append((coeff, rest))
     else:  # divisor
@@ -150,9 +151,8 @@ def rwdvv_relation(target, mu, degree, complex_session):
             complex_side = [mu[0], mu[complex_anchor]] + second
             # times 2 per insertion on the doubled (complex) side
             weight *= 2 ** len(complex_side)
-            ej, ei, dprime = _split_class(
-                target, sum(target.degree(b) for b in complex_side),
-                len(complex_side) + 1)
+            ej, ei, dprime = _split_class(target, sum(complex_side),
+                                          len(complex_side))
             d0 = degree - 2 * dprime
             if dprime < 0 or d0 < 1:
                 continue
@@ -312,16 +312,15 @@ def reduce_descendant_rtrr(key, session):
         weight *= 2 ** len(first)  # two placements per doubled-side slot
         conj_side = [(a_i - 1, b_i)] + first
         ea, eb, dprime = _split_class(
-            target, sum(2 * a + target.degree(b) for a, b in conj_side),
-            len(conj_side) + 1)
+            target, sum(a + b for a, b in conj_side), len(conj_side))
         d0 = d - 2 * dprime
         if dprime < 0 or d0 < 1 or (dprime == 0 and len(conj_side) + 1 < 3):
             continue
         rk = normalize(target, REAL, 0, d0, real_side + [(0, eb)])
         if rk is None:
             continue
-        cval = session.complex.value(InvariantKey(
-            COMPLEX, 0, dprime, sorted(conj_side + [(0, ea)])))
+        cval = session.complex.value(InvariantKey._trusted(
+            COMPLEX, 0, dprime, tuple(sorted(conj_side + [(0, ea)]))))
         if not cval:
             continue
         terms.append((inv_d * d0 * weight * cval, rk))

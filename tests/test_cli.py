@@ -497,8 +497,17 @@ def p3_d2_cache(tmp_path_factory):
     ("grading", COMPLEX, 2, [(0, 2)] + [(0, 3)] * 4 + [(0, 4)] * 2,
      "suite grading    FAIL: stored value 9 at <complex g=0 d=2 | t0(e2), "
      "t0(e3), t0(e3), t0(e3), t0(e3), t0(e4), t0(e4)>, primary value 8"),
+    # stored descendant entries, one per route: both passed every suite
+    # while grading rechecked descendant-free entries only
+    ("grading", COMPLEX, 2, [(0, 2)] * 3 + [(0, 3), (2, 3), (2, 4)],
+     "suite grading    FAIL: stored value 5 at <complex g=0 d=2 | t0(e2), "
+     "t0(e2), t0(e2), t0(e3), t2(e3), t2(e4)>, descendant value 4"),
+    ("grading", COMPLEX, 2, [(0, 3), (0, 3), (1, 2), (1, 2), (2, 1), (2, 3)],
+     "suite grading    FAIL: stored value 1 at <complex g=0 d=2 | t0(e3), "
+     "t0(e3), t1(e2), t1(e2), t2(e1), t2(e3)>, descendant value 0"),
 ], ids=["wdvv-instance", "wdvv-pde", "rwdvv-instance", "rwdvv-pde",
-        "trr-cross", "rtrr-cross", "grading-real", "grading-complex"])
+        "trr-cross", "rtrr-cross", "grading-real", "grading-complex",
+        "grading-axiom-step", "grading-trr"])
 def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
                                           suite, kind, degree, insertions,
                                           line):

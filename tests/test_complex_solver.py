@@ -369,7 +369,11 @@ def test_split_class_is_the_one_graded_diagonal_term(target):
             assert len(hits) == 1, (num_points, degree_sum)
             (gcoeff, want), = hits
             assert gcoeff == 1
-            assert _split_class(target, degree_sum, num_points) == want
+            # the other num_points - 1 insertions, of degree 2(b - 1)
+            # each, have basis indices adding up to degree_sum / 2 + that
+            side_len = num_points - 1
+            assert _split_class(target, degree_sum // 2 + side_len,
+                                side_len) == want
 
 
 def test_wdvv_oracle_needs_no_grouped_step(p3_sessions, monkeypatch):

@@ -3,18 +3,22 @@ dilaton or divisor step where one applies and by the topological
 recursion otherwise.  These tests hold the axiom-first values against an
 evaluator that uses the recursion alone, and check the provenance tags."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from gwcalc.cli import _descendant_keys
-from gwcalc.complex_solver import (ComplexSession, filter_complex,
-                                   filter_real, lift_one_point,
+from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
+                                   SolverError, filter_complex, filter_real,
+                                   graded_keys, insertion_variables,
+                                   lift_one_point, reduce_axioms,
                                    reduce_descendant_trr)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
-from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
-from gwcalc.real_solver import RealSession, reduce_descendant_rtrr
+from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey, normalize
+from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
+                                reduce_real_axioms)
 
 
 def trr_only_complex(target):
@@ -215,3 +219,87 @@ def test_rtrr_contact_terms_frozen(p3_sessions):
     ]
     for key, terms in cases:
         assert reduce_descendant_rtrr(key, rs) == terms, key
+
+
+def _produced_keys(target, max_degree, max_insertions):
+    """Every key the unchecked constructor builds for the genus-0 keys of
+    a target up to a degree, depth 2: the enumerated keys themselves,
+    normalize of their shuffled insertions, the one-point lift, the axiom
+    steps, the topological recursion and the complex factors the real
+    recursion asks for."""
+    rng = random.Random(7)
+    kinds = (COMPLEX, REAL) if target.complex_dim % 2 else (COMPLEX,)
+    asked = []
+    shim = SimpleNamespace(target=target, complex=SimpleNamespace(
+        value=lambda k: asked.append(k) or 1))
+    out = []
+    for kind in kinds:
+        variables = insertion_variables(target, kind, 2)
+        for d in range(max_degree + 1):
+            for ell in range(1, max_insertions + 1):
+                for key in graded_keys(target, kind, d, ell, variables):
+                    out.append(key)
+                    ins = list(key.insertions)
+                    rng.shuffle(ins)
+                    out.append(normalize(target, kind, 0, d, ins))
+                    axiom_step = (reduce_axioms if kind == COMPLEX
+                                  else reduce_real_axioms)
+                    try:
+                        out.extend(k for _c, k in axiom_step(key, target))
+                    except AxiomPreconditionError:
+                        pass
+                    if d == 0 or not key.total_descendant_power():
+                        continue
+                    if kind == REAL:
+                        out.extend(k for _c, k
+                                   in reduce_descendant_rtrr(key, shim))
+                        continue
+                    if ell == 1:
+                        key = lift_one_point(key)
+                        out.append(key)
+                    for _c, factors in reduce_descendant_trr(key, target):
+                        out.extend(factors)
+    return out + asked
+
+
+@pytest.mark.parametrize("name, max_degree, max_insertions", [
+    ("P2", 3, 5), ("P3-tau", 3, 5), ("P5-tau", 2, 4),
+])
+def test_unchecked_keys_match_the_validating_constructor(
+        name, max_degree, max_insertions):
+    """Keys the solvers and the store build with InvariantKey._trusted
+    equal, and hash like, the key the validating constructor builds from
+    the same parts; they are canonical and hold exact ints."""
+    target = builtin_target(name)
+    keys = _produced_keys(target, max_degree, max_insertions)
+    assert len(keys) > 1000
+    for key in keys:
+        checked = InvariantKey(key.kind, key.genus, key.degree,
+                               list(key.insertions))
+        assert key == checked and hash(key) == hash(checked), key
+        assert key.is_canonical(), key
+        assert type(key.genus) is int and type(key.degree) is int, key
+        assert type(key.insertions) is tuple, key
+        for insertion in key.insertions:
+            assert type(insertion) is tuple and len(insertion) == 2, key
+            assert all(type(part) is int for part in insertion), key
+
+
+def test_value_of_a_non_canonical_key(p2):
+    """value looks a key up before it checks the order: a non-canonical
+    key still gets its canonical key's value, whether that is held or
+    new, and a key of the other theory or of genus 1 still raises."""
+    cs = ComplexSession(p2)
+    held = InvariantKey(COMPLEX, 0, 1, [(1, 3), (0, 2)])
+    assert not held.is_canonical()
+    assert cs.value(held.canonical()) == 1  # <tau_1(pt), h>_1, now held
+    assert cs.value(held) == 1
+    fresh = InvariantKey(COMPLEX, 0, 2, [(0, 3), (1, 3), (0, 3), (0, 3)])
+    assert not fresh.is_canonical() and fresh.canonical() not in cs.table
+    want = ComplexSession(p2).value(fresh.canonical())
+    assert want and cs.value(fresh) == want
+    assert fresh.canonical() in cs.table and fresh not in cs.table
+    with pytest.raises(ValueError):
+        cs.value(InvariantKey(REAL, 0, 1, [(0, 3), (0, 3)]))
+    with pytest.raises(SolverError):
+        cs.value(InvariantKey(COMPLEX, 1, 1, [(0, 3), (0, 3)]))

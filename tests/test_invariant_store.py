@@ -1,11 +1,13 @@
 """Canonical keys, normalization, tables, and the persistent cache."""
 
+import ast
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
+import gwcalc
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable, StoreConflictError,
                                     StoreFormatError, normalize,
@@ -33,6 +35,28 @@ def test_key_rejects_bad_input():
         InvariantKey(COMPLEX, 0, 1, [(-1, 2)])
     with pytest.raises(ValueError):
         InvariantKey(COMPLEX, 0, 1, [(0, 0)])
+
+
+def test_trusted_keys_stay_inside_the_store_and_solvers():
+    """InvariantKey._trusted skips the constructor's checks, so only the
+    store and the solvers, which pass the int parts of valid keys or
+    range-checked relation tuples, reach it; cli, which turns user input
+    into keys, goes through the validating constructor."""
+    package = os.path.dirname(os.path.abspath(gwcalc.__file__))
+    callers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                    or isinstance(node, ast.Constant)
+                    and node.value == "_trusted"):
+                callers.add(name[:-3])
+    assert "cli" not in callers
+    assert callers <= {"invariant_store", "complex_solver", "real_solver"}
+    assert "complex_solver" in callers
 
 
 def test_key_immutability():

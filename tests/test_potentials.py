@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -181,6 +182,35 @@ def test_complex_residuals_vanish(p2_session):
     P = pots["complex_primary"]
     for indices in ((1, 2, 3, 3), (2, 2, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3)):
         assert residual_wdvv_pde(P, indices).is_zero()
+
+
+def test_wdvv_pde_memo_follows_the_series(p2_session):
+    """residual_wdvv_pde and wdvv_pde_residuals read one memo kept on the
+    series and agree on every quadruple; an add_term after a call
+    rebuilds the memo, so a perturbation shows at once and its removal
+    clears it again."""
+    F = build_potential(p2_session.target, COMPLEX, p2_session.value,
+                        (10, 4))
+    quadruples = list(product(range(1, 4), repeat=4))
+
+    def each():
+        return [(idx, residual_wdvv_pde(F, idx)) for idx in quadruples]
+
+    assert each() == list(wdvv_pde_residuals(F))
+    assert all(res.is_zero() for _, res in each())
+    # <pt^4>_1 breaks the grading; its F_333 meets F_122 at (2,2,3,3)
+    pt4 = (((0, 3), 4),)
+    F.add_term(1, pt4, 1)
+    perturbed = each()
+    assert not residual_wdvv_pde(F, (2, 2, 3, 3)).is_zero()
+    assert perturbed == list(wdvv_pde_residuals(F))
+    # a copy has no memo: the perturbed residuals match a fresh build
+    fresh = F.truncated()
+    assert perturbed == [(idx, residual_wdvv_pde(fresh, idx))
+                         for idx in quadruples]
+    F.add_term(1, pt4, -1)
+    assert residual_wdvv_pde(F, (2, 2, 3, 3)).is_zero()
+    assert all(res.is_zero() for _, res in each())
 
 
 def test_real_residuals_vanish(p3_sessions):
