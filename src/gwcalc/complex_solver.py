@@ -27,7 +27,12 @@ step (reduce_axioms); any other descendant key goes through the
 integrated topological recursion (reduce_descendant_trr), one-point keys
 after the string relation has lifted them to two points.  The recursion
 stays a second route: the trr-cross suite compares one step of each over
-the same lower values.  Everything is exact rational arithmetic; a
+the same lower values.  Everything is exact rational arithmetic, and
+the evaluators (evaluate_terms, evaluate_products, _relation_row) add up
+int numerators over a common denominator and build one Fraction per
+evaluated key: every complex primary value of P^n, relation weight and
+axiom-step coefficient is whole, so only the recursion's 1/d (or a
+non-whole value loaded from a cache) brings a denominator in.  A
 specialized recursion for the plane-curve counts is implemented
 independently and serves as an oracle for the generic solver.
 
@@ -123,8 +128,10 @@ def _split_class(target, index_sum, side_len):
 
 
 def key_degree_sum(key, target):
-    """Sum of 2*a_i + |mu_i| over the insertions of a key."""
-    return sum(2 * a + target.degree(b) for a, b in key.insertions)
+    """Sum of 2*a_i + |mu_i| over the insertions of a key.  On P^n the
+    class e_b has degree 2(b - 1); every caller has passed
+    _require_projective."""
+    return 2 * sum(a + b - 1 for a, b in key.insertions)
 
 
 def filter_complex(key, target):
@@ -184,10 +191,11 @@ def _strip_primary(target, kind, degree, basis_list):
     A unit insertion kills the factor (string relation); each divisor
     insertion strips off a factor ``degree`` (divisor relation); the
     theory's structural filter then applies to the rest.  Returns
-    (key, multiplier), or None when the factor is structurally zero.
+    (key, multiplier) with an int multiplier, or None when the factor is
+    structurally zero.
     """
     stripped = []
-    mult = Fraction(1)
+    mult = 1
     for b in basis_list:
         deg = target.degree(b)
         if deg == 0:
@@ -221,25 +229,37 @@ def _combine(terms):
 
 
 def evaluate_terms(terms, value):
-    """The sum of coeff * value(key) over (coeff, key) pairs."""
-    total = Fraction(0)
-    for coeff, key in terms:
-        total += coeff * value(key)
-    return total
+    """The sum of coeff * value(key) over (coeff, key) pairs, as a
+    Fraction: evaluate_products of the one-key terms."""
+    return evaluate_products(((coeff, (key,)) for coeff, key in terms),
+                             value)
 
 
 def evaluate_products(terms, value):
     """The sum of coeff * value(k_1) * ... over (coeff, keys) product
-    terms; a term stops at its first zero factor, so the keys after it
-    are not evaluated."""
-    total = Fraction(0)
+    terms, as a Fraction; a term stops at its first zero factor, so the
+    keys after it are not evaluated.  Each coefficient and value (an int
+    or a Fraction) is read as its numerator and denominator; the
+    numerators add up over a common denominator, so a sum of whole terms
+    stays in int until the one Fraction at the end."""
+    num, den = 0, 1
     for coeff, keys in terms:
+        n, q = coeff.numerator, coeff.denominator
         for key in keys:
-            coeff *= value(key)
-            if not coeff:
+            val = value(key)
+            n *= val.numerator
+            if not n:
                 break
-        total += coeff
-    return total
+            q *= val.denominator
+        else:
+            if q != den:
+                # bring the sum and this term to a common denominator
+                g = math.gcd(den, q)
+                num *= q // g
+                den = den // g * q
+                n *= den // q
+            num += n
+    return Fraction(num, den)
 
 
 def _relation_row(table, terms, d):
@@ -247,26 +267,42 @@ def _relation_row(table, terms, d):
     keys) terms at block degree ``d``, in either theory: a key stored in
     the live table folds into its coefficient, a missing key below
     degree d raises SolverError, the one key left takes the term into
-    the row, and a term with none left goes to the rhs."""
+    the row, and a term with none left goes to the rhs.  The row and rhs
+    add up int numerators over one common denominator, as
+    evaluate_products does, and become Fractions at the end."""
     row = {}
-    rhs = Fraction(0)
+    rhs = 0
+    den = 1
     for coeff, keys in terms:
+        n, q = coeff.numerator, coeff.denominator
         unknown = None
         for key in keys:
             val = table.get(key)
             if val is not None:
-                coeff *= val
+                n *= val.numerator
+                q *= val.denominator
             elif key.degree < d:
                 raise SolverError("missing lower-degree value %r" % (key,))
             elif unknown is None:
                 unknown = key
             else:
                 raise AssertionError("two unknown factors in one term")
+        if q != den:
+            # bring the row, the rhs and this term to a common denominator
+            g = math.gcd(den, q)
+            scale = q // g
+            if scale != 1:
+                rhs *= scale
+                for k in row:
+                    row[k] *= scale
+                den *= scale
+            n *= den // q
         if unknown is None:
-            rhs -= coeff
+            rhs -= n
         else:
-            row[unknown] = row.get(unknown, Fraction(0)) + coeff
-    return row, rhs
+            row[unknown] = row.get(unknown, 0) + n
+    return ({k: Fraction(c, den) for k, c in row.items()},
+            Fraction(rhs, den))
 
 
 def _grouped_splits(items):
@@ -946,7 +982,7 @@ class ComplexSession(_Session):
         # point class is the divisor, so the canonical unknown is <>_1)
         seed_key, seed_mult = _strip_primary(
             target, COMPLEX, 1, [target.num_basis, target.num_basis])
-        self._seed = (seed_key, 1 / seed_mult)
+        self._seed = (seed_key, Fraction(1, seed_mult))
         # structural part of relation-row factors, keyed by
         # (degree, sorted basis tuple); see _relation_terms
         self._shapes = {}
@@ -989,7 +1025,7 @@ class ComplexSession(_Session):
                 ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
                 if not 0 <= d1 <= d:
                     continue
-                coeff = Fraction(side * weight)
+                coeff = side * weight
                 keys = []
                 for d_f, ins in ((d1, ins_i + [ei]), (d - d1, [ej] + ins_j)):
                     shape_key = (d_f, tuple(sorted(ins)))
@@ -1005,9 +1041,11 @@ class ComplexSession(_Session):
 
     def _factor_shape(self, d_f, basis_list):
         """Structural part of a factor: None when it vanishes, (value,)
-        at degree 0, else (divisor multiplier, canonical key)."""
+        at degree 0, else (divisor multiplier, canonical key); the value
+        and the multiplier are ints."""
         if d_f == 0:
-            val = degree_zero_value(self.target, [(0, b) for b in basis_list])
+            val = degree_zero_value(self.target,
+                                    [(0, b) for b in basis_list]).numerator
             return (val,) if val else None
         canon = _strip_primary(self.target, COMPLEX, d_f, basis_list)
         if canon is None:
@@ -1085,13 +1123,12 @@ def reduce_descendant_trr(key, target):
     if j_slot is None:
         j_slot = 0 if i_slot != 0 else 1
 
-    inv_d = Fraction(1, d)
     raw_terms = []
 
     a_i, b_i = ins[i_slot]
     # contact terms: the divisor slides onto slot j (plus) or slot i
     # (minus); h * e_b = e_(b+1), and a term past the point class drops
-    for slot, coeff in ((j_slot, inv_d), (i_slot, -inv_d)):
+    for slot, coeff in ((j_slot, Fraction(1, d)), (i_slot, Fraction(-1, d))):
         if ins[slot][1] < pt:
             contact = list(ins)
             contact[i_slot] = (a_i - 1, b_i)
@@ -1118,5 +1155,5 @@ def reduce_descendant_trr(key, target):
                                    tuple(sorted(side_i + [(0, ea)])))
         k2 = InvariantKey._trusted(COMPLEX, 0, d2,
                                    tuple(sorted(side_j + [(0, eb)])))
-        raw_terms.append((inv_d * d2 * weight, (k1, k2)))
+        raw_terms.append((Fraction(d2 * weight, d), (k1, k2)))
     return raw_terms

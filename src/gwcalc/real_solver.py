@@ -210,7 +210,7 @@ class RealSession(_Session):
         if seed_sign is not None:
             self.table.seed_sign = seed_sign
         self._seed = (seed_key, None if seed_sign is None
-                      else Fraction(seed_sign) / seed_mult)
+                      else Fraction(seed_sign, seed_mult))
 
     # -- block solving --------------------------------------------------
 
@@ -294,7 +294,6 @@ def reduce_descendant_rtrr(key, session):
     i_slot = _first_descendant_slot(key)
     a_i, b_i = ins[i_slot]
     others = [ins[idx] for idx in range(len(ins)) if idx != i_slot]
-    inv_d = Fraction(1, d)
     terms = []
 
     # leading contact term: weight -2, divisor onto the descendant slot
@@ -302,7 +301,7 @@ def reduce_descendant_rtrr(key, session):
     if b_i < target.num_basis:
         contact = list(ins)
         contact[i_slot] = (a_i - 1, b_i + 1)
-        terms.append((-2 * inv_d, normalize(target, REAL, 0, d, contact)))
+        terms.append((Fraction(-2, d), normalize(target, REAL, 0, d, contact)))
 
     # All basis classes have even degree, so both factors can be built by
     # plain sorting; the grading leaves one diagonal term and one degree
@@ -323,5 +322,6 @@ def reduce_descendant_rtrr(key, session):
             COMPLEX, 0, dprime, tuple(sorted(conj_side + [(0, ea)]))))
         if not cval:
             continue
-        terms.append((inv_d * d0 * weight * cval, rk))
+        terms.append((Fraction(d0 * weight * cval.numerator,
+                                d * cval.denominator), rk))
     return _combine(terms)

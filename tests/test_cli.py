@@ -10,6 +10,7 @@ import pytest
 
 from gwcalc import cli
 from gwcalc.cli import emit_rows, main
+from gwcalc.complex_solver import ComplexSession
 from gwcalc.graded_algebra import (TargetSpace, _projective_space,
                                    frac_to_str, make_p2)
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
@@ -475,55 +476,108 @@ def p3_d2_cache(tmp_path_factory):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("suite, kind, degree, insertions, line", [
-    ("wdvv", COMPLEX, 2, [(0, 4)] * 4,
+@pytest.mark.parametrize("suite, kind, degree, insertions, shift, line", [
+    ("wdvv", COMPLEX, 2, [(0, 4)] * 4, 1,
      "suite wdvv       FAIL: instance (2, 3, 4, 4, 4) at degree 2 sums "
      "to 1"),
-    ("wdvv", COMPLEX, 1, [(0, 2), (0, 4), (0, 4)],
+    # a stored non-whole value goes through the relation rows' common
+    # denominator: <h2, h2, pt, pt, pt>_2 = 1 shifted to 1/2
+    ("wdvv", COMPLEX, 2, [(0, 3)] * 2 + [(0, 4)] * 3, Fraction(-1, 2),
+     "suite wdvv       FAIL: instance (2, 2, 3, 4, 4, 4) at degree 2 sums "
+     "to -1/2"),
+    ("wdvv", COMPLEX, 1, [(0, 2), (0, 4), (0, 4)], 1,
      "suite wdvv       FAIL: PDE residual (2,2,3,4) has -1 at q^1"),
-    ("rwdvv", REAL, 2, [(0, 4), (0, 4)],
+    ("rwdvv", REAL, 2, [(0, 4), (0, 4)], 1,
      "suite rwdvv      FAIL: instance (2, 1, 3) at degree 2 sums to -4"),
-    ("rwdvv", REAL, 2, [(0, 2), (0, 4), (0, 4)],
+    ("rwdvv", REAL, 2, [(0, 2), (0, 4), (0, 4)], 1,
      "suite rwdvv      FAIL: PDE residual (3,2,4) has 1/8 at q^2 t[0,2]"),
-    ("trr-cross", COMPLEX, 2, [(2, 4), (2, 4)],
+    ("trr-cross", COMPLEX, 2, [(2, 4), (2, 4)], 1,
      "suite trr-cross  FAIL: key <complex g=0 d=2 | t0(e2), t2(e4), "
      "t2(e4)>: reduction 1 != axiom 3"),
-    ("rtrr-cross", REAL, 2, [(2, 4)],
+    ("rtrr-cross", REAL, 2, [(2, 4)], 1,
      "suite rtrr-cross FAIL: key <real g=0 d=2 | t0(e2), t2(e4)>: "
      "reduction 0 != axiom 2"),
-    ("grading", REAL, 2, [(0, 2)] * 4 + [(0, 4)] * 2,
+    ("grading", REAL, 2, [(0, 2)] * 4 + [(0, 4)] * 2, 1,
      "suite grading    FAIL: stored value 1 at <real g=0 d=2 | t0(e2), "
      "t0(e2), t0(e2), t0(e2), t0(e4), t0(e4)>, primary value 0"),
-    ("grading", COMPLEX, 2, [(0, 2)] + [(0, 3)] * 4 + [(0, 4)] * 2,
+    ("grading", COMPLEX, 2, [(0, 2)] + [(0, 3)] * 4 + [(0, 4)] * 2, 1,
      "suite grading    FAIL: stored value 9 at <complex g=0 d=2 | t0(e2), "
      "t0(e3), t0(e3), t0(e3), t0(e3), t0(e4), t0(e4)>, primary value 8"),
     # stored descendant entries, one per route: both passed every suite
     # while grading rechecked descendant-free entries only
-    ("grading", COMPLEX, 2, [(0, 2)] * 3 + [(0, 3), (2, 3), (2, 4)],
+    ("grading", COMPLEX, 2, [(0, 2)] * 3 + [(0, 3), (2, 3), (2, 4)], 1,
      "suite grading    FAIL: stored value 5 at <complex g=0 d=2 | t0(e2), "
      "t0(e2), t0(e2), t0(e3), t2(e3), t2(e4)>, descendant value 4"),
-    ("grading", COMPLEX, 2, [(0, 3), (0, 3), (1, 2), (1, 2), (2, 1), (2, 3)],
+    ("grading", COMPLEX, 2,
+     [(0, 3), (0, 3), (1, 2), (1, 2), (2, 1), (2, 3)], 1,
      "suite grading    FAIL: stored value 1 at <complex g=0 d=2 | t0(e3), "
      "t0(e3), t1(e2), t1(e2), t2(e1), t2(e3)>, descendant value 0"),
-], ids=["wdvv-instance", "wdvv-pde", "rwdvv-instance", "rwdvv-pde",
-        "trr-cross", "rtrr-cross", "grading-real", "grading-complex",
-        "grading-axiom-step", "grading-trr"])
+], ids=["wdvv-instance", "wdvv-instance-non-whole", "wdvv-pde",
+        "rwdvv-instance", "rwdvv-pde", "trr-cross", "rtrr-cross",
+        "grading-real", "grading-complex", "grading-axiom-step",
+        "grading-trr"])
 def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
                                           suite, kind, degree, insertions,
-                                          line):
-    """One stored value raised by 1 makes the suite that reads it fail,
-    with its first failing check named the same way in both theories."""
+                                          shift, line):
+    """One stored value shifted, by 1 or to a non-whole value, makes the
+    suite that reads it fail, with its first failing check named the same
+    way in both theories."""
     data = json.loads(json.dumps(p3_d2_cache))
     want = [{"a": a, "basis": b} for a, b in insertions]
     entry, = [e for e in data["entries"] if e["kind"] == kind
               and e["degree"] == degree and e["insertions"] == want]
-    entry["value"] = frac_to_str(Fraction(entry["value"]) + 1)
+    entry["value"] = frac_to_str(Fraction(entry["value"]) + shift)
     cache = tmp_path / "tampered.json"
     cache.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--target", "P3-tau",
                          "--max-degree", "2", "--suite", suite,
                          "--cache", str(cache))
     assert (code, out, err) == (1, line + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--target", "P1-tau", "--max-degree", "3"),
+    ("verify", "--target", "P1-tau", "--max-degree", "3"),
+    ("compute", "--target", "P2", "--max-degree", "3"),
+    ("verify", "--target", "P2", "--max-degree", "3"),
+    ("compute", "--target", "P3-tau", "--max-degree", "2"),
+    ("compute", "--target", "P3-tau", "--real", "--max-degree", "2"),
+    ("verify", "--target", "P3-tau", "--max-degree", "2"),
+    ("compute", "--target", "P3-eta", "--real", "--seed-sign", "-",
+     "--max-degree", "2"),
+    ("verify", "--target", "P3-eta", "--seed-sign", "-", "--max-degree", "2"),
+], ids=["compute-P1-tau", "verify-P1-tau", "compute-P2", "verify-P2",
+        "compute-P3-tau", "compute-P3-tau-real", "verify-P3-tau",
+        "compute-P3-eta-real", "verify-P3-eta"])
+def test_values_stay_fractions(capsys, monkeypatch, argv):
+    """Every value a session returns or hands its table to store is a
+    Fraction, although the evaluators add up ints and the divisor
+    multipliers are ints (on P1-tau the seed key <pt, pt>_1 strips to
+    <>_1 with a divisor multiplier, so the seed is a quotient)."""
+    returned, stored = [], []
+
+    def recording(fn):
+        def wrapper(*args):
+            val = fn(*args)
+            returned.append(val)
+            return val
+        return wrapper
+
+    for cls in (ComplexSession, RealSession):
+        monkeypatch.setattr(cls, "value", recording(cls.value))
+        monkeypatch.setattr(cls, "primary_value",
+                            recording(cls.primary_value))
+    put = InvariantTable.put
+
+    def recording_put(table, key, val, provenance):
+        stored.append(val)
+        put(table, key, val, provenance)
+
+    monkeypatch.setattr(InvariantTable, "put", recording_put)
+    code, _out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert returned and stored
+    assert {type(v) for v in returned + stored} == {Fraction}
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,9 +17,10 @@ from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
                                     StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   _grouped_splits, _split_class,
-                                   _sub_multisets_4, degree_zero_value,
-                                   evaluate_products,
+                                   _grouped_splits, _relation_row,
+                                   _split_class, _sub_multisets_4,
+                                   degree_zero_value, evaluate_products,
+                                   evaluate_terms,
                                    filter_complex, key_degree_sum,
                                    kontsevich_p2, psi_multinomial_recursive,
                                    reduce_axioms, reduce_descendant_trr,
@@ -43,6 +44,19 @@ def test_vdim_complex(p2, p3):
 def test_key_degree_sum(p2):
     k = key(1, [(0, 3), (2, 2)])
     assert key_degree_sum(k, p2) == 4 + (4 + 2)
+
+
+@pytest.mark.parametrize("name", builtin_target_names())
+def test_key_degree_sum_is_the_index_rule(name):
+    """The P^n index rule agrees with the ring's degrees on every
+    built-in target."""
+    target = builtin_target(name)
+    rng = random.Random(7)
+    for _ in range(50):
+        ins = [(rng.randrange(4), rng.randint(1, target.num_basis))
+               for _ in range(rng.randrange(6))]
+        want = sum(2 * a + target.degree(b) for a, b in ins)
+        assert key_degree_sum(key(1, ins), target) == want
 
 
 def test_filter_complex(p2):
@@ -400,6 +414,97 @@ def test_wdvv_oracle_needs_no_grouped_step(p3_sessions, monkeypatch):
             assert d == 3 or evaluate_products(terms, cs.value) == 0, mu
             checked += 1
     assert checked == 3 + 43 + 111
+
+
+def _random_number(rng):
+    """Zero, a whole or non-whole and possibly negative number, as an int
+    or a Fraction."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return rng.choice((0, Fraction(0)))
+    if pick == 1:
+        return rng.randint(-9, 9)
+    if pick == 2:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _random_terms(rng, keys, size):
+    """Up to ``size`` (coefficient, keys) terms with one to three of
+    ``keys`` each."""
+    return [(_random_number(rng),
+             tuple(rng.choice(keys) for _ in range(rng.randint(1, 3))))
+            for _ in range(rng.randrange(size + 1))]
+
+
+def _fraction_product(coeff, factors):
+    out = Fraction(coeff)
+    for f in factors:
+        out *= f
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_evaluators_match_fraction_reference(seed):
+    """evaluate_terms, evaluate_products and _relation_row, which add up
+    int numerators over a common denominator, give the sums a plain
+    Fraction loop gives, as Fractions."""
+    rng = random.Random(seed)
+    keys = [key(1, [(0, 2)] * k) for k in range(8)]
+    # values as a session or a table returns them: Fractions
+    values = {k: Fraction(_random_number(rng)) for k in keys}
+    terms = _random_terms(rng, keys, 12)
+
+    linear = [(c, ks[0]) for c, ks in terms]
+    got = evaluate_terms(linear, values.__getitem__)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(c) * values[k] for c, k in linear),
+                      Fraction(0))
+    got = evaluate_products(terms, values.__getitem__)
+    assert type(got) is Fraction
+    assert got == sum((_fraction_product(c, [values[k] for k in ks])
+                       for c, ks in terms), Fraction(0))
+
+    # a row over two keys of the block degree that the table lacks: about
+    # half the terms take one of them, the rest go to the rhs
+    unknowns = [key(1, [(0, 3)]), key(1, [(0, 3)] * 2)]
+    row_terms = [(c, ks + (rng.choice(unknowns),) if rng.random() < 0.5
+                  else ks) for c, ks in terms]
+    want_row, want_rhs = {}, Fraction(0)
+    for c, ks in row_terms:
+        part = _fraction_product(c, [values[k] for k in ks if k in values])
+        if ks[-1] in values:
+            want_rhs -= part
+        else:
+            want_row[ks[-1]] = want_row.get(ks[-1], Fraction(0)) + part
+    row, rhs = _relation_row(values, row_terms, 1)
+    assert (row, rhs) == (want_row, want_rhs)
+    assert list(row) == list(want_row)
+    assert all(type(c) is Fraction for c in [rhs, *row.values()])
+
+
+def test_evaluators_of_no_terms_give_fraction_zero():
+    for got in (evaluate_terms([], None), evaluate_products([], None)):
+        assert got == 0 and type(got) is Fraction
+    row, rhs = _relation_row({}, [], 1)
+    assert row == {} and rhs == 0 and type(rhs) is Fraction
+
+
+def test_evaluate_products_stops_at_first_zero_factor():
+    """A term's keys after its first zero factor are not asked for, and
+    a zero coefficient still asks for the term's first key."""
+    values = {"a": Fraction(3, 2), "zero": Fraction(0), "b": Fraction(-2),
+              "c": Fraction(5)}
+    asked = []
+
+    def value(k):
+        asked.append(k)
+        return values[k]
+
+    terms = [(2, ("a", "zero", "b")), (Fraction(1, 3), ("b", "c")),
+             (0, ("c", "a")), (4, ("zero",))]
+    assert evaluate_products(terms, value) == Fraction(-10, 3)
+    assert asked == ["a", "zero", "b", "c", "c", "zero"]
 
 
 def test_relation_residual_needs_lower_degrees(p2):
