@@ -81,10 +81,6 @@ class InconsistentSystemError(SolverError):
 class UnderdeterminedError(SolverError):
     """A relation system left some keys unresolved."""
 
-    def __init__(self, message, unknown_keys):
-        super().__init__(message)
-        self.unknown_keys = list(unknown_keys)
-
 
 class AxiomPreconditionError(SolverError):
     """An axiom reduction was requested outside its hypotheses."""
@@ -740,37 +736,38 @@ def wdvv_relation(target, mu, degree):
 # sparse exact elimination
 
 
+def _subtract(row, f, other):
+    """Subtract f times the row ``other`` from ``row`` in place, dropping
+    the entries that cancel."""
+    for k, c in other.items():
+        nv = row.get(k, 0) - f * c
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+
+
 class _Eliminator:
-    """Incremental Gauss-Jordan over the rationals, keyed by hashable
-    unknowns.  Rows are dicts {unknown: coeff} with a rational rhs."""
+    """Incremental Gauss-Jordan over the rationals, keyed by unknowns with
+    a sort_key.  Rows are dicts {unknown: coeff} with a rational rhs.
+    Each pivot keeps its row as (rest, rhs), read as pivot + rest = rhs,
+    and no pivot appears in any stored rest (fully reduced form)."""
 
     def __init__(self):
         self.pivots = {}
 
     def add_row(self, row, rhs):
         """Reduce a row against the pivots and absorb it.  Returns True
-        when the row produced a new pivot.  Raises
-        InconsistentSystemError on a contradictory row."""
+        when the row produced a new pivot (its least unknown by
+        sort_key).  Raises InconsistentSystemError on a contradictory
+        row."""
         row = {k: Fraction(c) for k, c in row.items() if c}
         rhs = Fraction(rhs)
-        while True:
-            hit = None
-            for k in row:
-                if k in self.pivots:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            prow, prhs = self.pivots[hit]
-            f = row.pop(hit)
-            for k, c in prow.items():
-                if k == hit:
-                    continue
-                nv = row.get(k, Fraction(0)) - f * c
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+        # a stored rest holds no pivot, so one pass clears them all
+        for k in [k for k in row if k in self.pivots]:
+            rest, prhs = self.pivots[k]
+            f = row.pop(k)
+            _subtract(row, f, rest)
             rhs -= f * prhs
         if not row:
             if rhs:
@@ -778,51 +775,22 @@ class _Eliminator:
                     "relation system is inconsistent (0 = %s)" % rhs)
             return False
         pivot = min(row, key=lambda k: k.sort_key())
-        inv = Fraction(1) / row[pivot]
-        row = {k: c * inv for k, c in row.items()}
+        inv = 1 / row.pop(pivot)
+        rest = {k: c * inv for k, c in row.items()}
         rhs *= inv
         # eliminate the new pivot from the stored rows
-        for k, (prow, prhs) in list(self.pivots.items()):
-            f = prow.get(pivot)
-            if f:
-                for kk, cc in row.items():
-                    if kk == pivot:
-                        continue
-                    nv = prow.get(kk, Fraction(0)) - f * cc
-                    if nv:
-                        prow[kk] = nv
-                    else:
-                        prow.pop(kk, None)
-                prow.pop(pivot)
-                self.pivots[k] = (prow, prhs - f * rhs)
-        self.pivots[pivot] = (row, rhs)
+        for k, (prest, prhs) in self.pivots.items():
+            f = prest.pop(pivot, None)
+            if f is not None:
+                _subtract(prest, f, rest)
+                self.pivots[k] = (prest, prhs - f * rhs)
+        self.pivots[pivot] = (rest, rhs)
         return True
 
     def solution(self):
-        """Fully determined values: {unknown: value} for pivots whose
-        rows involve no free unknowns."""
-        out = {}
-        for k, (row, rhs) in self.pivots.items():
-            if len(row) == 1:
-                out[k] = rhs
-        return out
-
-    def is_determined(self, unknowns):
-        """Whether every key of the list ``unknowns`` is a pivot whose
-        row is a singleton, i.e. has a value in ``solution``.
-
-        Pops the keys found so off the end of the list and stops at the
-        first that is not.  A singleton row stays one (a new pivot is
-        eliminated only from rows that hold it), so a popped key needs
-        no second look when the caller passes the same list again.
-        """
-        pivots = self.pivots
-        while unknowns:
-            entry = pivots.get(unknowns[-1])
-            if entry is None or len(entry[0]) != 1:
-                return False
-            unknowns.pop()
-        return True
+        """Fully determined values: {unknown: value} for the pivots whose
+        rows hold no other unknown."""
+        return {k: rhs for k, (rest, rhs) in self.pivots.items() if not rest}
 
 
 def _solve_block(session, d, provenance, relations):
@@ -830,10 +798,12 @@ def _solve_block(session, d, provenance, relations):
 
     Puts the session's seed (``session._seed``, a (key, value or None)
     pair) when it is an unknown of the block, then eliminates the rows
-    of ``session._block_rows(d, unknowns)`` in order, stopping at the
-    first row after which every pending unknown has a value, and stores
-    the values under ``provenance``.  Raises UnderdeterminedError naming
-    the ``relations`` when a pending unknown stays open.
+    of ``session._block_rows(d, unknowns)`` in order and stores the
+    values under ``provenance``.  A row's unknowns are pending keys
+    (degree-d keys missing from the table), so every pending key has a
+    value once the pivots number the pending keys: the solve stops at
+    that row.  Raises UnderdeterminedError naming the ``relations``
+    when a pending key stays open.
     """
     unknowns = session.primary_keys(d)
     if not unknowns:
@@ -845,10 +815,9 @@ def _solve_block(session, d, provenance, relations):
     if not pending:
         return
     elim = _Eliminator()
-    undetermined = list(pending)
     for row, rhs in session._block_rows(d, unknowns):
         elim.add_row(row, rhs)
-        if elim.is_determined(undetermined):
+        if len(elim.pivots) == len(pending):
             break
     sol = elim.solution()
     missing = [k for k in pending if k not in sol]
@@ -857,10 +826,9 @@ def _solve_block(session, d, provenance, relations):
             relations, len(missing), d)
         if seed_value is None:  # a real session of a free involution
             msg += " (no seed sign supplied for this involution)"
-        raise UnderdeterminedError(msg, missing)
-    for k in unknowns:
-        if k in sol:
-            session.table.put(k, sol[k], provenance)
+        raise UnderdeterminedError(msg)
+    for k in pending:
+        session.table.put(k, sol[k], provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,17 +977,19 @@ class ComplexSession(_Session):
         """Yield the (coefficient, keys) terms of one relation instance.
 
         Equivalent to wdvv_relation, but once per distinct split of the
-        other insertions, with its weight (_grouped_splits; all basis
-        degrees are even, so grouping loses no sign), and only with the
-        diagonal term and first-factor degree d1 the grading leaves
-        (_split_class), when d1 is in [0, d].  A factor whose memoized
-        shape vanishes drops the term; otherwise its multiplier folds
-        into the coefficient and its key, if any, joins the keys.
+        other insertions, with its weight, for both sides of the relation
+        (_grouped_splits; all basis degrees are even, so grouping loses no
+        sign), and only with the diagonal term and first-factor degree d1
+        the grading leaves (_split_class), when d1 is in [0, d].  A factor
+        whose memoized shape vanishes drops the term; otherwise its
+        multiplier folds into the coefficient and its key, if any, joins
+        the keys.
         """
         target = self.target
         shapes = self._shapes
-        for side, (pa, pb) in ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3)))):
-            for weight, first, second in _grouped_splits(mu[4:]):
+        for weight, first, second in _grouped_splits(mu[4:]):
+            for side, (pa, pb) in ((1, ((0, 1), (2, 3))),
+                                   (-1, ((0, 2), (1, 3)))):
                 ins_i = [mu[pa[0]], mu[pa[1]]] + first
                 ins_j = [mu[pb[0]], mu[pb[1]]] + second
                 ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))

@@ -127,7 +127,8 @@ def rwdvv_relation(target, mu, degree, complex_session):
     classes.  The relation's two sides pull slot 2 (resp. slot 3) onto
     the real side; each term pairs a real key of degree d0 with a fully
     evaluated complex invariant of degree d' where d0 + 2d' = degree.
-    Slots 4.. go to either side once per distinct split, weighted by its
+    Slots 4.. go to either side once per distinct split, and both sides
+    of the relation are expanded inside each split, weighted by its
     count of ordered splits times 2 per complex-side insertion.  Per
     split the grading of the complex side leaves one diagonal term, with
     coefficient 1, and pins d' (_split_class).  Returns (coefficient,
@@ -144,13 +145,11 @@ def rwdvv_relation(target, mu, degree, complex_session):
         if target.sign(b) != -1:
             raise ValueError("slots 2.. must carry minus-eigenspace classes")
     terms = []
-    for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
+    for weight, first, second in _grouped_splits(mu[3:]):
         # side +1: slot 2 real side, slots 1 and 3 complex side
-        for weight, first, second in _grouped_splits(mu[3:]):
+        for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
             real_side = [mu[real_anchor]] + first
             complex_side = [mu[0], mu[complex_anchor]] + second
-            # times 2 per insertion on the doubled (complex) side
-            weight *= 2 ** len(complex_side)
             ej, ei, dprime = _split_class(target, sum(complex_side),
                                           len(complex_side))
             d0 = degree - 2 * dprime
@@ -163,7 +162,9 @@ def rwdvv_relation(target, mu, degree, complex_session):
             cval = complex_session.primary_value(dprime, [ej] + complex_side)
             if not cval:
                 continue
-            terms.append((side * weight * mult * cval, rkey))
+            # times 2 per insertion on the doubled (complex) side
+            terms.append((side * weight * 2 ** len(complex_side) * mult
+                          * cval, rkey))
     return _combine(terms)
 
 

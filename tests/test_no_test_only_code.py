@@ -8,7 +8,10 @@ few that exist for the tests or the benchmark on purpose, each with the
 reason it stays.  Private helpers get the same check with no allowlist:
 every private module-level function must be referenced, and every
 private method (dunders aside) of any class accessed as an attribute,
-outside its own body, so a replaced helper cannot linger.
+outside its own body, so a replaced helper cannot linger.  Every
+attribute the package assigns on ``self`` must be read as an attribute
+somewhere in the package (matched by name), so a payload nothing reads
+cannot linger either.
 """
 
 import ast
@@ -175,3 +178,24 @@ def test_allowlist_is_current():
     defined |= {"%s.%s" % (cls, name)
                 for _m, cls, name, _f, _l in _public_methods(trees)}
     assert set(ALLOWED) <= defined
+
+
+def _self_attribute_stores(trees):
+    """(module, name) of every attribute assigned on ``self``."""
+    return [(module, node.attr)
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def test_every_attribute_set_on_self_is_read_in_the_package():
+    trees = _parse_package()
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = sorted({"%s:%s" % (module, name)
+                     for module, name in _self_attribute_stores(trees)
+                     if name not in loaded})
+    assert not unread, "assigned but never read: %s" % ", ".join(unread)

@@ -17,7 +17,8 @@ from gwcalc import complex_solver
 from gwcalc.complex_solver import (ComplexSession, kontsevich_p2,
                                    reconstruction_tuples, wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
-from gwcalc.invariant_store import COMPLEX, InvariantKey
+from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
+from gwcalc.real_solver import RealSession
 
 FROZEN = os.path.join(os.path.dirname(__file__), "data",
                       "frozen_primary.json")
@@ -98,3 +99,40 @@ def test_p5_targeted_table_satisfies_every_relation():
             assert session.relation_residual(mu, d) == 0, (mu, d)
             checked += 1
     assert checked == 184 + 3395
+
+
+# rows each block solve consumes, per (theory, degree), up to its stop row
+STOP_ROWS = [
+    ("P2", COMPLEX, 5, {(COMPLEX, d): 1 for d in (2, 3, 4, 5)}),
+    ("P3-tau", COMPLEX, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6,
+                            (COMPLEX, 3): 10, (COMPLEX, 4): 14}),
+    ("P5-tau", COMPLEX, 3, {(COMPLEX, 1): 34, (COMPLEX, 2): 203,
+                            (COMPLEX, 3): 615}),
+    ("P7-tau", COMPLEX, 2, {(COMPLEX, 1): 233, (COMPLEX, 2): 2123}),
+    ("P3-tau", REAL, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6, (REAL, 2): 1,
+                         (REAL, 3): 1, (REAL, 4): 1}),
+    ("P5-tau", REAL, 3, {(COMPLEX, 1): 34, (REAL, 1): 1, (REAL, 3): 16}),
+    ("P7-tau", REAL, 3, {(COMPLEX, 1): 233, (REAL, 1): 3, (REAL, 2): 32,
+                         (REAL, 3): 121}),
+]
+
+
+@pytest.mark.parametrize("name,kind,max_degree,expected", STOP_ROWS,
+                         ids=["%s-%s-d%d" % row[:3] for row in STOP_ROWS])
+def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected):
+    """Each block solve stops at the first row after which every pending
+    key has a value: the rows it draws from _block_rows per block are
+    frozen (a block with no pending key draws none)."""
+    counts = {}
+    for cls in (ComplexSession, RealSession):
+        def counted(self, d, unknowns, block_rows=cls._block_rows):
+            for row in block_rows(self, d, unknowns):
+                counts[self.kind, d] = counts.get((self.kind, d), 0) + 1
+                yield row
+        monkeypatch.setattr(cls, "_block_rows", counted)
+    target = builtin_target(name)
+    if kind == COMPLEX:
+        ComplexSession(target).ensure_primary(max_degree)
+    else:
+        RealSession(target).ensure_real(max_degree)
+    assert counts == expected
