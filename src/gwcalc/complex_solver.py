@@ -322,29 +322,52 @@ def _grouped_splits(items):
 # key enumeration
 
 
-def _multisets_exact(items, weights, count, total, start=0):
-    """Multisets of exactly ``count`` entries of items[start:] whose
-    weights add up to ``total``.
+def _multisets_exact(items, weights, count, total):
+    """Multisets of exactly ``count`` entries of items whose weights add
+    up to ``total``.
 
     ``weights[i]`` is the weight of ``items[i]``; weights must be
-    non-negative and non-decreasing.  Yields each multiset as a tuple of
-    items in list order, lexicographically by list position.
+    non-negative and non-decreasing.  Returns a list of the multisets,
+    each a tuple of items in list order, lexicographically by list
+    position.  The walk solves each subproblem (first item, count left,
+    total left) once per call.
     """
+    memo = {}
+    last = len(items) - 1
+
+    def walk(start, count, total):
+        # callers ensure count >= 1 and that count entries of
+        # items[start:] can reach the total by weight, so the last item
+        # alone meets it exactly
+        key = (start, count, total)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        w = weights[start]
+        it = items[start]
+        if start == last:
+            got = [(it,) * count]
+        else:
+            got = []
+            lo, hi = weights[start + 1], weights[-1]
+            for take in range(count if w == 0 else min(count, total // w),
+                              -1, -1):
+                left, rest = count - take, total - take * w
+                if left == 0:
+                    if rest == 0:
+                        got.append((it,) * take)
+                elif left * lo <= rest <= left * hi:
+                    head = (it,) * take
+                    got.extend([head + tail
+                                for tail in walk(start + 1, left, rest)])
+        memo[key] = got
+        return got
+
     if count == 0:
-        if total == 0:
-            yield ()
-        return
-    if start >= len(items):
-        return
-    if not count * weights[start] <= total <= count * weights[-1]:
-        return  # the lightest and heaviest items left miss the total
-    w = weights[start]
-    it = items[start]
-    max_take = count if w == 0 else min(count, total // w)
-    for take in range(max_take, -1, -1):
-        for rest in _multisets_exact(items, weights, count - take,
-                                     total - take * w, start + 1):
-            yield (it,) * take + rest
+        return [()] if total == 0 else []
+    if not (items and count * weights[0] <= total <= count * weights[-1]):
+        return []
+    return walk(0, count, total)
 
 
 def insertion_variables(target, kind, depth):

@@ -83,10 +83,11 @@ def _without(vars_tuple, pos):
 class GradedSeries:
     """Sparse truncated series in the t_{a,i} variables and q.
 
-    terms: dict mapping (q_exp, vars) -> Fraction, where vars is a sorted
-    tuple of ((a, i), mult) pairs with positive multiplicities.  Terms with
-    total t-degree above t_max or q exponent above q_max are discarded by
-    every operation, so arithmetic is closed on the truncation.
+    terms: dict mapping (q_exp, vars) -> nonzero Fraction, where vars is
+    a sorted tuple of ((a, i), mult) pairs with positive multiplicities
+    (see monomial()), inside the truncation.  Terms with total t-degree
+    above t_max or q exponent above q_max are discarded by every
+    operation, so arithmetic is closed on the truncation.
     """
 
     __slots__ = ("target", "t_max", "q_max", "depth", "lam_power", "terms",
@@ -125,38 +126,6 @@ class GradedSeries:
     @staticmethod
     def _t_degree(vars_tuple):
         return sum(m for _, m in vars_tuple)
-
-    def add_term(self, q_exp, vars_tuple, coeff):
-        """Accumulate coeff * q^q_exp * t^vars (vars already canonical).
-
-        vars_tuple is an iterable of ((a, i), mult); it must already be in
-        canonical (sorted, merged) order -- use monomial() to build one from
-        an ordered variable list with the Koszul sign.
-        """
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return
-        vars_tuple = tuple((tuple(v), m) for v, m in vars_tuple)
-        prev = None
-        for v, m in vars_tuple:
-            _check_var(v)
-            if m <= 0:
-                raise SeriesError("non-positive multiplicity in monomial")
-            if self.var_parity(v) and m > 1:
-                return  # square of an odd variable
-            if prev is not None and not (prev < v):
-                raise SeriesError("monomial not canonical: %r" % (vars_tuple,))
-            prev = v
-        if q_exp < 0:
-            raise SeriesError("negative q exponent")
-        if q_exp > self.q_max or self._t_degree(vars_tuple) > self.t_max:
-            return
-        key = (q_exp, vars_tuple)
-        val = self.terms.get(key, Fraction(0)) + coeff
-        if val == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
 
     def monomial(self, ordered_vars):
         """Canonicalize an ordered variable sequence.
@@ -345,7 +314,8 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
 
     kind: COMPLEX or REAL.
     value: a callable mapping a canonical key of that kind to its
-        invariant, e.g. a session's ``value`` (which reads the table first).
+        invariant as a Fraction, e.g. a session's ``value`` (which reads
+        the table first).
     truncation: (t_max, q_max), the bounds on total t-degree and q power.
     depth: highest descendant level included as a variable.
     doubled: re-index so a curve of degree d contributes q^(2d), the form
@@ -382,10 +352,11 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
                 aut = 1
                 for _, m in vars_tuple:
                     aut *= math.factorial(m)
-                coeff = Fraction(val, aut)
                 if kind == REAL:
-                    coeff /= 2 ** ell
-                out.add_term(step * d, vars_tuple, coeff)
+                    aut <<= ell
+                # distinct keys give distinct monomials, all inside the
+                # truncation, so each coefficient is written once
+                out.terms[(step * d, vars_tuple)] = val / aut
     return out
 
 
@@ -536,9 +507,9 @@ def _wdvv_pde(F):
 
     The memo holds F's truncation, a copy of its terms and the residual
     function; it is reused while both still compare equal to F's, and
-    rebuilt otherwise (say after an add_term), so it never serves stale
-    pieces.  Its base series shares that copy, not F, so F and its memo
-    form no reference cycle.
+    rebuilt otherwise (say after a write to F.terms), so it never serves
+    stale pieces.  Its base series shares that copy, not F, so F and its
+    memo form no reference cycle.
     """
     bounds = (F.t_max, F.q_max)
     memo = F._wdvv_pde

@@ -26,6 +26,7 @@ from gwcalc.potentials import (build_potentials, residual_dilaton_complex,
                                residual_string_complex, residual_string_real,
                                residual_wdvv_pde)
 from gwcalc.cli import _descendant_keys
+from series_terms import add_terms
 
 
 def test_criterion_1_plane_curve_counts():
@@ -270,10 +271,10 @@ def test_criterion_8_koszul_sign_properties(torus):
     for _ in range(500):
         i = rng.choice((2, 3))
         j = rng.choice((2, 3))
-        x = GradedSeries(torus, 4, 1)
-        x.add_term(0, (((0, i), 1),), Fraction(rng.randrange(1, 5)))
-        y = GradedSeries(torus, 4, 1)
-        y.add_term(0, (((0, j), 1),), Fraction(rng.randrange(1, 5)))
+        x = add_terms(GradedSeries(torus, 4, 1),
+                      (0, (((0, i), 1),), rng.randrange(1, 5)))
+        y = add_terms(GradedSeries(torus, 4, 1),
+                      (0, (((0, j), 1),), rng.randrange(1, 5)))
         if i == j:
             assert (x * y).is_zero()
         else:

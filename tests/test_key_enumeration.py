@@ -10,10 +10,15 @@ The shared walk must give the same sequences, in the same order, on the
 built-in targets.
 """
 
+import random
+from collections import defaultdict
+from itertools import combinations_with_replacement
+
 import pytest
 
 from gwcalc.complex_solver import (ComplexSession, _exchange_tuples,
-                                   _sub_multisets_4, wdvv_instances)
+                                   _multisets_exact, _sub_multisets_4,
+                                   insertion_variables, wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, builtin_target_names
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
 from gwcalc.real_solver import RealSession, rwdvv_instances
@@ -161,3 +166,49 @@ def test_rwdvv_instances_match_reference(name):
         for cap in range(3, 9):
             assert list(rwdvv_instances(target, d, cap)) == \
                 list(reference_rwdvv_instances(target, d, cap)), (d, cap)
+
+
+def reference_multisets(items, weights, count):
+    """total -> every multiset of ``count`` entries of items with that
+    weight total, by brute force over combinations_with_replacement of
+    the item positions, in lexicographic order of the positions."""
+    out = defaultdict(list)
+    for combo in combinations_with_replacement(range(len(items)), count):
+        out[sum(weights[i] for i in combo)].append(
+            tuple(items[i] for i in combo))
+    return out
+
+
+def check_multisets(items, weights, max_count):
+    """The multiset walk lists, for every count up to max_count and every
+    total (one past the heaviest either side), exactly the brute-force
+    multisets in the same order."""
+    for count in range(max_count + 1):
+        want = reference_multisets(items, weights, count)
+        top = count * max(weights, default=0)
+        for total in range(-1, top + 2):
+            assert _multisets_exact(items, weights, count, total) == \
+                want.get(total, []), (count, total)
+
+
+def test_multiset_walk_matches_brute_force_on_random_weights():
+    """Non-decreasing weights with zeros and ties, items in list order."""
+    rng = random.Random(20261019)
+    for _ in range(40):
+        size = rng.randint(0, 6)
+        weights = sorted(rng.choice((0, 0, 1, 2, 2, 3, 5))
+                         for _ in range(size))
+        items = ["x%d" % i for i in range(size)]
+        check_multisets(items, weights, 5)
+
+
+@pytest.mark.parametrize("name", ["P2", "P3-tau", "P5-tau"])
+def test_multiset_walk_matches_brute_force_on_descendant_variables(name):
+    """The depth-2 insertion variables of both theories, weighted by
+    degree as graded_keys weighs them."""
+    target = builtin_target(name)
+    kinds = [COMPLEX] + ([REAL] if name in REAL_TARGETS else [])
+    for kind in kinds:
+        items = insertion_variables(target, kind, 2)
+        weights = [2 * a + target.degree(b) for a, b in items]
+        check_multisets(items, weights, 5)

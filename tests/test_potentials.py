@@ -1,45 +1,34 @@
 """Truncated super-commutative series and the generating-function PDEs."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from gwcalc.invariant_store import COMPLEX, InvariantTable
+from gwcalc.complex_solver import graded_keys, insertion_variables
+from gwcalc.invariant_store import COMPLEX, REAL, InvariantTable
 from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
                                build_potentials,
                                residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
                                residual_wdvv_pde, wdvv_pde_residuals)
+from series_terms import add_terms
 
 
 def test_series_basics(p2):
-    s = GradedSeries(p2, 4, 2)
-    s.add_term(1, (((0, 3), 2),), Fraction(1, 2))
-    s.add_term(0, (), 5)
+    s = add_terms(GradedSeries(p2, 4, 2),
+                  (1, (((0, 3), 2),), Fraction(1, 2)), (0, (), 5))
     assert s.coefficient(1, [(0, 3), (0, 3)]) == Fraction(1, 2)
     assert s.coefficient(0) == 5
     assert s.coefficient(2, [(0, 2)]) == 0
     assert not s.is_zero()
-    # terms beyond the truncation are silently dropped
-    s.add_term(3, (((0, 2), 1),), 7)
-    s.add_term(0, (((0, 2), 5),), 7)
-    assert s.coefficient(3, [(0, 2)]) == 0
-    # adding the negative of a term removes it
-    s.add_term(0, (), -5)
-    assert s.coefficient(0) == 0
 
 
 def test_series_rejects_malformed(p2):
     s = GradedSeries(p2, 4, 2)
-    with pytest.raises(SeriesError):
-        s.add_term(0, (((0, 3), 1), ((0, 2), 1)), 1)  # not sorted
-    with pytest.raises(SeriesError):
-        s.add_term(0, (((0, 0), 1),), 1)  # basis index < 1
-    with pytest.raises(SeriesError):
-        s.add_term(-1, (), 1)
     with pytest.raises(SeriesError):
         GradedSeries(p2, -1, 0)
     other = GradedSeries(p2, 3, 2)
@@ -65,14 +54,11 @@ def test_monomial_koszul_signs(torus):
 
 
 def test_odd_variables_anticommute(torus):
-    x = GradedSeries(torus, 4, 2)
-    x.add_term(0, (((0, 2), 1),), 1)
-    y = GradedSeries(torus, 4, 2)
-    y.add_term(0, (((0, 3), 1),), 1)
+    x = add_terms(GradedSeries(torus, 4, 2), (0, (((0, 2), 1),), 1))
+    y = add_terms(GradedSeries(torus, 4, 2), (0, (((0, 3), 1),), 1))
     assert (x * y) == (y * x).scale(-1)
     assert (x * x).is_zero()
-    even = GradedSeries(torus, 4, 2)
-    even.add_term(1, (((0, 4), 1),), 3)
+    even = add_terms(GradedSeries(torus, 4, 2), (1, (((0, 4), 1),), 3))
     assert (x * even) == (even * x)
 
 
@@ -87,8 +73,8 @@ def test_product_associative_with_signs(torus):
             sign, vt = s.monomial(ordered)
             if sign == 0:
                 continue
-            s.add_term(rng.randrange(0, 3), vt,
-                       sign * Fraction(rng.randrange(-5, 6), 3))
+            add_terms(s, (rng.randrange(0, 3), vt,
+                          sign * Fraction(rng.randrange(-5, 6), 3)))
         return s
 
     for _ in range(60):
@@ -99,7 +85,7 @@ def test_product_associative_with_signs(torus):
 def test_partial_derivative_signs(torus):
     s = GradedSeries(torus, 4, 2)
     sign, vt = s.monomial([(0, 2), (0, 3)])
-    s.add_term(0, vt, sign)
+    add_terms(s, (0, vt, sign))
     # d/dx (x y) = y; d/dy (x y) = -x for odd x < y
     dx = s.partial_derivative((0, 2))
     assert dx.coefficient(0, [(0, 3)]) == 1
@@ -112,17 +98,15 @@ def test_partial_derivative_signs(torus):
 
 
 def test_partial_derivative_multiplicity(p2):
-    s = GradedSeries(p2, 5, 1)
-    s.add_term(0, (((0, 2), 3),), Fraction(1, 6))
+    s = add_terms(GradedSeries(p2, 5, 1), (0, (((0, 2), 3),), Fraction(1, 6)))
     d = s.partial_derivative((0, 2))
     assert d.coefficient(0, [(0, 2), (0, 2)]) == Fraction(1, 2)
     assert s.partial_derivative((0, 3)).is_zero()
 
 
 def test_truncated_copy(p2):
-    s = GradedSeries(p2, 5, 3)
-    s.add_term(2, (((0, 3), 4),), 1)
-    s.add_term(1, (((0, 3), 1),), 2)
+    s = add_terms(GradedSeries(p2, 5, 3),
+                  (2, (((0, 3), 4),), 1), (1, (((0, 3), 1),), 2))
     cut = s.truncated(2, 1)
     assert cut.coefficient(1, [(0, 3)]) == 2
     assert cut.terms.get((2, (((0, 3), 4),))) is None
@@ -167,6 +151,53 @@ def test_frozen_real_potential_coefficient(p3_sessions):
     assert R.coefficient(3, [(0, 4)] * 3) == Fraction(-1, 48)
 
 
+def reference_potential_terms(target, kind, value, truncation, depth,
+                              doubled):
+    """The terms of build_potential summed through a plain dict of
+    Fractions: value(key) / (prod mult! * (2^ell if real)) at q^(d or 2d)
+    for every key graded_keys lists; asserts that no two keys share a
+    monomial and that every monomial lies inside the truncation."""
+    t_max, q_max = truncation
+    series = GradedSeries(target, t_max, q_max)
+    variables = insertion_variables(target, kind, depth)
+    step = 2 if doubled else 1
+    seen = set()
+    terms = {}
+    for d in range(0 if kind == COMPLEX else 1, q_max // step + 1):
+        for ell in range(t_max + 1):
+            for key in graded_keys(target, kind, d, ell, variables):
+                sign, vt = series.monomial(key.insertions)
+                assert sign == 1
+                mono = (step * d, vt)
+                assert mono not in seen, key
+                seen.add(mono)
+                assert step * d <= q_max and sum(m for _, m in vt) <= t_max
+                coeff = Fraction(value(key))
+                for _, m in vt:
+                    coeff /= math.factorial(m)
+                if kind == REAL:
+                    coeff /= 2 ** ell
+                terms[mono] = terms.get(mono, Fraction(0)) + coeff
+    return {mono: c for mono, c in terms.items() if c != 0}
+
+
+def test_build_potential_matches_reference_sum(p2_session, p3_sessions):
+    cs, rs = p3_sessions
+    cases = [(p2_session, COMPLEX, (10, 4), 1, False),
+             (cs, COMPLEX, (6, 3), 2, False),
+             (rs, REAL, (6, 3), 2, False),
+             (cs, COMPLEX, (6, 3), 2, True)]
+    for session, kind, truncation, depth, doubled in cases:
+        target = session.target
+        F = build_potential(target, kind, session.value, truncation, depth,
+                            doubled)
+        want = reference_potential_terms(target, kind, session.value,
+                                         truncation, depth, doubled)
+        assert want and F.terms == want
+        assert all(type(c) is Fraction for c in F.terms.values())
+        assert (F.t_max, F.q_max, F.depth) == truncation + (depth,)
+
+
 def test_descendant_series_size_regression(p2_session):
     pots = build_potentials(p2_session.table, (8, 3), descendant_depth=1,
                             complex_value=p2_session.value)
@@ -186,8 +217,8 @@ def test_complex_residuals_vanish(p2_session):
 
 def test_wdvv_pde_memo_follows_the_series(p2_session):
     """residual_wdvv_pde and wdvv_pde_residuals read one memo kept on the
-    series and agree on every quadruple; an add_term after a call
-    rebuilds the memo, so a perturbation shows at once and its removal
+    series and agree on every quadruple; a write to its terms after a
+    call rebuilds the memo, so a perturbation shows at once and its removal
     clears it again."""
     F = build_potential(p2_session.target, COMPLEX, p2_session.value,
                         (10, 4))
@@ -200,7 +231,7 @@ def test_wdvv_pde_memo_follows_the_series(p2_session):
     assert all(res.is_zero() for _, res in each())
     # <pt^4>_1 breaks the grading; its F_333 meets F_122 at (2,2,3,3)
     pt4 = (((0, 3), 4),)
-    F.add_term(1, pt4, 1)
+    add_terms(F, (1, pt4, 1))
     perturbed = each()
     assert not residual_wdvv_pde(F, (2, 2, 3, 3)).is_zero()
     assert perturbed == list(wdvv_pde_residuals(F))
@@ -208,7 +239,7 @@ def test_wdvv_pde_memo_follows_the_series(p2_session):
     fresh = F.truncated()
     assert perturbed == [(idx, residual_wdvv_pde(fresh, idx))
                          for idx in quadruples]
-    F.add_term(1, pt4, -1)
+    add_terms(F, (1, pt4, -1))
     assert residual_wdvv_pde(F, (2, 2, 3, 3)).is_zero()
     assert all(res.is_zero() for _, res in each())
 
@@ -260,9 +291,9 @@ def test_build_rejects_odd_basis(torus):
 
 def test_residuals_refuse_odd_basis(torus):
     def series(lam_power):
-        s = GradedSeries(torus, 4, 2, depth=1, lam_power=lam_power)
-        s.add_term(0, (((0, 1), 3),), 1)
-        return s
+        return add_terms(GradedSeries(torus, 4, 2, depth=1,
+                                      lam_power=lam_power),
+                         (0, (((0, 1), 3),), 1))
 
     C, R = series(-2), series(-1)
     calls = [lambda: residual_string_complex(C),

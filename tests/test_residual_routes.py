@@ -24,6 +24,7 @@ from gwcalc.potentials import (GradedSeries, build_potentials,
                                residual_string_complex, residual_string_real,
                                residual_wdvv_pde, wdvv_pde_residuals)
 from gwcalc.real_solver import RealSession
+from series_terms import add_terms
 
 
 # ----- references: the operator-by-operator formulas ------------------------
@@ -37,21 +38,20 @@ def reference_string_complex(F):
     for i in range(1, nb + 1):
         gii = target.pairing_entry(i, i)
         if gii:
-            quad.add_term(0, (((0, i), 2),), Fraction(gii, 2))
+            add_terms(quad, (0, (((0, i), 2),), Fraction(gii, 2)))
         for j in range(i + 1, nb + 1):
             gji = target.pairing_entry(j, i)
             if gji:
                 sign, vt = quad.monomial([(0, i), (0, j)])
                 if sign:
-                    quad.add_term(0, vt, sign * gji)
+                    add_terms(quad, (0, vt, sign * gji))
     res = res - quad
     for a in range(F.depth):
         for i in range(1, nb + 1):
             dF = F.partial_derivative((a, i))
             if dF.is_zero():
                 continue
-            tvar = F._like()
-            tvar.add_term(0, (((a + 1, i), 1),), 1)
+            tvar = add_terms(F._like(), (0, (((a + 1, i), 1),), 1))
             res = res - tvar * dF
     return res.truncated(F.t_max - 1)
 
@@ -63,8 +63,7 @@ def reference_dilaton(F):
             dF = F.partial_derivative((a, i))
             if dF.is_zero():
                 continue
-            tvar = F._like()
-            tvar.add_term(0, (((a, i), 1),), 1)
+            tvar = add_terms(F._like(), (0, (((a, i), 1),), 1))
             res = res - tvar * dF
     return res.truncated(F.t_max - 1)
 
@@ -130,8 +129,8 @@ def perturbed(F, rng, count=40):
         ordered = [(rng.randint(0, F.depth), rng.randint(1, nb))
                    for _ in range(rng.randint(1, F.t_max))]
         _sign, vt = out.monomial(ordered)
-        out.add_term(rng.randint(0, F.q_max), vt,
-                     Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        add_terms(out, (rng.randint(0, F.q_max), vt,
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
     return out
 
 
