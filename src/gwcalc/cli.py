@@ -278,8 +278,8 @@ def emit_rows(target, rows, fmt, out):
 # ----- compute ---------------------------------------------------------------
 
 
-def cmd_compute(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_compute(args):
+    out = sys.stdout
     target = _load_target(args)
     seed_sign = _parse_seed_sign(args.seed_sign)
     if args.degree is not None and args.degree < 0:
@@ -492,7 +492,10 @@ def suite_divisor(target, args, csession, rsession, potential):
     """Adding a unit, a dilaton slot, or a divisor to a solved key gives
     the predicted value."""
     checks = 0
-    h = 2 if target.num_basis > 1 else None
+    # every verify target is P^n with n >= 1, so basis class 2 is the
+    # hyperplane h; a real session needs n odd, where the multiplicative
+    # signs force sign(h) = -1 and h is a real divisor too
+    h = 2
     for d in range(1, args.max_degree + 1):
         for key in csession.primary_keys(d):
             base = csession.value(key)
@@ -508,24 +511,22 @@ def suite_divisor(target, args, csession, rsession, potential):
             if got != want:
                 return False, "dilaton slot at %r: %s != %s" % (
                     dil_key, got, want), checks
-            if h is not None:
-                div_key = InvariantKey(COMPLEX, 0, d, sorted(ins + [(0, h)]))
-                checks += 1
-                got = csession.value(div_key)
-                if got != d * base:
-                    return False, "divisor insertion at %r: %s != %s" % (
-                        div_key, got, d * base), checks
+            div_key = InvariantKey(COMPLEX, 0, d, sorted(ins + [(0, h)]))
+            checks += 1
+            got = csession.value(div_key)
+            if got != d * base:
+                return False, "divisor insertion at %r: %s != %s" % (
+                    div_key, got, d * base), checks
         if rsession is not None:
             for key in rsession.primary_keys(d):
                 base = rsession.value(key)
                 ins = list(key.insertions)
-                if h is not None and target.sign(h) == -1:
-                    div_key = InvariantKey(REAL, 0, d, sorted(ins + [(0, h)]))
-                    checks += 1
-                    got = rsession.value(div_key)
-                    if got != d * base:
-                        return False, "real divisor insertion at %r: %s != %s" \
-                            % (div_key, got, d * base), checks
+                div_key = InvariantKey(REAL, 0, d, sorted(ins + [(0, h)]))
+                checks += 1
+                got = rsession.value(div_key)
+                if got != d * base:
+                    return False, "real divisor insertion at %r: %s != %s" \
+                        % (div_key, got, d * base), checks
     return True, "", checks
 
 
@@ -590,8 +591,8 @@ SUITE_FUNCS = {
 }
 
 
-def cmd_verify(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_verify(args):
+    out = sys.stdout
     target = _load_target(args)
     seed_sign = _parse_seed_sign(args.seed_sign)
     if args.max_degree < 1:
@@ -646,8 +647,8 @@ def cmd_verify(args, out=None):
 # ----- cache -----------------------------------------------------------------
 
 
-def cmd_cache(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_cache(args):
+    out = sys.stdout
     path = _cache_path(args)
     if not path:
         raise UsageError("a cache path is required (--cache or $%s)"

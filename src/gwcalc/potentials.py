@@ -44,12 +44,14 @@ raise SeriesError otherwise), so none of them needs a Koszul sign:
 * the string and dilaton residuals make one pass over the potential's
   terms, the t dF sums becoming a shift of one factor or a count of
   factors on each monomial;
-* the associativity residuals share their pieces -- each third partial
-  once per sorted index triple, each contraction sum_jk g^jk F_abj F_kce
-  once per unordered pair of sorted pairs -- through one memo per
-  series, kept on it: every residual_wdvv_pde and wdvv_pde_residuals
-  call on the same potential reads it, and a change to the series's
-  terms or truncation rebuilds it.
+* both associativity residuals, complex and real, read their factors
+  from one memo per series, kept on it -- each partial once per sorted
+  index tuple, cut to the residual window -- and contract them through
+  one body (_contract, sum_jk g^jk L_{..j} R_{k..}); the complex memo
+  also keeps each contraction F_abj F_kce once per unordered pair of
+  sorted pairs.  Every residual_wdvv_pde, wdvv_pde_residuals and
+  residual_rwdvv_pde call on the same potential reads its memo, and a
+  change to the series's terms or truncation rebuilds it.
 """
 
 import math
@@ -91,7 +93,7 @@ class GradedSeries:
     """
 
     __slots__ = ("target", "t_max", "q_max", "depth", "lam_power", "terms",
-                 "_wdvv_pde")
+                 "_pde_memo")
 
     def __init__(self, target, t_max, q_max, depth=0, lam_power=None):
         if t_max < 0 or q_max < 0:
@@ -102,9 +104,9 @@ class GradedSeries:
         self.depth = depth
         self.lam_power = lam_power
         self.terms = {}
-        # ((t_max, q_max), terms copy, residual) of the associativity PDE
-        # memo, or None; see _wdvv_pde
-        self._wdvv_pde = None
+        # ((t_max, q_max), terms copy, (factor, residual)) of the
+        # associativity PDE memo, or None; see _pde_pieces
+        self._pde_memo = None
 
     # ----- basic structure -------------------------------------------------
 
@@ -501,67 +503,82 @@ def residual_string_real(F):
     return F.partial_derivative((0, 1)).truncated(F.t_max - 1)
 
 
-def _wdvv_pde(F):
-    """The associativity PDE residual of F as a function of the index
-    quadruple, over one memo of its pieces kept on F.
+def _pde_pieces(F):
+    """(factor, residual) of F (see _build_pde_pieces), from the
+    associativity PDE memo kept on F.
 
-    The memo holds F's truncation, a copy of its terms and the residual
-    function; it is reused while both still compare equal to F's, and
-    rebuilt otherwise (say after a write to F.terms), so it never serves
-    stale pieces.  Its base series shares that copy, not F, so F and its
-    memo form no reference cycle.
+    The memo holds F's truncation, a copy of its terms and the pair; it
+    is reused while both still compare equal to F's, and rebuilt
+    otherwise (say after a write to F.terms), so it never serves stale
+    pieces.  Its base series shares that copy, not F, so F and its memo
+    form no reference cycle.
     """
     bounds = (F.t_max, F.q_max)
-    memo = F._wdvv_pde
+    memo = F._pde_memo
     if memo is None or memo[0] != bounds or memo[1] != F.terms:
         base = F._like()
         base.terms = dict(F.terms)
-        memo = F._wdvv_pde = (bounds, base.terms, _wdvv_pde_pieces(base))
+        memo = F._pde_memo = (bounds, base.terms, _build_pde_pieces(base))
     return memo[2]
 
 
-def _wdvv_pde_pieces(F):
-    """The associativity PDE residual of F as a function of the index
-    quadruple, over one memo of its pieces.
+def _contract(left, lidx, right, ridx, diag):
+    """sum_{j,k} g^{jk} L_{lidx j} R_{k ridx} as a term dict, with left and
+    right the factor functions of two PDE memos and diag the diagonal
+    decomposition of the pairing."""
+    got = {}
+    for coeff, (j, k) in diag:
+        lj = left(tuple(sorted(lidx + (j,))))
+        if lj.is_zero():
+            continue
+        rk = right(tuple(sorted(ridx + (k,))))
+        if rk.is_zero():
+            continue
+        for mono, c in (lj * rk).terms.items():
+            got[mono] = got.get(mono, 0) + coeff * c
+    return got
 
-    On an even basis F_{abc} is symmetric in a, b, c, so each third
-    partial is computed once per sorted triple, cut to t-degree
-    <= t_max - 3 (higher terms only feed products outside the window).
-    G(ab; ce) = sum_{j,k} g^{jk} F_{abj} F_{kce} is symmetric under a <-> b,
-    c <-> e and swapping the two pairs, so it is formed once per unordered
-    pair of sorted pairs.
+
+def _build_pde_pieces(F):
+    """factor(idx), the partial of F by the sorted index tuple idx cut to
+    t-degree <= t_max - 3 (higher terms only feed products outside the
+    window of either PDE), and residual(indices), the complex
+    associativity residual at an index quadruple, over one memo.
+
+    Each partial is taken once, from the uncut partial one order lower;
+    a factor is stored cut only.  On an even basis F_{abc} is symmetric
+    in a, b, c, and G(ab; ce) = sum_{j,k} g^{jk} F_{abj} F_{kce} under
+    a <-> b, c <-> e and swapping the two pairs, so residual forms each
+    contraction once per unordered pair of sorted pairs.
     """
-    target = F.target
-    _require_even(target)
-    diag = target.diagonal_decomposition()
+    _require_even(F.target)
+    diag = F.target.diagonal_decomposition()
     cut = F.t_max - 3
     partials = {(): F}
+    factors = {}
     pair_products = {}
 
     def partial(idx):
         got = partials.get(idx)
         if got is None:
-            got = partial(idx[:-1]).partial_derivative((0, idx[-1]))
-            if len(idx) == 3:
-                got = got.truncated(cut)
-            partials[idx] = got
+            got = partials[idx] = (partial(idx[:-1])
+                                   .partial_derivative((0, idx[-1])))
+        return got
+
+    def factor(idx):
+        got = factors.get(idx)
+        if got is None:
+            got = factors[idx] = (partial(idx[:-1])
+                                  .partial_derivative((0, idx[-1]))
+                                  .truncated(cut))
         return got
 
     def pair_product(p, r):
         key = (p, r) if p <= r else (r, p)
         got = pair_products.get(key)
         if got is None:
-            got = {}
-            for coeff, (j, k) in diag:
-                lj = partial(tuple(sorted(key[0] + (j,))))
-                if lj.is_zero():
-                    continue
-                rk = partial(tuple(sorted(key[1] + (k,))))
-                if rk.is_zero():
-                    continue
-                for mono, c in (lj * rk).terms.items():
-                    got[mono] = got.get(mono, 0) + coeff * c
-            pair_products[key] = got
+            got = pair_products[key] = _contract(factor, key[0], factor,
+                                                 key[1], diag)
         return got
 
     def pair(a, b):
@@ -574,7 +591,7 @@ def _wdvv_pde_pieces(F):
             terms[mono] = terms.get(mono, 0) - c
         return _residual_series(F, cut, terms)
 
-    return residual
+    return factor, residual
 
 
 def residual_wdvv_pde(F, indices):
@@ -587,21 +604,22 @@ def residual_wdvv_pde(F, indices):
     with F_{abc} third partials in the t_{0,*} directions.  Exact on total
     t-degree <= t_max - 3; zero for every index quadruple on a potential
     built from a consistent table.  Calls on the same series share the
-    pieces through the memo kept on it (_wdvv_pde), as wdvv_pde_residuals
+    pieces through the memo kept on it (_pde_pieces), as wdvv_pde_residuals
     does.
     """
     i1, i2, i3, i4 = indices
     for i in (i1, i2, i3, i4):
         if not (1 <= i <= F.target.num_basis):
             raise SeriesError("basis index out of range: %r" % (i,))
-    return _wdvv_pde(F)(indices)
+    _factor, residual = _pde_pieces(F)
+    return residual(indices)
 
 
 def wdvv_pde_residuals(F):
     """(indices, residual_wdvv_pde(F, indices)) for every index quadruple,
     in itertools.product order, computed lazily from the memo kept on F
     (the one residual_wdvv_pde reads)."""
-    residual = _wdvv_pde(F)
+    _factor, residual = _pde_pieces(F)
     quadruples = product(range(1, F.target.num_basis + 1), repeat=4)
     return ((indices, residual(indices)) for indices in quadruples)
 
@@ -638,21 +656,14 @@ def residual_rwdvv_pde(F_doubled, F_real, indices):
         raise SeriesError(
             "second and third indices must carry -1-eigenspace classes")
 
+    doubled_factor = _pde_pieces(F_doubled)[0]
+    real_factor = _pde_pieces(F_real)[0]
     diag = target.diagonal_decomposition()
-    res = F_real._like()
+    terms = {}
     for sgn, (b, c) in ((1, (i2, i3)), (-1, (i3, i2))):
-        left_base = (F_doubled.partial_derivative((0, i1))
-                     .partial_derivative((0, b)))
-        right_base = F_real.partial_derivative((0, c))
-        for coeff, (j, k) in diag:
-            lj = left_base.partial_derivative((0, j))
-            if lj.is_zero():
-                continue
-            rk = right_base.partial_derivative((0, k))
-            if rk.is_zero():
-                continue
-            res = res + (lj * rk).scale(sgn * coeff)
-    for (q, vars_tuple) in list(res.terms):
-        if any(target.sign(v[1]) != -1 for v, _ in vars_tuple):
-            del res.terms[(q, vars_tuple)]
-    return res.truncated(F_real.t_max - 3)
+        for mono, v in _contract(doubled_factor, (i1, b), real_factor, (c,),
+                                 diag).items():
+            terms[mono] = terms.get(mono, 0) + sgn * v
+    return _residual_series(F_real, F_real.t_max - 3, {
+        (q, vt): v for (q, vt), v in terms.items()
+        if all(target.sign(i) == -1 for (_a, i), _m in vt)})

@@ -10,6 +10,10 @@ real side d0, which again add up to d.  The identity holds on any table,
 so it is pinned here on tables of seeded noise, where every residual
 involved is nonzero.  The instances are those of verify's wdvv and
 rwdvv windows.
+
+The identity is also pinned term by term: the relation terms of mu + h,
+combined by their keys, are d times those of mu, so h scales each
+product of stored factors, not only the sum.
 """
 
 import random
@@ -22,7 +26,7 @@ from gwcalc.complex_solver import (ComplexSession, primary_unknowns,
                                    wdvv_instances)
 from gwcalc.graded_algebra import builtin_target
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantTable
-from gwcalc.real_solver import RealSession, rwdvv_instances
+from gwcalc.real_solver import RealSession, rwdvv_instances, rwdvv_relation
 
 
 def noise_table(target, top_degrees, seed):
@@ -58,6 +62,16 @@ def divisor_pad_pairs(session, instances, max_degree, slack, pad_start, h):
     return out
 
 
+def combined_terms(terms):
+    """The (coefficient, keys) terms of a complex relation instance as a
+    dict from the sorted key tuple to its nonzero summed coefficient."""
+    out = {}
+    for coeff, keys in terms:
+        keys = tuple(sorted(keys, key=lambda k: k.sort_key()))
+        out[keys] = out.get(keys, 0) + coeff
+    return {keys: c for keys, c in out.items() if c}
+
+
 @pytest.mark.parametrize("name, max_degree, count", [
     ("P3-tau", 3, 117),
     ("P5-tau", 2, 3111),
@@ -76,11 +90,16 @@ def test_complex_divisor_pad_scales_residual(name, max_degree, count):
         got = session.relation_residual(inst, d)
         assert got != 0, inst
         assert got == d * shorter_residual[shorter], inst
+        terms = combined_terms(session._relation_terms(inst, d))
+        assert terms, inst
+        assert terms == {keys: d * c for keys, c in combined_terms(
+            session._relation_terms(shorter, d)).items()}, inst
 
 
 @pytest.mark.parametrize("name, max_degree, count", [
     ("P3-tau", 4, 4),
     ("P5-tau", 3, 25),
+    ("P7-tau", 3, 204),
 ])
 def test_real_divisor_pad_scales_residual(name, max_degree, count):
     target = builtin_target(name)
@@ -95,3 +114,9 @@ def test_real_divisor_pad_scales_residual(name, max_degree, count):
         got = session.relation_residual(inst, d)
         assert got != 0, inst
         assert got == d * session.relation_residual(shorter, d), inst
+        # rwdvv_relation reads basis indices, one above each degree
+        terms, shorter_terms = (
+            rwdvv_relation(target, tuple(k + 1 for k in ks), d,
+                           session.complex) for ks in (inst, shorter))
+        assert terms, inst
+        assert terms == [(d * c, k) for c, k in shorter_terms], inst

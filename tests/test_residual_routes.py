@@ -5,13 +5,18 @@ The references below are the earlier residual functions, kept as they
 were apart from the Koszul sign of the real PDE (every potential has an
 even basis): each builds the series operator by operator, from
 ``partial_derivative``, products ``tvar * dF`` and nested third
-partials.  Every residual must equal its reference term for term, on the
-potentials as built (where all are zero) and on seeded perturbations of
-them (where none of the kinds is zero everywhere).
+partials, and truncates only at the end.  Each is a second route: both
+associativity residuals of the package read cut partials from the memo
+kept on each series and pair them in one contraction, so the real PDE
+reference is no longer the code it checks.  Every residual must equal
+its reference term for term, on the potentials as built (where all are
+zero) and on seeded perturbations of them (where none of the kinds is
+zero everywhere).
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -237,7 +242,59 @@ def test_perturbations_give_nonzero_residuals(inputs):
                for i1 in (1, 3) for i2 in (2, 4) for i3 in (2, 4))
 
 
-# ----- work count --------------------------------------------------------------
+# ----- memo and work count ----------------------------------------------------
+
+
+def test_rwdvv_pde_memo_follows_the_series(inputs):
+    """residual_rwdvv_pde reads the memos kept on both of its series: a
+    write to the terms of either after a call shows in the next call,
+    which matches the reference on the written series, and taking the
+    write back clears it again."""
+    pots = inputs["P3-tau"]
+    target = pots["real_primary"].target
+    triples = list(product((1, 3), (2, 4), (2, 4)))
+    assert all(target.sign(i1) == 1 and target.sign(i2) == target.sign(i3)
+               == -1 for i1, i2, i3 in triples)
+    # terms off the grading: a real <pt, pt>_1 and a doubled <h^2, h^2,
+    # pt, pt>_1
+    for name, mono in (("real_primary", (1, (((0, 4), 2),))),
+                       ("complex_doubled", (2, (((0, 3), 2), ((0, 4), 2))))):
+        # copies, so the module's inputs keep their terms
+        D = pots["complex_doubled"].truncated()
+        R = pots["real_primary"].truncated()
+        written = R if name == "real_primary" else D
+
+        def each():
+            return [residual_rwdvv_pde(D, R, t) for t in triples]
+
+        assert all(res.is_zero() for res in each())
+        add_terms(written, mono + (1,))
+        got = each()
+        for t, res in zip(triples, got):
+            assert same(res, reference_rwdvv_pde(D, R, t)), (name, t)
+        assert any(not res.is_zero() for res in got), name
+        add_terms(written, mono + (-1,))
+        assert all(res.is_zero() for res in each()), name
+
+
+def count_series_work(monkeypatch):
+    """Counts of GradedSeries products and partial derivatives from here
+    on, as a dict that the counted calls update."""
+    counts = {"products": 0, "partials": 0}
+    multiply = GradedSeries.__mul__
+    differentiate = GradedSeries.partial_derivative
+
+    def counted_product(self, other):
+        counts["products"] += 1
+        return multiply(self, other)
+
+    def counted_partial(self, var):
+        counts["partials"] += 1
+        return differentiate(self, var)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", counted_product)
+    monkeypatch.setattr(GradedSeries, "partial_derivative", counted_partial)
+    return counts
 
 
 def test_wdvv_suite_computes_each_pde_piece_once(capsys, monkeypatch):
@@ -245,23 +302,25 @@ def test_wdvv_suite_computes_each_pde_piece_once(capsys, monkeypatch):
     takes each partial of the primary potential once (4 first, 10 second,
     20 third) and at most one product per diagonal term for each of the
     55 unordered pairs of sorted index pairs (4 diagonal terms)."""
-    counts = {"products": 0, "partials": 0}
-    product = GradedSeries.__mul__
-    partial = GradedSeries.partial_derivative
-
-    def counted_product(self, other):
-        counts["products"] += 1
-        return product(self, other)
-
-    def counted_partial(self, var):
-        counts["partials"] += 1
-        return partial(self, var)
-
-    monkeypatch.setattr(GradedSeries, "__mul__", counted_product)
-    monkeypatch.setattr(GradedSeries, "partial_derivative", counted_partial)
+    counts = count_series_work(monkeypatch)
     code = main(["verify", "--target", "P3-tau", "--max-degree", "3",
                  "--suite", "wdvv"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("suite wdvv") and "pass" in out
     assert 0 < counts["products"] <= 55 * 4
     assert 0 < counts["partials"] <= 4 + 10 + 20
+
+
+def test_rwdvv_suite_computes_each_pde_factor_once(capsys, monkeypatch):
+    """The PDE loop of verify's rwdvv suite on P3-tau takes each partial
+    once from the memos of its two series: at most 4 first, 10 second
+    and 20 third partials of the doubled potential and 4 first and 10
+    second partials of the real one, and at most one product per
+    diagonal term (4) for each side of the 8 index triples."""
+    counts = count_series_work(monkeypatch)
+    code = main(["verify", "--target", "P3-tau", "--max-degree", "3",
+                 "--suite", "rwdvv"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("suite rwdvv") and "pass" in out
+    assert 0 < counts["products"] <= 8 * 2 * 4
+    assert 0 < counts["partials"] <= (4 + 10 + 20) + (4 + 10)
