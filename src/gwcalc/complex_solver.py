@@ -127,7 +127,8 @@ def key_degree_sum(key, target):
     """Sum of 2*a_i + |mu_i| over the insertions of a key.  On P^n the
     class e_b has degree 2(b - 1); every caller has passed
     _require_projective."""
-    return 2 * sum(a + b - 1 for a, b in key.insertions)
+    ins = key.insertions
+    return 2 * (sum(map(sum, ins)) - len(ins))
 
 
 def filter_complex(key, target):
@@ -505,19 +506,19 @@ def kontsevich_p2(d):
 # axiom reductions (string, dilaton, divisor), pure and symbolic
 
 
-def _removable_slot(key, target):
+# the insertions an axiom step strips, in order of preference: on P^n
+# the unit is e_1 and the divisor e_2
+_REMOVABLE = (((0, 1), "string"), ((1, 1), "dilaton"), ((0, 2), "divisor"))
+
+
+def _removable_slot(key):
     """Pick the slot an axiom reduction strips, in either theory: tau_0(1),
-    else tau_1(1), else the first degree-2 insertion with a = 0.  Returns
-    (index, which), or (None, None) when no insertion is removable."""
-    for idx, (a, b) in enumerate(key.insertions):
-        if a == 0 and target.degree(b) == 0:
-            return idx, "string"
-    for idx, (a, b) in enumerate(key.insertions):
-        if a == 1 and target.degree(b) == 0:
-            return idx, "dilaton"
-    for idx, (a, b) in enumerate(key.insertions):
-        if a == 0 and target.degree(b) == 2:
-            return idx, "divisor"
+    else tau_1(1), else the first tau_0(h).  Returns (index, which), or
+    (None, None) when no insertion is removable."""
+    ins = key.insertions
+    for slot, which in _REMOVABLE:
+        if slot in ins:
+            return ins.index(slot), which
     return None, None
 
 
@@ -548,20 +549,21 @@ def _divisor_terms(target, degree, rest, weight):
     return out
 
 
-def reduce_axioms(key, target):
+def reduce_axioms(key, target, slot=None):
     """One-step string/dilaton/divisor reduction of a complex key.
 
     Returns a list of (coefficient, key) pairs whose value-sum equals the
     input key's value; the coefficients are ints (1 per string term,
     2g - 2 + ell for the dilaton, d and 1 for the divisor), and
     zero-coefficient terms are dropped, so an identically vanishing
-    reduction returns [].  Raises SolverError for
-    a target that is not a projective space, and AxiomPreconditionError
-    when no removable insertion exists or the stripped invariant would
-    be unstable at degree 0.
+    reduction returns [].  slot is the (index, which) pair that
+    _removable_slot picks for the key, when the caller has it already.
+    Raises SolverError for a target that is not a projective space, and
+    AxiomPreconditionError when no removable insertion exists or the
+    stripped invariant would be unstable at degree 0.
     """
     _require_projective(target)
-    idx, which = _removable_slot(key, target)
+    idx, which = slot or _removable_slot(key)
     if which is None:
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
     rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
@@ -588,18 +590,19 @@ def reduce_axioms(key, target):
 
 
 def _axiom_route(key, target):
-    """Whether a descendant key of either theory is evaluated by one
-    string, dilaton or divisor step rather than by the topological
-    recursion: it needs >= 3 insertions (so the step never undoes the
-    one-point string lift) and a removable slot; a real divisor step
-    needs a minus-eigenspace class."""
+    """The removable slot (_removable_slot) by which a descendant key of
+    either theory is evaluated in one string, dilaton or divisor step
+    rather than by the topological recursion, or None: the step needs
+    >= 3 insertions (so it never undoes the one-point string lift) and a
+    removable slot; a real divisor step needs a minus-eigenspace
+    class."""
     if key.num_insertions < 3:
-        return False
-    idx, which = _removable_slot(key, target)
-    if which is None:
-        return False
-    return (which != "divisor" or key.kind != REAL
-            or target.sign(key.insertions[idx][1]) == -1)
+        return None
+    idx, which = _removable_slot(key)
+    if which is None or (which == "divisor" and key.kind == REAL
+                         and target.sign(key.insertions[idx][1]) != -1):
+        return None
+    return idx, which
 
 
 # ---------------------------------------------------------------------------
@@ -1057,8 +1060,9 @@ class ComplexSession(_Session):
         or divisor step where _axiom_route allows it, else the
         topological recursion (one-point keys lifted by the string
         relation first)."""
-        if _axiom_route(key, self.target):
-            return (evaluate_terms(reduce_axioms(key, self.target),
+        slot = _axiom_route(key, self.target)
+        if slot:
+            return (evaluate_terms(reduce_axioms(key, self.target, slot),
                                    self.value), "axiom-reduction")
         if key.num_insertions == 1:
             return self.value(lift_one_point(key)), "trr"
@@ -1139,8 +1143,8 @@ def reduce_descendant_trr(key, target):
     for weight, first, second in _grouped_splits(others):
         side_i = [(a_i - 1, b_i)] + first
         side_j = [ins[j_slot]] + second
-        ea, eb, d1 = _split_class(
-            target, sum(a + b for a, b in side_i), len(side_i))
+        ea, eb, d1 = _split_class(target, sum(map(sum, side_i)),
+                                  len(side_i))
         if not 0 <= d1 < d or (d1 == 0 and len(side_i) + 1 < 3):
             continue
         d2 = d - d1

@@ -190,7 +190,9 @@ class InvariantTable:
             raise ValueError("unknown provenance %r" % (provenance,))
         if not key.is_canonical():
             raise ValueError("put of non-canonical key %r" % (key,))
-        self._insert(key, Fraction(value), provenance)
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        self._insert(key, value, provenance)
 
     def _insert(self, key, value, provenance):
         """Store a checked entry; a held key must keep its value."""

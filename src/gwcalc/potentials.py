@@ -10,12 +10,16 @@ Monomials are stored in a canonical sorted order.  Reordering costs the
 usual Koszul sign (a factor -1 for every transposition of two odd
 variables) and the square of an odd variable is zero.  Derivatives act
 from the left: differentiating by an odd variable first anticommutes it
-to the front of the monomial.
+to the front of the monomial.  The product, the partial derivative,
+the string and dilaton passes and the contraction below bring each
+operand's coefficients to one common denominator, add up int numerators
+and build one Fraction per nonzero output term.
 
 ``build_potential`` builds one genus-0 generating function per call, over
 the keys that complex_solver's key enumerator (graded_keys) lists for each
 coefficient window, and reads every coefficient through a value function
-(a session's ``value``):
+(a session's ``value``, or any callable returning ints or Fractions),
+writing each as one exact Fraction:
 
 * a complex potential, one q power per curve degree, coefficient
   <mu>/prod(mult!), in the primary variables or with descendant variables
@@ -72,6 +76,21 @@ def _check_var(var):
             or not isinstance(var[0], int) or not isinstance(var[1], int)
             or var[0] < 0 or var[1] < 1):
         raise SeriesError("variable must be a pair (level >= 0, basis >= 1), got %r" % (var,))
+
+
+def _numerators(terms):
+    """(den, items) for a term dict: den the least common denominator of
+    its coefficients and items its (monomial, int numerator over den)
+    pairs, so a loop over them adds up ints."""
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    return den, [(mono, c.numerator * (den // c.denominator))
+                 for mono, c in terms.items()]
+
+
+def _fractions(nums, den):
+    """The nonzero entries of a dict of int numerators over den, as a
+    term dict of Fractions."""
+    return {mono: Fraction(n, den) for mono, n in nums.items() if n}
 
 
 def _without(vars_tuple, pos):
@@ -206,9 +225,12 @@ class GradedSeries:
         out = self._like()
         if self.lam_power is not None and other.lam_power is not None:
             out.lam_power = self.lam_power + other.lam_power
-        for (q1, a_vars), c1 in self.terms.items():
+        den1, a_items = _numerators(self.terms)
+        den2, b_items = _numerators(other.terms)
+        nums = {}
+        for (q1, a_vars), n1 in a_items:
             deg1 = self._t_degree(a_vars)
-            for (q2, b_vars), c2 in other.terms.items():
+            for (q2, b_vars), n2 in b_items:
                 q = q1 + q2
                 if q > self.q_max:
                     continue
@@ -218,11 +240,8 @@ class GradedSeries:
                 if merged is None:
                     continue
                 key = (q, merged)
-                val = out.terms.get(key, Fraction(0)) + sign * c1 * c2
-                if val == 0:
-                    out.terms.pop(key, None)
-                else:
-                    out.terms[key] = val
+                nums[key] = nums.get(key, 0) + sign * n1 * n2
+        out.terms = _fractions(nums, den1 * den2)
         return out
 
     def _merge_vars(self, a_vars, b_vars):
@@ -252,24 +271,23 @@ class GradedSeries:
         var = tuple(var)
         _check_var(var)
         v_odd = self.var_parity(var)
-        out = self._like()
-        for (q, vars_tuple), coeff in self.terms.items():
+        den, items = _numerators(self.terms)
+        nums = {}
+        for (q, vars_tuple), n in items:
             for pos, (v, mult) in enumerate(vars_tuple):
                 if v == var:
                     break
             else:
                 continue
-            sign = 1
             if v_odd:
                 before = sum(1 for v, _ in vars_tuple
                              if v < var and self.var_parity(v))
-                sign = -1 if before % 2 else 1
+                if before % 2:
+                    mult = -mult
             key = (q, _without(vars_tuple, pos))
-            val = out.terms.get(key, Fraction(0)) + sign * mult * coeff
-            if val == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = val
+            nums[key] = nums.get(key, 0) + mult * n
+        out = self._like()
+        out.terms = _fractions(nums, den)
         return out
 
     def truncated(self, t_max=None, q_max=None):
@@ -316,8 +334,9 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
 
     kind: COMPLEX or REAL.
     value: a callable mapping a canonical key of that kind to its
-        invariant as a Fraction, e.g. a session's ``value`` (which reads
-        the table first).
+        invariant as an int or a Fraction, e.g. a session's ``value``
+        (which reads the table first); each coefficient is built as one
+        Fraction from the value's numerator and denominator.
     truncation: (t_max, q_max), the bounds on total t-degree and q power.
     depth: highest descendant level included as a variable.
     doubled: re-index so a curve of degree d contributes q^(2d), the form
@@ -347,7 +366,7 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
         for ell in range(0, t_max + 1):
             for key in graded_keys(target, kind, d, ell, variables):
                 val = value(key)
-                if val == 0:
+                if not val:
                     continue
                 vars_tuple = tuple((var, len(list(run)))
                                    for var, run in groupby(key.insertions))
@@ -358,7 +377,8 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
                     aut <<= ell
                 # distinct keys give distinct monomials, all inside the
                 # truncation, so each coefficient is written once
-                out.terms[(step * d, vars_tuple)] = val / aut
+                out.terms[(step * d, vars_tuple)] = Fraction(
+                    val.numerator, val.denominator * aut)
     return out
 
 
@@ -427,16 +447,18 @@ def residual_string_complex(F):
     target = F.target
     _require_even(target)
     cut = F.t_max - 1
-    terms = {}
-    for (q, vt), c in F.terms.items():
+    den, items = _numerators(F.terms)
+    nums = {}
+    for (q, vt), n in items:
         inside = sum(m for _, m in vt) <= cut
         for pos, ((a, i), m) in enumerate(vt):
             if a == 0 and i == 1:
                 key = (q, _without(vt, pos))
-                terms[key] = terms.get(key, 0) + m * c
+                nums[key] = nums.get(key, 0) + m * n
             if a < F.depth and inside:
                 key = (q, _moved(vt, pos, (a + 1, i)))
-                terms[key] = terms.get(key, 0) - m * c
+                nums[key] = nums.get(key, 0) - m * n
+    terms = _fractions(nums, den)
     if cut >= 2:
         nb = target.num_basis
         for i in range(1, nb + 1):
@@ -458,8 +480,9 @@ def _residual_dilaton(F):
     with e(m) the number of factors of m at level <= depth."""
     _require_even(F.target)
     cut = F.t_max - 1
-    terms = {}
-    for (q, vt), c in F.terms.items():
+    den, items = _numerators(F.terms)
+    nums = {}
+    for (q, vt), n in items:
         degree = level_count = 0
         for pos, ((a, i), m) in enumerate(vt):
             degree += m
@@ -467,11 +490,11 @@ def _residual_dilaton(F):
                 level_count += m
             if a == 1 and i == 1:
                 key = (q, _without(vt, pos))
-                terms[key] = terms.get(key, 0) + m * c
+                nums[key] = nums.get(key, 0) + m * n
         if degree <= cut:
             key = (q, vt)
-            terms[key] = terms.get(key, 0) - (F.lam_power + level_count) * c
-    return _residual_series(F, cut, terms)
+            nums[key] = nums.get(key, 0) - (F.lam_power + level_count) * n
+    return _residual_series(F, cut, _fractions(nums, den))
 
 
 def residual_dilaton_complex(F):
@@ -526,7 +549,7 @@ def _contract(left, lidx, right, ridx, diag):
     """sum_{j,k} g^{jk} L_{lidx j} R_{k ridx} as a term dict, with left and
     right the factor functions of two PDE memos and diag the diagonal
     decomposition of the pairing."""
-    got = {}
+    products = []
     for coeff, (j, k) in diag:
         lj = left(tuple(sorted(lidx + (j,))))
         if lj.is_zero():
@@ -534,9 +557,15 @@ def _contract(left, lidx, right, ridx, diag):
         rk = right(tuple(sorted(ridx + (k,))))
         if rk.is_zero():
             continue
-        for mono, c in (lj * rk).terms.items():
-            got[mono] = got.get(mono, 0) + coeff * c
-    return got
+        den, items = _numerators((lj * rk).terms)
+        products.append((coeff.numerator, coeff.denominator * den, items))
+    den = math.lcm(*(d for _n, d, _items in products))
+    nums = {}
+    for scale, d, items in products:
+        scale *= den // d
+        for mono, n in items:
+            nums[mono] = nums.get(mono, 0) + scale * n
+    return _fractions(nums, den)
 
 
 def _build_pde_pieces(F):

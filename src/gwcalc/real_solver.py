@@ -56,17 +56,18 @@ def _require_real_target(target):
 # axiom reductions (R3 string, R4 dilaton, R5 divisor)
 
 
-def reduce_real_axioms(key, target):
+def reduce_real_axioms(key, target, slot=None):
     """One-step string/dilaton/divisor reduction of a real key.
 
     Returns (coefficient, key) pairs with int coefficients; the string
     case (a tau_0(unit) insertion) annihilates the invariant and returns
     [].  The dilaton case carries 2(g - 1 + ell).  The divisor case
     requires a minus-eigenspace degree-2 class and carries the factor-2
-    descendant corrections.
+    descendant corrections.  slot is the (index, which) pair that
+    _removable_slot picks for the key, when the caller has it already.
     """
     _require_real_target(target)
-    idx, which = _removable_slot(key, target)
+    idx, which = slot or _removable_slot(key)
     if which is None:
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
     if which == "string":
@@ -256,8 +257,10 @@ class RealSession(_Session):
         """Value and provenance of a descendant key: one dilaton or
         divisor step where _axiom_route allows it, else the real
         topological recursion."""
-        if _axiom_route(key, self.target):
-            return (evaluate_terms(reduce_real_axioms(key, self.target),
+        slot = _axiom_route(key, self.target)
+        if slot:
+            return (evaluate_terms(reduce_real_axioms(key, self.target,
+                                                      slot),
                                    self.value), "axiom-reduction")
         return (evaluate_terms(reduce_descendant_rtrr(key, self),
                                self.value), "rtrr")
@@ -311,8 +314,8 @@ def reduce_descendant_rtrr(key, session):
     for weight, first, real_side in _grouped_splits(others):
         weight *= 2 ** len(first)  # two placements per doubled-side slot
         conj_side = [(a_i - 1, b_i)] + first
-        ea, eb, dprime = _split_class(
-            target, sum(a + b for a, b in conj_side), len(conj_side))
+        ea, eb, dprime = _split_class(target, sum(map(sum, conj_side)),
+                                      len(conj_side))
         d0 = d - 2 * dprime
         if dprime < 0 or d0 < 1 or (dprime == 0 and len(conj_side) + 1 < 3):
             continue

@@ -4,19 +4,23 @@ recursion otherwise.  These tests hold the axiom-first values against an
 evaluator that uses the recursion alone, and check the provenance tags."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from gwcalc import complex_solver, real_solver
 from gwcalc.cli import _descendant_keys
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
+                                   _axiom_route,
                                    SolverError, filter_complex, filter_real,
                                    graded_keys, insertion_variables,
                                    lift_one_point, reduce_axioms,
                                    reduce_descendant_trr)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey, normalize
+from gwcalc.potentials import build_potential
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
                                 reduce_real_axioms)
 
@@ -102,6 +106,61 @@ def test_real_axiom_first_matches_trr_only():
     reference = trr_only_real(p3, trr_only_complex(p3))
     for key in keys:
         assert session.value(key) == reference(key), key
+
+
+def test_each_axiom_step_searches_for_its_slot_once(monkeypatch):
+    """The sessions search a key's removable slot once per axiom-route
+    decision: _axiom_route hands the slot it found to the step, over the
+    depth-1 build of P2 (10, 4) and the depth-2 real build of P3-tau
+    (6, 3)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (complex_solver, real_solver):
+        for name in ("_removable_slot", "_axiom_route"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    p2 = make_p2()
+    cs = ComplexSession(p2)
+    build_potential(p2, COMPLEX, cs.value, (10, 4), 1)
+    p3 = make_projective(2, "tau")
+    rs = RealSession(p3, seed_sign=1)
+    build_potential(p3, REAL, rs.value, (6, 3), 2)
+    assert calls["_axiom_route"] > 2000
+    assert calls["_removable_slot"] <= calls["_axiom_route"]
+
+
+@pytest.mark.parametrize("name", ["P2", "P3-tau"])
+def test_axiom_step_given_its_slot_matches_its_own_search(name):
+    """On every axiom-route descendant key at degree 1-3 (up to 5
+    insertions, depth 2, both theories where the target has a real one),
+    the step given the slot _axiom_route found returns exactly --
+    coefficients, their types, keys and order -- what it returns when it
+    searches itself."""
+    target = builtin_target(name)
+    kinds = (COMPLEX, REAL) if target.complex_dim % 2 else (COMPLEX,)
+    checked = Counter()
+    for kind in kinds:
+        step = reduce_axioms if kind == COMPLEX else reduce_real_axioms
+        for key in _keys(target, kind, 3, 5):
+            slot = _axiom_route(key, target)
+            if slot is None:
+                continue
+            want = step(key, target)
+            got = step(key, target, slot)
+            assert ([(type(c), c, k) for c, k in got]
+                    == [(type(c), c, k) for c, k in want]), key
+            checked[kind, slot[1]] += 1
+    assert checked[COMPLEX, "string"] and checked[COMPLEX, "dilaton"]
+    assert checked[COMPLEX, "divisor"]
+    assert len(kinds) == 1 or (checked[REAL, "dilaton"]
+                               and checked[REAL, "divisor"])
 
 
 def test_descendant_provenance_names_the_route(p2, p3):

@@ -198,6 +198,189 @@ def test_build_potential_matches_reference_sum(p2_session, p3_sessions):
         assert (F.t_max, F.q_max, F.depth) == truncation + (depth,)
 
 
+def test_build_potential_takes_int_values(p2_session):
+    """An int-valued callback gives the same terms as the Fraction-valued
+    one it rounds, each an exact Fraction (on P2 (6, 2) every primary
+    value is whole and most coefficients are not)."""
+    target = p2_session.target
+
+    def int_value(key):
+        val = p2_session.value(key)
+        assert val.denominator == 1
+        return int(val)
+
+    want = build_potential(target, COMPLEX, p2_session.value, (6, 2))
+    got = build_potential(target, COMPLEX, int_value, (6, 2))
+    assert len(got.terms) == 9 and got.terms == want.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.terms[(1, (((0, 3), 2),))] == Fraction(1, 2)
+
+
+# ----- the series loops against plain-Fraction references -------------------
+
+
+def _ordered(vars_tuple):
+    """The canonical monomial as its ordered variable sequence."""
+    return [v for v, m in vars_tuple for _ in range(m)]
+
+
+def _t_degree(vars_tuple):
+    return sum(m for _, m in vars_tuple)
+
+
+def _accumulate(terms, series, q, ordered, coeff):
+    """Add coeff times the ordered monomial q^q * ordered to terms, with
+    the sign and canonical form of series.monomial."""
+    sign, vt = series.monomial(ordered)
+    if sign:
+        terms[(q, vt)] = terms.get((q, vt), Fraction(0)) + sign * coeff
+
+
+def _nonzero(terms):
+    return {mono: c for mono, c in terms.items() if c != 0}
+
+
+def reference_partial(F, var):
+    """Left derivative term by term: each monomial is s * var * rest,
+    with s the sign series.monomial gives [var] + rest, and the
+    derivative takes its multiplicity times s * rest."""
+    out = {}
+    for (q, vt), c in F.terms.items():
+        ordered = _ordered(vt)
+        if var not in ordered:
+            continue
+        rest = list(ordered)
+        rest.remove(var)
+        sign, back = F.monomial([var] + rest)
+        assert back == vt
+        _accumulate(out, F, q, rest, sign * ordered.count(var) * c)
+    return _nonzero(out)
+
+
+def reference_product(a, b):
+    """The truncated product term by term, each pair of monomials
+    concatenated and sorted by series.monomial."""
+    out = {}
+    for (q1, va), c1 in a.terms.items():
+        for (q2, vb), c2 in b.terms.items():
+            if (q1 + q2 <= a.q_max
+                    and _t_degree(va) + _t_degree(vb) <= a.t_max):
+                _accumulate(out, a, q1 + q2, _ordered(va) + _ordered(vb),
+                            c1 * c2)
+    return _nonzero(out)
+
+
+def reference_string(F):
+    """The complex string residual (even basis) term by term: each
+    factor t_{0,1} of a monomial is taken out, each factor t_{a,i} with
+    a < depth is raised to t_{a+1,i} with a minus sign, the classical
+    term is subtracted, and the t-degree is cut at t_max - 1."""
+    out = {}
+    for (q, vt), c in F.terms.items():
+        ordered = _ordered(vt)
+        for pos, (a, i) in enumerate(ordered):
+            rest = ordered[:pos] + ordered[pos + 1:]
+            if (a, i) == (0, 1):
+                _accumulate(out, F, q, rest, c)
+            if a < F.depth:
+                _accumulate(out, F, q, rest + [(a + 1, i)], -c)
+    nb = F.target.num_basis
+    for i in range(1, nb + 1):
+        for j in range(i, nb + 1):
+            g = F.target.pairing_entry(i, j)
+            _accumulate(out, F, 0, [(0, i), (0, j)],
+                        -Fraction(g, 2) if i == j else -g)
+    return _nonzero({(q, vt): c for (q, vt), c in out.items()
+                     if _t_degree(vt) <= F.t_max - 1})
+
+
+def reference_dilaton(F):
+    """The dilaton residual term by term: each factor t_{1,1} taken out,
+    minus lam_power times the monomial, minus the monomial once per
+    factor at level <= depth; t-degree cut at t_max - 1."""
+    out = {}
+    for (q, vt), c in F.terms.items():
+        ordered = _ordered(vt)
+        for pos, var in enumerate(ordered):
+            if var == (1, 1):
+                _accumulate(out, F, q, ordered[:pos] + ordered[pos + 1:], c)
+        level_count = sum(1 for a, _ in ordered if a <= F.depth)
+        _accumulate(out, F, q, ordered, -(F.lam_power + level_count) * c)
+    return _nonzero({(q, vt): c for (q, vt), c in out.items()
+                     if _t_degree(vt) <= F.t_max - 1})
+
+
+def random_series(target, rng, t_max, q_max, depth, count, lam_power=None):
+    """A series with up to count seeded terms over the variables up to
+    depth: mixed signs, whole and non-whole coefficients with assorted
+    denominators (a repeated odd variable drops its term)."""
+    variables = [(a, i) for a in range(depth + 1)
+                 for i in range(1, target.num_basis + 1)]
+    s = GradedSeries(target, t_max, q_max, depth=depth, lam_power=lam_power)
+    for _ in range(count):
+        ordered = [rng.choice(variables)
+                   for _ in range(rng.randrange(t_max + 1))]
+        sign, vt = s.monomial(ordered)
+        if sign:
+            coeff = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 40),
+                             rng.choice([1, 1, 2, 3, 4, 6, 9, 10, 35]))
+            add_terms(s, (rng.randrange(q_max + 1), vt, coeff))
+    return s
+
+
+def assert_series_terms(got, want, inputs, before):
+    """got holds exactly want, as nonzero Fractions, and the inputs'
+    terms are as they were."""
+    assert got.terms == want
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert [F.terms for F in inputs] == before
+
+
+@pytest.mark.parametrize("name", ["p2", "torus"])
+def test_series_loops_match_plain_fraction_references(name, request):
+    """partial_derivative and the product on seeded series, over an even
+    basis and over the torus's odd classes (Koszul signs), equal their
+    term-by-term Fraction references."""
+    target = request.getfixturevalue(name)
+    rng = random.Random(2301)
+    nonzero = {"partial": 0, "product": 0}
+    for _ in range(25):
+        a = random_series(target, rng, 5, 3, 1, 14)
+        b = random_series(target, rng, 5, 3, 1, 8)
+        before = [dict(a.terms), dict(b.terms)]
+        for var in [(0, i) for i in range(1, target.num_basis + 1)] + [
+                (1, 1), (1, target.num_basis)]:
+            want = reference_partial(a, var)
+            nonzero["partial"] += bool(want)
+            assert_series_terms(a.partial_derivative(var), want, [a, b],
+                                before)
+        want = reference_product(a, b)
+        nonzero["product"] += bool(want)
+        assert_series_terms(a * b, want, [a, b], before)
+    assert nonzero["partial"] > 100 and nonzero["product"] > 20
+
+
+def test_string_and_dilaton_match_plain_fraction_references(p3):
+    """The one-pass string and dilaton residuals on seeded depth-2
+    series, complex and real, equal their term-by-term Fraction
+    references."""
+    rng = random.Random(2302)
+    seen = 0
+    for _ in range(20):
+        for lam_power, dilaton in ((-2, residual_dilaton_complex),
+                                   (-1, residual_dilaton_real)):
+            F = random_series(p3, rng, 6, 3, 2, 30, lam_power)
+            before = [dict(F.terms)]
+            want = reference_dilaton(F)
+            assert_series_terms(dilaton(F), want, [F], before)
+            if lam_power == -2:
+                want_string = reference_string(F)
+                assert_series_terms(residual_string_complex(F), want_string,
+                                    [F], before)
+                seen += bool(want) and bool(want_string)
+    assert seen == 20
+
+
 def test_descendant_series_size_regression(p2_session):
     pots = build_potentials(p2_session.table, (8, 3), descendant_depth=1,
                             complex_value=p2_session.value)

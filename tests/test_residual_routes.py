@@ -11,7 +11,9 @@ kept on each series and pair them in one contraction, so the real PDE
 reference is no longer the code it checks.  Every residual must equal
 its reference term for term, on the potentials as built (where all are
 zero) and on seeded perturbations of them (where none of the kinds is
-zero everywhere).
+zero everywhere).  The references share ``partial_derivative`` and the
+product with the code; tests/test_potentials.py holds those two, and the
+string and dilaton passes, against term-by-term Fraction references.
 """
 
 import random
