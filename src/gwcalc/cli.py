@@ -40,7 +40,7 @@ from .real_solver import (RealSession, reduce_real_axioms,
 from .potentials import (build_potential,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
-                         residual_string_real, wdvv_pde_residuals,
+                         residual_string_real, residual_wdvv_pde,
                          GradedSeries)
 
 EXIT_OK = 0
@@ -436,8 +436,10 @@ def suite_wdvv(target, args, csession, rsession, potential):
     """Every exchange-relation instance in the solving window evaluates
     to zero on the table, and the associativity PDE residuals vanish."""
     def pde_residuals():
-        return wdvv_pde_residuals(
-            potential(COMPLEX, (6, min(args.max_degree, 3))))
+        F = potential(COMPLEX, (6, min(args.max_degree, 3)))
+        for indices in itertools.product(range(1, target.num_basis + 1),
+                                         repeat=4):
+            yield indices, residual_wdvv_pde(F, indices)
     return _relation_suite(csession, args.max_degree, wdvv_instances, 1,
                            pde_residuals)
 
@@ -489,44 +491,34 @@ def suite_dilaton(target, args, csession, rsession, potential):
 
 
 def suite_divisor(target, args, csession, rsession, potential):
-    """Adding a unit, a dilaton slot, or a divisor to a solved key gives
-    the predicted value."""
-    checks = 0
+    """Adding a unit, a dilaton slot or a divisor to a solved complex key,
+    or a divisor to a solved real key, gives the predicted value."""
     # every verify target is P^n with n >= 1, so basis class 2 is the
     # hyperplane h; a real session needs n odd, where the multiplicative
-    # signs force sign(h) = -1 and h is a real divisor too
-    h = 2
+    # signs force sign(h) = -1 and h is a real divisor too.  Per theory:
+    # (label, added insertion, factor of the base value) of each check
+    added = {
+        COMPLEX: (("unit insertion", (0, 1), lambda key: 0),
+                  ("dilaton slot", (1, 1),
+                   lambda key: 2 * key.genus - 2 + key.num_insertions),
+                  ("divisor insertion", (0, 2), lambda key: key.degree)),
+        REAL: (("real divisor insertion", (0, 2), lambda key: key.degree),),
+    }
+    checks = 0
     for d in range(1, args.max_degree + 1):
-        for key in csession.primary_keys(d):
-            base = csession.value(key)
-            ins = list(key.insertions)
-            unit_key = InvariantKey(COMPLEX, 0, d, sorted(ins + [(0, 1)]))
-            checks += 1
-            if csession.value(unit_key) != 0:
-                return False, "unit insertion at %r is nonzero" % (unit_key,), checks
-            dil_key = InvariantKey(COMPLEX, 0, d, sorted(ins + [(1, 1)]))
-            checks += 1
-            want = (2 * key.genus - 2 + key.num_insertions) * base
-            got = csession.value(dil_key)
-            if got != want:
-                return False, "dilaton slot at %r: %s != %s" % (
-                    dil_key, got, want), checks
-            div_key = InvariantKey(COMPLEX, 0, d, sorted(ins + [(0, h)]))
-            checks += 1
-            got = csession.value(div_key)
-            if got != d * base:
-                return False, "divisor insertion at %r: %s != %s" % (
-                    div_key, got, d * base), checks
-        if rsession is not None:
-            for key in rsession.primary_keys(d):
-                base = rsession.value(key)
-                ins = list(key.insertions)
-                div_key = InvariantKey(REAL, 0, d, sorted(ins + [(0, h)]))
-                checks += 1
-                got = rsession.value(div_key)
-                if got != d * base:
-                    return False, "real divisor insertion at %r: %s != %s" \
-                        % (div_key, got, d * base), checks
+        for session in (csession, rsession):
+            if session is None:
+                continue
+            for key in session.primary_keys(d):
+                base = session.value(key)
+                for label, insertion, factor in added[session.kind]:
+                    new_key = InvariantKey(session.kind, 0, d, sorted(
+                        key.insertions + (insertion,)))
+                    checks += 1
+                    got, want = session.value(new_key), factor(key) * base
+                    if got != want:
+                        return False, "%s at %r: %s != %s" % (
+                            label, new_key, got, want), checks
     return True, "", checks
 
 

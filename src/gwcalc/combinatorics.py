@@ -54,10 +54,10 @@ def koszul_sign_permutation(perm, degs):
     return -1 if exp % 2 else 1
 
 
-def split_exponent(I, J, degs):
-    """Inversion count of the two-block split: odd-odd pairs i in I, j in J
-    with i > j.  Returned as an integer exponent for callers that add
-    several exponents before collapsing to a sign."""
+def split_sign(I, J, degs):
+    """The sign of pulling the block I in front of the block J out of the
+    interleaved original order: -1 to the number of odd-odd pairs i in
+    I, j in J with i > j."""
     I = _as_sorted_tuple(I)
     J = _as_sorted_tuple(J)
     _check_disjoint(I, J)
@@ -68,13 +68,7 @@ def split_exponent(I, J, degs):
         for j in J:
             if i > j and degs[j - 1] % 2:
                 exp += 1
-    return exp
-
-
-def split_sign(I, J, degs):
-    """(-1)**split_exponent(I, J, degs): the sign of pulling the block I
-    in front of the block J out of the interleaved original order."""
-    return -1 if split_exponent(I, J, degs) % 2 else 1
+    return -1 if exp % 2 else 1
 
 
 def sort_insertions_sign(items, deg_of):

@@ -6,17 +6,21 @@ structural filter, the stripping of unit and divisor insertions off a
 primary factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one session evaluator (_Session: the primary unknowns, the
-relation residual and the values of primary and any keys; each session
-keeps its seed, block solve, relation terms, degree-0 rule and
-descendant route), one block-solve skeleton (_solve_block) that seeds,
-eliminates the session's relation rows and stores the values, and the
-steps of the relation and recursion expansions: the term combiner
-(_combine), the two-sided slot split (_grouped_splits, each distinct
-split once with its count of ordered splits), the diagonal term and
-curve degree the grading leaves per split (_split_class), the first
-descendant slot, the divisor step (weight 1 complex, 2 real), the
-relation-row builder (_relation_row) and the evaluation of a sum of keys
-(evaluate_terms) or of products of keys (evaluate_products).
+relation residual, the values of primary and any keys and the loop over
+degree blocks, _ensure, which ComplexSession binds as ensure_primary and
+RealSession as ensure_real; each session keeps its seed, the relation
+tuples of a block, the terms of one tuple, its provenance tag and
+relation wording, the degree-0 rule and the descendant route), one
+block-solve skeleton (_solve_block) that seeds, turns each of the
+session's relation tuples into a row, eliminates the rows and stores
+the values, and the steps of the relation and recursion expansions: the
+term combiner (_combine), the two-sided slot split (_grouped_splits,
+each distinct split once with its count of ordered splits), the
+diagonal term and curve degree the grading leaves per split
+(_split_class), the first descendant slot, the divisor step (weight 1
+complex, 2 real), the relation-row builder (_relation_row) and the
+evaluation of a sum of keys (evaluate_terms) or of products of keys
+(evaluate_products).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -819,42 +823,45 @@ class _Eliminator:
         return {k: rhs for k, (rest, rhs) in self.pivots.items() if not rest}
 
 
-def _solve_block(session, d, provenance, relations):
+def _solve_block(session, d):
     """Solve one primary degree block of a complex or real session.
 
     Puts the session's seed (``session._seed``, a (key, value or None)
-    pair) when it is an unknown of the block, then eliminates the rows
-    of ``session._block_rows(d, unknowns)`` in order and stores the
-    values under ``provenance``.  A row's unknowns are pending keys
-    (degree-d keys missing from the table), so every pending key has a
-    value once the pivots number the pending keys: the solve stops at
-    that row.  Raises UnderdeterminedError naming the ``relations``
-    when a pending key stays open.
+    pair) when it is an unknown of the block, then eliminates, in order,
+    the rows that _relation_row builds from the session's relation terms
+    (``_relation_terms``) of each tuple of ``session._block_tuples(d,
+    unknowns)``, and stores the values under the session's
+    ``_provenance`` tag.  A row's unknowns are pending keys (degree-d
+    keys missing from the table), so every pending key has a value once
+    the pivots number the pending keys: the solve stops at that row.
+    Raises UnderdeterminedError naming the session's ``_relations`` when
+    a pending key stays open.
     """
     unknowns = session.primary_keys(d)
     if not unknowns:
         return
+    table = session.table
     seed_key, seed_value = session._seed
     if seed_value is not None and seed_key in unknowns:
-        session.table.put(seed_key, seed_value, "seed")
-    pending = [k for k in unknowns if session.table.get(k) is None]
+        table.put(seed_key, seed_value, "seed")
+    pending = [k for k in unknowns if table.get(k) is None]
     if not pending:
         return
     elim = _Eliminator()
-    for row, rhs in session._block_rows(d, unknowns):
-        elim.add_row(row, rhs)
+    for mu in session._block_tuples(d, unknowns):
+        elim.add_row(*_relation_row(table, session._relation_terms(mu, d), d))
         if len(elim.pivots) == len(pending):
             break
     sol = elim.solution()
     missing = [k for k in pending if k not in sol]
     if missing:
         msg = "%s left %d key(s) unresolved at degree %d" % (
-            relations, len(missing), d)
+            session._relations, len(missing), d)
         if seed_value is None:  # a real session of a free involution
             msg += " (no seed sign supplied for this involution)"
         raise UnderdeterminedError(msg)
     for k in pending:
-        session.table.put(k, sol[k], provenance)
+        table.put(k, sol[k], session._provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -865,14 +872,17 @@ class _Session:
     """The evaluator both theories' sessions share: a target, the table
     its values live in (a new one when ``table`` is None; a table of
     another target is refused), the primary unknowns and the evaluation
-    of keys (value, over one step of a key's route in _recompute).  A
-    subclass sets ``kind`` and supplies the seed (``_seed``), its block
-    solve (ensure_primary or ensure_real), the relation terms and block
-    rows, the degree-0 rule (_degree_zero_value) and the descendant route
+    of keys (value, over one step of a key's route in _recompute), and the
+    block-solve driver (_ensure).  A subclass sets ``kind``, the
+    provenance tag and wording of its relations (``_provenance``,
+    ``_relations``) and supplies the seed (``_seed``), the relation tuples
+    of a block (_block_tuples) and the terms of one (_relation_terms), the
+    degree-0 rule (_degree_zero_value) and the descendant route
     (_descendant_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
-    time, and each subclass binds value and relation_residual in its own
-    class body, so both can be rebound per class."""
+    time, and each subclass binds value, relation_residual and _ensure
+    (as ensure_primary or ensure_real) in its own class body, so each can
+    be rebound per class."""
 
     def __init__(self, target, table):
         if table is None:
@@ -882,6 +892,13 @@ class _Session:
         self.target = target
         self.table = table
         self._solved_to = 0
+
+    def _ensure(self, max_degree):
+        """Solve all primary blocks of the session's theory up to and
+        including max_degree, one degree block at a time (_solve_block)."""
+        while self._solved_to < max_degree:
+            _solve_block(self, self._solved_to + 1)
+            self._solved_to += 1
 
     def primary_keys(self, degree):
         """Canonical primary unknowns of the session's theory at a degree
@@ -966,8 +983,11 @@ class ComplexSession(_Session):
     and reduces descendant keys, memoizing everything in a table."""
 
     kind = COMPLEX
+    _provenance = "wdvv"
+    _relations = "exchange relations"
     value = _Session.value
     relation_residual = _Session.relation_residual
+    ensure_primary = _Session._ensure
 
     def __init__(self, target, table=None):
         _require_projective(target)
@@ -983,21 +1003,14 @@ class ComplexSession(_Session):
 
     # -- block solving --------------------------------------------------
 
-    def ensure_primary(self, max_degree):
-        """Solve all primary blocks up to and including max_degree."""
-        while self._solved_to < max_degree:
-            _solve_block(self, self._solved_to + 1, "wdvv",
-                         "exchange relations")
-            self._solved_to += 1
-
-    def _block_rows(self, d, unknowns):
-        """Yield (row, rhs) for the reconstruction relations of a block's
-        unknowns (reconstruction_tuples), each distinct tuple once."""
+    def _block_tuples(self, d, unknowns):
+        """Yield the reconstruction relations of a block's unknowns
+        (reconstruction_tuples), each distinct tuple once."""
         seen = set()
         for mu in reconstruction_tuples(unknowns):
             if mu not in seen:
                 seen.add(mu)
-                yield _relation_row(self.table, self._relation_terms(mu, d), d)
+                yield mu
 
     def _relation_terms(self, mu, d):
         """Yield the (coefficient, keys) terms of one relation instance.

@@ -53,14 +53,15 @@ raise SeriesError otherwise), so none of them needs a Koszul sign:
   index tuple, cut to the residual window -- and contract them through
   one body (_contract, sum_jk g^jk L_{..j} R_{k..}); the complex memo
   also keeps each contraction F_abj F_kce once per unordered pair of
-  sorted pairs.  Every residual_wdvv_pde, wdvv_pde_residuals and
-  residual_rwdvv_pde call on the same potential reads its memo, and a
-  change to the series's terms or truncation rebuilds it.
+  sorted pairs.  Each residual has one entry point, called once per
+  index tuple: every residual_wdvv_pde and residual_rwdvv_pde call on
+  the same potential reads its memo, and a change to the series's terms
+  or truncation rebuilds it.
 """
 
 import math
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby
 
 from .combinatorics import sort_insertions_sign
 from .invariant_store import COMPLEX, REAL
@@ -123,7 +124,7 @@ class GradedSeries:
         self.depth = depth
         self.lam_power = lam_power
         self.terms = {}
-        # ((t_max, q_max), terms copy, (factor, residual)) of the
+        # ((t_max, q_max), terms copy, (factor, contraction)) of the
         # associativity PDE memo, or None; see _pde_pieces
         self._pde_memo = None
 
@@ -527,7 +528,7 @@ def residual_string_real(F):
 
 
 def _pde_pieces(F):
-    """(factor, residual) of F (see _build_pde_pieces), from the
+    """(factor, contraction) of F (see _build_pde_pieces), from the
     associativity PDE memo kept on F.
 
     The memo holds F's truncation, a copy of its terms and the pair; it
@@ -571,21 +572,22 @@ def _contract(left, lidx, right, ridx, diag):
 def _build_pde_pieces(F):
     """factor(idx), the partial of F by the sorted index tuple idx cut to
     t-degree <= t_max - 3 (higher terms only feed products outside the
-    window of either PDE), and residual(indices), the complex
-    associativity residual at an index quadruple, over one memo.
+    window of either PDE), and contraction(p, r), the term dict of
+    sum_{j,k} g^{jk} F_{p j} F_{k r} for two sorted index pairs p and r,
+    over one memo.
 
     Each partial is taken once, from the uncut partial one order lower;
     a factor is stored cut only.  On an even basis F_{abc} is symmetric
     in a, b, c, and G(ab; ce) = sum_{j,k} g^{jk} F_{abj} F_{kce} under
-    a <-> b, c <-> e and swapping the two pairs, so residual forms each
-    contraction once per unordered pair of sorted pairs.
+    a <-> b, c <-> e and swapping the two pairs, so contraction forms
+    each contraction once per unordered pair of sorted pairs.
     """
     _require_even(F.target)
     diag = F.target.diagonal_decomposition()
     cut = F.t_max - 3
     partials = {(): F}
     factors = {}
-    pair_products = {}
+    contractions = {}
 
     def partial(idx):
         got = partials.get(idx)
@@ -602,25 +604,15 @@ def _build_pde_pieces(F):
                                   .truncated(cut))
         return got
 
-    def pair_product(p, r):
+    def contraction(p, r):
         key = (p, r) if p <= r else (r, p)
-        got = pair_products.get(key)
+        got = contractions.get(key)
         if got is None:
-            got = pair_products[key] = _contract(factor, key[0], factor,
-                                                 key[1], diag)
+            got = contractions[key] = _contract(factor, key[0], factor,
+                                                key[1], diag)
         return got
 
-    def pair(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    def residual(indices):
-        i1, i2, i3, i4 = indices
-        terms = dict(pair_product(pair(i1, i2), pair(i3, i4)))
-        for mono, c in pair_product(pair(i1, i3), pair(i2, i4)).items():
-            terms[mono] = terms.get(mono, 0) - c
-        return _residual_series(F, cut, terms)
-
-    return factor, residual
+    return factor, contraction
 
 
 def residual_wdvv_pde(F, indices):
@@ -633,24 +625,19 @@ def residual_wdvv_pde(F, indices):
     with F_{abc} third partials in the t_{0,*} directions.  Exact on total
     t-degree <= t_max - 3; zero for every index quadruple on a potential
     built from a consistent table.  Calls on the same series share the
-    pieces through the memo kept on it (_pde_pieces), as wdvv_pde_residuals
-    does.
+    factors and contractions through the memo kept on it (_pde_pieces).
     """
     i1, i2, i3, i4 = indices
     for i in (i1, i2, i3, i4):
         if not (1 <= i <= F.target.num_basis):
             raise SeriesError("basis index out of range: %r" % (i,))
-    _factor, residual = _pde_pieces(F)
-    return residual(indices)
-
-
-def wdvv_pde_residuals(F):
-    """(indices, residual_wdvv_pde(F, indices)) for every index quadruple,
-    in itertools.product order, computed lazily from the memo kept on F
-    (the one residual_wdvv_pde reads)."""
-    _factor, residual = _pde_pieces(F)
-    quadruples = product(range(1, F.target.num_basis + 1), repeat=4)
-    return ((indices, residual(indices)) for indices in quadruples)
+    _factor, contraction = _pde_pieces(F)
+    terms = dict(contraction(tuple(sorted((i1, i2))),
+                             tuple(sorted((i3, i4)))))
+    for mono, c in contraction(tuple(sorted((i1, i3))),
+                               tuple(sorted((i2, i4)))).items():
+        terms[mono] = terms.get(mono, 0) - c
+    return _residual_series(F, F.t_max - 3, terms)
 
 
 def residual_rwdvv_pde(F_doubled, F_real, indices):

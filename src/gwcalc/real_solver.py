@@ -15,19 +15,21 @@ theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
 filter (vdim_real, filter_real), the primary unknowns, the session
-evaluator (_Session), the block-solve skeleton, the split class and the
+evaluator (_Session, whose block-solve driver the real session binds as
+ensure_real), the block-solve skeleton, the split class and the
 relation-row builder are the ones complex_solver keeps for both
-theories; this module supplies the real relation terms, in which the
-grading of the complex side picks the diagonal term and pins its degree
-d' per split, and the real degree-0 rule (the invariant is 0 and is not
-stored).  Descendant invariants reduce axiom-first, as in the complex
-theory: a key with >= 3 insertions and a dilaton or minus-eigenspace
-divisor insertion takes one such step (reduce_real_axioms; a string
-insertion kills the invariant), any other goes through the real
-topological recursion (reduce_descendant_rtrr), whose leading term
-slides a divisor onto the descendant slot with weight -2.  The
-rtrr-cross suite compares one step of each route over the same lower
-values.
+theories; this module supplies the relation tuples of a real block
+(rwdvv_instances, after the complex table is extended to half the
+degree), the real relation terms, in which the grading of the complex
+side picks the diagonal term and pins its degree d' per split, and the
+real degree-0 rule (the invariant is 0 and is not stored).  Descendant
+invariants reduce axiom-first, as in the complex theory: a key with >= 3
+insertions and a dilaton or minus-eigenspace divisor insertion takes one
+such step (reduce_real_axioms; a string insertion kills the invariant),
+any other goes through the real topological recursion
+(reduce_descendant_rtrr), whose leading term slides a divisor onto the
+descendant slot with weight -2.  The rtrr-cross suite compares one step
+of each route over the same lower values.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError
                              InconsistentSystemError, _Session, _axiom_route,
                              _combine, _divisor_terms, _first_descendant_slot,
                              _multisets_exact, _removable_slot,
-                             _require_projective, _solve_block, _split_class,
-                             _strip_primary, _grouped_splits, _relation_row,
-                             evaluate_terms)
+                             _require_projective, _split_class,
+                             _strip_primary, _grouped_splits, evaluate_terms)
 
 
 def _require_real_target(target):
@@ -184,8 +185,11 @@ class RealSession(_Session):
     """
 
     kind = REAL
+    _provenance = "rwdvv"
+    _relations = "real exchange relations"
     value = _Session.value
     relation_residual = _Session.relation_residual
+    ensure_real = _Session._ensure
 
     def __init__(self, target, table=None, seed_sign=None, complex_session=None):
         _require_real_target(target)
@@ -216,25 +220,16 @@ class RealSession(_Session):
 
     # -- block solving --------------------------------------------------
 
-    def ensure_real(self, max_degree):
-        """Solve all real primary blocks up to and including max_degree
-        (extending the complex table as needed)."""
-        while self._solved_to < max_degree:
-            _solve_block(self, self._solved_to + 1, "rwdvv",
-                         "real exchange relations")
-            self._solved_to += 1
-
-    def _block_rows(self, d, unknowns):
-        """Yield (row, rhs) for the admissible relation instances at real
-        degree d with tuple length up to the longest unknown + 4, in
-        rwdvv_instances order (shorter tuples first, so the solve
-        usually closes on those up to the longest unknown + 2).  The
-        complex factors reach degree d // 2, so the complex table is
-        extended first; only a block with pending keys gets here."""
+    def _block_tuples(self, d, unknowns):
+        """The admissible relation instances at real degree d with tuple
+        length up to the longest unknown + 4, in rwdvv_instances order
+        (shorter tuples first, so the solve usually closes on those up to
+        the longest unknown + 2).  The complex factors reach degree
+        d // 2, so the complex table is extended first; only a block with
+        pending keys gets here."""
         self.complex.ensure_primary(d // 2)
         max_ell = max(k.num_insertions for k in unknowns)
-        for ks in rwdvv_instances(self.target, d, max_ell + 4):
-            yield _relation_row(self.table, self._relation_terms(ks, d), d)
+        return rwdvv_instances(self.target, d, max_ell + 4)
 
     def _relation_terms(self, ks, d):
         """The terms of one relation instance (a degree tuple as yielded

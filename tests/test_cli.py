@@ -512,10 +512,21 @@ def p3_d2_cache(tmp_path_factory):
      [(0, 3), (0, 3), (1, 2), (1, 2), (2, 1), (2, 3)], 1,
      "suite grading    FAIL: stored value 1 at <complex g=0 d=2 | t0(e3), "
      "t0(e3), t1(e2), t1(e2), t2(e1), t2(e3)>, descendant value 0"),
+    # the divisor suite: one line per theory and added insertion
+    ("divisor", COMPLEX, 1, [(0, 4), (0, 4), (1, 1)], 1,
+     "suite divisor    FAIL: dilaton slot at <complex g=0 d=1 | t0(e4), "
+     "t0(e4), t1(e1)>: 1 != 0"),
+    ("divisor", COMPLEX, 1, [(0, 2), (0, 4), (0, 4)], 1,
+     "suite divisor    FAIL: divisor insertion at <complex g=0 d=1 | "
+     "t0(e2), t0(e4), t0(e4)>: 2 != 1"),
+    ("divisor", REAL, 1, [(0, 2), (0, 4)], 1,
+     "suite divisor    FAIL: real divisor insertion at <real g=0 d=1 | "
+     "t0(e2), t0(e4)>: 2 != 1"),
 ], ids=["wdvv-instance", "wdvv-instance-non-whole", "wdvv-pde",
         "rwdvv-instance", "rwdvv-pde", "trr-cross", "rtrr-cross",
         "grading-real", "grading-complex", "grading-axiom-step",
-        "grading-trr"])
+        "grading-trr", "divisor-dilaton", "divisor-divisor",
+        "divisor-real"])
 def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
                                           suite, kind, degree, insertions,
                                           shift, line):
@@ -533,6 +544,25 @@ def test_verify_tampered_value_fail_lines(capsys, tmp_path, p3_d2_cache,
                          "--max-degree", "2", "--suite", suite,
                          "--cache", str(cache))
     assert (code, out, err) == (1, line + "\n", "")
+
+
+def test_verify_stored_unit_entry_fail_line(capsys, tmp_path, p3_d2_cache):
+    """A unit key is a structural zero and is never stored; a cache that
+    stores a nonzero value at the unit key of the first degree-1 key
+    fails the divisor suite's first check on that line."""
+    data = json.loads(json.dumps(p3_d2_cache))
+    data["entries"].append({
+        "degree": 1, "genus": 0, "kind": COMPLEX, "provenance": "wdvv",
+        "value": "1", "insertions": [{"a": 0, "basis": b}
+                                     for b in (1, 4, 4)]})
+    cache = tmp_path / "unit.json"
+    cache.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--target", "P3-tau",
+                         "--max-degree", "2", "--suite", "divisor",
+                         "--cache", str(cache))
+    assert (code, out, err) == (
+        1, "suite divisor    FAIL: unit insertion at <complex g=0 d=1 | "
+        "t0(e1), t0(e4), t0(e4)>: 1 != 0\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from gwcalc.combinatorics import (koszul_sign_permutation,
-                                  sort_insertions_sign, split_exponent,
-                                  split_sign)
+                                  sort_insertions_sign, split_sign)
 
 
 def brute_sign(perm, degs):
@@ -54,17 +53,15 @@ def test_koszul_sign_via_adjacent_swaps():
         assert koszul_sign_permutation(perm, degs) == sign
 
 
-def test_split_exponent_and_sign():
+def test_split_sign():
     degs = [1, 0, 1, 1]
     # I = {3}, J = {1}: pair (3, 1) is an odd-odd inversion
-    assert split_exponent([3], [1], degs) == 1
     assert split_sign([3], [1], degs) == -1
-    assert split_exponent([1], [3], degs) == 0
     assert split_sign([1], [3], degs) == 1
     # even slots never contribute
-    assert split_exponent([2], [1], degs) == 0
+    assert split_sign([2], [1], degs) == 1
     with pytest.raises(ValueError):
-        split_exponent([1, 2], [2], degs)
+        split_sign([1, 2], [2], degs)
 
 
 def test_split_sign_complementarity():

@@ -11,7 +11,8 @@ private method (dunders aside) of any class accessed as an attribute,
 outside its own body, so a replaced helper cannot linger.  Every
 attribute the package assigns on ``self`` must be read as an attribute
 somewhere in the package (matched by name), so a payload nothing reads
-cannot linger either.
+cannot linger either, and every name a module imports must be referenced
+in that module, so neither can an import.
 """
 
 import ast
@@ -38,13 +39,10 @@ ALLOWED = {
     "build_potentials": "the benchmark's potentials-p2 workload and "
                         "acceptance criterion 6 build the named potentials "
                         "through it",
-    "residual_wdvv_pde": "the benchmark's potentials-p2 workload and "
-                         "acceptance criterion 6 check one quadruple per "
-                         "call",
     "InvariantTable.provenance": "reads the tag every entry and cache "
                                  "file carries; the route tests check it, "
                                  "and a cache show breakdown by route "
-                                 "(ROADMAP item 5(c)) would use it",
+                                 "(ROADMAP item 3(c)) would use it",
 }
 
 
@@ -173,11 +171,49 @@ def test_every_private_helper_is_used_in_the_package():
 
 
 def test_allowlist_is_current():
+    """Every allowlisted name is defined, and the package itself reaches
+    none of them outside its own definition (the other guards would pass
+    such a name without its entry)."""
     trees = _parse_package()
-    defined = {name for _m, name, _f, _l in _public_definitions(trees)}
-    defined |= {"%s.%s" % (cls, name)
-                for _m, cls, name, _f, _l in _public_methods(trees)}
-    assert set(ALLOWED) <= defined
+    refs = _references(trees)
+    accesses = _attribute_accesses(trees)
+    defined = {name: (module, first, last, refs)
+               for module, name, first, last in _public_definitions(trees)}
+    defined.update({"%s.%s" % (cls, name): (module, first, last, accesses)
+                    for module, cls, name, first, last
+                    in _public_methods(trees)})
+    assert set(ALLOWED) <= set(defined)
+    reached = [name for name in ALLOWED
+               if _used_outside(name.split(".")[-1], *defined[name])]
+    assert not reached, "the package reaches: %s" % ", ".join(reached)
+
+
+def _imported_names(tree):
+    """(line, name) of every name an import binds in a module, ``from
+    __future__`` imports aside; ``import a.b`` binds ``a``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, (alias.asname or alias.name).split(".")[0])
+                    for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, alias.asname or alias.name)
+                    for alias in node.names]
+    return out
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """A name a package module imports is referenced in that module, so
+    an import cannot linger after the helper it served moves away."""
+    trees = _parse_package()
+    unused = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        unused += ["%s:%d:%s" % (module, line, name)
+                   for line, name in _imported_names(tree)
+                   if name not in loaded]
+    assert not unused, "imported but never used: %s" % ", ".join(unused)
 
 
 def _self_attribute_stores(trees):

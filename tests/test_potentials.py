@@ -14,7 +14,7 @@ from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
                                residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
-                               residual_wdvv_pde, wdvv_pde_residuals)
+                               residual_wdvv_pde)
 from series_terms import add_terms
 
 
@@ -399,10 +399,9 @@ def test_complex_residuals_vanish(p2_session):
 
 
 def test_wdvv_pde_memo_follows_the_series(p2_session):
-    """residual_wdvv_pde and wdvv_pde_residuals read one memo kept on the
-    series and agree on every quadruple; a write to its terms after a
-    call rebuilds the memo, so a perturbation shows at once and its removal
-    clears it again."""
+    """Every residual_wdvv_pde call on the series reads one memo kept on
+    it; a write to its terms after a call rebuilds the memo, so a
+    perturbation shows at once and its removal clears it again."""
     F = build_potential(p2_session.target, COMPLEX, p2_session.value,
                         (10, 4))
     quadruples = list(product(range(1, 4), repeat=4))
@@ -410,14 +409,15 @@ def test_wdvv_pde_memo_follows_the_series(p2_session):
     def each():
         return [(idx, residual_wdvv_pde(F, idx)) for idx in quadruples]
 
-    assert each() == list(wdvv_pde_residuals(F))
     assert all(res.is_zero() for _, res in each())
+    memo = F._pde_memo
+    assert each() and F._pde_memo is memo
     # <pt^4>_1 breaks the grading; its F_333 meets F_122 at (2,2,3,3)
     pt4 = (((0, 3), 4),)
     add_terms(F, (1, pt4, 1))
     perturbed = each()
+    assert F._pde_memo is not memo
     assert not residual_wdvv_pde(F, (2, 2, 3, 3)).is_zero()
-    assert perturbed == list(wdvv_pde_residuals(F))
     # a copy has no memo: the perturbed residuals match a fresh build
     fresh = F.truncated()
     assert perturbed == [(idx, residual_wdvv_pde(fresh, idx))
@@ -484,7 +484,6 @@ def test_residuals_refuse_odd_basis(torus):
              lambda: residual_string_real(R),
              lambda: residual_dilaton_real(R),
              lambda: residual_wdvv_pde(C, (1, 1, 1, 1)),
-             lambda: wdvv_pde_residuals(C),
              lambda: residual_rwdvv_pde(C, R, (1, 3, 3))]
     for call in calls:
         with pytest.raises(SeriesError, match="class 2 is odd"):

@@ -121,15 +121,16 @@ STOP_ROWS = [
                          ids=["%s-%s-d%d" % row[:3] for row in STOP_ROWS])
 def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected):
     """Each block solve stops at the first row after which every pending
-    key has a value: the rows it draws from _block_rows per block are
-    frozen (a block with no pending key draws none)."""
+    key has a value: the relation tuples it draws from _block_tuples per
+    block, one row each, are frozen (a block with no pending key draws
+    none)."""
     counts = {}
     for cls in (ComplexSession, RealSession):
-        def counted(self, d, unknowns, block_rows=cls._block_rows):
-            for row in block_rows(self, d, unknowns):
+        def counted(self, d, unknowns, block_tuples=cls._block_tuples):
+            for mu in block_tuples(self, d, unknowns):
                 counts[self.kind, d] = counts.get((self.kind, d), 0) + 1
-                yield row
-        monkeypatch.setattr(cls, "_block_rows", counted)
+                yield mu
+        monkeypatch.setattr(cls, "_block_tuples", counted)
     target = builtin_target(name)
     if kind == COMPLEX:
         ComplexSession(target).ensure_primary(max_degree)

@@ -29,7 +29,7 @@ from gwcalc.potentials import (GradedSeries, build_potentials,
                                residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
-                               residual_wdvv_pde, wdvv_pde_residuals)
+                               residual_wdvv_pde)
 from gwcalc.real_solver import RealSession
 from series_terms import add_terms
 
@@ -195,19 +195,9 @@ def test_string_and_dilaton_match_reference(inputs, name):
 @pytest.mark.parametrize("name", NAMES)
 def test_wdvv_pde_matches_reference(inputs, name):
     P = inputs[name]["complex_primary"]
-    nb = P.target.num_basis
-    want = []
-    for i1 in range(1, nb + 1):
-        for i2 in range(1, nb + 1):
-            for i3 in range(1, nb + 1):
-                for i4 in range(1, nb + 1):
-                    indices = (i1, i2, i3, i4)
-                    want.append((indices, reference_wdvv_pde(P, indices)))
-    got = list(wdvv_pde_residuals(P))
-    assert [indices for indices, _ in got] == [indices for indices, _ in want]
-    for (indices, res), (_, ref) in zip(got, want):
-        assert same(res, ref), indices
-        assert same(residual_wdvv_pde(P, indices), ref), indices
+    for indices in product(range(1, P.target.num_basis + 1), repeat=4):
+        assert same(residual_wdvv_pde(P, indices),
+                    reference_wdvv_pde(P, indices)), indices
 
 
 @pytest.mark.parametrize("name", ["P3-tau", "P3-tau-perturbed"])
@@ -234,8 +224,10 @@ def test_perturbations_give_nonzero_residuals(inputs):
         F = pots["complex_descendant"]
         assert not residual_string_complex(F).is_zero()
         assert not residual_dilaton_complex(F).is_zero()
-        assert not all(res.is_zero() for _, res in
-                       wdvv_pde_residuals(pots["complex_primary"]))
+        P = pots["complex_primary"]
+        assert not all(residual_wdvv_pde(P, indices).is_zero() for indices
+                       in product(range(1, P.target.num_basis + 1),
+                                  repeat=4))
     R = p3["real_descendant"]
     assert not residual_string_real(R).is_zero()
     assert not residual_dilaton_real(R).is_zero()

@@ -25,7 +25,7 @@ VERIFY_LAYERS = {"wdvv_instances", "rwdvv_instances", "reduce_axioms",
                  "reduce_descendant_trr", "reduce_descendant_rtrr",
                  "residual_string_complex", "residual_string_real",
                  "residual_dilaton_complex", "residual_dilaton_real",
-                 "residual_rwdvv_pde"}
+                 "residual_wdvv_pde", "residual_rwdvv_pde"}
 
 
 def _tracer():
@@ -71,11 +71,14 @@ def test_verify_calls_every_traced_name(capsys, monkeypatch):
 
 
 def test_tracer_sees_both_sessions(capsys):
-    """Both sessions share their value and relation_residual bodies and
-    bind them in their own class bodies, so the tracer wraps each class
-    on its own; the shared bodies call value, relation_residual and the
+    """Both sessions share their value, relation_residual and block-solve
+    driver bodies and bind them in their own class bodies (the driver as
+    ensure_primary and ensure_real), so the tracer wraps each class on
+    its own; the shared bodies call value, relation_residual and the
     block solves through the instance, so the wrappers see both
     theories' calls, and uninstall puts each class's own entries back."""
+    assert (ComplexSession.__dict__["ensure_primary"]
+            is RealSession.__dict__["ensure_real"])
     names = ("value", "relation_residual", "ensure_primary", "ensure_real")
     before = {(cls, name): cls.__dict__.get(name)
               for cls in (ComplexSession, RealSession) for name in names}
