@@ -35,8 +35,8 @@ from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              graded_keys, insertion_variables,
                              lift_one_point, reduce_axioms,
                              reduce_descendant_trr, wdvv_instances)
-from .real_solver import (RealSession, reduce_real_axioms,
-                          reduce_descendant_rtrr, rwdvv_instances)
+from .real_solver import (RealSession, reduce_descendant_rtrr,
+                          rwdvv_instances)
 from .potentials import (build_potential,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
@@ -522,18 +522,17 @@ def suite_divisor(target, args, csession, rsession, potential):
     return True, "", checks
 
 
-def _cross_check(session, max_degree, max_insertions, axiom_step,
-                 recursion_value):
+def _cross_check(session, max_degree, max_insertions, recursion_value):
     """Shared body of trr-cross and rtrr-cross: the session's descendant
-    recursion (``recursion_value(key)``) agrees with its axiom reductions
-    (``axiom_step``) on every admissible descendant key both can handle."""
+    recursion (``recursion_value(key)``) agrees with the axiom step
+    (reduce_axioms) on every admissible descendant key both can handle."""
     target = session.target
     checks = 0
     for d in range(1, max_degree + 1):
         for key in _descendant_keys(target, session.kind, d,
                                     max_insertions, 2):
             try:
-                terms = axiom_step(key, target)
+                terms = reduce_axioms(key, target)
             except AxiomPreconditionError:
                 continue
             via_axiom = evaluate_terms(terms, session.value)
@@ -558,8 +557,7 @@ def suite_trr_cross(target, args, csession, rsession, potential):
             key = lift_one_point(key)
         return evaluate_products(reduce_descendant_trr(key, target),
                                  csession.value)
-    return _cross_check(csession, args.max_degree, 5,
-                        reduce_axioms, via_trr)
+    return _cross_check(csession, args.max_degree, 5, via_trr)
 
 
 def suite_rtrr_cross(target, args, csession, rsession, potential):
@@ -567,8 +565,7 @@ def suite_rtrr_cross(target, args, csession, rsession, potential):
     def via_rtrr(key):
         return evaluate_terms(reduce_descendant_rtrr(key, rsession),
                               rsession.value)
-    return _cross_check(rsession, args.max_degree, 4,
-                        reduce_real_axioms, via_rtrr)
+    return _cross_check(rsession, args.max_degree, 4, via_rtrr)
 
 
 SUITE_FUNCS = {
@@ -599,7 +596,8 @@ def cmd_verify(args):
             raise UsageError("unknown suite %r (choose from %s, all)"
                              % (args.suite, ", ".join(SUITES)))
         if not has_real and args.suite in ("rwdvv", "rtrr-cross"):
-            raise UsageError("--real needs a target of odd complex dimension")
+            raise UsageError("suite %s needs a target of odd complex "
+                             "dimension" % args.suite)
         names = [args.suite]
     table, path = _load_table(args, target)
     csession = ComplexSession(target, table)

@@ -8,19 +8,24 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one session evaluator (_Session: the primary unknowns, the
 relation residual, the values of primary and any keys and the loop over
 degree blocks, _ensure, which ComplexSession binds as ensure_primary and
-RealSession as ensure_real; each session keeps its seed, the relation
-tuples of a block, the terms of one tuple, its provenance tag and
-relation wording, the degree-0 rule and the descendant route), one
+RealSession as ensure_real, and the descendant route: one axiom step
+where _axiom_route allows it, else the session's recursion; each
+session keeps its seed, the relation tuples of a block, the terms of
+one tuple, its provenance tag and relation wording, the degree-0 rule
+and its recursion, _recursion_value, tagged _recursion), one
 block-solve skeleton (_solve_block) that seeds, turns each of the
 session's relation tuples into a row, eliminates the rows and stores
-the values, and the steps of the relation and recursion expansions: the
-term combiner (_combine), the two-sided slot split (_grouped_splits,
-each distinct split once with its count of ordered splits), the
-diagonal term and curve degree the grading leaves per split
-(_split_class), the first descendant slot, the divisor step (weight 1
-complex, 2 real), the relation-row builder (_relation_row) and the
-evaluation of a sum of keys (evaluate_terms) or of products of keys
-(evaluate_products).
+the values, one axiom step (reduce_axioms: string, dilaton and divisor,
+reading the theory from the key; the real constants are a vanishing
+string insertion, a dilaton of 2(g - 1 + ell) and a divisor weight of
+2) and the steps of the relation and recursion expansions: the term
+combiner (_combine), the two-sided slot split (_grouped_splits, each
+distinct split once with its count of ordered splits), the diagonal
+term and curve degree the grading leaves per split (_split_class), the
+slot a recursion lowers and its genus-0 and degree >= 1 preconditions
+(_recursion_slot), the divisor step (weight 1 complex, 2 real), the
+relation-row builder (_relation_row) and the evaluation of a sum of
+keys (evaluate_terms) or of products of keys (evaluate_products).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from an overdetermined system of four-point exchange
@@ -95,6 +100,14 @@ def _require_projective(target):
         raise SolverError(
             "solver supports single-generator projective targets only; "
             "%s does not have that ring structure" % target.name)
+
+
+def _require_real_target(target):
+    _require_projective(target)
+    if target.complex_dim % 2 == 0:
+        raise SolverError(
+            "real solver needs odd complex dimension (degree doubling); "
+            "%s has complex dimension %d" % (target.name, target.complex_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +539,15 @@ def _removable_slot(key):
     return None, None
 
 
-def _first_descendant_slot(key):
-    """Index of the first insertion tau_a(e_b) with a >= 1; raises
-    AxiomPreconditionError when the key has none."""
+def _recursion_slot(key):
+    """The slot either theory's topological recursion lowers: the index
+    of the first insertion tau_a(e_b) with a >= 1.  Raises
+    AxiomPreconditionError for a key of genus > 0, of degree < 1 or
+    without a descendant insertion."""
+    if key.genus != 0:
+        raise AxiomPreconditionError("descendant reduction is genus-0 only")
+    if key.degree < 1:
+        raise AxiomPreconditionError("descendant reduction needs degree >= 1")
     for idx, (a, _) in enumerate(key.insertions):
         if a >= 1:
             return idx
@@ -554,26 +573,39 @@ def _divisor_terms(target, degree, rest, weight):
 
 
 def reduce_axioms(key, target, slot=None):
-    """One-step string/dilaton/divisor reduction of a complex key.
+    """One-step string/dilaton/divisor reduction of a key of either
+    theory (read from key.kind).
 
     Returns a list of (coefficient, key) pairs whose value-sum equals the
-    input key's value; the coefficients are ints (1 per string term,
-    2g - 2 + ell for the dilaton, d and 1 for the divisor), and
-    zero-coefficient terms are dropped, so an identically vanishing
-    reduction returns [].  slot is the (index, which) pair that
-    _removable_slot picks for the key, when the caller has it already.
-    Raises SolverError for a target that is not a projective space, and
-    AxiomPreconditionError when no removable insertion exists or the
-    stripped invariant would be unstable at degree 0.
+    input key's value; the coefficients are ints, and zero-coefficient
+    terms are dropped, so an identically vanishing reduction returns [].
+    A complex key takes 1 per string term, 2g - 2 + ell for the dilaton,
+    d and 1 for the divisor.  A real key differs only in its constants: a
+    string insertion kills it (the step returns []), the dilaton carries
+    2(g - 1 + ell), and the divisor, which must carry a minus-eigenspace
+    class, d and 2.  slot is the (index, which) pair that _removable_slot
+    picks for the key, when the caller has it already.  Raises
+    SolverError for a target that is not a projective space (of odd
+    dimension, for a real key), and AxiomPreconditionError when no
+    removable insertion exists, a real divisor is in the plus eigenspace,
+    or the stripped invariant would be unstable at degree 0 (complex:
+    g = 0 with two insertions left; real: g + ell <= 1).
     """
-    _require_projective(target)
+    real = key.kind == REAL
+    (_require_real_target if real else _require_projective)(target)
     idx, which = slot or _removable_slot(key)
     if which is None:
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
+    if real and which == "string":
+        return []
+    if (real and which == "divisor"
+            and target.sign(key.insertions[idx][1]) != -1):
+        raise AxiomPreconditionError(
+            "divisor reduction needs a minus-eigenspace class")
     rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
     g, d = key.genus, key.degree
     ell = len(rest)
-    if d == 0 and (g, ell) == (0, 2):
+    if d == 0 and (g + ell <= 1 if real else (g, ell) == (0, 2)):
         raise AxiomPreconditionError(
             "stripping from %r leaves an unstable degree-0 configuration" % (key,))
     out = []
@@ -584,12 +616,12 @@ def reduce_axioms(key, target, slot=None):
                 ins[i] = (a - 1, b)
                 out.append((1, ins))
     elif which == "dilaton":
-        coeff = 2 * g - 2 + ell
+        coeff = 2 * g - 2 + ell + (ell if real else 0)
         if coeff:
             out.append((coeff, rest))
     else:  # divisor
-        out = _divisor_terms(target, d, rest, 1)
-    return _combine((c, normalize(target, COMPLEX, g, d, ins))
+        out = _divisor_terms(target, d, rest, 2 if real else 1)
+    return _combine((c, normalize(target, key.kind, g, d, ins))
                     for c, ins in out)
 
 
@@ -875,10 +907,11 @@ class _Session:
     of keys (value, over one step of a key's route in _recompute), and the
     block-solve driver (_ensure).  A subclass sets ``kind``, the
     provenance tag and wording of its relations (``_provenance``,
-    ``_relations``) and supplies the seed (``_seed``), the relation tuples
-    of a block (_block_tuples) and the terms of one (_relation_terms), the
-    degree-0 rule (_degree_zero_value) and the descendant route
-    (_descendant_value).  The shared bodies reach value,
+    ``_relations``) and of its recursion (``_recursion``) and supplies the
+    seed (``_seed``), the relation tuples of a block (_block_tuples) and
+    the terms of one (_relation_terms), the degree-0 rule
+    (_degree_zero_value) and the value of a descendant key by its
+    recursion (_recursion_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
     time, and each subclass binds value, relation_residual and _ensure
     (as ensure_primary or ensure_real) in its own class body, so each can
@@ -964,15 +997,20 @@ class _Session:
         session's theory from one step of its route, reading lower keys
         through value but never the key's own entry; the provenance is
         None when nothing is stored (a structural zero, or a real
-        degree-0 key).  verify's grading suite rechecks stored entries
-        with it."""
+        degree-0 key).  A descendant key takes one axiom step where
+        _axiom_route allows it, else the session's recursion.  verify's
+        grading suite rechecks stored entries with it."""
         if _FILTER[self.kind](key, self.target) is not None:
             return Fraction(0), None
         if key.degree == 0:
             return (self._degree_zero_value(key.insertions),
                     "classical" if self.kind == COMPLEX else None)
         if key.total_descendant_power():
-            return self._descendant_value(key)
+            slot = _axiom_route(key, self.target)
+            if slot:
+                return (evaluate_terms(reduce_axioms(key, self.target, slot),
+                                       self.value), "axiom-reduction")
+            return self._recursion_value(key), self._recursion
         return (self.primary_value(key.degree,
                                    [b for _, b in key.insertions]),
                 "axiom-reduction")
@@ -985,6 +1023,7 @@ class ComplexSession(_Session):
     kind = COMPLEX
     _provenance = "wdvv"
     _relations = "exchange relations"
+    _recursion = "trr"
     value = _Session.value
     relation_residual = _Session.relation_residual
     ensure_primary = _Session._ensure
@@ -1068,19 +1107,13 @@ class ComplexSession(_Session):
         """The closed form of a degree-0 key (degree_zero_value)."""
         return degree_zero_value(self.target, insertions)
 
-    def _descendant_value(self, key):
-        """Value and provenance of a descendant key: one string, dilaton
-        or divisor step where _axiom_route allows it, else the
-        topological recursion (one-point keys lifted by the string
-        relation first)."""
-        slot = _axiom_route(key, self.target)
-        if slot:
-            return (evaluate_terms(reduce_axioms(key, self.target, slot),
-                                   self.value), "axiom-reduction")
+    def _recursion_value(self, key):
+        """The topological recursion's value of a descendant key, a
+        one-point key lifted by the string relation first."""
         if key.num_insertions == 1:
-            return self.value(lift_one_point(key)), "trr"
-        return (evaluate_products(reduce_descendant_trr(key, self.target),
-                                  self.value), "trr")
+            return self.value(lift_one_point(key))
+        return evaluate_products(reduce_descendant_trr(key, self.target),
+                                 self.value)
 
 
 def lift_one_point(key):
@@ -1114,16 +1147,12 @@ def reduce_descendant_trr(key, target):
     factors a tuple of 1-2 canonical keys.
     """
     _require_projective(target)
-    if key.genus != 0:
-        raise AxiomPreconditionError("descendant reduction is genus-0 only")
+    i_slot = _recursion_slot(key)
     d = key.degree
-    if d < 1:
-        raise AxiomPreconditionError("descendant reduction needs degree >= 1")
     ins = key.insertions
     ell = len(ins)
     if ell < 2:
         raise AxiomPreconditionError("descendant reduction needs >= 2 insertions")
-    i_slot = _first_descendant_slot(key)
     j_slot = None
     pt = target.num_basis
     for idx, (a, b) in enumerate(ins):

@@ -14,22 +14,25 @@ term pairs a real factor with a fully known complex factor, weighted by
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
-filter (vdim_real, filter_real), the primary unknowns, the session
+filter (vdim_real, filter_real), the target check (_require_real_target:
+an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
-ensure_real), the block-solve skeleton, the split class and the
-relation-row builder are the ones complex_solver keeps for both
-theories; this module supplies the relation tuples of a real block
-(rwdvv_instances, after the complex table is extended to half the
-degree), the real relation terms, in which the grading of the complex
-side picks the diagonal term and pins its degree d' per split, and the
-real degree-0 rule (the invariant is 0 and is not stored).  Descendant
-invariants reduce axiom-first, as in the complex theory: a key with >= 3
-insertions and a dilaton or minus-eigenspace divisor insertion takes one
-such step (reduce_real_axioms; a string insertion kills the invariant),
-any other goes through the real topological recursion
-(reduce_descendant_rtrr), whose leading term slides a divisor onto the
-descendant slot with weight -2.  The rtrr-cross suite compares one step
-of each route over the same lower values.
+ensure_real, and whose descendant route it shares), the block-solve
+skeleton, the axiom step, the split class and the relation-row builder
+are the ones complex_solver keeps for both theories; this module
+supplies the relation tuples of a real block (rwdvv_instances, after the
+complex table is extended to half the degree), the real relation terms,
+in which the grading of the complex side picks the diagonal term and
+pins its degree d' per split, the real degree-0 rule (the invariant is 0
+and is not stored) and the real recursion.  Descendant invariants reduce
+axiom-first, as in the complex theory: a key with >= 3 insertions and a
+dilaton or minus-eigenspace divisor insertion takes one such step
+(complex_solver.reduce_axioms with the real constants; a string
+insertion kills the invariant), any other goes through the real
+topological recursion (reduce_descendant_rtrr), whose leading term
+slides a divisor onto the descendant slot with weight -2.  The
+rtrr-cross suite compares one step of each route over the same lower
+values.
 """
 
 from __future__ import annotations
@@ -37,60 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .invariant_store import REAL, COMPLEX, InvariantKey, normalize
-from .complex_solver import (ComplexSession, SolverError, AxiomPreconditionError,
-                             InconsistentSystemError, _Session, _axiom_route,
-                             _combine, _divisor_terms, _first_descendant_slot,
-                             _multisets_exact, _removable_slot,
-                             _require_projective, _split_class,
+from .complex_solver import (ComplexSession, SolverError,
+                             InconsistentSystemError, _Session, _combine,
+                             _multisets_exact, _recursion_slot,
+                             _require_real_target, _split_class,
                              _strip_primary, _grouped_splits, evaluate_terms)
-
-
-def _require_real_target(target):
-    _require_projective(target)
-    if target.complex_dim % 2 == 0:
-        raise SolverError(
-            "real solver needs odd complex dimension (degree doubling); "
-            "%s has complex dimension %d" % (target.name, target.complex_dim))
-
-
-# ---------------------------------------------------------------------------
-# axiom reductions (R3 string, R4 dilaton, R5 divisor)
-
-
-def reduce_real_axioms(key, target, slot=None):
-    """One-step string/dilaton/divisor reduction of a real key.
-
-    Returns (coefficient, key) pairs with int coefficients; the string
-    case (a tau_0(unit) insertion) annihilates the invariant and returns
-    [].  The dilaton case carries 2(g - 1 + ell).  The divisor case
-    requires a minus-eigenspace degree-2 class and carries the factor-2
-    descendant corrections.  slot is the (index, which) pair that
-    _removable_slot picks for the key, when the caller has it already.
-    """
-    _require_real_target(target)
-    idx, which = slot or _removable_slot(key)
-    if which is None:
-        raise AxiomPreconditionError("no removable insertion in %r" % (key,))
-    if which == "string":
-        return []
-    if which == "divisor" and target.sign(key.insertions[idx][1]) != -1:
-        raise AxiomPreconditionError(
-            "divisor reduction needs a minus-eigenspace class")
-    rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
-    g, d = key.genus, key.degree
-    ell = len(rest)
-    if d == 0 and g + ell <= 1:
-        raise AxiomPreconditionError(
-            "stripping from %r leaves an ineffective degree-0 configuration"
-            % (key,))
-    out = []
-    if which == "dilaton":
-        coeff = 2 * (g - 1 + ell)
-        if coeff:
-            out.append((coeff, rest))
-    else:  # divisor
-        out = _divisor_terms(target, d, rest, 2)
-    return _combine((c, normalize(target, REAL, g, d, ins)) for c, ins in out)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +141,7 @@ class RealSession(_Session):
     kind = REAL
     _provenance = "rwdvv"
     _relations = "real exchange relations"
+    _recursion = "rtrr"
     value = _Session.value
     relation_residual = _Session.relation_residual
     ensure_real = _Session._ensure
@@ -248,17 +203,9 @@ class RealSession(_Session):
         dimension for ell >= 2 (ell <= 1 fails effectivity)."""
         return Fraction(0)
 
-    def _descendant_value(self, key):
-        """Value and provenance of a descendant key: one dilaton or
-        divisor step where _axiom_route allows it, else the real
-        topological recursion."""
-        slot = _axiom_route(key, self.target)
-        if slot:
-            return (evaluate_terms(reduce_real_axioms(key, self.target,
-                                                      slot),
-                                   self.value), "axiom-reduction")
-        return (evaluate_terms(reduce_descendant_rtrr(key, self),
-                               self.value), "rtrr")
+    def _recursion_value(self, key):
+        """The real topological recursion's value of a descendant key."""
+        return evaluate_terms(reduce_descendant_rtrr(key, self), self.value)
 
 
 def reduce_descendant_rtrr(key, session):
@@ -284,13 +231,9 @@ def reduce_descendant_rtrr(key, session):
     """
     target = session.target
     _require_real_target(target)
-    if key.genus != 0:
-        raise AxiomPreconditionError("descendant reduction is genus-0 only")
+    i_slot = _recursion_slot(key)
     d = key.degree
-    if d < 1:
-        raise AxiomPreconditionError("descendant reduction needs degree >= 1")
     ins = key.insertions
-    i_slot = _first_descendant_slot(key)
     a_i, b_i = ins[i_slot]
     others = [ins[idx] for idx in range(len(ins)) if idx != i_slot]
     terms = []

@@ -20,7 +20,7 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    lift_one_point, reduce_axioms,
                                    reduce_descendant_trr, vdim_real)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
-                                reduce_real_axioms, rwdvv_instances)
+                                rwdvv_instances)
 from gwcalc.potentials import (build_potentials, residual_dilaton_complex,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
@@ -196,7 +196,7 @@ def test_criterion_7_descendant_reductions_agree():
     for d in (1, 2):
         for key in _descendant_keys(p3, REAL, d, 4, 2):
             try:
-                terms = reduce_real_axioms(key, p3)
+                terms = reduce_axioms(key, p3)
             except AxiomPreconditionError:
                 continue
             via_axiom = sum((c * rs.value(k) for c, k in terms), Fraction(0))

@@ -610,22 +610,28 @@ def test_values_stay_fractions(capsys, monkeypatch, argv):
     assert {type(v) for v in returned + stored} == {Fraction}
 
 
-@pytest.mark.parametrize("argv", [
-    ("--target", "P2", "--suite", "rwdvv"),
-    ("--target", "P2", "--suite", "rtrr-cross"),
-    ("--target", "P2", "--max-degree", "0"),
-    ("--target", "P2", "--max-degree", "0", "--suite", "trr-cross"),
-    ("--target", "P3-tau", "--max-degree", "0"),
-    ("--target", "P3-tau", "--max-degree", "0", "--suite", "rtrr-cross"),
+@pytest.mark.parametrize("argv, message", [
+    (("--target", "P2", "--suite", "rwdvv"),
+     "suite rwdvv needs a target of odd complex dimension"),
+    (("--target", "P2", "--suite", "rtrr-cross"),
+     "suite rtrr-cross needs a target of odd complex dimension"),
+    (("--target", "P2", "--max-degree", "0"), None),
+    (("--target", "P2", "--max-degree", "0", "--suite", "trr-cross"), None),
+    (("--target", "P3-tau", "--max-degree", "0"), None),
+    (("--target", "P3-tau", "--max-degree", "0", "--suite", "rtrr-cross"),
+     None),
 ], ids=["P2-rwdvv", "P2-rtrr-cross", "P2-d0-all", "P2-d0-trr-cross",
         "P3-tau-d0-all", "P3-tau-d0-rtrr-cross"])
-def test_verify_with_nothing_to_check_exits_2(capsys, argv):
-    # a real suite needs an odd-dimensional target, and no relation or
-    # recursion exists below degree 1
+def test_verify_with_nothing_to_check_exits_2(capsys, argv, message):
+    # a real suite needs an odd-dimensional target (the message names the
+    # suite: verify has no --real flag), and no relation or recursion
+    # exists below degree 1
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    if message is not None:
+        assert err == "error: %s\n" % message
 
 
 def test_verify_tampered_cache_fails(capsys, tmp_path):

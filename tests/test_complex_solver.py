@@ -13,8 +13,8 @@ from gwcalc import complex_solver
 from gwcalc.graded_algebra import (_projective_space, builtin_target,
                                    builtin_target_names, make_p2,
                                    make_projective)
-from gwcalc.invariant_store import (COMPLEX, InvariantKey, InvariantTable,
-                                    StoreConflictError)
+from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
+                                    InvariantTable, StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    _grouped_splits, _relation_row,
@@ -271,6 +271,14 @@ def test_reduce_axioms_refuses_non_projective_target(torus):
     with pytest.raises(SolverError, match="projective") as info:
         reduce_axioms(k, torus)
     assert not isinstance(info.value, AxiomPreconditionError)
+    # a real key needs an odd projective space: P2 is refused for its
+    # dimension and the torus for its ring, before any slot is read
+    real = InvariantKey(REAL, 0, 1, k.insertions)
+    for target, reason in ((make_p2(), "odd complex dimension"),
+                           (torus, "projective")):
+        with pytest.raises(SolverError, match=reason) as info:
+            reduce_axioms(real, target)
+        assert not isinstance(info.value, AxiomPreconditionError)
 
 
 def test_reduce_descendant_trr_terms_are_smaller(p2):

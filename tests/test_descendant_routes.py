@@ -6,6 +6,7 @@ evaluator that uses the recursion alone, and check the provenance tags."""
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
@@ -19,10 +20,10 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    lift_one_point, reduce_axioms,
                                    reduce_descendant_trr)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
-from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey, normalize
+from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey, normalize,
+                                    real_insertion_vanishes)
 from gwcalc.potentials import build_potential
-from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
-                                reduce_real_axioms)
+from gwcalc.real_solver import RealSession, reduce_descendant_rtrr
 
 
 def trr_only_complex(target):
@@ -147,13 +148,12 @@ def test_axiom_step_given_its_slot_matches_its_own_search(name):
     kinds = (COMPLEX, REAL) if target.complex_dim % 2 else (COMPLEX,)
     checked = Counter()
     for kind in kinds:
-        step = reduce_axioms if kind == COMPLEX else reduce_real_axioms
         for key in _keys(target, kind, 3, 5):
             slot = _axiom_route(key, target)
             if slot is None:
                 continue
-            want = step(key, target)
-            got = step(key, target, slot)
+            want = reduce_axioms(key, target)
+            got = reduce_axioms(key, target, slot)
             assert ([(type(c), c, k) for c, k in got]
                     == [(type(c), c, k) for c, k in want]), key
             checked[kind, slot[1]] += 1
@@ -161,6 +161,83 @@ def test_axiom_step_given_its_slot_matches_its_own_search(name):
     assert checked[COMPLEX, "divisor"]
     assert len(kinds) == 1 or (checked[REAL, "dilaton"]
                                and checked[REAL, "divisor"])
+
+
+def reference_axiom_step(key, target):
+    """One string, dilaton or divisor step written out from the axioms,
+    for a key of either theory on an odd projective space.  The slot is
+    the first tau_0(1), else tau_1(1), else tau_0(h).  The real theory
+    differs only in its constants: a string insertion kills the
+    invariant, the dilaton carries 2(g - 1 + ell) rather than
+    2g - 2 + ell, the divisor's descendant terms weigh 2 rather than 1,
+    a divisor needs a minus-eigenspace class, and degree 0 is refused
+    for g + ell <= 1 rather than (g, ell) = (0, 2)."""
+    real = key.kind == REAL
+    for slot, which in (((0, 1), "string"), ((1, 1), "dilaton"),
+                        ((0, 2), "divisor")):
+        if slot in key.insertions:
+            break
+    else:
+        raise AxiomPreconditionError("no removable insertion")
+    if real and which == "string":
+        return []
+    if real and which == "divisor" and target.sign(2) != -1:
+        raise AxiomPreconditionError("plus-eigenspace divisor")
+    rest = list(key.insertions)
+    rest.remove(slot)
+    g, d, ell = key.genus, key.degree, len(rest)
+    if d == 0 and (g + ell <= 1 if real else (g, ell) == (0, 2)):
+        raise AxiomPreconditionError("degree 0")
+
+    def lowered(i, b):
+        return rest[:i] + [(rest[i][0] - 1, b)] + rest[i + 1:]
+
+    if which == "string":
+        terms = [(1, lowered(i, b)) for i, (a, b) in enumerate(rest) if a]
+    elif which == "dilaton":
+        terms = [(2 * g - 2 + ell + (ell if real else 0), rest)]
+    else:
+        terms = [(d, rest)] + [
+            (2 if real else 1, lowered(i, b + 1))
+            for i, (a, b) in enumerate(rest)
+            if a and b < target.num_basis]
+    sums = {}
+    for coeff, ins in terms:
+        if real and any(real_insertion_vanishes(target, a, b)
+                        for a, b in ins):
+            continue
+        k = InvariantKey(key.kind, g, d, sorted(ins))
+        sums[k] = sums.get(k, 0) + coeff
+    return sorted(((c, k) for k, c in sums.items() if c),
+                  key=lambda t: t[1].sort_key())
+
+
+@pytest.mark.parametrize("name, count", [
+    ("P1-tau", 1008), ("P3-tau", 5460), ("P5-tau", 15960),
+])
+def test_axiom_step_matches_the_axioms(name, count):
+    """The axiom step of both theories gives the reference's (coefficient,
+    key) list, or raises the same exception type, on every key of genus
+    0 and 1, degree 0-2 and at most 3 insertions of depth <= 2."""
+    target = builtin_target(name)
+    variables = [(a, b) for a in range(3)
+                 for b in range(1, target.num_basis + 1)]
+
+    def outcome(step, key):
+        try:
+            return step(key, target)
+        except SolverError as exc:
+            return type(exc)
+
+    cases = 0
+    for kind, genus, d, ell in product((COMPLEX, REAL), (0, 1), range(3),
+                                       range(4)):
+        for ins in combinations_with_replacement(variables, ell):
+            key = InvariantKey(kind, genus, d, ins)
+            assert (outcome(reduce_axioms, key)
+                    == outcome(reference_axiom_step, key)), key
+            cases += 1
+    assert cases == count
 
 
 def test_descendant_provenance_names_the_route(p2, p3):
@@ -301,10 +378,8 @@ def _produced_keys(target, max_degree, max_insertions):
                     ins = list(key.insertions)
                     rng.shuffle(ins)
                     out.append(normalize(target, kind, 0, d, ins))
-                    axiom_step = (reduce_axioms if kind == COMPLEX
-                                  else reduce_real_axioms)
                     try:
-                        out.extend(k for _c, k in axiom_step(key, target))
+                        out.extend(k for _c, k in reduce_axioms(key, target))
                     except AxiomPreconditionError:
                         pass
                     if d == 0 or not key.total_descendant_power():

@@ -11,10 +11,9 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    UnderdeterminedError, _combine,
                                    _grouped_splits, _strip_primary,
-                                   filter_real, vdim_real)
+                                   filter_real, reduce_axioms, vdim_real)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
-                                reduce_real_axioms, rwdvv_instances,
-                                rwdvv_relation)
+                                rwdvv_instances, rwdvv_relation)
 
 
 def rkey(d, ins, genus=0):
@@ -183,34 +182,34 @@ def test_frozen_real_descendants(p3_sessions):
 
 def test_reduce_real_axioms_string(p3):
     k = rkey(1, [(0, 1), (1, 3), (0, 4)])
-    assert reduce_real_axioms(k, p3) == []
+    assert reduce_axioms(k, p3) == []
 
 
 def test_reduce_real_axioms_dilaton(p3):
     # 2(g - 1 + ell) = 0 with one remaining point: term drops
     k = rkey(1, [(1, 1), (0, 4)])
-    assert reduce_real_axioms(k, p3) == []
+    assert reduce_axioms(k, p3) == []
     k = rkey(1, [(1, 1), (0, 4), (0, 4)])
-    terms = reduce_real_axioms(k, p3)
+    terms = reduce_axioms(k, p3)
     assert terms == [(Fraction(2), rkey(1, [(0, 4), (0, 4)]))]
 
 
 def test_reduce_real_axioms_divisor(p3):
     k = rkey(2, [(0, 2), (0, 4), (0, 4)])
-    terms = reduce_real_axioms(k, p3)
+    terms = reduce_axioms(k, p3)
     assert terms == [(Fraction(2), rkey(2, [(0, 4), (0, 4)]))]
     # descendant correction carries a factor 2 and cups into h^3
     k = rkey(1, [(0, 2), (1, 3)])
-    terms = dict((kk, c) for c, kk in reduce_real_axioms(k, p3))
+    terms = dict((kk, c) for c, kk in reduce_axioms(k, p3))
     assert terms[rkey(1, [(1, 3)])] == 1
     assert terms[rkey(1, [(0, 4)])] == 2
 
 
 def test_reduce_real_axioms_preconditions(p3):
     with pytest.raises(AxiomPreconditionError):
-        reduce_real_axioms(rkey(1, [(0, 4)]), p3)
+        reduce_axioms(rkey(1, [(0, 4)]), p3)
     with pytest.raises(AxiomPreconditionError):
-        reduce_real_axioms(rkey(0, [(1, 1), (0, 4)]), p3)
+        reduce_axioms(rkey(0, [(1, 1), (0, 4)]), p3)
 
 
 def test_reduce_descendant_rtrr_terms_are_smaller(p3_sessions):
