@@ -691,6 +691,9 @@ def main(argv=None):
     except UsageError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
+    except RecursionError:
+        sys.stderr.write("error: key too deep for Python's recursion limit\n")
+        return EXIT_USAGE
     except UnderdeterminedError as e:
         sys.stderr.write("underdetermined: %s\n" % e)
         return EXIT_UNDERDETERMINED

@@ -61,7 +61,7 @@ For each split of a relation the grading picks the diagonal term and
 the curve degree of the first factor (that of the second follows), so
 only that one term is evaluated; the structural part of each factor is
 memoized per session by shape, while its value is always read from the
-live table.  The oracle wdvv_relation tries every term and degree.
+live table.
 """
 
 from __future__ import annotations
@@ -464,30 +464,6 @@ def degree_zero_value(target, insertions):
     return Fraction(coeff)
 
 
-def psi_multinomial_recursive(powers):
-    """Pure psi-class integrals on the genus-0 curve moduli via string.
-
-    Independent oracle for the degree-zero closed form:
-    <tau_{a_1}...tau_{a_ell}> with sum a = ell-3, computed only from
-    <tau_0^3> = 1 and the string relation (drop one tau_0, lower each
-    positive power in turn).
-    """
-    powers = tuple(sorted(powers))
-    ell = len(powers)
-    if ell < 3 or sum(powers) != ell - 3:
-        return 0
-    if ell == 3:
-        return 1
-    if powers[0] != 0:
-        return 0
-    rest = powers[1:]
-    total = 0
-    for i, a in enumerate(rest):
-        if a >= 1:
-            total += psi_multinomial_recursive(rest[:i] + (a - 1,) + rest[i + 1:])
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the independent plane-curve oracle
 
@@ -737,61 +713,6 @@ def reconstruction_tuples(unknowns):
             for a, b in combinations(range(len(others)), 2):
                 rest = others[:a] + others[a + 1:b] + others[b + 1:]
                 yield (others[a], others[b], 2, gi - 1) + tuple(rest)
-
-
-def wdvv_relation(target, mu, degree):
-    """Expand one four-point exchange relation into product terms.
-
-    ``mu`` is a tuple of >= 4 basis indices with slots 1-4 distinguished;
-    the relation equates the two node-degenerations pairing slots (1,2)
-    against (3,4) and (1,3) against (2,4).  The returned list contains
-    (coefficient, factors) terms summing to zero, where ``factors`` is a
-    tuple of at most two canonical keys; degree-0 factor values are
-    folded into the coefficient (unstable ones drop the term).  In the
-    degree-ordered solve at most one factor per term is ever unknown.
-    Slots 5.. split over the two sides in all 2**k orders, ungrouped, and
-    every diagonal term and degree split is tried, so this route shares
-    neither _grouped_splits nor _split_class with the relation rows.
-    """
-    _require_projective(target)
-    mu = tuple(int(m) for m in mu)
-    if len(mu) < 4:
-        raise ValueError("an exchange relation needs at least 4 insertions")
-    for b in mu:
-        if not 1 <= b <= target.num_basis:
-            raise ValueError("basis index out of range: %d" % b)
-    terms = []
-    diag = target.diagonal_decomposition()
-    for side, (pa, pb) in (((1), ((0, 1), (2, 3))), ((-1), ((0, 2), (1, 3)))):
-        for pick in range(1 << (len(mu) - 4)):
-            ins_i = [mu[pa[0]], mu[pa[1]]]
-            ins_j = [mu[pb[0]], mu[pb[1]]]
-            for t, b in enumerate(mu[4:]):
-                (ins_i if pick >> t & 1 else ins_j).append(b)
-            for d1 in range(degree + 1):
-                d2 = degree - d1
-                for gcoeff, (ei, ej) in diag:
-                    coeff = side * gcoeff
-                    factors = []
-                    dead = False
-                    for d_f, ins in ((d1, ins_i + [ei]), (d2, [ej] + ins_j)):
-                        if d_f == 0:
-                            if len(ins) < 3:
-                                dead = True
-                                break
-                            val = degree_zero_value(
-                                target, [(0, b) for b in ins])
-                            if not val:
-                                dead = True
-                                break
-                            coeff *= val
-                        else:
-                            factors.append(normalize(
-                                target, COMPLEX, 0, d_f, [(0, b) for b in ins]))
-                    if dead:
-                        continue
-                    terms.append((Fraction(coeff), tuple(factors)))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -1054,14 +975,14 @@ class ComplexSession(_Session):
     def _relation_terms(self, mu, d):
         """Yield the (coefficient, keys) terms of one relation instance.
 
-        Equivalent to wdvv_relation, but once per distinct split of the
-        other insertions, with its weight, for both sides of the relation
-        (_grouped_splits; all basis degrees are even, so grouping loses no
-        sign), and only with the diagonal term and first-factor degree d1
-        the grading leaves (_split_class), when d1 is in [0, d].  A factor
-        whose memoized shape vanishes drops the term; otherwise its
-        multiplier folds into the coefficient and its key, if any, joins
-        the keys.
+        Each side (slots (1,2) against (3,4), then (1,3) against (2,4))
+        comes once per distinct split of the other insertions, with its
+        weight (_grouped_splits; all basis degrees are even, so grouping
+        loses no sign), and only with the diagonal term and first-factor
+        degree d1 the grading leaves (_split_class), when 0 <= d1 <= d.
+        A factor whose memoized shape vanishes drops the term; otherwise
+        its multiplier folds into the coefficient and its key, if any,
+        joins the keys.
         """
         target = self.target
         shapes = self._shapes

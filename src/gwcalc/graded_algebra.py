@@ -37,11 +37,11 @@ class TargetValidationError(ValueError):
     """Raised when target ring data violates a structural requirement."""
 
 
-# Everything TargetSpace.from_json raises on malformed data: a missing
+# Everything TargetSpace.loads raises on malformed data: a missing
 # field, a wrong JSON type, an unparsable number or a zero denominator,
-# and TargetValidationError (a ValueError).
+# TargetValidationError (a ValueError), and JSON nested too deep.
 TARGET_DATA_ERRORS = (KeyError, TypeError, ValueError, IndexError,
-                      ZeroDivisionError)
+                      ZeroDivisionError, RecursionError)
 
 
 class TargetSpace:

@@ -373,7 +373,7 @@ def read_cache_json(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise StoreFormatError("%s is not a JSON file: %s" % (path, e))
     if not isinstance(data, dict):
         raise StoreFormatError("%s does not hold a JSON object" % path)

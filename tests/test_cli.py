@@ -776,3 +776,62 @@ def test_cache_clear_refuses_foreign_files(capsys, tmp_path):
     code, out, err = run(capsys, "cache", "clear", "--cache", str(cache))
     assert code == 0 and out == "cache cleared\n"
     assert not os.path.exists(cache)
+
+
+DEEP = 200000
+
+
+@pytest.mark.parametrize("text", [
+    "[" * DEEP + "]" * DEEP,
+    '{"schema": 1, "entries": ' + "[" * DEEP + "]" * DEEP + "}"],
+    ids=["array", "schema-object"])
+def test_deeply_nested_json_gets_one_line(capsys, tmp_path, text):
+    """JSON nested too deep for the parser is a corrupt cache (exit 3,
+    and cache clear keeps the file) or a bad target file (exit 2), with
+    one line on stderr and no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for command in (("cache", "show"), ("cache", "export"),
+                    ("cache", "clear"),
+                    ("compute", "--target", "P2", "--max-degree", "1"),
+                    ("verify", "--target", "P2", "--max-degree", "1")):
+        code, out, err = run(capsys, *command, "--cache", str(path))
+        assert (code, out) == (3, ""), command
+        assert err.startswith("inconsistent: %s is not a JSON file: "
+                              % path), command
+        assert err.count("\n") == 1, command
+        assert path.read_text() == text
+    code, out, err = run(capsys, "compute", "--target-file", str(path),
+                         "--max-degree", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad target file: RecursionError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("degree, spec", [
+    ("1", ",".join(["1:1"] * 298 + ["pt", "pt"])),
+    ("120", "358:pt")], ids=["300-insertions", "descendant-power-358"])
+def test_too_deep_a_key_exits_2(capsys, degree, spec):
+    """Evaluation recurses once per insertion or psi power it removes, so
+    300 insertions, or one insertion of descendant power 358, are refused
+    with one line instead of a traceback."""
+    code, out, err = run(capsys, "compute", "--target", "P2", "--degree",
+                         degree, "--insertions", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: key too deep for Python's recursion limit\n"
+
+
+def test_verify_of_a_too_deep_stored_key_exits_2(capsys, tmp_path):
+    """verify recomputes every stored entry, so a cache holding a key too
+    deep to evaluate gets the same one line, and is left as it was."""
+    table = InvariantTable(make_p2())
+    deep = InvariantKey(COMPLEX, 0, 1, [(0, 3), (0, 3)] + [(1, 1)] * 298)
+    table.put(deep, Fraction(1), "axiom-reduction")
+    cache = tmp_path / "deep-key.json"
+    table.save(str(cache))
+    text = cache.read_text()
+    code, out, err = run(capsys, "verify", "--target", "P2",
+                         "--max-degree", "1", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == "error: key too deep for Python's recursion limit\n"
+    assert cache.read_text() == text

@@ -1,5 +1,6 @@
 """Complex-side recursions: primary counts, descendants, relations."""
 
+import ast
 import itertools
 import math
 import random
@@ -21,11 +22,13 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    _split_class, _sub_multisets_4,
                                    degree_zero_value, evaluate_products,
                                    evaluate_terms,
-                                   filter_complex, key_degree_sum,
-                                   kontsevich_p2, psi_multinomial_recursive,
-                                   reduce_axioms, reduce_descendant_trr,
-                                   vdim_complex, wdvv_instances,
-                                   wdvv_relation)
+                                   filter_complex, graded_keys,
+                                   insertion_variables, key_degree_sum,
+                                   kontsevich_p2, reduce_axioms,
+                                   reduce_descendant_trr, vdim_complex,
+                                   wdvv_instances)
+from oracles import (one_point_series_coeffs, psi_multinomial_recursive,
+                     wdvv_relation)
 
 
 def key(d, ins, genus=0):
@@ -165,36 +168,28 @@ def test_p5_line_counts():
     assert cs.value(key(1, [(0, 6), (0, 4), (0, 4)])) == 1
 
 
-def one_point_series_coeffs(n, d):
-    """Independent one-point descendant oracle.
-
-    Expands prod_{m=1..d} (h + m)^(-(n+1)) modulo h^(n+1) with exact
-    binomial series; the h^c coefficient equals
-    <tau_{(n+1)d + c - 2}(h^(n-c))>_{0,d}.
-    """
-    poly = [Fraction(0)] * (n + 1)
-    poly[0] = Fraction(1)
-    for m in range(1, d + 1):
-        factor = [Fraction((-1) ** k * math.comb(n + k, k),
-                           m ** (n + 1 + k)) for k in range(n + 1)]
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            if not poly[i]:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += poly[i] * factor[j]
-        poly = out
-    return poly
-
-
-def test_one_point_descendants_match_series(p2_session, p3_sessions):
-    for session, n in ((p2_session, 2), (p3_sessions[0], 3)):
-        for d in (1, 2):
+def test_one_point_descendants_match_series():
+    """Every genus-0 one-point key of P2 d <= 4, P3-tau d <= 6, P5-tau
+    d <= 2 and P7-tau d <= 2 against Givental's J-function, a route that
+    shares neither the string lift nor the recursion."""
+    checked = 0
+    for name, max_degree in (("P2", 4), ("P3-tau", 6), ("P5-tau", 2),
+                             ("P7-tau", 2)):
+        target = builtin_target(name)
+        n = target.complex_dim
+        session = ComplexSession(target)
+        variables = insertion_variables(target, COMPLEX,
+                                        (n + 1) * max_degree + n - 2)
+        for d in range(1, max_degree + 1):
             coeffs = one_point_series_coeffs(n, d)
-            for c in range(n + 1):
-                a = (n + 1) * d + c - 2
-                k = key(d, [(a, n - c + 1)])
-                assert session.value(k) == coeffs[c], (n, d, c)
+            want = {((n + 1) * d + c - 2, n - c + 1): coeffs[c]
+                    for c in range(n + 1)}
+            keys = list(graded_keys(target, COMPLEX, d, 1, variables))
+            assert sorted(k.insertions[0] for k in keys) == sorted(want)
+            for k in keys:
+                assert session.value(k) == want[k.insertions[0]], k
+                checked += 1
+    assert checked == 64
 
 
 def test_one_point_descendants_frozen(p2_session, p3_sessions):
@@ -422,6 +417,33 @@ def test_wdvv_oracle_needs_no_grouped_step(p3_sessions, monkeypatch):
             assert d == 3 or evaluate_products(terms, cs.value) == 0, mu
             checked += 1
     assert checked == 3 + 43 + 111
+
+
+def test_oracles_import_no_private_name():
+    """tests/oracles.py imports no private name of the package and reads
+    no private attribute, so an oracle cannot hold on to a fast-path
+    helper the monkeypatch above would miss."""
+    import oracles
+
+    with open(oracles.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, alias.name) for alias in node.names]
+    from_package = [(module, name) for module, name in imported
+                    if module.split(".")[0] == "gwcalc"]
+    assert from_package
+    private = [(module, name) for module, name in from_package
+               if any(part.startswith("_") for part in
+                      module.split(".") + name.split("."))]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")]
+    assert not private, private
 
 
 def _random_number(rng):

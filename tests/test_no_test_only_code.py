@@ -23,13 +23,8 @@ import gwcalc
 PACKAGE_DIR = os.path.dirname(os.path.abspath(gwcalc.__file__))
 
 ALLOWED = {
-    "wdvv_relation": "oracle: the ungrouped relation expansion the grouped "
-                     "relation rows are compared against",
     "kontsevich_p2": "oracle: the closed-form plane-curve recursion "
                      "checked against the generic solver",
-    "psi_multinomial_recursive": "oracle: the string-relation recursion "
-                                 "checked against the degree-zero closed "
-                                 "form",
     "koszul_sign_permutation": "acceptance criterion 8 promises the "
                                "permutation sign",
     "split_sign": "acceptance criterion 8 promises the block-split sign",
