@@ -82,8 +82,6 @@ class TargetSpace:
         self.degree_negation = int(degree_negation)
         self.euler_char = int(euler_char)
         self.fixed_locus_empty = bool(fixed_locus_empty)
-        self._pairing_inv = None
-        self._diag = None
         self._is_proj = None
         self._validate()
 
@@ -110,45 +108,14 @@ class TargetSpace:
         """Structure constants of e_i * e_j as a {k: Fraction} dict."""
         return self._mult[i - 1][j - 1]
 
-    def pairing_inverse(self):
-        """Inverse pairing matrix as nested lists, indexed from 0.
-
-        Raises TargetValidationError if the pairing is degenerate.
-        """
-        if self._pairing_inv is None:
-            self._pairing_inv = _invert_rational_matrix(self._pairing)
-            if self._pairing_inv is None:
-                raise TargetValidationError(
-                    "intersection pairing of %s is degenerate" % self.name)
-        return self._pairing_inv
-
-    def diagonal_decomposition(self):
-        """Diagonal class as a list of (coefficient, (i, j)) triples.
-
-        The coefficients are the inverse-pairing entries, so that
-        sum_{ij} g^{ij} e_i <e_j * x, X> = x for every class x.  Only
-        nonzero entries are listed, ordered by (i, j).
-        """
-        if self._diag is None:
-            inv = self.pairing_inverse()
-            out = []
-            n = self.num_basis
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    c = inv[i - 1][j - 1]
-                    if c:
-                        out.append((c, (i, j)))
-            self._diag = tuple(out)
-        return list(self._diag)
-
     def is_projective_space(self):
         """Structural check for the single-generator projective ring shape.
 
         True when the basis is 1, h, ..., h^n with n >= 1 and
         h^i * h^j = h^{i+j} (zero past the top), the pairing is the
         anti-diagonal unit matrix, and the curve constants match (c1 =
-        n+1, Euler characteristic n+1).  The solver modules only accept
-        such targets.
+        n+1, Euler characteristic n+1).  The solvers and the potentials
+        only accept such targets.
         """
         if self._is_proj is None:
             self._is_proj = self._projective_check()
@@ -349,29 +316,6 @@ class TargetSpace:
 
     def __repr__(self):
         return "TargetSpace(%s)" % self.name
-
-
-def _invert_rational_matrix(m):
-    """Exact inverse of a square Fraction matrix, or None if singular."""
-    n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def make_projective(m, involution):

@@ -42,8 +42,11 @@ The residual_* functions evaluate the differential equations satisfied by
 the potentials (string, dilaton, associativity PDEs and their real
 analogues) and return the residual restricted to the window where the
 truncated data determines it exactly; on a correct table every residual is
-the zero series.  Like the builder, they take an even basis only (and
-raise SeriesError otherwise), so none of them needs a Koszul sign:
+the zero series.  Like the builder, they take the targets a session
+takes -- P^n, and for the real ones P^n of odd n -- and raise
+SeriesError on any other, so each is written with the P^n rules: the
+basis is even, so none of them needs a Koszul sign, and e_j pairs with
+e_(n+2-j) at g^jk = 1:
 
 * the string and dilaton residuals make one pass over the potential's
   terms, the t dF sums becoming a shift of one factor or a count of
@@ -51,7 +54,7 @@ raise SeriesError otherwise), so none of them needs a Koszul sign:
 * both associativity residuals, complex and real, read their factors
   from one memo per series, kept on it -- each partial once per sorted
   index tuple, cut to the residual window -- and contract them through
-  one body (_contract, sum_jk g^jk L_{..j} R_{k..}); the complex memo
+  one body (_contract, sum_j L_{..j} R_{(n+2-j)..}); the complex memo
   also keeps each contraction F_abj F_kce once per unordered pair of
   sorted pairs.  Each residual has one entry point, called once per
   index tuple: every residual_wdvv_pde and residual_rwdvv_pde call on
@@ -320,13 +323,18 @@ class GradedSeries:
 # ----- building the potentials ---------------------------------------------
 
 
-def _require_even(target):
-    """Refuse a target with an odd basis class: the potentials and their
-    residuals are written sign-free, for an even basis only."""
-    for i in range(1, target.num_basis + 1):
-        if target.degree(i) % 2:
-            raise SeriesError(
-                "potentials need an even-degree basis; class %d is odd" % i)
+def _require_target(target, kind):
+    """Refuse a target a session of that kind refuses: the potentials and
+    their residuals are written with the P^n rules (an even basis, e_j
+    paired with e_(n+2-j) at g^jk = 1), and the real ones need odd n."""
+    if not target.is_projective_space():
+        raise SeriesError(
+            "potentials support single-generator projective targets only; "
+            "%s does not have that ring structure" % target.name)
+    if kind == REAL and target.complex_dim % 2 == 0:
+        raise SeriesError(
+            "real potentials need odd complex dimension (degree doubling); "
+            "%s has complex dimension %d" % (target.name, target.complex_dim))
 
 
 def build_potential(target, kind, value, truncation, depth=0, doubled=False):
@@ -346,9 +354,9 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
     Coefficient conventions: the coefficient of a complex monomial is the
     invariant divided by the product of variable-multiplicity factorials
     (equivalently, the sum over ordered insertion sequences carries 1/ell!);
-    real coefficients carry an extra 1/2 per insertion.  Every basis class
-    must be even, so the ordered-to-canonical monomial conversion is
-    sign-free.
+    real coefficients carry an extra 1/2 per insertion.  The target must
+    be P^n (of odd n for REAL), so every basis class is even and the
+    ordered-to-canonical monomial conversion is sign-free.
     """
     if not (isinstance(truncation, (tuple, list)) and len(truncation) == 2):
         raise SeriesError("truncation must be (t_max, q_max)")
@@ -358,7 +366,7 @@ def build_potential(target, kind, value, truncation, depth=0, doubled=False):
                           "integers, got %r and %r" % (truncation, depth))
     if depth < 0:
         raise SeriesError("descendant depth must be non-negative")
-    _require_even(target)
+    _require_target(target, kind)
     out = GradedSeries(target, t_max, q_max, depth=depth,
                        lam_power=-2 if kind == COMPLEX else -1)
     variables = insertion_variables(target, kind, depth)
@@ -437,7 +445,8 @@ def residual_string_complex(F):
     """Residual of the string equation on a complex potential.
 
     dF/dt_{0,1} minus the classical quadratic term (1/2) sum g_{ij} t_{0,i}
-    t_{0,j} minus sum_{a,i} t_{a+1,i} dF/dt_{a,i}, restricted to total
+    t_{0,j} (on P^n, over i + j = n + 2 at g_ij = 1) minus
+    sum_{a,i} t_{a+1,i} dF/dt_{a,i}, restricted to total
     t-degree <= t_max - 1 where the truncated data determines it exactly.
     Zero on a potential built from a correct table.
 
@@ -445,8 +454,7 @@ def residual_string_complex(F):
     a < depth, taken with its multiplicity k, sends -k F_m to the monomial
     with one t_{a,i} replaced by t_{a+1,i}.
     """
-    target = F.target
-    _require_even(target)
+    _require_target(F.target, COMPLEX)
     cut = F.t_max - 1
     den, items = _numerators(F.terms)
     nums = {}
@@ -461,25 +469,20 @@ def residual_string_complex(F):
                 nums[key] = nums.get(key, 0) - m * n
     terms = _fractions(nums, den)
     if cut >= 2:
-        nb = target.num_basis
-        for i in range(1, nb + 1):
-            gii = target.pairing_entry(i, i)
-            if gii:
-                key = (0, (((0, i), 2),))
-                terms[key] = terms.get(key, 0) - Fraction(gii, 2)
-            for j in range(i + 1, nb + 1):
-                gji = target.pairing_entry(j, i)
-                if gji:
-                    key = (0, (((0, i), 1), ((0, j), 1)))
-                    terms[key] = terms.get(key, 0) - gji
+        nb = F.target.num_basis
+        for i in range(1, (nb + 1) // 2 + 1):
+            j = nb + 1 - i
+            key = (0, (((0, i), 2),) if i == j
+                   else (((0, i), 1), ((0, j), 1)))
+            terms[key] = terms.get(key, 0) - Fraction(1, 2 if i == j else 1)
     return _residual_series(F, cut, terms)
 
 
-def _residual_dilaton(F):
+def _residual_dilaton(F, kind):
     """dF/dt_{1,1} - lam_power F - sum_{a <= depth, i} t_{a,i} dF/dt_{a,i}
     on t-degree <= t_max - 1.  On monomial m the last sum is e(m) F_m,
     with e(m) the number of factors of m at level <= depth."""
-    _require_even(F.target)
+    _require_target(F.target, kind)
     cut = F.t_max - 1
     den, items = _numerators(F.terms)
     nums = {}
@@ -508,7 +511,7 @@ def residual_dilaton_complex(F):
     """
     if F.lam_power != -2:
         raise SeriesError("expected a complex genus-0 window (lam_power -2)")
-    return _residual_dilaton(F)
+    return _residual_dilaton(F, COMPLEX)
 
 
 def residual_dilaton_real(F):
@@ -516,14 +519,14 @@ def residual_dilaton_real(F):
     dF/dt_{1,1} + F - sum t dF.  Exact on t-degree <= t_max - 1."""
     if F.lam_power != -1:
         raise SeriesError("expected a real genus-0 window (lam_power -1)")
-    return _residual_dilaton(F)
+    return _residual_dilaton(F, REAL)
 
 
 def residual_string_real(F):
     """Residual of the real string equation: dF/dt_{0,1}, expected to be
     identically zero (the unit class never appears in a nonzero real
     invariant).  Exact on t-degree <= t_max - 1."""
-    _require_even(F.target)
+    _require_target(F.target, REAL)
     return F.partial_derivative((0, 1)).truncated(F.t_max - 1)
 
 
@@ -546,24 +549,23 @@ def _pde_pieces(F):
     return memo[2]
 
 
-def _contract(left, lidx, right, ridx, diag):
+def _contract(left, lidx, right, ridx, nb):
     """sum_{j,k} g^{jk} L_{lidx j} R_{k ridx} as a term dict, with left and
-    right the factor functions of two PDE memos and diag the diagonal
-    decomposition of the pairing."""
+    right the factor functions of two PDE memos, on P^n with nb = n + 1
+    basis classes: there e_j pairs with e_k, k = nb + 1 - j, at g^jk = 1."""
     products = []
-    for coeff, (j, k) in diag:
+    for j in range(1, nb + 1):
         lj = left(tuple(sorted(lidx + (j,))))
         if lj.is_zero():
             continue
-        rk = right(tuple(sorted(ridx + (k,))))
+        rk = right(tuple(sorted(ridx + (nb + 1 - j,))))
         if rk.is_zero():
             continue
-        den, items = _numerators((lj * rk).terms)
-        products.append((coeff.numerator, coeff.denominator * den, items))
-    den = math.lcm(*(d for _n, d, _items in products))
+        products.append(_numerators((lj * rk).terms))
+    den = math.lcm(*(d for d, _items in products))
     nums = {}
-    for scale, d, items in products:
-        scale *= den // d
+    for d, items in products:
+        scale = den // d
         for mono, n in items:
             nums[mono] = nums.get(mono, 0) + scale * n
     return _fractions(nums, den)
@@ -574,7 +576,7 @@ def _build_pde_pieces(F):
     t-degree <= t_max - 3 (higher terms only feed products outside the
     window of either PDE), and contraction(p, r), the term dict of
     sum_{j,k} g^{jk} F_{p j} F_{k r} for two sorted index pairs p and r,
-    over one memo.
+    over one memo, on P^n (g^{jk} = 1 for k = n + 2 - j, see _contract).
 
     Each partial is taken once, from the uncut partial one order lower;
     a factor is stored cut only.  On an even basis F_{abc} is symmetric
@@ -582,8 +584,8 @@ def _build_pde_pieces(F):
     a <-> b, c <-> e and swapping the two pairs, so contraction forms
     each contraction once per unordered pair of sorted pairs.
     """
-    _require_even(F.target)
-    diag = F.target.diagonal_decomposition()
+    _require_target(F.target, COMPLEX)
+    nb = F.target.num_basis
     cut = F.t_max - 3
     partials = {(): F}
     factors = {}
@@ -609,7 +611,7 @@ def _build_pde_pieces(F):
         got = contractions.get(key)
         if got is None:
             got = contractions[key] = _contract(factor, key[0], factor,
-                                                key[1], diag)
+                                                key[1], nb)
         return got
 
     return factor, contraction
@@ -659,7 +661,7 @@ def residual_rwdvv_pde(F_doubled, F_real, indices):
     """
     target = F_real.target
     F_doubled._compatible(F_real)
-    _require_even(target)
+    _require_target(target, REAL)
     i1, i2, i3 = indices
     for i in (i1, i2, i3):
         if not (1 <= i <= target.num_basis):
@@ -674,11 +676,10 @@ def residual_rwdvv_pde(F_doubled, F_real, indices):
 
     doubled_factor = _pde_pieces(F_doubled)[0]
     real_factor = _pde_pieces(F_real)[0]
-    diag = target.diagonal_decomposition()
     terms = {}
     for sgn, (b, c) in ((1, (i2, i3)), (-1, (i3, i2))):
         for mono, v in _contract(doubled_factor, (i1, b), real_factor, (c,),
-                                 diag).items():
+                                 target.num_basis).items():
             terms[mono] = terms.get(mono, 0) + sgn * v
     return _residual_series(F_real, F_real.t_max - 3, {
         (q, vt): v for (q, vt), v in terms.items()

@@ -45,7 +45,7 @@ def torus_ring_data():
 
 def split_ring_data():
     """Two idempotent-ish degree-0 classes with a non-anti-diagonal
-    pairing, for exercising general diagonal decompositions."""
+    pairing: a valid ring with an even basis that is not P^n."""
     return {
         "name": "split",
         "complex_dim": 0,

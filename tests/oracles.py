@@ -10,6 +10,8 @@ oracle with it:
 - wdvv_relation: the four-point exchange relation expanded over every
   ungrouped split of the other insertions, every diagonal term and
   every degree split, against the grouped relation rows;
+- pn_diagonal: the diagonal class of P^n read off the pairing, which
+  the test-side references expand instead of the solver's split class;
 - one_point_series_coeffs: genus-0 one-point descendants of P^n read
   off Givental's J-function, against the solver's string lift and
   topological recursion.
@@ -46,6 +48,20 @@ def psi_multinomial_recursive(powers):
     return total
 
 
+def pn_diagonal(target):
+    """The diagonal class of P^n as (g^ij, (i, j)) pairs, ordered by
+    (i, j), so that sum g^ij e_i <e_j * x> = x.  The anti-diagonal unit
+    pairing of P^n is its own inverse, so g^ij = g_ij; any other target
+    is refused."""
+    if not target.is_projective_space():
+        raise ValueError("pn_diagonal needs a P^n target; %s is not one"
+                         % target.name)
+    nb = target.num_basis
+    return [(target.pairing_entry(i, j), (i, j))
+            for i in range(1, nb + 1) for j in range(1, nb + 1)
+            if target.pairing_entry(i, j)]
+
+
 def wdvv_relation(target, mu, degree):
     """Expand one four-point exchange relation into product terms.
 
@@ -72,7 +88,7 @@ def wdvv_relation(target, mu, degree):
         if not 1 <= b <= target.num_basis:
             raise ValueError("basis index out of range: %d" % b)
     terms = []
-    diag = target.diagonal_decomposition()
+    diag = pn_diagonal(target)
     for side, (pa, pb) in (((1), ((0, 1), (2, 3))), ((-1), ((0, 2), (1, 3)))):
         for pick in range(1 << (len(mu) - 4)):
             ins_i = [mu[pa[0]], mu[pa[1]]]

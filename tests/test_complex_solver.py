@@ -27,8 +27,8 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    kontsevich_p2, reduce_axioms,
                                    reduce_descendant_trr, vdim_complex,
                                    wdvv_instances)
-from oracles import (one_point_series_coeffs, psi_multinomial_recursive,
-                     wdvv_relation)
+from oracles import (one_point_series_coeffs, pn_diagonal,
+                     psi_multinomial_recursive, wdvv_relation)
 
 
 def key(d, ins, genus=0):
@@ -373,7 +373,7 @@ def test_split_class_is_the_one_graded_diagonal_term(target):
     grading at a whole curve degree; _split_class returns that term, and
     its coefficient is 1."""
     c1 = target.c1_pairing
-    diag = target.diagonal_decomposition()
+    diag = pn_diagonal(target)
     for num_points in range(1, 9):
         base = vdim_complex(0, num_points, 0, target)
         for degree_sum in range(0, 2 * target.complex_dim * num_points + 1,

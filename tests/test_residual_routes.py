@@ -31,6 +31,7 @@ from gwcalc.potentials import (GradedSeries, build_potentials,
                                residual_string_complex, residual_string_real,
                                residual_wdvv_pde)
 from gwcalc.real_solver import RealSession
+from oracles import pn_diagonal
 from series_terms import add_terms
 
 
@@ -86,7 +87,7 @@ def reference_wdvv_pde(F, indices):
         return (F.partial_derivative((0, a))
                 .partial_derivative((0, b)))
 
-    diag = F.target.diagonal_decomposition()
+    diag = pn_diagonal(F.target)
     res = F._like()
     for sgn, (a, b, c, e) in ((1, (i1, i2, i3, i4)), (-1, (i1, i3, i2, i4))):
         left = third(a, b)
@@ -105,7 +106,7 @@ def reference_wdvv_pde(F, indices):
 def reference_rwdvv_pde(F_doubled, F_real, indices):
     target = F_real.target
     i1, i2, i3 = indices
-    diag = target.diagonal_decomposition()
+    diag = pn_diagonal(target)
     res = F_real._like()
     for sgn, (b, c) in ((1, (i2, i3)), (-1, (i3, i2))):
         left_base = (F_doubled.partial_derivative((0, i1))
