@@ -19,8 +19,9 @@ the values, one axiom step (reduce_axioms: string, dilaton and divisor,
 reading the theory from the key; the real constants are a vanishing
 string insertion, a dilaton of 2(g - 1 + ell) and a divisor weight of
 2) and the steps of the relation and recursion expansions: the term
-combiner (_combine), the two-sided slot split (_grouped_splits, each
-distinct split once with its count of ordered splits), the diagonal
+combiner (_combine), the two-sided slot split (_grouped_splits: a walk
+over the sorted runs of equal items that lists each distinct split once
+with its count of ordered splits, in a fixed order), the diagonal
 term and curve degree the grading leaves per split (_split_class), the
 slot a recursion lowers and its genus-0 and degree >= 1 preconditions
 (_recursion_slot), the divisor step (weight 1 complex, 2 real), the
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
@@ -238,7 +239,8 @@ def _combine(terms):
         if key is not None:
             combined[key] = combined.get(key, 0) + coeff
     items = [(c, k) for k, c in combined.items() if c]
-    items.sort(key=lambda t: t[1].sort_key())
+    if len(items) > 1:
+        items.sort(key=lambda t: t[1].sort_key())
     return items
 
 
@@ -320,20 +322,24 @@ def _relation_row(table, terms, d):
 
 
 def _grouped_splits(items):
-    """Each distinct way to send the multiset ``items`` to two sides, as
-    (weight, first, second) with both sides sorted lists.  The weight,
-    comb(cnt, t) multiplied over the distinct items with t of cnt copies
-    first, counts the ordered picks that give the split, so the weights
-    add up to 2**len(items).  The last distinct item's t varies fastest."""
-    groups = sorted(Counter(items).items())
-    for take in product(*(range(cnt + 1) for _, cnt in groups)):
-        weight = 1
-        first, second = [], []
-        for (item, cnt), t in zip(groups, take):
-            weight *= math.comb(cnt, t)
-            first.extend([item] * t)
-            second.extend([item] * (cnt - t))
-        yield weight, first, second
+    """Each distinct way to send the multiset ``items`` to two sides, as a
+    list of (weight, first, second) with both sides sorted lists.
+
+    The walk sorts the items and takes one run of equal items at a time:
+    a run of cnt copies extends every split so far by t copies first and
+    cnt - t second, t = 0..cnt, so the list is that of a product over
+    the runs in sorted order, the last run's t varying fastest.  The
+    weight, comb(cnt, t) multiplied over the runs, counts the ordered
+    picks that give the split, so the weights add up to
+    2**len(items)."""
+    splits = [(1, [], [])]
+    for item, run in groupby(sorted(items)):
+        cnt = len(list(run))
+        pieces = [(math.comb(cnt, t), [item] * t, [item] * (cnt - t))
+                  for t in range(cnt + 1)]
+        splits = [(weight * c, first + f, second + s)
+                  for weight, first, second in splits for c, f, s in pieces]
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -1046,6 +1052,19 @@ def lift_one_point(key):
                                  ((0, 1), (a + 1, b)))
 
 
+# Fraction(k, d) for the recursion's coefficients k/d; the pairs met are
+# few and small (d up to the degree bound, k up to d times a split weight)
+_TRR_COEFFS = {}
+
+
+def _trr_coefficient(k, d):
+    """Fraction(k, d), built once per (k, d)."""
+    coeff = _TRR_COEFFS.get((k, d))
+    if coeff is None:
+        coeff = _TRR_COEFFS[k, d] = Fraction(k, d)
+    return coeff
+
+
 def reduce_descendant_trr(key, target):
     """Integrated topological recursion step for a descendant key.
 
@@ -1084,16 +1103,18 @@ def reduce_descendant_trr(key, target):
         j_slot = 0 if i_slot != 0 else 1
 
     raw_terms = []
+    trusted = InvariantKey._trusted
 
     a_i, b_i = ins[i_slot]
+    lowered = (a_i - 1, b_i)
     # contact terms: the divisor slides onto slot j (plus) or slot i
     # (minus); h * e_b = e_(b+1), and a term past the point class drops
-    for slot, coeff in ((j_slot, Fraction(1, d)), (i_slot, Fraction(-1, d))):
+    for slot, sign in ((j_slot, 1), (i_slot, -1)):
         if ins[slot][1] < pt:
             contact = list(ins)
-            contact[i_slot] = (a_i - 1, b_i)
+            contact[i_slot] = lowered
             contact[slot] = (contact[slot][0], contact[slot][1] + 1)
-            raw_terms.append((coeff, (InvariantKey._trusted(
+            raw_terms.append((_trr_coefficient(sign, d), (trusted(
                 COMPLEX, 0, d, tuple(sorted(contact))),)))
 
     # splitting terms: slot i with a_i-1 on the first side, slot j on the
@@ -1102,18 +1123,20 @@ def reduce_descendant_trr(key, target):
     # sorting, and the grading leaves one diagonal term and one degree
     # split per split of the slots -- anything else is structurally zero.
     # On a key that meets the grading, the j-side factor meets it too.
+    # The first side has len(first) + 1 insertions, and their a + b add
+    # up to a_i - 1 + b_i plus those of ``first``.
+    anchor = ins[j_slot]
+    base = a_i - 1 + b_i
     others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
     for weight, first, second in _grouped_splits(others):
-        side_i = [(a_i - 1, b_i)] + first
-        side_j = [ins[j_slot]] + second
-        ea, eb, d1 = _split_class(target, sum(map(sum, side_i)),
-                                  len(side_i))
-        if not 0 <= d1 < d or (d1 == 0 and len(side_i) + 1 < 3):
+        ea, eb, d1 = _split_class(target, base + sum(map(sum, first)),
+                                  len(first) + 1)
+        if not 0 <= d1 < d or (d1 == 0 and not first):
             continue
         d2 = d - d1
-        k1 = InvariantKey._trusted(COMPLEX, 0, d1,
-                                   tuple(sorted(side_i + [(0, ea)])))
-        k2 = InvariantKey._trusted(COMPLEX, 0, d2,
-                                   tuple(sorted(side_j + [(0, eb)])))
-        raw_terms.append((Fraction(d2 * weight, d), (k1, k2)))
+        k1 = trusted(COMPLEX, 0, d1,
+                     tuple(sorted(first + [lowered, (0, ea)])))
+        k2 = trusted(COMPLEX, 0, d2,
+                     tuple(sorted(second + [anchor, (0, eb)])))
+        raw_terms.append((_trr_coefficient(d2 * weight, d), (k1, k2)))
     return raw_terms

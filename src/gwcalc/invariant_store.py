@@ -53,18 +53,20 @@ class InvariantKey:
             raise ValueError("kind must be one of %r" % (KINDS,))
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "genus", int(genus))
-        object.__setattr__(self, "degree", int(degree))
+        _set_kind(self, kind)
+        _set_genus(self, int(genus))
+        _set_degree(self, int(degree))
         ins = tuple((int(a), int(b)) for a, b in insertions)
         for a, b in ins:
             if a < 0 or b < 1:
                 raise ValueError("bad insertion (%d, %d)" % (a, b))
-        object.__setattr__(self, "insertions", ins)
-        object.__setattr__(self, "_hash",
-                           hash((kind, genus, degree, ins)))
+        _set_insertions(self, ins)
+        _set_hash(self, hash((kind, genus, degree, ins)))
 
     def __setattr__(self, name, value):
+        raise AttributeError("InvariantKey is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("InvariantKey is immutable")
 
     def is_canonical(self):
@@ -103,16 +105,24 @@ class InvariantKey:
         """A key from parts already known to be canonical, skipping the
         checks of ``__init__``: ``kind`` in KINDS, ``genus`` and
         ``degree`` ints >= 0, ``insertions`` a sorted tuple of (int a >= 0,
-        int basis >= 1) tuples.  Hashes and compares like the key the
-        public constructor builds from the same parts."""
+        int basis >= 1) tuples.  Like ``__init__``, it writes the fields
+        through the slots' member descriptors (bound once below the
+        class), past the ``__setattr__`` and ``__delattr__`` guards that
+        keep every key immutable once built.  Hashes and compares like
+        the key the public constructor builds from the same parts."""
         key = object.__new__(cls)
-        _set = object.__setattr__
-        _set(key, "kind", kind)
-        _set(key, "genus", genus)
-        _set(key, "degree", degree)
-        _set(key, "insertions", insertions)
-        _set(key, "_hash", hash((kind, genus, degree, insertions)))
+        _set_kind(key, kind)
+        _set_genus(key, genus)
+        _set_degree(key, degree)
+        _set_insertions(key, insertions)
+        _set_hash(key, hash((kind, genus, degree, insertions)))
         return key
+
+
+# the __set__ of each slot's member descriptor, in __slots__ order
+(_set_kind, _set_genus, _set_degree, _set_insertions,
+ _set_hash) = (InvariantKey.__dict__[name].__set__
+               for name in InvariantKey.__slots__)
 
 
 def real_insertion_vanishes(target, a, basis):

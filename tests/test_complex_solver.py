@@ -325,6 +325,34 @@ def test_grouped_splits_match_ordered_walk(pairs):
         assert sum(got.values()) == 2 ** k
 
 
+@pytest.mark.parametrize("pairs", [False, True], ids=["indices", "pairs"])
+def test_grouped_splits_order(pairs):
+    """_grouped_splits returns exactly the list of a product walk over the
+    sorted runs of its input: one (weight, first, second) per choice of
+    how many copies of each distinct item go first, the last run's count
+    varying fastest in ascending order, both sides sorted lists."""
+    rng = random.Random(11)
+    cases = [[], [3], [2, 2], [3, 1, 2, 1], [(1, 2), (0, 3), (1, 2)]]
+    for _ in range(150):
+        if pairs:
+            cases.append([(rng.randint(0, 2), rng.randint(1, 3))
+                          for _ in range(rng.randint(0, 8))])
+        else:
+            cases.append([rng.randint(1, 4)
+                          for _ in range(rng.randint(0, 8))])
+    for items in cases:
+        runs = sorted(Counter(items).items())
+        want = []
+        for take in itertools.product(*(range(cnt + 1) for _, cnt in runs)):
+            weight, first, second = 1, [], []
+            for (item, cnt), t in zip(runs, take):
+                weight *= math.comb(cnt, t)
+                first += [item] * t
+                second += [item] * (cnt - t)
+            want.append((weight, first, second))
+        assert list(_grouped_splits(items)) == want, items
+
+
 def test_trr_cross_agreement(p2_session):
     """The two reduction routes agree wherever both apply."""
     from gwcalc.cli import _descendant_keys

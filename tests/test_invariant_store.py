@@ -63,6 +63,41 @@ def test_key_immutability():
     k = InvariantKey(COMPLEX, 0, 1, [(0, 2)])
     with pytest.raises(AttributeError):
         k.degree = 5
+    with pytest.raises(AttributeError):
+        del k.degree
+
+
+def test_unchecked_keys_are_immutable(tmp_path, p3):
+    """Keys built without the constructor's checks (InvariantKey._trusted,
+    normalize, graded_keys and InvariantTable.load) refuse an assignment
+    to any field, or its deletion, and hash and compare like the key the
+    public constructor builds from the same parts."""
+    from gwcalc.complex_solver import graded_keys, insertion_variables
+
+    keys = [InvariantKey._trusted(COMPLEX, 0, 2, ((0, 2), (1, 4))),
+            InvariantKey._trusted(REAL, 1, 3, ()),
+            normalize(p3, COMPLEX, 0, 1, [(2, 3), (0, 1)]),
+            normalize(p3, REAL, 0, 2, [(0, 2), (1, 3)])]
+    for kind in (COMPLEX, REAL):
+        variables = insertion_variables(p3, kind, 2)
+        keys.extend(graded_keys(p3, kind, 2, 4, variables))
+    t = InvariantTable(p3)
+    for k in keys[:8]:
+        t.put(k, Fraction(1), "wdvv")
+    path = str(tmp_path / "cache.json")
+    t.save(path)
+    keys.extend(InvariantTable.load(path, target=p3))
+    assert len(keys) > 12 and None not in keys
+    for k in keys:
+        built = InvariantKey(k.kind, k.genus, k.degree, list(k.insertions))
+        assert k == built and hash(k) == hash(built), k
+        for field, new in (("kind", REAL), ("genus", 7), ("degree", 9),
+                           ("insertions", ((0, 1),)), ("_hash", 0)):
+            with pytest.raises(AttributeError):
+                setattr(k, field, new)
+            with pytest.raises(AttributeError):
+                delattr(k, field)
+        assert k == built and hash(k) == hash(built), k
 
 
 def test_key_json_round_trip(tmp_path, p3):
