@@ -30,13 +30,11 @@ from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               StoreFormatError, _reason, read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
-                             UnderdeterminedError, evaluate_products,
-                             evaluate_terms, filter_complex, filter_real,
-                             graded_keys, insertion_variables,
-                             lift_one_point, reduce_axioms,
-                             reduce_descendant_trr, wdvv_instances)
-from .real_solver import (RealSession, reduce_descendant_rtrr,
-                          rwdvv_instances)
+                             UnderdeterminedError, evaluate_terms,
+                             filter_complex, filter_real, graded_keys,
+                             insertion_variables, reduce_axioms,
+                             wdvv_instances)
+from .real_solver import RealSession, rwdvv_instances
 from .potentials import (build_potential,
                          residual_dilaton_complex, residual_dilaton_real,
                          residual_rwdvv_pde, residual_string_complex,
@@ -300,7 +298,7 @@ def cmd_compute(args):
                               complex_session=session)
     top = args.degree if args.degree is not None else args.max_degree
     degrees = [args.degree] if args.degree is not None else \
-        list(range(1, args.max_degree + 1))
+        range(1, args.max_degree + 1)
 
     if args.insertions is not None:
         if args.insertions_only is not None:
@@ -326,7 +324,6 @@ def cmd_compute(args):
                     if k.insertions and
                     all(a == 0 and i == only for a, i in k.insertions)]
         rows = [(key, session.value(key)) for key in keys]
-        rows.sort(key=lambda kv: kv[0].sort_key())
     emit_rows(target, rows, args.format, out)
     if path and table.changed:
         table.save(path)
@@ -522,9 +519,10 @@ def suite_divisor(target, args, csession, rsession, potential):
     return True, "", checks
 
 
-def _cross_check(session, max_degree, max_insertions, recursion_value):
+def _cross_check(session, max_degree, max_insertions):
     """Shared body of trr-cross and rtrr-cross: the session's descendant
-    recursion (``recursion_value(key)``) agrees with the axiom step
+    recursion (its _recursion_value, which lifts a one-point complex key
+    by the string relation first) agrees with the axiom step
     (reduce_axioms) on every admissible descendant key both can handle."""
     target = session.target
     checks = 0
@@ -536,7 +534,7 @@ def _cross_check(session, max_degree, max_insertions, recursion_value):
             except AxiomPreconditionError:
                 continue
             via_axiom = evaluate_terms(terms, session.value)
-            via_recursion = recursion_value(key)
+            via_recursion = session._recursion_value(key)
             checks += 1
             if via_axiom != via_recursion:
                 return False, "key %r: reduction %s != axiom %s" % (
@@ -550,22 +548,12 @@ def _cross_check(session, max_degree, max_insertions, recursion_value):
 def suite_trr_cross(target, args, csession, rsession, potential):
     """Descendant reduction agrees with the axiom reductions on every
     admissible descendant key that both can handle."""
-    def via_trr(key):
-        # the recursion needs two insertions: lift one-point keys by the
-        # string relation first, as ComplexSession.value does
-        if key.num_insertions == 1:
-            key = lift_one_point(key)
-        return evaluate_products(reduce_descendant_trr(key, target),
-                                 csession.value)
-    return _cross_check(csession, args.max_degree, 5, via_trr)
+    return _cross_check(csession, args.max_degree, 5)
 
 
 def suite_rtrr_cross(target, args, csession, rsession, potential):
     """Real descendant reduction agrees with the real axiom reductions."""
-    def via_rtrr(key):
-        return evaluate_terms(reduce_descendant_rtrr(key, rsession),
-                              rsession.value)
-    return _cross_check(rsession, args.max_degree, 4, via_rtrr)
+    return _cross_check(rsession, args.max_degree, 4)
 
 
 SUITE_FUNCS = {

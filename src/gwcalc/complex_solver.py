@@ -406,24 +406,19 @@ def insertion_variables(target, kind, depth):
     return variables
 
 
-def _graded(target, kind, degree, ell, variables):
-    """Genus-0 keys of one theory at a curve degree with ``ell``
-    insertions drawn from ``variables`` (sorted as insertion_variables
-    sorts them) whose degrees add up to the virtual dimension,
-    unfiltered, in a deterministic order."""
+def graded_keys(target, kind, degree, ell, variables):
+    """Structurally nonzero genus-0 keys of one theory at a curve degree
+    with ``ell`` insertions drawn from ``variables`` (sorted as
+    insertion_variables sorts them) whose degrees add up to the virtual
+    dimension and that pass the theory's structural filter (effectivity,
+    and for the real theory eigenspace parity), in a deterministic
+    order."""
     weights = [2 * a + target.degree(b) for a, b in variables]
     want = _VDIM[kind](0, ell, degree, target)
-    for insertions in _multisets_exact(variables, weights, ell, want):
-        yield InvariantKey._trusted(kind, 0, degree,
-                                    tuple(sorted(insertions)))
-
-
-def graded_keys(target, kind, degree, ell, variables):
-    """Structurally nonzero genus-0 keys of one theory at a curve degree:
-    the keys of _graded that pass the theory's structural filter
-    (effectivity, and for the real theory eigenspace parity)."""
     structural_filter = _FILTER[kind]
-    for key in _graded(target, kind, degree, ell, variables):
+    for insertions in _multisets_exact(variables, weights, ell, want):
+        key = InvariantKey._trusted(kind, 0, degree,
+                                    tuple(sorted(insertions)))
         if structural_filter(key, target) is None:
             yield key
 

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, cache round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from gwcalc import cli
 from gwcalc.cli import emit_rows, main
-from gwcalc.complex_solver import ComplexSession
+from gwcalc.complex_solver import ComplexSession, SolverError, reduce_axioms
 from gwcalc.graded_algebra import (TargetSpace, _projective_space,
                                    frac_to_str, make_p2)
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
@@ -422,6 +423,24 @@ def test_verify_p1_all_suites(capsys):
     assert all("pass" in line for line in lines)
 
 
+def test_verify_p1_degree_3_output_and_cache_are_pinned(capsys, tmp_path):
+    """<tau_1(1)>_1 is the one cross-checked key whose recursion lifts it
+    to two points first (lift_one_point); the check counts and the bytes
+    of the saved cache are frozen, so a change to that path shows."""
+    cache = tmp_path / "p1.json"
+    code, out, err = run(capsys, "verify", "--target", "P1-tau",
+                         "--max-degree", "3", "--cache", str(cache))
+    assert code == 0
+    assert out == "".join("suite %-10s pass (%d checks)\n" % row for row in [
+        ("grading", 1863), ("wdvv", 16), ("rwdvv", 1), ("string", 2),
+        ("dilaton", 2), ("divisor", 4), ("trr-cross", 168),
+        ("rtrr-cross", 19)])
+    data = cache.read_bytes()
+    assert len(json.loads(data)["entries"]) == 422
+    assert hashlib.sha256(data).hexdigest() == (
+        "9c311c67a5a9003f78f48b54399226f001fb5d8bc459ddcd80de27d854b77781")
+
+
 def test_verify_single_suite(capsys):
     code, out, err = run(capsys, "verify", "--target", "P3-tau",
                          "--max-degree", "2", "--suite", "rwdvv")
@@ -442,6 +461,34 @@ def test_verify_wdvv_reads_no_real_value(capsys, monkeypatch, suite):
                          "--max-degree", "2", "--suite", suite)
     assert code == 0
     assert out.startswith("suite %s" % suite) and "pass" in out
+
+
+@pytest.mark.parametrize("suite", ["trr-cross", "rtrr-cross"])
+def test_cross_checks_run_the_session_recursion(capsys, monkeypatch, suite):
+    """Each key the cross-checks compare on the axiom side is evaluated
+    on the other side by its session's own recursion, the entry point
+    value uses, not by a copy of it."""
+    checked, recursed = set(), set()
+
+    def axiom_step(key, target):
+        terms = reduce_axioms(key, target)
+        checked.add(key)
+        return terms
+
+    def recording(fn):
+        def _recursion_value(self, key):
+            recursed.add(key)
+            return fn(self, key)
+        return _recursion_value
+
+    monkeypatch.setattr(cli, "reduce_axioms", axiom_step)
+    for cls in (ComplexSession, RealSession):
+        monkeypatch.setattr(cls, "_recursion_value",
+                            recording(cls._recursion_value))
+    code, out, err = run(capsys, "verify", "--target", "P3-tau",
+                         "--max-degree", "2", "--suite", suite)
+    assert code == 0 and out.startswith("suite %s" % suite) and "pass" in out
+    assert checked and checked <= recursed
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -806,6 +853,21 @@ def test_deeply_nested_json_gets_one_line(capsys, tmp_path, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: bad target file: RecursionError: ")
     assert err.count("\n") == 1
+
+
+def test_compute_huge_max_degree_solves_without_a_degree_list(
+        capsys, monkeypatch):
+    """A --max-degree past the platform's integer size reaches the solver
+    (stopped here at once) and exits with its one line, as verify
+    --max-degree and compute --degree do."""
+    def stop(self, max_degree):
+        raise SolverError("stopped at max degree %d" % max_degree)
+
+    monkeypatch.setattr(ComplexSession, "ensure_primary", stop)
+    code, out, err = run(capsys, "compute", "--target", "P3-tau",
+                         "--max-degree", str(2 ** 63))
+    assert (code, out) == (3, "")
+    assert err == "solver error: stopped at max degree %d\n" % 2 ** 63
 
 
 @pytest.mark.parametrize("degree, spec", [

@@ -7,7 +7,9 @@ the per-layer metric for it would silently read 0.  The test below
 counts calls through every name the tracer rebinds in ``gwcalc.cli`` and
 through every suite, on one ``verify`` run.  The tracer also rebinds
 the session methods per class; the second test checks that the bodies
-both sessions share still reach them through the instance.
+both sessions share still reach them through the instance, and that the
+two descendant recursions, which verify reaches through each session's
+_recursion_value in their defining modules, are counted there.
 """
 
 import importlib.util
@@ -22,7 +24,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the names the per-layer metrics of verify-p3 are read through
 VERIFY_LAYERS = {"wdvv_instances", "rwdvv_instances", "reduce_axioms",
-                 "reduce_descendant_trr", "reduce_descendant_rtrr",
                  "residual_string_complex", "residual_string_real",
                  "residual_dilaton_complex", "residual_dilaton_real",
                  "residual_wdvv_pde", "residual_rwdvv_pde"}
@@ -76,7 +77,10 @@ def test_tracer_sees_both_sessions(capsys):
     ensure_primary and ensure_real), so the tracer wraps each class on
     its own; the shared bodies call value, relation_residual and the
     block solves through the instance, so the wrappers see both
-    theories' calls, and uninstall puts each class's own entries back."""
+    theories' calls, and uninstall puts each class's own entries back.
+    Each session's recursion calls reduce_descendant_trr or
+    reduce_descendant_rtrr through its own module, where the tracer
+    rebinds them, so both are counted as well."""
     assert (ComplexSession.__dict__["ensure_primary"]
             is RealSession.__dict__["ensure_real"])
     names = ("value", "relation_residual", "ensure_primary", "ensure_real")
@@ -92,7 +96,9 @@ def test_tracer_sees_both_sessions(capsys):
     traced = ["complex_solver.value", "real_solver.value",
               "complex_solver.relation_residual",
               "real_solver.relation_residual",
-              "complex_solver.ensure_primary", "real_solver.ensure_real"]
+              "complex_solver.ensure_primary", "real_solver.ensure_real",
+              "complex_solver.reduce_descendant_trr",
+              "real_solver.reduce_descendant_rtrr"]
     assert [name for name in traced if not tracer.calls[name]] == []
     assert {(cls, name): cls.__dict__.get(name)
             for cls, name in before} == before
