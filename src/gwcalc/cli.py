@@ -27,7 +27,8 @@ from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
                              frac_to_str)
 from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               InvariantTable, StoreConflictError,
-                              StoreFormatError, _reason, read_cache_json)
+                              StoreFormatError, _InsertionTexts, _reason,
+                              _write_json_list, read_cache_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, evaluate_terms,
@@ -230,17 +231,18 @@ def _render_text_row(target, key, value):
         key.kind, key.genus, key.degree, ins, frac_to_str(value))
 
 
-def _csv_insertions(key):
-    return ";".join("%d:%d" % (a, i) for a, i in key.insertions)
+# one insertion of a JSON row, laid out by _json_entry
+_JSON_INSERTION = ('        {\n          "a": %d,\n'
+                   '          "basis": %d\n        }')
 
 
-def _json_entry(key, value):
+def _json_entry(key, value, texts):
     """One entry of the JSON rows, laid out as json.dumps(indent=2,
-    sort_keys=True) lays it out inside the ``entries`` list."""
+    sort_keys=True) lays it out inside the ``entries`` list; ``texts``
+    is an _InsertionTexts of _JSON_INSERTION."""
     if key.insertions:
-        ins = "[\n%s\n      ]" % ",\n".join(
-            '        {\n          "a": %d,\n          "basis": %d\n        }'
-            % (a, b) for a, b in key.insertions)
+        ins = "[\n%s\n      ]" % ",\n".join(map(texts.__getitem__,
+                                                   key.insertions))
     else:
         ins = "[]"
     return ('    {\n      "degree": %d,\n      "genus": %d,\n'
@@ -255,22 +257,27 @@ def emit_rows(target, rows, fmt, out):
     The json format is the text of ``json.dumps({"target": name,
     "entries": [...]}, indent=2, sort_keys=True)``, built by string
     formatting: kinds, integers and 'p/q' values never need escaping, so
-    only the target name goes through ``json.dumps``.
+    only the target name goes through ``json.dumps``.  Every format
+    writes each row to ``out`` as soon as it is formatted, so the output
+    is never held whole; ``rows`` may be any iterable.
     """
     if fmt == "text":
         for key, value in rows:
             out.write(_render_text_row(target, key, value) + "\n")
     elif fmt == "csv":
+        texts = _InsertionTexts("%d:%d")
         out.write("kind,genus,degree,insertions,value\n")
         for key, value in rows:
             out.write("%s,%d,%d,%s,%s\n" % (
                 key.kind, key.genus, key.degree,
-                _csv_insertions(key), frac_to_str(value)))
+                ";".join(map(texts.__getitem__, key.insertions)),
+                frac_to_str(value)))
     else:
-        entries = ",\n".join(_json_entry(key, value) for key, value in rows)
-        out.write('{\n  "entries": %s,\n  "target": %s\n}\n' % (
-            "[\n%s\n  ]" % entries if rows else "[]",
-            json.dumps(target.name)))
+        texts = _InsertionTexts(_JSON_INSERTION)
+        out.write('{\n  "entries": ')
+        _write_json_list(out, (_json_entry(key, value, texts)
+                               for key, value in rows), "\n  ]")
+        out.write(',\n  "target": %s\n}\n' % json.dumps(target.name))
 
 
 # ----- compute ---------------------------------------------------------------
@@ -653,7 +660,7 @@ def cmd_cache(args):
                 out.write("  %s: %d\n" % (kind, by_kind[kind]))
         return EXIT_OK
     # export
-    rows = [(key, value) for key, value, _prov in table.items()]
+    rows = ((key, value) for key, value, _prov in table.items())
     emit_rows(table.target, rows, args.format, out)
     return EXIT_OK
 

@@ -230,7 +230,10 @@ class InvariantTable:
         order), ``schema``, ``seed_sign`` and ``target``.  The entries are
         laid out by string formatting: kinds, provenance tags, integers
         and 'p/q' values never need escaping, so only the other fields go
-        through ``json.dumps``.
+        through ``json.dumps``.  Each entry is written to a temporary file
+        in the same directory as soon as it is formatted, so the file's
+        text is never held whole; the temporary file replaces ``path``
+        only once it is complete, and is removed if writing fails.
 
         Writes whether or not the table ``changed``; callers that only
         want to persist new entries check that first.  Afterwards the
@@ -240,16 +243,17 @@ class InvariantTable:
                            "seed_sign": "+1" if self.seed_sign == 1 else "-1",
                            "target": self.target.to_json()},
                           indent=1, sort_keys=True)
-        entries = ",\n".join(_entry_text(key, value, prov)
-                             for key, value, prov in self.items())
-        # rest opens with "{\n"; "entries" sorts before its fields
-        payload = '{\n "entries": %s,\n%s\n' % (
-            "[\n%s\n ]" % entries if entries else "[]", rest[2:])
+        texts = _InsertionTexts(_CACHE_INSERTION)
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(prefix=".gwcache-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
+                # rest opens with "{\n"; "entries" sorts before its fields
+                fh.write('{\n "entries": ')
+                _write_json_list(fh, (_entry_text(key, value, prov, texts)
+                                      for key, value, prov in self.items()),
+                                 "\n ]")
+                fh.write(",\n%s\n" % rest[2:])
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -300,6 +304,9 @@ class InvariantTable:
         # (immutable) Fraction
         values = {}
         for number, entry in enumerate(entries, start=1):
+            # the parsed entry goes once its key is built, so the parse
+            # tree and the table are never both whole in memory
+            entries[number - 1] = None
             try:
                 key, value, prov = _read_entry(entry, num_basis, values)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -310,13 +317,45 @@ class InvariantTable:
         return table
 
 
-def _entry_text(key, value, provenance):
+# one insertion of a cache entry, laid out by _entry_text
+_CACHE_INSERTION = '    {\n     "a": %d,\n     "basis": %d\n    }'
+
+
+class _InsertionTexts(dict):
+    """The text of each (a, basis) insertion in one layout (a %-format of
+    the pair), formatted on its first lookup: a table holds far fewer
+    distinct insertions than insertion slots."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout):
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, insertion):
+        text = self[insertion] = self.layout % insertion
+        return text
+
+
+def _write_json_list(out, texts, close):
+    """Write the JSON list of the laid-out item ``texts`` to ``out``, one
+    item at a time: '[', then each item on a new line, separated by
+    commas, then ``close`` (a newline, indent and ']'); '[]' when there
+    are no items."""
+    sep = "[\n"
+    for text in texts:
+        out.write(sep + text)
+        sep = ",\n"
+    out.write("[]" if sep == "[\n" else close)
+
+
+def _entry_text(key, value, provenance, texts):
     """One entry of a cache file, laid out as json.dumps(indent=1,
-    sort_keys=True) lays it out inside the ``entries`` list."""
+    sort_keys=True) lays it out inside the ``entries`` list; ``texts``
+    is an _InsertionTexts of _CACHE_INSERTION."""
     if key.insertions:
-        ins = "[\n%s\n   ]" % ",\n".join(
-            '    {\n     "a": %d,\n     "basis": %d\n    }' % insertion
-            for insertion in key.insertions)
+        ins = "[\n%s\n   ]" % ",\n".join(map(texts.__getitem__,
+                                                key.insertions))
     else:
         ins = "[]"
     return ('  {\n   "degree": %d,\n   "genus": %d,\n   "insertions": %s,\n'

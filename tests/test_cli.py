@@ -425,8 +425,9 @@ def test_verify_p1_all_suites(capsys):
 
 def test_verify_p1_degree_3_output_and_cache_are_pinned(capsys, tmp_path):
     """<tau_1(1)>_1 is the one cross-checked key whose recursion lifts it
-    to two points first (lift_one_point); the check counts and the bytes
-    of the saved cache are frozen, so a change to that path shows."""
+    to two points first (lift_one_point); the check counts, the bytes of
+    the saved cache and of its two exports are frozen, so a change to
+    that path or to the writers shows."""
     cache = tmp_path / "p1.json"
     code, out, err = run(capsys, "verify", "--target", "P1-tau",
                          "--max-degree", "3", "--cache", str(cache))
@@ -439,6 +440,15 @@ def test_verify_p1_degree_3_output_and_cache_are_pinned(capsys, tmp_path):
     assert len(json.loads(data)["entries"]) == 422
     assert hashlib.sha256(data).hexdigest() == (
         "9c311c67a5a9003f78f48b54399226f001fb5d8bc459ddcd80de27d854b77781")
+    for fmt, digest in [
+            ("json", "dcce56f9b59009f8efd30bc0d9e7c6f838f5eb36d4583df80fca97ec"
+                     "8fe502fe"),
+            ("csv", "931e87fe604c35ba99788ad8153133b134cc5b920d86fd131494d038"
+                    "d161a7ff")]:
+        code, out, err = run(capsys, "cache", "export", "--cache", str(cache),
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_single_suite(capsys):
