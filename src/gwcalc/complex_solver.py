@@ -55,9 +55,13 @@ for each unknown, the tuples that split one insertion h^k = h * h^(k-1)
 as in Kontsevich-Manin's first reconstruction theorem, eliminated by
 sparse Gauss-Jordan over the rationals until every unknown has a value;
 lower-degree factors are read from the table, degree-0 factors evaluate
-classically, and inconsistencies abort.  The enumeration of every
-admissible tuple (wdvv_instances) stays out of the solve: it is the
-independent route by which the wdvv suite of verify checks the table.
+classically, and inconsistencies abort.  A degree-d key of a relation
+sits next to a three-point degree-0 factor, so the few it can hold are
+known before its terms are (_row_unknowns), and a tuple whose row could
+hold only keys that have a value is skipped: it adds no pivot.  The
+enumeration of every admissible tuple (wdvv_instances) stays out of the
+solve: it is the independent route by which the wdvv suite of verify
+checks the table.
 For each split of a relation the grading picks the diagonal term and
 the curve degree of the first factor (that of the second follows), so
 only that one term is evaluated; the structural part of each factor is
@@ -771,6 +775,11 @@ class _Eliminator:
         self.pivots[pivot] = (rest, rhs)
         return True
 
+    def solved(self, key):
+        """Whether ``key`` is a pivot whose row holds no other unknown."""
+        entry = self.pivots.get(key)
+        return entry is not None and not entry[0]
+
     def solution(self):
         """Fully determined values: {unknown: value} for the pivots whose
         rows hold no other unknown."""
@@ -787,7 +796,11 @@ def _solve_block(session, d):
     unknowns)``, and stores the values under the session's
     ``_provenance`` tag.  A row's unknowns are pending keys (degree-d
     keys missing from the table), so every pending key has a value once
-    the pivots number the pending keys: the solve stops at that row.
+    the pivots number the pending keys: the solve stops at that row.  A
+    tuple whose row can hold only keys that have a value (each key of
+    ``session._row_unknowns(mu, d)`` in the table or a pivot with an
+    empty rest) adds no pivot, so it is drawn but not evaluated; a
+    session whose _row_unknowns returns None evaluates every row.
     Raises UnderdeterminedError naming the session's ``_relations`` when
     a pending key stays open.
     """
@@ -803,6 +816,10 @@ def _solve_block(session, d):
         return
     elim = _Eliminator()
     for mu in session._block_tuples(d, unknowns):
+        keys = session._row_unknowns(mu, d)
+        if keys is not None and all(k in table or elim.solved(k)
+                                    for k in keys):
+            continue  # every unknown the row can hold has a value
         elim.add_row(*_relation_row(table, session._relation_terms(mu, d), d))
         if len(elim.pivots) == len(pending):
             break
@@ -830,8 +847,9 @@ class _Session:
     block-solve driver (_ensure).  A subclass sets ``kind``, the
     provenance tag and wording of its relations (``_provenance``,
     ``_relations``) and of its recursion (``_recursion``) and supplies the
-    seed (``_seed``), the relation tuples of a block (_block_tuples) and
-    the terms of one (_relation_terms), the degree-0 rule
+    seed (``_seed``), the relation tuples of a block (_block_tuples),
+    the terms of one (_relation_terms) and the degree-d keys its row can
+    hold (_row_unknowns, None for all), the degree-0 rule
     (_degree_zero_value) and the value of a descendant key by its
     recursion (_recursion_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
@@ -938,6 +956,11 @@ class _Session:
                 "axiom-reduction")
 
 
+# the two pairings of an exchange relation's four distinguished slots, with
+# their signs: (1,2) against (3,4) minus (1,3) against (2,4)
+_PAIRINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3))))
+
+
 class ComplexSession(_Session):
     """Stateful evaluator for one target: solves primary blocks on demand
     and reduces descendant keys, memoizing everything in a table."""
@@ -986,10 +1009,8 @@ class ComplexSession(_Session):
         joins the keys.
         """
         target = self.target
-        shapes = self._shapes
         for weight, first, second in _grouped_splits(mu[4:]):
-            for side, (pa, pb) in ((1, ((0, 1), (2, 3))),
-                                   (-1, ((0, 2), (1, 3)))):
+            for side, (pa, pb) in _PAIRINGS:
                 ins_i = [mu[pa[0]], mu[pa[1]]] + first
                 ins_j = [mu[pb[0]], mu[pb[1]]] + second
                 ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
@@ -998,16 +1019,48 @@ class ComplexSession(_Session):
                 coeff = side * weight
                 keys = []
                 for d_f, ins in ((d1, ins_i + [ei]), (d - d1, [ej] + ins_j)):
-                    shape_key = (d_f, tuple(sorted(ins)))
-                    if shape_key not in shapes:
-                        shapes[shape_key] = self._factor_shape(d_f, ins)
-                    shape = shapes[shape_key]
+                    shape = self._shape(d_f, ins)
                     if shape is None:
                         break
                     coeff *= shape[0]
                     keys.extend(shape[1:])
                 else:
                     yield coeff, keys
+
+    def _row_unknowns(self, mu, d):
+        """The degree-d keys the row of a relation instance can hold.
+
+        A degree-d key sits next to a degree-0 factor, and a degree-0
+        factor is nonzero only with three points: two of the pairing and
+        the diagonal class.  So per pairing only the split that sends
+        the whole pad to the other side can carry one, at each end: the
+        empty first side with d1 = 0, or the empty second side with
+        d1 = d (_relation_terms).
+        """
+        target = self.target
+        pad = list(mu[4:])
+        shapes = []
+        for _side, (pa, pb) in _PAIRINGS:
+            pair_i = [mu[pa[0]], mu[pa[1]]]
+            pair_j = [mu[pb[0]], mu[pb[1]]]
+            _ei, ej, d1 = _split_class(target, sum(pair_i), 2)
+            if d1 == 0:
+                shapes.append(self._shape(d, [ej] + pair_j + pad))
+            ins_i = pair_i + pad
+            ei, _ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
+            if d1 == d:
+                shapes.append(self._shape(d, ins_i + [ei]))
+        return [shape[1] for shape in shapes if shape is not None]
+
+    def _shape(self, d_f, basis_list):
+        """The memoized _factor_shape of a factor of degree ``d_f`` with
+        classes ``basis_list``, keyed by the degree and the sorted
+        classes."""
+        shape_key = (d_f, tuple(sorted(basis_list)))
+        shapes = self._shapes
+        if shape_key not in shapes:
+            shapes[shape_key] = self._factor_shape(d_f, basis_list)
+        return shapes[shape_key]
 
     def _factor_shape(self, d_f, basis_list):
         """Structural part of a factor: None when it vanishes, (value,)

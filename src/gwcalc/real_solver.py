@@ -186,6 +186,11 @@ class RealSession(_Session):
         max_ell = max(k.num_insertions for k in unknowns)
         return rwdvv_instances(self.target, d, max_ell + 4)
 
+    def _row_unknowns(self, ks, d):
+        """None: the real solve evaluates the row of every tuple it
+        draws (_solve_block)."""
+        return None
+
     def _relation_terms(self, ks, d):
         """The terms of one relation instance (a degree tuple as yielded
         by rwdvv_instances) at real degree d: rwdvv_relation's

@@ -14,6 +14,12 @@ rwdvv windows.
 The identity is also pinned term by term: the relation terms of mu + h,
 combined by their keys, are d times those of mu, so h scales each
 product of stored factors, not only the sum.
+
+verify's wdvv and rwdvv suites read the residual of each h-padded
+instance off its h-free one in this way; the tests at the end pin that
+the shorter instance always comes earlier in its window, that the suite
+reports what evaluating every instance reports, and that verify
+evaluates only the h-free instances.
 """
 
 import random
@@ -21,7 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from gwcalc.cli import _instance_caps
+from gwcalc import cli
+from gwcalc.cli import _instance_caps, _relation_suite
 from gwcalc.complex_solver import (ComplexSession, primary_unknowns,
                                    wdvv_instances)
 from gwcalc.graded_algebra import builtin_target
@@ -49,16 +56,23 @@ def noise_table(target, top_degrees, seed):
     return table
 
 
+def window(session, instances, max_degree, slack):
+    """(degree, instance) of verify's window, in the order it checks
+    them."""
+    return [(d, inst)
+            for d, cap in sorted(_instance_caps(session, max_degree).items())
+            for inst in instances(session.target, d, max(cap + slack, 5))]
+
+
 def divisor_pad_pairs(session, instances, max_degree, slack, pad_start, h):
     """(degree, instance, instance without one h) for every instance in
     verify's window with h in its pad; h is the lightest pad entry, so
     dropping the first copy keeps the pad sorted."""
     out = []
-    for d, cap in sorted(_instance_caps(session, max_degree).items()):
-        for inst in instances(session.target, d, max(cap + slack, 5)):
-            if h in inst[pad_start:]:
-                assert inst[pad_start] == h
-                out.append((d, inst, inst[:pad_start] + inst[pad_start + 1:]))
+    for d, inst in window(session, instances, max_degree, slack):
+        if h in inst[pad_start:]:
+            assert inst[pad_start] == h
+            out.append((d, inst, inst[:pad_start] + inst[pad_start + 1:]))
     return out
 
 
@@ -120,3 +134,110 @@ def test_real_divisor_pad_scales_residual(name, max_degree, count):
                            session.complex) for ks in (inst, shorter))
         assert terms, inst
         assert terms == [(d * c, k) for c, k in shorter_terms], inst
+
+
+# (session class, instances, slack, pad start, h) of each relation suite
+WDVV = (ComplexSession, wdvv_instances, 1, 4, 2)
+RWDVV = (RealSession, rwdvv_instances, 2, 3, 1)
+
+
+@pytest.mark.parametrize("name, max_degree, suite, count, padded", [
+    ("P3-tau", 3, WDVV, 157, 117),
+    ("P5-tau", 3, WDVV, 21773, 19670),
+    ("P7-tau", 2, WDVV, 70283, 64610),
+    ("P5-tau", 3, RWDVV, 35, 25),
+], ids=["wdvv-P3-tau-d3", "wdvv-P5-tau-d3", "wdvv-P7-tau-d2",
+        "rwdvv-P5-tau-d3"])
+def test_shorter_instance_comes_earlier(name, max_degree, suite, count,
+                                        padded):
+    """Each instance with h first in its pad has the instance without
+    that h earlier in its window, at the same degree."""
+    cls, instances, slack, pad_start, h = suite
+    session = cls(builtin_target(name))
+    work = window(session, instances, max_degree, slack)
+    assert len(work) == count
+    position = {item: i for i, item in enumerate(work)}
+    derived = 0
+    for i, (d, inst) in enumerate(work):
+        if inst[pad_start:pad_start + 1] == (h,):
+            shorter = inst[:pad_start] + inst[pad_start + 1:]
+            assert position[d, shorter] < i, inst
+            derived += 1
+        else:
+            assert h not in inst[pad_start:], inst
+    assert derived == padded
+
+
+def plain_relation_suite(session, max_degree, instances, slack):
+    """The relation check with every instance of the window evaluated by
+    relation_residual, as (ok, detail, checks), with no PDE residuals."""
+    work = window(session, instances, max_degree, slack)
+    for d, inst in work:
+        total = session.relation_residual(inst, d)
+        if total:
+            return False, "instance %r at degree %d sums to %s" \
+                % (inst, d, total), len(work)
+    return True, "", len(work)
+
+
+def solved_table(target, kind, max_degree, perturb):
+    """The solved table through max_degree, with the last primary unknown
+    of the top degree shifted by 1 when ``perturb`` is set."""
+    if kind == COMPLEX:
+        session = ComplexSession(target)
+        session.ensure_primary(max_degree)
+    else:
+        session = RealSession(target)
+        session.ensure_real(max_degree)
+    if not perturb:
+        return session.table
+    shifted = primary_unknowns(target, kind, max_degree)[-1]
+    table = InvariantTable(target)
+    for k, value, prov in session.table.items():
+        table.put(k, value + (k == shifted), prov)
+    return table
+
+
+@pytest.mark.parametrize("table_kind", ["noise", "solved", "perturbed"])
+@pytest.mark.parametrize("name, max_degree, suite", [
+    ("P3-tau", 3, WDVV),
+    ("P5-tau", 2, WDVV),
+    ("P5-tau", 3, RWDVV),
+], ids=["wdvv-P3-tau-d3", "wdvv-P5-tau-d2", "rwdvv-P5-tau-d3"])
+def test_relation_suite_matches_evaluating_every_instance(
+        name, max_degree, suite, table_kind):
+    """On seeded noise, on the solved table and on the solved table with
+    one top-degree value shifted, the suite gives the (ok, detail,
+    checks) of evaluating every instance: the same first failing
+    instance, sum and check count."""
+    cls, instances, slack, pad_start, h = suite
+    target = builtin_target(name)
+    kind = cls.kind
+    if table_kind == "noise":
+        top = {COMPLEX: max_degree} if kind == COMPLEX else \
+            {COMPLEX: max_degree // 2, REAL: max_degree}
+        table = noise_table(target, top, seed=max_degree)
+    else:
+        table = solved_table(target, kind, max_degree,
+                             table_kind == "perturbed")
+    session = cls(target, table)
+    got = _relation_suite(session, max_degree, instances, slack, pad_start,
+                          h, lambda: iter(()))
+    assert got == plain_relation_suite(session, max_degree, instances, slack)
+    assert got[0] == (table_kind == "solved")
+
+
+def test_verify_evaluates_only_h_free_instances(capsys, monkeypatch):
+    """verify's P3-tau d<=3 wdvv suite evaluates its 40 h-free instances
+    and reads the 117 h-padded ones off them."""
+    calls = []
+
+    def counted(self, mu, d, residual=ComplexSession.relation_residual):
+        calls.append((d, mu))
+        return residual(self, mu, d)
+    monkeypatch.setattr(ComplexSession, "relation_residual", counted)
+    assert cli.main(["verify", "--target", "P3-tau", "--max-degree", "3",
+                     "--suite", "wdvv", "--threads", "1"]) == 0
+    assert capsys.readouterr().out == "suite wdvv       pass (413 checks)\n"
+    assert len(calls) == 40
+    assert all(2 not in mu[4:] for _d, mu in calls)

@@ -1,19 +1,24 @@
 """The complex primary solve by targeted reconstruction rows, against the
 full exchange-relation enumeration it replaced.
 
-The solve eliminates only the reconstruction_tuples rows of each block;
-wdvv_instances stays the verify route.  The frozen values were produced
-by the earlier solve, which eliminated every wdvv_instances tuple up to
-a length cap, and equal the targeted solve key for key.
+The solve eliminates only the reconstruction_tuples rows of each block,
+and of those only the rows that can hold a key without a value
+(_row_unknowns); wdvv_instances stays the verify route.  The frozen
+P5-tau d<=3 and P7-tau d<=2 values were produced by the earlier solve,
+which eliminated every wdvv_instances tuple up to a length cap, and the
+P5-tau d<=5 and P7-tau d<=3 values by the targeted solve before it
+skipped rows; each equals today's solve key for key.
 """
 
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
 from gwcalc import complex_solver
+from gwcalc.cli import _instance_caps
 from gwcalc.complex_solver import (ComplexSession, kontsevich_p2,
                                    reconstruction_tuples, wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
@@ -64,18 +69,22 @@ def test_solve_never_enumerates_relations(monkeypatch):
 
 
 def _frozen(name):
+    """The target name, degree bound and values of a frozen table; an
+    entry named after its target leaves out the target."""
     with open(FROZEN) as fh:
         data = json.load(fh)[name]
-    return data["max_degree"], {
+    return data.get("target", name), data["max_degree"], {
         (d, tuple(bases)): value for d, bases, value in data["values"]}
 
 
-@pytest.mark.parametrize("name,count", [("P5-tau", 170), ("P7-tau", 340)])
+@pytest.mark.parametrize("name,count", [("P5-tau", 170), ("P7-tau", 340),
+                                        ("P5-tau-d5", 727),
+                                        ("P7-tau-d3", 1271)])
 def test_frozen_primary_values(name, count):
-    max_degree, want = _frozen(name)
+    target_name, max_degree, want = _frozen(name)
     assert len(want) == count
     t0 = time.monotonic()
-    session = ComplexSession(builtin_target(name))
+    session = ComplexSession(builtin_target(target_name))
     session.ensure_primary(max_degree)
     assert time.monotonic() - t0 < 30
     got = {}
@@ -101,39 +110,113 @@ def test_p5_targeted_table_satisfies_every_relation():
     assert checked == 184 + 3395
 
 
-# rows each block solve consumes, per (theory, degree), up to its stop row
+# per (theory, degree): the relation tuples each block solve draws up to
+# its stop row, then the rows it evaluates (a complex block skips a tuple
+# whose row can hold no open unknown, a real block evaluates each one)
 STOP_ROWS = [
-    ("P2", COMPLEX, 5, {(COMPLEX, d): 1 for d in (2, 3, 4, 5)}),
+    ("P2", COMPLEX, 5, {(COMPLEX, d): 1 for d in (2, 3, 4, 5)},
+     {(COMPLEX, d): 1 for d in (2, 3, 4, 5)}),
     ("P3-tau", COMPLEX, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6,
-                            (COMPLEX, 3): 10, (COMPLEX, 4): 14}),
+                            (COMPLEX, 3): 10, (COMPLEX, 4): 14},
+     {(COMPLEX, 1): 2, (COMPLEX, 2): 5, (COMPLEX, 3): 7, (COMPLEX, 4): 9}),
     ("P5-tau", COMPLEX, 3, {(COMPLEX, 1): 34, (COMPLEX, 2): 203,
-                            (COMPLEX, 3): 615}),
-    ("P7-tau", COMPLEX, 2, {(COMPLEX, 1): 233, (COMPLEX, 2): 2123}),
+                            (COMPLEX, 3): 615},
+     {(COMPLEX, 1): 14, (COMPLEX, 2): 48, (COMPLEX, 3): 108}),
+    ("P7-tau", COMPLEX, 2, {(COMPLEX, 1): 233, (COMPLEX, 2): 2123},
+     {(COMPLEX, 1): 57, (COMPLEX, 2): 283}),
     ("P3-tau", REAL, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6, (REAL, 2): 1,
-                         (REAL, 3): 1, (REAL, 4): 1}),
-    ("P5-tau", REAL, 3, {(COMPLEX, 1): 34, (REAL, 1): 1, (REAL, 3): 16}),
+                         (REAL, 3): 1, (REAL, 4): 1},
+     {(COMPLEX, 1): 2, (COMPLEX, 2): 5, (REAL, 2): 1, (REAL, 3): 1,
+      (REAL, 4): 1}),
+    ("P5-tau", REAL, 3, {(COMPLEX, 1): 34, (REAL, 1): 1, (REAL, 3): 16},
+     {(COMPLEX, 1): 14, (REAL, 1): 1, (REAL, 3): 16}),
     ("P7-tau", REAL, 3, {(COMPLEX, 1): 233, (REAL, 1): 3, (REAL, 2): 32,
-                         (REAL, 3): 121}),
+                         (REAL, 3): 121},
+     {(COMPLEX, 1): 57, (REAL, 1): 3, (REAL, 2): 32, (REAL, 3): 121}),
 ]
 
 
-@pytest.mark.parametrize("name,kind,max_degree,expected", STOP_ROWS,
+@pytest.mark.parametrize("name,kind,max_degree,expected,evaluated",
+                         STOP_ROWS,
                          ids=["%s-%s-d%d" % row[:3] for row in STOP_ROWS])
-def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected):
+def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected,
+                              evaluated):
     """Each block solve stops at the first row after which every pending
     key has a value: the relation tuples it draws from _block_tuples per
-    block, one row each, are frozen (a block with no pending key draws
-    none)."""
-    counts = {}
+    block are frozen (a block with no pending key draws none), and so
+    are the rows it evaluates, one _relation_row each.  A complex block
+    evaluates at most one row more than the entries it adds; a real
+    block evaluates every tuple it draws."""
+    counts, rows = Counter(), Counter()
     for cls in (ComplexSession, RealSession):
         def counted(self, d, unknowns, block_tuples=cls._block_tuples):
             for mu in block_tuples(self, d, unknowns):
-                counts[self.kind, d] = counts.get((self.kind, d), 0) + 1
+                counts[self.kind, d] += 1
                 yield mu
         monkeypatch.setattr(cls, "_block_tuples", counted)
+    solving = []  # the theories of the blocks being solved, innermost last
+
+    def solve_block(session, d, solve=complex_solver._solve_block):
+        solving.append(session.kind)
+        try:
+            solve(session, d)
+        finally:
+            solving.pop()
+
+    def relation_row(table, terms, d, row=complex_solver._relation_row):
+        rows[solving[-1], d] += 1
+        return row(table, terms, d)
+    monkeypatch.setattr(complex_solver, "_solve_block", solve_block)
+    monkeypatch.setattr(complex_solver, "_relation_row", relation_row)
     target = builtin_target(name)
     if kind == COMPLEX:
-        ComplexSession(target).ensure_primary(max_degree)
+        session = ComplexSession(target)
+        session.ensure_primary(max_degree)
     else:
-        RealSession(target).ensure_real(max_degree)
+        session = RealSession(target)
+        session.ensure_real(max_degree)
     assert counts == expected
+    assert rows == evaluated
+    entries = Counter((k.kind, k.degree) for k, _v, _p in session.table.items())
+    for (block_kind, d), n in rows.items():
+        if block_kind == COMPLEX:
+            assert n <= entries[block_kind, d] + 1, (block_kind, d)
+        else:
+            assert n == counts[block_kind, d], (block_kind, d)
+
+
+def _assert_row_unknowns_cover(session, mu, d):
+    """Every degree-d key among the relation terms of ``mu`` is one that
+    _row_unknowns lists for it."""
+    listed = set(session._row_unknowns(mu, d))
+    for _coeff, keys in session._relation_terms(mu, d):
+        for k in keys:
+            assert k.degree < d or k in listed, (mu, d, k)
+
+
+@pytest.mark.parametrize("name,max_degree", [("P2", 5), ("P3-tau", 4),
+                                             ("P5-tau", 3)])
+def test_row_unknowns_never_short_on_block_tuples(name, max_degree):
+    """The solve skips a tuple whose listed keys all have values, so the
+    list must hold every degree-d key the tuple's row can reach; every
+    tuple each block can draw is checked, not only those up to its stop
+    row."""
+    session = ComplexSession(builtin_target(name))
+    drawn = 0
+    for d in range(1, max_degree + 1):
+        for mu in session._block_tuples(d, session.primary_keys(d)):
+            _assert_row_unknowns_cover(session, mu, d)
+            drawn += 1
+    assert drawn == {"P2": 4, "P3-tau": 116, "P5-tau": 2859}[name]
+
+
+def test_row_unknowns_never_short_on_verify_window():
+    """The same cover on every wdvv_instances tuple of verify's P3-tau
+    d<=3 window, whose tuples are not reconstruction tuples."""
+    session = ComplexSession(builtin_target("P3-tau"))
+    checked = 0
+    for d, cap in sorted(_instance_caps(session, 3).items()):
+        for mu in wdvv_instances(session.target, d, max(cap + 1, 5)):
+            _assert_row_unknowns_cover(session, mu, d)
+            checked += 1
+    assert checked == 157
