@@ -2,7 +2,8 @@
 and the bookkeeping both theories share.
 
 Shared with the real solver: each theory's virtual dimension and
-structural filter, the stripping of unit and divisor insertions off a
+structural filter (and its part short of the grading, which graded_keys
+applies alone), the stripping of unit and divisor insertions off a
 primary factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one session evaluator (_Session: the primary unknowns, the
@@ -24,7 +25,8 @@ over the sorted runs of equal items that lists each distinct split once
 with its count of ordered splits, in a fixed order), the diagonal
 term and curve degree the grading leaves per split (_split_class), the
 slot a recursion lowers and its genus-0 and degree >= 1 preconditions
-(_recursion_slot), the divisor step (weight 1 complex, 2 real), the
+(_recursion_slot), the run-wise lowering of the string and divisor
+steps (_lowered_runs), the divisor step (weight 1 complex, 2 real), the
 relation-row builder (_relation_row) and the evaluation of a sum of
 keys (evaluate_terms) or of products of keys (evaluate_products).
 
@@ -153,22 +155,29 @@ def key_degree_sum(key, target):
     return 2 * (sum(map(sum, ins)) - len(ins))
 
 
+def _ungraded_complex(target, genus, degree, insertions):
+    """The part of filter_complex short of the grading, on the parts of a
+    key: "effectivity" for negative degree or an unstable degree-0
+    configuration, else None."""
+    if degree < 0 or (degree == 0 and 2 * genus + len(insertions) < 3):
+        return EFFECTIVITY
+    return None
+
+
 def filter_complex(key, target):
     """Structural-zero test for a canonical complex key.
 
     Returns "effectivity" for negative degree or an unstable degree-0
-    configuration, "grading" for a virtual-dimension mismatch, and None
-    when no structural reason forces the invariant to vanish.
+    configuration (_ungraded_complex), "grading" for a virtual-dimension
+    mismatch, and None when no structural reason forces the invariant to
+    vanish.
     """
-    d = key.degree
-    if d < 0:
-        return EFFECTIVITY
-    if d == 0 and 2 * key.genus + key.num_insertions < 3:
-        return EFFECTIVITY
-    if key_degree_sum(key, target) != vdim_complex(
-            key.genus, key.num_insertions, d, target):
+    reason = _ungraded_complex(target, key.genus, key.degree,
+                               key.insertions)
+    if reason is None and key_degree_sum(key, target) != vdim_complex(
+            key.genus, key.num_insertions, key.degree, target):
         return GRADING
-    return None
+    return reason
 
 
 def vdim_real(genus, num_points, degree, target):
@@ -178,30 +187,39 @@ def vdim_real(genus, num_points, degree, target):
     return (1 - genus) * (n - 3) + 2 * num_points + target.c1_pairing * degree
 
 
+def _ungraded_real(target, genus, degree, insertions):
+    """The part of filter_real short of the grading, on the parts of a
+    key: "effectivity" for negative degree or degree 0 with g + ell <= 1,
+    then "parity" for an insertion tau_a(mu) with mu in the (-1)^a
+    eigenspace, else None."""
+    if degree < 0 or (degree == 0 and genus + len(insertions) <= 1):
+        return EFFECTIVITY
+    for a, b in insertions:
+        if real_insertion_vanishes(target, a, b):
+            return PARITY
+    return None
+
+
 def filter_real(key, target):
     """Structural-zero test for a canonical real key.
 
     Checks effectivity (negative degree; degree 0 with g + ell <= 1),
     then eigenspace parity (an insertion tau_a(mu) with mu in the
-    (-1)^a eigenspace), then the grading against vdim_real.
+    (-1)^a eigenspace), both in _ungraded_real, then the grading against
+    vdim_real.
     """
-    d = key.degree
-    if d < 0:
-        return EFFECTIVITY
-    if d == 0 and key.genus + key.num_insertions <= 1:
-        return EFFECTIVITY
-    for a, b in key.insertions:
-        if real_insertion_vanishes(target, a, b):
-            return PARITY
-    if key_degree_sum(key, target) != vdim_real(
-            key.genus, key.num_insertions, d, target):
+    reason = _ungraded_real(target, key.genus, key.degree, key.insertions)
+    if reason is None and key_degree_sum(key, target) != vdim_real(
+            key.genus, key.num_insertions, key.degree, target):
         return GRADING
-    return None
+    return reason
 
 
 # each theory's virtual dimension and structural filter
 _VDIM = {COMPLEX: vdim_complex, REAL: vdim_real}
 _FILTER = {COMPLEX: filter_complex, REAL: filter_real}
+# each theory's structural filter short of the grading
+_UNGRADED = {COMPLEX: _ungraded_complex, REAL: _ungraded_real}
 
 
 def _strip_primary(target, kind, degree, basis_list):
@@ -416,15 +434,22 @@ def graded_keys(target, kind, degree, ell, variables):
     insertion_variables sorts them) whose degrees add up to the virtual
     dimension and that pass the theory's structural filter (effectivity,
     and for the real theory eigenspace parity), in a deterministic
-    order."""
+    order.
+
+    The multiset walk weighs tau_a(e_b) by 2a + deg e_b and keeps the
+    multisets whose weights add up to the virtual dimension, so every key
+    it lists meets the grading; only the rest of the filter (_UNGRADED)
+    is applied, before the key is built.  That needs the target to be
+    P^n, where deg e_b = 2(b - 1) is the degree key_degree_sum counts:
+    every caller has passed _require_projective or potentials'
+    _require_target."""
     weights = [2 * a + target.degree(b) for a, b in variables]
     want = _VDIM[kind](0, ell, degree, target)
-    structural_filter = _FILTER[kind]
+    ungraded = _UNGRADED[kind]
     for insertions in _multisets_exact(variables, weights, ell, want):
-        key = InvariantKey._trusted(kind, 0, degree,
-                                    tuple(sorted(insertions)))
-        if structural_filter(key, target) is None:
-            yield key
+        insertions = tuple(sorted(insertions))
+        if ungraded(target, 0, degree, insertions) is None:
+            yield InvariantKey._trusted(kind, 0, degree, insertions)
 
 
 def primary_unknowns(target, kind, degree):
@@ -535,21 +560,40 @@ def _recursion_slot(key):
     raise AxiomPreconditionError("no descendant insertion in %r" % (key,))
 
 
+def _lowered_runs(target, rest, shift):
+    """(count, insertions) per run of equal insertions tau_a(e_b) in
+    ``rest`` with a >= 1 and b + shift a class of the target: ``rest``
+    with the run's first copy lowered to tau_(a-1)(e_(b+shift)) (shift 0
+    for a string step, 1 for a divisor step, which moves h onto the
+    class).  Each copy of a run lowers to the same key, so a run of cnt
+    copies comes once, its count folded into the int coefficient.
+    ``rest`` is a key's sorted insertion list, so equal insertions are
+    adjacent (an unsorted list still gives the right sum: _combine
+    merges what two runs of one insertion leave)."""
+    top = target.num_basis - shift
+    out = []
+    i = 0
+    for (a, b), run in groupby(rest):
+        cnt = len(list(run))
+        if a >= 1 and b <= top:
+            lowered = list(rest)
+            lowered[i] = (a - 1, b + shift)
+            out.append((cnt, lowered))
+        i += cnt
+    return out
+
+
 def _divisor_terms(target, degree, rest, weight):
     """The weighted insertion lists of one divisor step, in either theory:
     tau_0(h) stripped from a key of curve degree ``degree`` leaves
     ``degree`` times the other insertions ``rest``, plus ``weight`` (1
     complex, 2 real) times ``rest`` with one descendant slot lowered and
     h moved onto its class (on P^n, h * e_b = e_(b+1), and 0 past the
-    point class).  The coefficients are ints."""
-    out = []
-    if degree:
-        out.append((degree, rest))
-    for i, (a, b) in enumerate(rest):
-        if a >= 1 and b < target.num_basis:
-            ins = list(rest)
-            ins[i] = (a - 1, b + 1)
-            out.append((weight, ins))
+    point class).  A run of cnt equal slots gives one term of weight
+    cnt * ``weight`` (_lowered_runs).  The coefficients are ints."""
+    out = [(degree, rest)] if degree else []
+    out.extend((weight * cnt, ins)
+               for cnt, ins in _lowered_runs(target, rest, 1))
     return out
 
 
@@ -558,10 +602,13 @@ def reduce_axioms(key, target, slot=None):
     theory (read from key.kind).
 
     Returns a list of (coefficient, key) pairs whose value-sum equals the
-    input key's value; the coefficients are ints, and zero-coefficient
-    terms are dropped, so an identically vanishing reduction returns [].
-    A complex key takes 1 per string term, 2g - 2 + ell for the dilaton,
-    d and 1 for the divisor.  A real key differs only in its constants: a
+    input key's value, sorted by key; the coefficients are ints, and
+    zero-coefficient terms are dropped, so an identically vanishing
+    reduction returns [].  A complex key takes 1 per string term, 2g - 2
+    + ell for the dilaton, d and 1 for the divisor.  The string and
+    divisor steps lower one copy per run of equal insertions and fold the
+    run's length into the coefficient (_lowered_runs), so each lowered
+    key is built once.  A real key differs only in its constants: a
     string insertion kills it (the step returns []), the dilaton carries
     2(g - 1 + ell), and the divisor, which must carry a minus-eigenspace
     class, d and 2.  slot is the (index, which) pair that _removable_slot
@@ -589,17 +636,11 @@ def reduce_axioms(key, target, slot=None):
     if d == 0 and (g + ell <= 1 if real else (g, ell) == (0, 2)):
         raise AxiomPreconditionError(
             "stripping from %r leaves an unstable degree-0 configuration" % (key,))
-    out = []
     if which == "string":
-        for i, (a, b) in enumerate(rest):
-            if a >= 1:
-                ins = list(rest)
-                ins[i] = (a - 1, b)
-                out.append((1, ins))
+        out = _lowered_runs(target, rest, 0)
     elif which == "dilaton":
         coeff = 2 * g - 2 + ell + (ell if real else 0)
-        if coeff:
-            out.append((coeff, rest))
+        out = [(coeff, rest)] if coeff else []
     else:  # divisor
         out = _divisor_terms(target, d, rest, 2 if real else 1)
     return _combine((c, normalize(target, key.kind, g, d, ins))

@@ -137,6 +137,24 @@ def test_each_axiom_step_searches_for_its_slot_once(monkeypatch):
     assert calls["_removable_slot"] <= calls["_axiom_route"]
 
 
+def test_axiom_step_builds_each_lowered_key_once(monkeypatch):
+    """A string step lowers one copy per run of equal descendants: on P2,
+    <tau_0(1), tau_1(h)^3>_1 builds its one lowered key once, with the
+    run's length 3 as its coefficient."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(complex_solver, "normalize", counted)
+    p2 = make_p2()
+    k = InvariantKey(COMPLEX, 0, 1, [(0, 1), (1, 2), (1, 2), (1, 2)])
+    assert reduce_axioms(k, p2) == [
+        (3, InvariantKey(COMPLEX, 0, 1, [(0, 2), (1, 2), (1, 2)]))]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["P2", "P3-tau"])
 def test_axiom_step_given_its_slot_matches_its_own_search(name):
     """On every axiom-route descendant key at degree 1-3 (up to 5

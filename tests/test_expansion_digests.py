@@ -1,17 +1,19 @@
-"""The four relation and recursion expansions, frozen term for term.
+"""The four relation and recursion expansions and the axiom step, frozen
+term for term.
 
 Each digest is the sha256 of the repr of the list an expansion returns,
 over a fixed window of P3-tau: coefficients (with their type), keys and
-the order of the terms must all stay as they are when the split walk or
-the recursion loops are rewritten for speed."""
+the order of the terms must all stay as they are when the split walk,
+the recursion loops or the axiom step are rewritten for speed."""
 
 import hashlib
 
 import pytest
 
 from gwcalc.cli import _instance_caps
-from gwcalc.complex_solver import (ComplexSession, graded_keys,
-                                   insertion_variables, reduce_descendant_trr,
+from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
+                                   graded_keys, insertion_variables,
+                                   reduce_axioms, reduce_descendant_trr,
                                    wdvv_instances)
 from gwcalc.invariant_store import COMPLEX, REAL
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
@@ -25,6 +27,7 @@ DIGESTS = dict(
     rtrr="01f31325bde7cfc284b4af0d8cbbb3ce85895baaf81e287f4eabbc1bbabb3dea",
     wdvv="d9acbcdce2179207711ee5766be411b23b93b6e8193430320ae5022c193bd32c",
     rwdvv="48ef3f9b668b663e14427b2ef94a6a4d0fd0df57844fc96c98ff46da6b737b52",
+    axiom="4a8891be3e33e162b7a10aa2b221a6af48720b94147d0d05421d6bd5bcac3ced",
 )
 
 
@@ -86,3 +89,22 @@ def test_rwdvv_relation_terms_frozen(sessions):
                for ks in rwdvv_instances(rs.target, d, max(cap + 2, 5))]
     assert len(results) == 5
     assert _digest(results) == DIGESTS["rwdvv"]
+
+
+def test_axiom_step_frozen(p3):
+    """reduce_axioms on every key of the window at degrees 0..Q_MAX in
+    both theories, primary keys too; a key outside the step's hypotheses
+    stands as the name of the exception it raises."""
+    results = []
+    for kind in (COMPLEX, REAL):
+        variables = insertion_variables(p3, kind, DEPTH)
+        for d in range(Q_MAX + 1):
+            for ell in range(1, T_MAX + 1):
+                for key in graded_keys(p3, kind, d, ell, variables):
+                    try:
+                        results.append(reduce_axioms(key, p3))
+                    except AxiomPreconditionError as exc:
+                        results.append(type(exc).__name__)
+    assert len(results) == 4662
+    assert results.count("AxiomPreconditionError") == 1042
+    assert _digest(results) == DIGESTS["axiom"]
