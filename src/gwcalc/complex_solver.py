@@ -9,11 +9,14 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one session evaluator (_Session: the primary unknowns, the
 relation residual, the values of primary and any keys and the loop over
 degree blocks, _ensure, which ComplexSession binds as ensure_primary and
-RealSession as ensure_real, and the descendant route: one axiom step
-where _axiom_route allows it, else the session's recursion; each
-session keeps its seed, the relation tuples of a block, the terms of
-one tuple, its provenance tag and relation wording, the degree-0 rule
-and its recursion, _recursion_value, tagged _recursion), one
+RealSession as ensure_real, the one memo of a primary factor's
+structural part, _shape, the one rule for the keys a relation row can
+hold, _row_unknowns, and the descendant route: one axiom step where
+_axiom_route allows it, else the session's recursion; each session keeps
+its seed, the relation tuples of a block, the terms of one tuple and the
+ends of one that can sit on a degree-0 factor (_row_ends), its
+provenance tag and relation wording, the degree-0 rule and its
+recursion, _recursion_value, tagged _recursion), one
 block-solve skeleton (_solve_block) that seeds, turns each of the
 session's relation tuples into a row, eliminates the rows and stores
 the values, one axiom step (reduce_axioms: string, dilaton and divisor,
@@ -57,18 +60,19 @@ for each unknown, the tuples that split one insertion h^k = h * h^(k-1)
 as in Kontsevich-Manin's first reconstruction theorem, eliminated by
 sparse Gauss-Jordan over the rationals until every unknown has a value;
 lower-degree factors are read from the table, degree-0 factors evaluate
-classically, and inconsistencies abort.  A degree-d key of a relation
-sits next to a three-point degree-0 factor, so the few it can hold are
-known before its terms are (_row_unknowns), and a tuple whose row could
-hold only keys that have a value is skipped: it adds no pivot.  The
+classically, and inconsistencies abort.  In either theory a degree-d
+key of a relation sits next to a three-point degree-0 factor, so the
+few it can hold are known before its terms are (_row_unknowns, over the
+session's _row_ends), and a tuple whose row could hold only keys that
+have a value is skipped: it adds no pivot.  The
 enumeration of every admissible tuple (wdvv_instances) stays out of the
 solve: it is the independent route by which the wdvv suite of verify
 checks the table.
 For each split of a relation the grading picks the diagonal term and
 the curve degree of the first factor (that of the second follows), so
 only that one term is evaluated; the structural part of each factor is
-memoized per session by shape, while its value is always read from the
-live table.
+memoized per session by shape (_shape, which primary_value reads too),
+while its value is always read from the live table.
 """
 
 from __future__ import annotations
@@ -840,8 +844,7 @@ def _solve_block(session, d):
     the pivots number the pending keys: the solve stops at that row.  A
     tuple whose row can hold only keys that have a value (each key of
     ``session._row_unknowns(mu, d)`` in the table or a pivot with an
-    empty rest) adds no pivot, so it is drawn but not evaluated; a
-    session whose _row_unknowns returns None evaluates every row.
+    empty rest) adds no pivot, so it is drawn but not evaluated.
     Raises UnderdeterminedError naming the session's ``_relations`` when
     a pending key stays open.
     """
@@ -857,9 +860,8 @@ def _solve_block(session, d):
         return
     elim = _Eliminator()
     for mu in session._block_tuples(d, unknowns):
-        keys = session._row_unknowns(mu, d)
-        if keys is not None and all(k in table or elim.solved(k)
-                                    for k in keys):
+        if all(k in table or elim.solved(k)
+               for k in session._row_unknowns(mu, d)):
             continue  # every unknown the row can hold has a value
         elim.add_row(*_relation_row(table, session._relation_terms(mu, d), d))
         if len(elim.pivots) == len(pending):
@@ -889,9 +891,10 @@ class _Session:
     provenance tag and wording of its relations (``_provenance``,
     ``_relations``) and of its recursion (``_recursion``) and supplies the
     seed (``_seed``), the relation tuples of a block (_block_tuples),
-    the terms of one (_relation_terms) and the degree-d keys its row can
-    hold (_row_unknowns, None for all), the degree-0 rule
-    (_degree_zero_value) and the value of a descendant key by its
+    the terms of one (_relation_terms) and the ends of a row that can sit
+    on a degree-0 factor (_row_ends, read by the one row rule
+    _row_unknowns), the degree-0 rule (_degree_zero_value, read by the
+    primary-factor memo _shape) and the value of a descendant key by its
     recursion (_recursion_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
     time, and each subclass binds value, relation_residual and _ensure
@@ -906,6 +909,9 @@ class _Session:
         self.target = target
         self.table = table
         self._solved_to = 0
+        # structural part of primary factors, keyed by (degree, sorted
+        # basis tuple); see _shape
+        self._shapes = {}
 
     def _ensure(self, max_degree):
         """Solve all primary blocks of the session's theory up to and
@@ -913,6 +919,41 @@ class _Session:
         while self._solved_to < max_degree:
             _solve_block(self, self._solved_to + 1)
             self._solved_to += 1
+
+    def _row_unknowns(self, mu, d):
+        """The degree-d keys the row of a relation instance can hold.
+
+        A degree-d key sits next to a degree-0 factor, nonzero only with
+        three points: a (pair, rest) end of _row_ends whose pair side the
+        grading puts at degree 0 (_split_class) holds the key of e_b and
+        the rest."""
+        keys = []
+        for pair, rest in self._row_ends(mu):
+            _ea, eb, d0 = _split_class(self.target, sum(pair), 2)
+            if d0 == 0:
+                shape = self._shape(d, [eb] + rest)
+                if shape is not None:
+                    keys.append(shape[1])
+        return keys
+
+    def _shape(self, d_f, basis_list):
+        """Structural part of a primary factor of degree ``d_f`` with
+        classes ``basis_list``, memoized by both: None when it vanishes,
+        int (value,) at degree 0 (_degree_zero_value), else (int divisor
+        multiplier, canonical key) from _strip_primary."""
+        shape_key = (d_f, tuple(sorted(basis_list)))
+        shapes = self._shapes
+        if shape_key not in shapes:
+            if d_f == 0:
+                val = self._degree_zero_value(
+                    [(0, b) for b in basis_list]).numerator
+                shape = (val,) if val else None
+            else:
+                canon = _strip_primary(self.target, self.kind, d_f,
+                                       basis_list)
+                shape = None if canon is None else canon[::-1]
+            shapes[shape_key] = shape
+        return shapes[shape_key]
 
     def primary_keys(self, degree):
         """Canonical primary unknowns of the session's theory at a degree
@@ -935,16 +976,15 @@ class _Session:
 
     def primary_value(self, degree, basis_list):
         """Value of a primary invariant given as a degree and a list of
-        basis indices (any classes; unit and divisor insertions are
-        stripped on the fly, and degree 0 follows the theory's rule)."""
-        if degree < 0:
+        basis indices (any classes), read through the factor's _shape:
+        unit and divisor insertions are stripped, and degree 0 follows
+        the theory's rule."""
+        shape = self._shape(degree, basis_list)
+        if shape is None:
             return Fraction(0)
         if degree == 0:
-            return self._degree_zero_value([(0, b) for b in basis_list])
-        canon = _strip_primary(self.target, self.kind, degree, basis_list)
-        if canon is None:
-            return Fraction(0)
-        key, mult = canon
+            return Fraction(shape[0])
+        mult, key = shape
         (self.ensure_primary if self.kind == COMPLEX
          else self.ensure_real)(degree)
         val = self.table.get(key)
@@ -1022,9 +1062,6 @@ class ComplexSession(_Session):
         seed_key, seed_mult = _strip_primary(
             target, COMPLEX, 1, [target.num_basis, target.num_basis])
         self._seed = (seed_key, Fraction(1, seed_mult))
-        # structural part of relation-row factors, keyed by
-        # (degree, sorted basis tuple); see _relation_terms
-        self._shapes = {}
 
     # -- block solving --------------------------------------------------
 
@@ -1068,54 +1105,16 @@ class ComplexSession(_Session):
                 else:
                     yield coeff, keys
 
-    def _row_unknowns(self, mu, d):
-        """The degree-d keys the row of a relation instance can hold.
-
-        A degree-d key sits next to a degree-0 factor, and a degree-0
-        factor is nonzero only with three points: two of the pairing and
-        the diagonal class.  So per pairing only the split that sends
-        the whole pad to the other side can carry one, at each end: the
-        empty first side with d1 = 0, or the empty second side with
-        d1 = d (_relation_terms).
-        """
-        target = self.target
+    def _row_ends(self, mu):
+        """Both ends of both pairings of a relation instance: each pair of
+        distinguished slots, with the other pair and the pad as the rest
+        (_row_unknowns)."""
         pad = list(mu[4:])
-        shapes = []
         for _side, (pa, pb) in _PAIRINGS:
             pair_i = [mu[pa[0]], mu[pa[1]]]
             pair_j = [mu[pb[0]], mu[pb[1]]]
-            _ei, ej, d1 = _split_class(target, sum(pair_i), 2)
-            if d1 == 0:
-                shapes.append(self._shape(d, [ej] + pair_j + pad))
-            ins_i = pair_i + pad
-            ei, _ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
-            if d1 == d:
-                shapes.append(self._shape(d, ins_i + [ei]))
-        return [shape[1] for shape in shapes if shape is not None]
-
-    def _shape(self, d_f, basis_list):
-        """The memoized _factor_shape of a factor of degree ``d_f`` with
-        classes ``basis_list``, keyed by the degree and the sorted
-        classes."""
-        shape_key = (d_f, tuple(sorted(basis_list)))
-        shapes = self._shapes
-        if shape_key not in shapes:
-            shapes[shape_key] = self._factor_shape(d_f, basis_list)
-        return shapes[shape_key]
-
-    def _factor_shape(self, d_f, basis_list):
-        """Structural part of a factor: None when it vanishes, (value,)
-        at degree 0, else (divisor multiplier, canonical key); the value
-        and the multiplier are ints."""
-        if d_f == 0:
-            val = degree_zero_value(self.target,
-                                    [(0, b) for b in basis_list]).numerator
-            return (val,) if val else None
-        canon = _strip_primary(self.target, COMPLEX, d_f, basis_list)
-        if canon is None:
-            return None
-        key, mult = canon
-        return mult, key
+            yield pair_i, pair_j + pad
+            yield pair_j, pair_i + pad
 
     # -- evaluation -----------------------------------------------------
 

@@ -19,16 +19,21 @@ an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
 ensure_real, and whose descendant route it shares), the block-solve
 skeleton, the axiom step, the split class and the relation-row builder
-are the ones complex_solver keeps for both theories; this module
+are the ones complex_solver keeps for both theories, and so is the row
+skip of the block solve (_row_unknowns): a real key of the block degree
+sits next to a three-point degree-0 complex factor, slot 1 with slot 2
+or slot 3 and the diagonal class, so a tuple whose row could hold only
+keys that have a value adds no pivot and is not evaluated.  This module
 supplies the relation tuples of a real block (rwdvv_instances, after the
 complex table is extended to half the degree), the real relation terms,
 in which the grading of the complex side picks the diagonal term and
-pins its degree d' per split, the real degree-0 rule (the invariant is 0
-and is not stored) and the real recursion.  Descendant invariants reduce
-axiom-first, as in the complex theory: a key with >= 3 insertions and a
-dilaton or minus-eigenspace divisor insertion takes one such step
-(complex_solver.reduce_axioms with the real constants; a string
-insertion kills the invariant), any other goes through the real
+pins its degree d' per split, the two ends of a row that can sit on a
+degree-0 complex factor (_row_ends), the real degree-0 rule (the
+invariant is 0 and is not stored) and the real recursion.  Descendant
+invariants reduce axiom-first, as in the complex theory: a key with >= 3
+insertions and a dilaton or minus-eigenspace divisor insertion takes one
+such step (complex_solver.reduce_axioms with the real constants; a
+string insertion kills the invariant), any other goes through the real
 topological recursion (reduce_descendant_rtrr), whose leading term
 slides a divisor onto the descendant slot with weight -2.  The
 rtrr-cross suite compares one step of each route over the same lower
@@ -131,8 +136,11 @@ def rwdvv_relation(target, mu, degree, complex_session):
 class RealSession(_Session):
     """Stateful evaluator for one real target.
 
-    Shares an InvariantTable with a complex session for the same target
-    (complex entries are looked up and extended on demand).  ``seed_sign``
+    Shares one InvariantTable with a complex session for the same target
+    (complex entries are looked up and extended on demand): with
+    ``complex_session`` given, a ``table`` of None means that session's
+    table, and a complex session over another table is refused; without
+    one, a complex session over the table is made.  ``seed_sign``
     fixes the degree-1 point count; None means: adopt the table's seed
     (or +1 for a target with nonempty real locus), and leave the free
     involution unseeded so solving reports the undetermined keys.
@@ -148,9 +156,15 @@ class RealSession(_Session):
 
     def __init__(self, target, table=None, seed_sign=None, complex_session=None):
         _require_real_target(target)
+        if seed_sign not in (1, -1, None):
+            raise ValueError("seed_sign must be +1, -1 or None")
+        if table is None and complex_session is not None:
+            table = complex_session.table
         super().__init__(target, table)
         if complex_session is None:
             complex_session = ComplexSession(target, table=self.table)
+        elif complex_session.table is not self.table:
+            raise ValueError("complex session keeps another table")
         self.complex = complex_session
         canon = _strip_primary(target, REAL, 1, [target.num_basis])
         if canon is None:
@@ -165,8 +179,6 @@ class RealSession(_Session):
             seed_sign = stored_sign
         if seed_sign is None and not target.fixed_locus_empty:
             seed_sign = self.table.seed_sign
-        if seed_sign not in (1, -1, None):
-            raise ValueError("seed_sign must be +1, -1 or None")
         self.seed_sign = seed_sign
         if seed_sign is not None:
             self.table.seed_sign = seed_sign
@@ -186,10 +198,14 @@ class RealSession(_Session):
         max_ell = max(k.num_insertions for k in unknowns)
         return rwdvv_instances(self.target, d, max_ell + 4)
 
-    def _row_unknowns(self, ks, d):
-        """None: the real solve evaluates the row of every tuple it
-        draws (_solve_block)."""
-        return None
+    def _row_ends(self, ks):
+        """The (pair, rest) ends of a relation instance (a degree tuple,
+        as in _relation_terms) whose pair can make a degree-0 complex
+        factor: slots 1 and 3, then slots 1 and 2 (rwdvv_relation)."""
+        mu = [k + 1 for k in ks]
+        pad = mu[3:]
+        yield [mu[0], mu[2]], [mu[1]] + pad
+        yield [mu[0], mu[1]], [mu[2]] + pad
 
     def _relation_terms(self, ks, d):
         """The terms of one relation instance (a degree tuple as yielded

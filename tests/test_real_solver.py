@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
-from gwcalc.invariant_store import (REAL, InvariantKey, InvariantTable,
-                                    real_insertion_vanishes)
+from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
+                                    InvariantTable, real_insertion_vanishes)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    UnderdeterminedError, _combine,
@@ -155,6 +155,29 @@ def test_seed_conflict_with_table(p3, p3_sessions):
     # matching sign (or None) adopts the stored seed
     again = RealSession(p3, table=table)
     assert again.seed_sign == 1
+
+
+def test_bad_seed_sign_refused_before_the_stored_seed(p3, p3_sessions):
+    """A seed sign other than +1, -1 or None is refused as such, on a
+    fresh table and on one already seeded with +1 alike."""
+    for table in (None, p3_sessions[1].table):
+        with pytest.raises(ValueError, match="seed_sign must be"):
+            RealSession(p3, table, seed_sign=5)
+
+
+def test_real_session_shares_the_complex_table(p3, p5):
+    """Given a complex session and no table, a real session keeps its
+    entries in that session's table; a complex session over another
+    table, or of another target, is refused up front."""
+    cs = ComplexSession(p3)
+    rs = RealSession(p3, seed_sign=1, complex_session=cs)
+    assert rs.table is cs.table
+    rs.ensure_real(2)
+    assert {k.kind for k, _v, _p in cs.table.items()} == {COMPLEX, REAL}
+    with pytest.raises(ValueError, match="another table"):
+        RealSession(p3, InvariantTable(p3), seed_sign=1, complex_session=cs)
+    with pytest.raises(ValueError, match="different target"):
+        RealSession(p3, seed_sign=1, complex_session=ComplexSession(p5))
 
 
 def test_real_session_rejects_foreign_table(p3, p5):
