@@ -352,24 +352,24 @@ def _instance_caps(session, max_degree):
     return caps
 
 
-def _relation_suite(session, max_degree, instances, slack, pad_start, h,
-                    pde_residuals):
+def _relation_suite(session, max_degree, instances, slack, pde_residuals):
     """Shared body of the wdvv and rwdvv suites: every instance that
     ``instances(target, d, length)`` lists in verify's window (the longest
     unknown of the degree + slack, at least 5) sums to zero on the table,
     then every (indices, residual) of ``pde_residuals()`` vanishes.
 
-    By the divisor axiom an instance with the divisor ``h`` in its pad
-    (which starts at ``pad_start``; h sorts first in it) sums to d times
-    the same instance with one h removed, which the window lists earlier
-    at the same degree; its residual is read off that one, not
-    evaluated, and it still counts as a check."""
+    By the divisor axiom an instance with the divisor h (basis index 2)
+    in its pad (which starts at the session's ``_pad_start``; h sorts
+    first in it) sums to d times the same instance with one h removed,
+    which the window lists earlier at the same degree; its residual is
+    read off that one, not evaluated, and it still counts as a check."""
     work = [(d, inst) for d, cap in sorted(
                 _instance_caps(session, max_degree).items())
             for inst in instances(session.target, d, max(cap + slack, 5))]
+    pad_start = session._pad_start
     residuals = {}
     for d, inst in work:
-        if inst[pad_start:pad_start + 1] == (h,):
+        if inst[pad_start:pad_start + 1] == (2,):
             total = d * residuals[d, inst[:pad_start] + inst[pad_start + 1:]]
         else:
             total = session.relation_residual(inst, d)
@@ -456,8 +456,7 @@ def suite_wdvv(target, args, csession, rsession, potential):
         for indices in itertools.product(range(1, target.num_basis + 1),
                                          repeat=4):
             yield indices, residual_wdvv_pde(F, indices)
-    # the divisor is basis index 2; the pad follows the arranged quadruple
-    return _relation_suite(csession, args.max_degree, wdvv_instances, 1, 4, 2,
+    return _relation_suite(csession, args.max_degree, wdvv_instances, 1,
                            pde_residuals)
 
 
@@ -472,9 +471,7 @@ def suite_rwdvv(target, args, csession, rsession, potential):
         for indices in itertools.product(by_sign[1], by_sign[-1],
                                          by_sign[-1]):
             yield indices, residual_rwdvv_pde(doubled, omega, indices)
-    # real instances are degree tuples, the divisor of degree 1; the pad
-    # follows the three anchored slots
-    return _relation_suite(rsession, args.max_degree, rwdvv_instances, 2, 3, 1,
+    return _relation_suite(rsession, args.max_degree, rwdvv_instances, 2,
                            pde_residuals)
 
 

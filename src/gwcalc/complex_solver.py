@@ -10,13 +10,14 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 relation residual, the values of primary and any keys and the loop over
 degree blocks, _ensure, which ComplexSession binds as ensure_primary and
 RealSession as ensure_real, the one memo of a primary factor's
-structural part, _shape, the one rule for the keys a relation row can
-hold, _row_unknowns, and the descendant route: one axiom step where
-_axiom_route allows it, else the session's recursion; each session keeps
-its seed, the relation tuples of a block, the terms of one tuple and the
-ends of one that can sit on a degree-0 factor (_row_ends), its
-provenance tag and relation wording, the degree-0 rule and its
-recursion, _recursion_value, tagged _recursion), one
+structural part, _shape, the one relation expansion, _relation_terms,
+and the one rule for the keys a relation row can hold, _row_unknowns,
+both reading the session's pairing table, and the descendant route: one
+axiom step where _axiom_route allows it, else the session's recursion;
+each session keeps its seed, its pairing table (_pairings, _pad_start
+and the doubling of the complex side, _doubling), the relation tuples
+of a block, its provenance tag and relation wording, the degree-0 rule
+and its recursion, _recursion_value, tagged _recursion), one
 block-solve skeleton (_solve_block) that seeds, turns each of the
 session's relation tuples into a row, eliminates the rows and stores
 the values, one axiom step (reduce_axioms: string, dilaton and divisor,
@@ -63,8 +64,8 @@ lower-degree factors are read from the table, degree-0 factors evaluate
 classically, and inconsistencies abort.  In either theory a degree-d
 key of a relation sits next to a three-point degree-0 factor, so the
 few it can hold are known before its terms are (_row_unknowns, over the
-session's _row_ends), and a tuple whose row could hold only keys that
-have a value is skipped: it adds no pivot.  The
+two-slot sides of the session's pairing table), and a tuple whose row
+could hold only keys that have a value is skipped: it adds no pivot.  The
 enumeration of every admissible tuple (wdvv_instances) stays out of the
 solve: it is the independent route by which the wdvv suite of verify
 checks the table.
@@ -889,11 +890,10 @@ class _Session:
     of keys (value, over one step of a key's route in _recompute), and the
     block-solve driver (_ensure).  A subclass sets ``kind``, the
     provenance tag and wording of its relations (``_provenance``,
-    ``_relations``) and of its recursion (``_recursion``) and supplies the
-    seed (``_seed``), the relation tuples of a block (_block_tuples),
-    the terms of one (_relation_terms) and the ends of a row that can sit
-    on a degree-0 factor (_row_ends, read by the one row rule
-    _row_unknowns), the degree-0 rule (_degree_zero_value, read by the
+    ``_relations``) and of its recursion (``_recursion``), its pairing
+    table (read by _relation_terms and _row_unknowns) and ``complex``,
+    and supplies the seed (``_seed``), the relation tuples of a block
+    (_block_tuples), the degree-0 rule (_degree_zero_value, read by the
     primary-factor memo _shape) and the value of a descendant key by its
     recursion (_recursion_value).  The shared bodies reach value,
     relation_residual and the block solve through the instance at call
@@ -920,20 +920,61 @@ class _Session:
             _solve_block(self, self._solved_to + 1)
             self._solved_to += 1
 
+    def _relation_terms(self, mu, d):
+        """Yield the (coefficient, keys) terms of one relation instance
+        (basis indices) at block degree d, in either theory.
+
+        Each (sign, first-side slots, second-side slots) of _pairings
+        comes once per distinct split of the pad (slots _pad_start..),
+        with its weight (_grouped_splits; all basis degrees are even, so
+        grouping loses no sign), and only with the diagonal term and
+        first-side degree d1 the grading leaves (_split_class), when d1
+        and the second side's d - _doubling * d1 are >= 0.  The first side
+        is a factor of the complex session (``complex``), times _doubling
+        per insertion; the second is of the session's theory.  A factor
+        whose memoized shape vanishes drops the term; otherwise its
+        multiplier folds into the coefficient and its key, if any, joins
+        the keys.
+        """
+        target = self.target
+        first_shape = self.complex._shape
+        doubling = self._doubling
+        for weight, first, second in _grouped_splits(mu[self._pad_start:]):
+            for sign, slots_i, slots_j in self._pairings:
+                ins_i = [mu[s] for s in slots_i] + first
+                ins_j = [mu[s] for s in slots_j] + second
+                ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
+                d2 = d - doubling * d1
+                if d1 < 0 or d2 < 0:
+                    continue
+                shape_i = first_shape(d1, ins_i + [ei])
+                if shape_i is None:
+                    continue
+                shape_j = self._shape(d2, [ej] + ins_j)
+                if shape_j is None:
+                    continue
+                yield (sign * weight * doubling ** len(ins_i) * shape_i[0]
+                       * shape_j[0], [*shape_i[1:], *shape_j[1:]])
+
     def _row_unknowns(self, mu, d):
         """The degree-d keys the row of a relation instance can hold.
 
         A degree-d key sits next to a degree-0 factor, nonzero only with
-        three points: a (pair, rest) end of _row_ends whose pair side the
-        grading puts at degree 0 (_split_class) holds the key of e_b and
-        the rest."""
+        three points: a two-slot side of a pairing that the grading puts
+        at degree 0 (_split_class) holds the key of e_b, the other side
+        and the pad."""
+        pad = list(mu[self._pad_start:])
         keys = []
-        for pair, rest in self._row_ends(mu):
-            _ea, eb, d0 = _split_class(self.target, sum(pair), 2)
-            if d0 == 0:
-                shape = self._shape(d, [eb] + rest)
-                if shape is not None:
-                    keys.append(shape[1])
+        for _sign, slots_i, slots_j in self._pairings:
+            for pair, rest in ((slots_i, slots_j), (slots_j, slots_i)):
+                if len(pair) != 2:
+                    continue
+                _ea, eb, d0 = _split_class(self.target,
+                                           mu[pair[0]] + mu[pair[1]], 2)
+                if d0 == 0:
+                    shape = self._shape(d, [eb] + [mu[s] for s in rest] + pad)
+                    if shape is not None:
+                        keys.append(shape[1])
         return keys
 
     def _shape(self, d_f, basis_list):
@@ -962,12 +1003,14 @@ class _Session:
         return primary_unknowns(self.target, self.kind, degree)
 
     def relation_residual(self, mu, degree):
-        """Evaluate one relation instance (a tuple as the theory's
+        """Evaluate one relation instance (a tuple of basis indices, as
         _relation_terms reads it) against solved values.
 
         Returns the exact amount by which the instance fails to vanish
         (zero on a consistent table).  Uses the grouped fast path, so it
-        is cheap even for instances with many repeated insertions.
+        is cheap even for instances with many repeated insertions.  Every
+        factor below ``degree``, of either theory, must be in the table
+        (_relation_row raises SolverError otherwise).
         """
         row, rhs = _relation_row(self.table, self._relation_terms(mu, degree),
                                  degree)
@@ -1037,11 +1080,6 @@ class _Session:
                 "axiom-reduction")
 
 
-# the two pairings of an exchange relation's four distinguished slots, with
-# their signs: (1,2) against (3,4) minus (1,3) against (2,4)
-_PAIRINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 2), (1, 3))))
-
-
 class ComplexSession(_Session):
     """Stateful evaluator for one target: solves primary blocks on demand
     and reduces descendant keys, memoizing everything in a table."""
@@ -1050,6 +1088,10 @@ class ComplexSession(_Session):
     _provenance = "wdvv"
     _relations = "exchange relations"
     _recursion = "trr"
+    # (1,2) against (3,4) minus (1,3) against (2,4), then the pad
+    _pairings = ((1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)))
+    _pad_start = 4
+    _doubling = 1
     value = _Session.value
     relation_residual = _Session.relation_residual
     ensure_primary = _Session._ensure
@@ -1065,6 +1107,13 @@ class ComplexSession(_Session):
 
     # -- block solving --------------------------------------------------
 
+    @property
+    def complex(self):
+        """The session a relation's first side is read through: this one.
+        A property, not an attribute, so no reference cycle keeps a
+        finished session and its table alive until a garbage collection."""
+        return self
+
     def _block_tuples(self, d, unknowns):
         """Yield the reconstruction relations of a block's unknowns
         (reconstruction_tuples), each distinct tuple once."""
@@ -1073,48 +1122,6 @@ class ComplexSession(_Session):
             if mu not in seen:
                 seen.add(mu)
                 yield mu
-
-    def _relation_terms(self, mu, d):
-        """Yield the (coefficient, keys) terms of one relation instance.
-
-        Each side (slots (1,2) against (3,4), then (1,3) against (2,4))
-        comes once per distinct split of the other insertions, with its
-        weight (_grouped_splits; all basis degrees are even, so grouping
-        loses no sign), and only with the diagonal term and first-factor
-        degree d1 the grading leaves (_split_class), when 0 <= d1 <= d.
-        A factor whose memoized shape vanishes drops the term; otherwise
-        its multiplier folds into the coefficient and its key, if any,
-        joins the keys.
-        """
-        target = self.target
-        for weight, first, second in _grouped_splits(mu[4:]):
-            for side, (pa, pb) in _PAIRINGS:
-                ins_i = [mu[pa[0]], mu[pa[1]]] + first
-                ins_j = [mu[pb[0]], mu[pb[1]]] + second
-                ei, ej, d1 = _split_class(target, sum(ins_i), len(ins_i))
-                if not 0 <= d1 <= d:
-                    continue
-                coeff = side * weight
-                keys = []
-                for d_f, ins in ((d1, ins_i + [ei]), (d - d1, [ej] + ins_j)):
-                    shape = self._shape(d_f, ins)
-                    if shape is None:
-                        break
-                    coeff *= shape[0]
-                    keys.extend(shape[1:])
-                else:
-                    yield coeff, keys
-
-    def _row_ends(self, mu):
-        """Both ends of both pairings of a relation instance: each pair of
-        distinguished slots, with the other pair and the pad as the rest
-        (_row_unknowns)."""
-        pad = list(mu[4:])
-        for _side, (pa, pb) in _PAIRINGS:
-            pair_i = [mu[pa[0]], mu[pa[1]]]
-            pair_j = [mu[pb[0]], mu[pb[1]]]
-            yield pair_i, pair_j + pad
-            yield pair_j, pair_i + pad
 
     # -- evaluation -----------------------------------------------------
 

@@ -17,6 +17,7 @@ inconsistency a verifier must see).
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -51,12 +52,16 @@ class InvariantKey:
     def __init__(self, kind, genus, degree, insertions):
         if kind not in KINDS:
             raise ValueError("kind must be one of %r" % (KINDS,))
+        # operator.index refuses 2.5, '2' and Fraction(5, 2) rather than
+        # truncating them, so equal keys always hash alike
+        genus, degree = operator.index(genus), operator.index(degree)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         _set_kind(self, kind)
-        _set_genus(self, int(genus))
-        _set_degree(self, int(degree))
-        ins = tuple((int(a), int(b)) for a, b in insertions)
+        _set_genus(self, genus)
+        _set_degree(self, degree)
+        ins = tuple((operator.index(a), operator.index(b))
+                    for a, b in insertions)
         for a, b in ins:
             if a < 0 or b < 1:
                 raise ValueError("bad insertion (%d, %d)" % (a, b))

@@ -9,8 +9,8 @@ degree at most d/2 — the complex solver is extended automatically.
 Primary invariants are solved degree by degree from a three-point
 exchange relation whose first slot carries a plus-eigenspace class and
 whose remaining slots carry minus-eigenspace classes; each splitting
-term pairs a real factor with a fully known complex factor, weighted by
-2 per insertion on the doubled side.  The overall sign of the whole
+term pairs a real factor with a complex factor from the table, weighted
+by 2 per insertion on the doubled side.  The overall sign of the whole
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
@@ -18,22 +18,24 @@ filter (vdim_real, filter_real), the target check (_require_real_target:
 an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
 ensure_real, and whose descendant route it shares), the block-solve
-skeleton, the axiom step, the split class and the relation-row builder
-are the ones complex_solver keeps for both theories, and so is the row
-skip of the block solve (_row_unknowns): a real key of the block degree
-sits next to a three-point degree-0 complex factor, slot 1 with slot 2
-or slot 3 and the diagonal class, so a tuple whose row could hold only
-keys that have a value adds no pivot and is not evaluated.  This module
-supplies the relation tuples of a real block (rwdvv_instances, after the
-complex table is extended to half the degree), the real relation terms,
-in which the grading of the complex side picks the diagonal term and
-pins its degree d' per split, the two ends of a row that can sit on a
-degree-0 complex factor (_row_ends), the real degree-0 rule (the
-invariant is 0 and is not stored) and the real recursion.  Descendant
-invariants reduce axiom-first, as in the complex theory: a key with >= 3
-insertions and a dilaton or minus-eigenspace divisor insertion takes one
-such step (complex_solver.reduce_axioms with the real constants; a
-string insertion kills the invariant), any other goes through the real
+skeleton, the axiom step, the split class, the one relation expansion
+(_Session._relation_terms) and the relation-row builder are the ones
+complex_solver keeps for both theories, and so is the row skip of the
+block solve (_row_unknowns): a real key of the block degree sits next
+to a three-point degree-0 complex factor, so a tuple whose row could
+hold only keys that have a value adds no pivot and is not evaluated.
+This module supplies the real pairing table the expansion and the row
+skip read (slots 1 and 3 on the complex side against slot 2 on the real
+side, minus slots 1 and 2 against slot 3; the grading of the complex
+side picks the diagonal term and pins its degree d' per split, and the
+real side takes degree d - 2d'), the relation tuples of a real block
+(rwdvv_instances, after the complex table is extended to half the
+degree), the real degree-0 rule (the invariant is 0 and is not stored)
+and the real recursion.  Descendant invariants reduce axiom-first, as in
+the complex theory: a key with >= 3 insertions and a dilaton or
+minus-eigenspace divisor insertion takes one such step
+(complex_solver.reduce_axioms with the real constants; a string
+insertion kills the invariant), any other goes through the real
 topological recursion (reduce_descendant_rtrr), whose leading term
 slides a divisor onto the descendant slot with weight -2.  The
 rtrr-cross suite compares one step of each route over the same lower
@@ -53,80 +55,34 @@ from .complex_solver import (ComplexSession, SolverError,
 
 
 # ---------------------------------------------------------------------------
-# the real exchange relation
+# the real exchange relation's tuples
 
 
 def rwdvv_instances(target, degree, ell_cap):
     """Yield admissible real exchange-relation tuples at a real degree.
 
-    Tuples are of cohomological degrees (not basis indices): slot 1 even,
-    slots 2 < 3 odd, pad entries odd and sorted; lengths 3..ell_cap, in
-    the deterministic order used when solving blocks.  Convert an entry k
-    to its basis index as k + 1.
+    Tuples are of basis indices, as wdvv_instances yields them: slot 1 a
+    plus-eigenspace class other than the unit, slots 2 < 3 and the sorted
+    pad minus-eigenspace classes; lengths 3..ell_cap, in the
+    deterministic order used when solving blocks.
     """
     n = target.complex_dim
-    even_ks = list(range(2, n + 1, 2))
-    odd_ks = list(range(1, n + 1, 2))
+    # the classes h^k as basis indices k + 1: even k >= 2 in the plus
+    # eigenspace, odd k in the minus one, weighted by k
+    plus = list(range(3, n + 2, 2))
+    minus = list(range(2, n + 2, 2))
+    weights = [b - 1 for b in minus]
     for length in range(3, ell_cap + 1):
         doubled = (n - 5) + 2 * length + target.c1_pairing * degree
         if doubled % 2:
             continue
-        total = doubled // 2
-        for k1 in even_ks:
-            for i, k2 in enumerate(odd_ks):
-                for k3 in odd_ks[i + 1:]:
-                    for pad in _multisets_exact(odd_ks, odd_ks, length - 3,
-                                                total - k1 - k2 - k3):
-                        yield (k1, k2, k3) + pad
-
-
-def rwdvv_relation(target, mu, degree, complex_session):
-    """Expand one real exchange relation into linear terms.
-
-    ``mu`` is a tuple of >= 3 basis indices: slot 1 must carry a
-    plus-eigenspace class and the remaining slots minus-eigenspace
-    classes.  The relation's two sides pull slot 2 (resp. slot 3) onto
-    the real side; each term pairs a real key of degree d0 with a fully
-    evaluated complex invariant of degree d' where d0 + 2d' = degree.
-    Slots 4.. go to either side once per distinct split, and both sides
-    of the relation are expanded inside each split, weighted by its
-    count of ordered splits times 2 per complex-side insertion.  Per
-    split the grading of the complex side leaves one diagonal term, with
-    coefficient 1, and pins d' (_split_class).  Returns (coefficient,
-    real-key) pairs summing to zero; constant contributions cannot arise
-    because degree-0 real factors vanish.
-    """
-    _require_real_target(target)
-    mu = tuple(int(m) for m in mu)
-    if len(mu) < 3:
-        raise ValueError("a real exchange relation needs at least 3 insertions")
-    if target.sign(mu[0]) != 1:
-        raise ValueError("slot 1 must carry a plus-eigenspace class")
-    for b in mu[1:]:
-        if target.sign(b) != -1:
-            raise ValueError("slots 2.. must carry minus-eigenspace classes")
-    terms = []
-    for weight, first, second in _grouped_splits(mu[3:]):
-        # side +1: slot 2 real side, slots 1 and 3 complex side
-        for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
-            real_side = [mu[real_anchor]] + first
-            complex_side = [mu[0], mu[complex_anchor]] + second
-            ej, ei, dprime = _split_class(target, sum(complex_side),
-                                          len(complex_side))
-            d0 = degree - 2 * dprime
-            if dprime < 0 or d0 < 1:
-                continue
-            canon = _strip_primary(target, REAL, d0, real_side + [ei])
-            if canon is None:
-                continue
-            rkey, mult = canon
-            cval = complex_session.primary_value(dprime, [ej] + complex_side)
-            if not cval:
-                continue
-            # times 2 per insertion on the doubled (complex) side
-            terms.append((side * weight * 2 ** len(complex_side) * mult
-                          * cval, rkey))
-    return _combine(terms)
+        total = doubled // 2 + 3
+        for b1 in plus:
+            for i, b2 in enumerate(minus):
+                for b3 in minus[i + 1:]:
+                    for pad in _multisets_exact(minus, weights, length - 3,
+                                                total - b1 - b2 - b3):
+                        yield (b1, b2, b3) + pad
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +106,11 @@ class RealSession(_Session):
     _provenance = "rwdvv"
     _relations = "real exchange relations"
     _recursion = "rtrr"
+    # slots 1, 3 (complex, doubled) against slot 2 (real) minus slots 1, 2
+    # against slot 3, then the pad
+    _pairings = ((1, (0, 2), (1,)), (-1, (0, 1), (2,)))
+    _pad_start = 3
+    _doubling = 2
     value = _Session.value
     relation_residual = _Session.relation_residual
     ensure_real = _Session._ensure
@@ -197,23 +158,6 @@ class RealSession(_Session):
         self.complex.ensure_primary(d // 2)
         max_ell = max(k.num_insertions for k in unknowns)
         return rwdvv_instances(self.target, d, max_ell + 4)
-
-    def _row_ends(self, ks):
-        """The (pair, rest) ends of a relation instance (a degree tuple,
-        as in _relation_terms) whose pair can make a degree-0 complex
-        factor: slots 1 and 3, then slots 1 and 2 (rwdvv_relation)."""
-        mu = [k + 1 for k in ks]
-        pad = mu[3:]
-        yield [mu[0], mu[2]], [mu[1]] + pad
-        yield [mu[0], mu[1]], [mu[2]] + pad
-
-    def _relation_terms(self, ks, d):
-        """The terms of one relation instance (a degree tuple as yielded
-        by rwdvv_instances) at real degree d: rwdvv_relation's
-        (coefficient, real key) pairs as (coefficient, (key,)) terms."""
-        mu = tuple(k + 1 for k in ks)
-        return [(coeff, (rkey,)) for coeff, rkey
-                in rwdvv_relation(self.target, mu, d, self.complex)]
 
     # -- evaluation -----------------------------------------------------
 

@@ -545,7 +545,7 @@ def p3_d2_cache(tmp_path_factory):
     ("wdvv", COMPLEX, 1, [(0, 2), (0, 4), (0, 4)], 1,
      "suite wdvv       FAIL: PDE residual (2,2,3,4) has -1 at q^1"),
     ("rwdvv", REAL, 2, [(0, 4), (0, 4)], 1,
-     "suite rwdvv      FAIL: instance (2, 1, 3) at degree 2 sums to -4"),
+     "suite rwdvv      FAIL: instance (3, 2, 4) at degree 2 sums to -4"),
     ("rwdvv", REAL, 2, [(0, 2), (0, 4), (0, 4)], 1,
      "suite rwdvv      FAIL: PDE residual (3,2,4) has 1/8 at q^2 t[0,2]"),
     ("trr-cross", COMPLEX, 2, [(2, 4), (2, 4)], 1,

@@ -33,7 +33,7 @@ from gwcalc.complex_solver import (ComplexSession, primary_unknowns,
                                    wdvv_instances)
 from gwcalc.graded_algebra import builtin_target
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantTable
-from gwcalc.real_solver import RealSession, rwdvv_instances, rwdvv_relation
+from gwcalc.real_solver import RealSession, rwdvv_instances
 
 
 def noise_table(target, top_degrees, seed):
@@ -64,21 +64,24 @@ def window(session, instances, max_degree, slack):
             for inst in instances(session.target, d, max(cap + slack, 5))]
 
 
-def divisor_pad_pairs(session, instances, max_degree, slack, pad_start, h):
+def divisor_pad_pairs(session, instances, max_degree, slack):
     """(degree, instance, instance without one h) for every instance in
-    verify's window with h in its pad; h is the lightest pad entry, so
-    dropping the first copy keeps the pad sorted."""
+    verify's window with h (basis index 2) in its pad, which starts at
+    the session's _pad_start; h is the lightest pad entry, so dropping
+    the first copy keeps the pad sorted."""
+    pad_start = session._pad_start
     out = []
     for d, inst in window(session, instances, max_degree, slack):
-        if h in inst[pad_start:]:
-            assert inst[pad_start] == h
+        if 2 in inst[pad_start:]:
+            assert inst[pad_start] == 2
             out.append((d, inst, inst[:pad_start] + inst[pad_start + 1:]))
     return out
 
 
 def combined_terms(terms):
-    """The (coefficient, keys) terms of a complex relation instance as a
-    dict from the sorted key tuple to its nonzero summed coefficient."""
+    """The (coefficient, keys) terms of a relation instance, in either
+    theory, as a dict from the sorted key tuple to its nonzero summed
+    coefficient."""
     out = {}
     for coeff, keys in terms:
         keys = tuple(sorted(keys, key=lambda k: k.sort_key()))
@@ -94,8 +97,7 @@ def test_complex_divisor_pad_scales_residual(name, max_degree, count):
     target = builtin_target(name)
     table = noise_table(target, {COMPLEX: max_degree}, seed=max_degree)
     session = ComplexSession(target, table)
-    # basis index 2 is h; the pad starts after the arranged quadruple
-    pairs = divisor_pad_pairs(session, wdvv_instances, max_degree, 1, 4, 2)
+    pairs = divisor_pad_pairs(session, wdvv_instances, max_degree, 1)
     assert len(pairs) == count
     shorter_residual = {}
     for d, inst, shorter in pairs:
@@ -120,25 +122,21 @@ def test_real_divisor_pad_scales_residual(name, max_degree, count):
     table = noise_table(target, {COMPLEX: max_degree // 2,
                                  REAL: max_degree}, seed=max_degree)
     session = RealSession(target, table)
-    # real instances are degree tuples: h is degree 1, the pad starts
-    # after the three anchored slots
-    pairs = divisor_pad_pairs(session, rwdvv_instances, max_degree, 2, 3, 1)
+    pairs = divisor_pad_pairs(session, rwdvv_instances, max_degree, 2)
     assert len(pairs) == count
     for d, inst, shorter in pairs:
         got = session.relation_residual(inst, d)
         assert got != 0, inst
         assert got == d * session.relation_residual(shorter, d), inst
-        # rwdvv_relation reads basis indices, one above each degree
-        terms, shorter_terms = (
-            rwdvv_relation(target, tuple(k + 1 for k in ks), d,
-                           session.complex) for ks in (inst, shorter))
+        terms = combined_terms(session._relation_terms(inst, d))
         assert terms, inst
-        assert terms == [(d * c, k) for c, k in shorter_terms], inst
+        assert terms == {keys: d * c for keys, c in combined_terms(
+            session._relation_terms(shorter, d)).items()}, inst
 
 
-# (session class, instances, slack, pad start, h) of each relation suite
-WDVV = (ComplexSession, wdvv_instances, 1, 4, 2)
-RWDVV = (RealSession, rwdvv_instances, 2, 3, 1)
+# (session class, instances, slack) of each relation suite
+WDVV = (ComplexSession, wdvv_instances, 1)
+RWDVV = (RealSession, rwdvv_instances, 2)
 
 
 @pytest.mark.parametrize("name, max_degree, suite, count, padded", [
@@ -152,19 +150,20 @@ def test_shorter_instance_comes_earlier(name, max_degree, suite, count,
                                         padded):
     """Each instance with h first in its pad has the instance without
     that h earlier in its window, at the same degree."""
-    cls, instances, slack, pad_start, h = suite
+    cls, instances, slack = suite
+    pad_start = cls._pad_start
     session = cls(builtin_target(name))
     work = window(session, instances, max_degree, slack)
     assert len(work) == count
     position = {item: i for i, item in enumerate(work)}
     derived = 0
     for i, (d, inst) in enumerate(work):
-        if inst[pad_start:pad_start + 1] == (h,):
+        if inst[pad_start:pad_start + 1] == (2,):
             shorter = inst[:pad_start] + inst[pad_start + 1:]
             assert position[d, shorter] < i, inst
             derived += 1
         else:
-            assert h not in inst[pad_start:], inst
+            assert 2 not in inst[pad_start:], inst
     assert derived == padded
 
 
@@ -210,7 +209,7 @@ def test_relation_suite_matches_evaluating_every_instance(
     one top-degree value shifted, the suite gives the (ok, detail,
     checks) of evaluating every instance: the same first failing
     instance, sum and check count."""
-    cls, instances, slack, pad_start, h = suite
+    cls, instances, slack = suite
     target = builtin_target(name)
     kind = cls.kind
     if table_kind == "noise":
@@ -221,8 +220,8 @@ def test_relation_suite_matches_evaluating_every_instance(
         table = solved_table(target, kind, max_degree,
                              table_kind == "perturbed")
     session = cls(target, table)
-    got = _relation_suite(session, max_degree, instances, slack, pad_start,
-                          h, lambda: iter(()))
+    got = _relation_suite(session, max_degree, instances, slack,
+                          lambda: iter(()))
     assert got == plain_relation_suite(session, max_degree, instances, slack)
     assert got[0] == (table_kind == "solved")
 

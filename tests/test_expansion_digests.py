@@ -17,7 +17,8 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    wdvv_instances)
 from gwcalc.invariant_store import COMPLEX, REAL
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
-                                rwdvv_instances, rwdvv_relation)
+                                rwdvv_instances)
+from real_relation import real_relation
 
 # the (t_max, q_max) = (6, 3) window of the depth-2 potentials of verify
 T_MAX, Q_MAX, DEPTH = 6, 3, 2
@@ -82,11 +83,11 @@ def test_wdvv_relation_terms_frozen(sessions):
 
 
 def test_rwdvv_relation_terms_frozen(sessions):
-    cs, rs = sessions
-    # rwdvv_instances lists degree tuples; entry k is basis index k + 1
-    results = [rwdvv_relation(rs.target, tuple(k + 1 for k in ks), d, cs)
+    _cs, rs = sessions
+    # the real session's terms, complex values folded in (real_relation)
+    results = [real_relation(rs, mu, d)
                for d, cap in sorted(_instance_caps(rs, Q_MAX).items())
-               for ks in rwdvv_instances(rs.target, d, max(cap + 2, 5))]
+               for mu in rwdvv_instances(rs.target, d, max(cap + 2, 5))]
     assert len(results) == 5
     assert _digest(results) == DIGESTS["rwdvv"]
 

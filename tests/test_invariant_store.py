@@ -37,6 +37,24 @@ def test_key_rejects_bad_input():
         InvariantKey(COMPLEX, 0, 1, [(0, 0)])
 
 
+@pytest.mark.parametrize("bad", [2.5, "2", Fraction(5, 2)],
+                         ids=["float", "str", "fraction"])
+def test_key_refuses_non_integer_parts(p3, bad):
+    """A non-integer genus, degree, descendant power or basis index is
+    refused, not truncated: a truncated key would equal the int key but
+    hash apart from it, and a table lookup would miss it."""
+    for parts in ((bad, 2, [(0, 4)]), (0, bad, [(0, 4)]),
+                  (0, 2, [(bad, 4)]), (0, 2, [(0, bad)])):
+        with pytest.raises(TypeError):
+            InvariantKey(COMPLEX, *parts)
+    # an int-like part (a bool) is read as its int, and hashes as it
+    key = InvariantKey(COMPLEX, False, True, [(0, 4)])
+    assert key == InvariantKey(COMPLEX, 0, 1, [(0, 4)])
+    table = InvariantTable(p3)
+    table.put(InvariantKey(COMPLEX, 0, 1, [(0, 4)]), 1, "wdvv")
+    assert table.get(key) == 1
+
+
 def test_trusted_keys_stay_inside_the_store_and_solvers():
     """InvariantKey._trusted skips the constructor's checks, so only the
     store and the solvers, which pass the int parts of valid keys or

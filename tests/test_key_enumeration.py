@@ -102,6 +102,8 @@ def reference_wdvv_instances(target, degree, ell_cap):
 
 
 def reference_rwdvv_instances(target, degree, ell_cap):
+    """The real relation tuples by degrees k of the classes h^k, each
+    yielded as the basis indices k + 1."""
     n = target.complex_dim
     even_ks = list(range(2, n + 1, 2))
     odd_ks = list(range(1, n + 1, 2))
@@ -120,13 +122,13 @@ def reference_rwdvv_instances(target, degree, ell_cap):
                     pad_len = length - 3
                     if pad_len == 0:
                         if pad_total == 0:
-                            yield (k1, k2, k3)
+                            yield (k1 + 1, k2 + 1, k3 + 1)
                         continue
                     if pad_total < pad_len or pad_total > n * pad_len:
                         continue
                     for pad in multisets_with_sum(pad_len, pad_total, n, 1):
                         if all(k % 2 for k in pad):
-                            yield (k1, k2, k3) + pad
+                            yield tuple(k + 1 for k in (k1, k2, k3) + pad)
 
 
 TARGETS = builtin_target_names()

@@ -13,8 +13,9 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    _grouped_splits, _strip_primary,
                                    filter_real, reduce_axioms, vdim_real)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
-                                rwdvv_instances, rwdvv_relation)
+                                rwdvv_instances)
 from oracles import pn_diagonal
+from real_relation import real_relation
 
 
 def rkey(d, ins, genus=0):
@@ -138,9 +139,9 @@ def test_unseeded_block_evaluates_each_instance_once(monkeypatch):
     seen = []
     evaluate = session._relation_terms
 
-    def counted(ks, d):
-        seen.append(ks)
-        return evaluate(ks, d)
+    def counted(mu, d):
+        seen.append(mu)
+        return evaluate(mu, d)
 
     monkeypatch.setattr(session, "_relation_terms", counted)
     with pytest.raises(UnderdeterminedError, match=r"left 3 key\(s\)"):
@@ -256,33 +257,22 @@ def test_rwdvv_instances_structure(p3, p5):
         seen = list(rwdvv_instances(target, degree, 6))
         assert seen, (target.name, degree)
         assert seen == list(rwdvv_instances(target, degree, 6))
-        for ks in seen:
-            assert ks[0] % 2 == 0
-            assert ks[1] % 2 == 1 and ks[2] % 2 == 1
-            assert ks[1] < ks[2]
-            pad = ks[3:]
+        for mu in seen:
+            # basis indices: slot 1 a plus-eigenspace class past the
+            # unit, the other slots minus-eigenspace classes
+            assert mu[0] > 1 and target.sign(mu[0]) == 1
+            assert all(target.sign(b) == -1 for b in mu[1:])
+            assert mu[1] < mu[2]
+            pad = mu[3:]
             assert list(pad) == sorted(pad)
-            assert all(k % 2 for k in pad)
-            want = (n - 5) + 2 * len(ks) + target.c1_pairing * degree
-            assert 2 * sum(ks) == want
-
-
-def test_rwdvv_relation_rejects_bad_slots(p3_sessions):
-    cs, _ = p3_sessions
-    p3 = cs.target
-    with pytest.raises(ValueError):
-        rwdvv_relation(p3, (3, 2), 2, cs)
-    with pytest.raises(ValueError):
-        rwdvv_relation(p3, (2, 2, 4), 2, cs)  # slot 1 not plus-eigenspace
-    with pytest.raises(ValueError):
-        rwdvv_relation(p3, (3, 3, 4), 2, cs)  # slot 2 not minus-eigenspace
+            want = (n - 5) + 2 * len(mu) + target.c1_pairing * degree
+            assert 2 * sum(b - 1 for b in mu) == want
 
 
 def test_rwdvv_relation_sums_to_zero(p3_sessions):
-    cs, rs = p3_sessions
-    p3 = cs.target
+    rs = p3_sessions[1]
     for mu, degree in (((3, 2, 4), 2), ((3, 2, 4, 4), 3)):
-        terms = rwdvv_relation(p3, mu, degree, cs)
+        terms = real_relation(rs, mu, degree)
         assert terms
         total = Fraction(0)
         for coeff, k in terms:
@@ -292,7 +282,7 @@ def test_rwdvv_relation_sums_to_zero(p3_sessions):
 
 
 def _rwdvv_relation_every_degree(target, mu, degree, cs):
-    """rwdvv_relation's terms by a walk over every real degree d0 and
+    """real_relation's terms by a walk over every real degree d0 and
     every diagonal term, leaving the grading to drop the rest."""
     terms = []
     for side, real_anchor, complex_anchor in ((1, 1, 2), (-1, 2, 1)):
@@ -330,30 +320,43 @@ def test_rwdvv_relation_matches_every_degree_walk(name, max_degree):
     for d in range(1, max_degree + 1):
         keys = session.primary_keys(d)
         cap = max((k.num_insertions for k in keys), default=0) + 4
-        for ks in rwdvv_instances(target, d, cap):
-            mu = tuple(k + 1 for k in ks)
-            terms = rwdvv_relation(target, mu, d, cs)
+        for mu in rwdvv_instances(target, d, cap):
+            terms = real_relation(session, mu, d)
             assert terms == _rwdvv_relation_every_degree(target, mu, d, cs), \
-                (ks, d)
+                (mu, d)
             checked += 1
             nonempty += bool(terms)
     assert nonempty > checked // 2
 
 
-def test_real_relation_residual_needs_lower_degrees(p3):
+def test_real_relation_residual_needs_lower_degrees(p3, p3_sessions):
     """A fresh session has no degree-1 real values, so a degree-3
-    instance cannot be sorted into a row."""
-    ks = next(rwdvv_instances(p3, 3, 5))
+    instance cannot be sorted into a row; nor can one whose complex
+    factors are missing from a table that holds every real value (the
+    relation reads them from the table, it does not solve them)."""
+    mu = next(rwdvv_instances(p3, 3, 5))
     with pytest.raises(SolverError, match="missing lower-degree value"):
-        RealSession(p3, seed_sign=1).relation_residual(ks, 3)
+        RealSession(p3, seed_sign=1).relation_residual(mu, 3)
+    table = InvariantTable(p3)
+    for key, value, prov in p3_sessions[1].table.items():
+        if key.kind == REAL:
+            table.put(key, value, prov)
+    session = RealSession(p3, table, seed_sign=1)
+    mu = next(mu for mu in rwdvv_instances(p3, 3, 5)
+              if any(k.kind == COMPLEX for _c, keys
+                     in session._relation_terms(mu, 3) for k in keys))
+    with pytest.raises(SolverError,
+                       match="missing lower-degree value <complex g=0 d=1"):
+        session.relation_residual(mu, 3)
+    assert not any(key.kind == COMPLEX for key in table)
 
 
 def test_relation_residuals_vanish(p3_sessions):
     rs = p3_sessions[1]
     checked = 0
     for degree in (2, 3):
-        for ks in rwdvv_instances(rs.target, degree, 8):
-            assert rs.relation_residual(ks, degree) == 0
+        for mu in rwdvv_instances(rs.target, degree, 8):
+            assert rs.relation_residual(mu, degree) == 0
             checked += 1
     assert checked >= 10
 
