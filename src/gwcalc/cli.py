@@ -16,7 +16,6 @@ usage error).
 
 import argparse
 import itertools
-import json
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from .graded_algebra import (TARGET_DATA_ERRORS, TargetSpace,
 from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
                               InvariantTable, StoreConflictError,
                               StoreFormatError, _InsertionTexts, _reason,
-                              _write_json_list, read_cache_json)
+                              read_cache_json, write_entries_json)
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, evaluate_terms,
@@ -231,35 +230,14 @@ def _render_text_row(target, key, value):
         key.kind, key.genus, key.degree, ins, frac_to_str(value))
 
 
-# one insertion of a JSON row, laid out by _json_entry
-_JSON_INSERTION = ('        {\n          "a": %d,\n'
-                   '          "basis": %d\n        }')
-
-
-def _json_entry(key, value, texts):
-    """One entry of the JSON rows, laid out as json.dumps(indent=2,
-    sort_keys=True) lays it out inside the ``entries`` list; ``texts``
-    is an _InsertionTexts of _JSON_INSERTION."""
-    if key.insertions:
-        ins = "[\n%s\n      ]" % ",\n".join(map(texts.__getitem__,
-                                                   key.insertions))
-    else:
-        ins = "[]"
-    return ('    {\n      "degree": %d,\n      "genus": %d,\n'
-            '      "insertions": %s,\n      "kind": "%s",\n'
-            '      "value": "%s"\n    }'
-            % (key.degree, key.genus, ins, key.kind, frac_to_str(value)))
-
-
 def emit_rows(target, rows, fmt, out):
     """Print (key, value) pairs in the chosen format, deterministically.
 
-    The json format is the text of ``json.dumps({"target": name,
-    "entries": [...]}, indent=2, sort_keys=True)``, built by string
-    formatting: kinds, integers and 'p/q' values never need escaping, so
-    only the target name goes through ``json.dumps``.  Every format
-    writes each row to ``out`` as soon as it is formatted, so the output
-    is never held whole; ``rows`` may be any iterable.
+    The json format is what ``write_entries_json``, the cache file's
+    writer, writes at indent 2 for the rows, without provenance, with
+    the one field ``target`` (the target's name).  Every format writes
+    each row to ``out`` as soon as it is formatted, so the output is
+    never held whole; ``rows`` may be any iterable.
     """
     if fmt == "text":
         for key, value in rows:
@@ -273,11 +251,8 @@ def emit_rows(target, rows, fmt, out):
                 ";".join(map(texts.__getitem__, key.insertions)),
                 frac_to_str(value)))
     else:
-        texts = _InsertionTexts(_JSON_INSERTION)
-        out.write('{\n  "entries": ')
-        _write_json_list(out, (_json_entry(key, value, texts)
-                               for key, value in rows), "\n  ]")
-        out.write(',\n  "target": %s\n}\n' % json.dumps(target.name))
+        write_entries_json(out, ((key, value, None) for key, value in rows),
+                           {"target": target.name}, 2)
 
 
 # ----- compute ---------------------------------------------------------------
@@ -315,7 +290,7 @@ def cmd_compute(args):
         raw = parse_insertions(target, args.insertions)
         # a real insertion of the wrong parity fails the structural
         # filter, so its key evaluates to 0 like any other vanishing key
-        key = InvariantKey(session.kind, 0, args.degree, sorted(raw))
+        key = InvariantKey(session.kind, 0, args.degree, raw)
         rows = [(key, session.value(key))]
     else:
         if args.real:
@@ -435,8 +410,7 @@ def suite_grading(target, args, csession, rsession, potential):
         kind = REAL if (rsession is not None and rng.random() < 0.5) \
             else COMPLEX
         ell = rng.randint(1, 6)
-        ins = sorted((rng.randint(0, 2), rng.randint(1, nb))
-                     for _ in range(ell))
+        ins = [(rng.randint(0, 2), rng.randint(1, nb)) for _ in range(ell)]
         key = InvariantKey(kind, 0, rng.randint(0, args.max_degree), ins)
         filt, session = routes[kind]
         if filt(key, target) is not None:
@@ -528,8 +502,8 @@ def suite_divisor(target, args, csession, rsession, potential):
             for key in session.primary_keys(d):
                 base = session.value(key)
                 for label, insertion, factor in added[session.kind]:
-                    new_key = InvariantKey(session.kind, 0, d, sorted(
-                        key.insertions + (insertion,)))
+                    new_key = InvariantKey(session.kind, 0, d,
+                                           key.insertions + (insertion,))
                     checks += 1
                     got, want = session.value(new_key), factor(key) * base
                     if got != want:

@@ -246,7 +246,7 @@ def _strip_primary(target, kind, degree, basis_list):
             mult *= degree
         else:
             stripped.append((0, b))
-    key = InvariantKey(kind, 0, degree, sorted(stripped))
+    key = InvariantKey(kind, 0, degree, stripped)
     if _FILTER[kind](key, target) is not None:
         return None
     return key, mult
@@ -1037,20 +1037,16 @@ class _Session:
 
     def value(self, key):
         """Value of any genus-0 key (primary or descendant) of the
-        session's theory; a non-canonical key reads its canonical key's
-        value.  A primary key is stored as axiom-reduction, unless it is a
-        solved unknown, which keeps its seed or relation tag (put of a
-        held value changes nothing)."""
+        session's theory.  A primary key is stored as axiom-reduction,
+        unless it is a solved unknown, which keeps its seed or relation
+        tag (put of a held value changes nothing)."""
         if key.kind != self.kind:
             raise ValueError("%s session got %r" % (self.kind, key))
         if key.genus != 0:
             raise SolverError("only genus-0 invariants are computed")
-        # a table holds canonical keys only, so a hit needs no order check
         cached = self.table.get(key)
         if cached is not None:
             return cached
-        if not key.is_canonical():
-            return self.value(key.canonical())
         val, prov = self._recompute(key)
         if prov is not None:
             self.table.put(key, val, prov)

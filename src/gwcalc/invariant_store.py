@@ -2,16 +2,20 @@
 
 A key pins down one curve count: complex or real theory, genus, curve
 degree, and a multiset of insertions tau_a(e_b) recorded as (a, basis
-index) pairs.  Canonicalization sorts insertions by (a, basis index);
-the sort carries no sign, since the solvers work on projective targets,
-whose basis classes all have even degree.  The normalizer also drops
-real-theory insertion lists whose eigenspace parity forces the invariant
-to vanish, so structurally zero entries never reach a table.
+index) pairs.  A key sorts its insertions by (a, basis index) when it
+is built, so every key is canonical and a key hashes and compares by the
+multiset alone; the sort carries no sign, since the solvers work on
+projective targets, whose basis classes all have even degree.  The
+normalizer also drops real-theory insertion lists whose eigenspace
+parity forces the invariant to vanish, so structurally zero entries
+never reach a table.
 
 Tables map keys to exact rationals with a provenance tag per entry and
 persist to a versioned JSON file; a conflicting put is a fatal error
 (the relation systems are overdetermined, and a conflict means an
-inconsistency a verifier must see).
+inconsistency a verifier must see).  One streamed writer,
+``write_entries_json``, lays out both the cache file and the CLI's JSON
+export.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ class StoreFormatError(ValueError):
 
 
 class InvariantKey:
-    """Immutable canonical identifier of a single invariant."""
+    """Immutable canonical identifier of a single invariant: the
+    constructor checks the parts and sorts the insertions, so keys built
+    from any order of the same insertions are equal and hash alike."""
 
     __slots__ = ("kind", "genus", "degree", "insertions", "_hash")
 
@@ -65,6 +71,7 @@ class InvariantKey:
         for a, b in ins:
             if a < 0 or b < 1:
                 raise ValueError("bad insertion (%d, %d)" % (a, b))
+        ins = tuple(sorted(ins))
         _set_insertions(self, ins)
         _set_hash(self, hash((kind, genus, degree, ins)))
 
@@ -76,10 +83,6 @@ class InvariantKey:
 
     def is_canonical(self):
         return list(self.insertions) == sorted(self.insertions)
-
-    def canonical(self):
-        return InvariantKey(self.kind, self.genus, self.degree,
-                            sorted(self.insertions))
 
     @property
     def num_insertions(self):
@@ -203,8 +206,6 @@ class InvariantTable:
     def put(self, key, value, provenance):
         if provenance not in PROVENANCE_TAGS:
             raise ValueError("unknown provenance %r" % (provenance,))
-        if not key.is_canonical():
-            raise ValueError("put of non-canonical key %r" % (key,))
         if type(value) is not Fraction:
             value = Fraction(value)
         self._insert(key, value, provenance)
@@ -230,35 +231,24 @@ class InvariantTable:
     def save(self, path):
         """Atomically write the table as versioned JSON.
 
-        The file holds ``json.dumps(doc, indent=1, sort_keys=True)`` and a
-        newline, where ``doc`` has the fields ``entries`` (in ``items``
-        order), ``schema``, ``seed_sign`` and ``target``.  The entries are
-        laid out by string formatting: kinds, provenance tags, integers
-        and 'p/q' values never need escaping, so only the other fields go
-        through ``json.dumps``.  Each entry is written to a temporary file
-        in the same directory as soon as it is formatted, so the file's
-        text is never held whole; the temporary file replaces ``path``
-        only once it is complete, and is removed if writing fails.
+        The file holds what ``write_entries_json`` writes at indent 1 for
+        the entries in ``items`` order, with provenance, and the fields
+        ``schema``, ``seed_sign`` and ``target``.  It goes to a temporary
+        file in the same directory, entry by entry, which replaces
+        ``path`` only once it is complete and is removed if writing fails.
 
         Writes whether or not the table ``changed``; callers that only
         want to persist new entries check that first.  Afterwards the
         table counts as unchanged.
         """
-        rest = json.dumps({"schema": SCHEMA_VERSION,
-                           "seed_sign": "+1" if self.seed_sign == 1 else "-1",
-                           "target": self.target.to_json()},
-                          indent=1, sort_keys=True)
-        texts = _InsertionTexts(_CACHE_INSERTION)
+        fields = {"schema": SCHEMA_VERSION,
+                  "seed_sign": "+1" if self.seed_sign == 1 else "-1",
+                  "target": self.target.to_json()}
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(prefix=".gwcache-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
-                # rest opens with "{\n"; "entries" sorts before its fields
-                fh.write('{\n "entries": ')
-                _write_json_list(fh, (_entry_text(key, value, prov, texts)
-                                      for key, value, prov in self.items()),
-                                 "\n ]")
-                fh.write(",\n%s\n" % rest[2:])
+                write_entries_json(fh, self.items(), fields, 1)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -322,10 +312,6 @@ class InvariantTable:
         return table
 
 
-# one insertion of a cache entry, laid out by _entry_text
-_CACHE_INSERTION = '    {\n     "a": %d,\n     "basis": %d\n    }'
-
-
 class _InsertionTexts(dict):
     """The text of each (a, basis) insertion in one layout (a %-format of
     the pair), formatted on its first lookup: a table holds far fewer
@@ -342,31 +328,41 @@ class _InsertionTexts(dict):
         return text
 
 
-def _write_json_list(out, texts, close):
-    """Write the JSON list of the laid-out item ``texts`` to ``out``, one
-    item at a time: '[', then each item on a new line, separated by
-    commas, then ``close`` (a newline, indent and ']'); '[]' when there
-    are no items."""
+def write_entries_json(out, rows, fields, indent):
+    """Write ``json.dumps(doc, indent=indent, sort_keys=True)`` and a
+    newline to ``out``, where ``doc`` is ``fields`` (which must not hold
+    ``entries``; indent >= 1) plus an ``entries`` list with one object
+    per (key, value, provenance) row, in row order.  A provenance of None
+    leaves that field out of its entry.
+
+    The entries are laid out by string formatting: kinds, provenance
+    tags, integers and 'p/q' values never need escaping, so only
+    ``fields`` go through ``json.dumps``.  Each entry is written as soon
+    as it is formatted, so the text is never held whole; ``rows`` may be
+    any iterable.
+    """
+    pad = [" " * (indent * depth) for depth in range(6)]
+    anchor = '\n%s"entries": ' % pad[1]
+    head, tail = json.dumps(dict(fields, entries=[]), indent=indent,
+                            sort_keys=True).split(anchor + "[]")
+    texts = _InsertionTexts('{4}{{\n{5}"a": %d,\n{5}"basis": %d\n{4}}}'
+                            .format(*pad))
+    close = "\n%s]" % pad[3]
+    entry = ('{2}{{\n{3}"degree": %d,\n{3}"genus": %d,\n'
+             '{3}"insertions": %s,\n{3}"kind": "%s",\n{3}%s"value": "%s"'
+             '\n{2}}}').format(*pad)
+    tags = {tag: '"provenance": "%s",\n%s' % (tag, pad[3])
+            for tag in PROVENANCE_TAGS}
+    tags[None] = ""
+    out.write(head + anchor)
     sep = "[\n"
-    for text in texts:
-        out.write(sep + text)
+    for key, value, provenance in rows:
+        ins = ("[\n" + ",\n".join(map(texts.__getitem__, key.insertions))
+               + close) if key.insertions else "[]"
+        out.write(sep + entry % (key.degree, key.genus, ins, key.kind,
+                                 tags[provenance], frac_to_str(value)))
         sep = ",\n"
-    out.write("[]" if sep == "[\n" else close)
-
-
-def _entry_text(key, value, provenance, texts):
-    """One entry of a cache file, laid out as json.dumps(indent=1,
-    sort_keys=True) lays it out inside the ``entries`` list; ``texts``
-    is an _InsertionTexts of _CACHE_INSERTION."""
-    if key.insertions:
-        ins = "[\n%s\n   ]" % ",\n".join(map(texts.__getitem__,
-                                                key.insertions))
-    else:
-        ins = "[]"
-    return ('  {\n   "degree": %d,\n   "genus": %d,\n   "insertions": %s,\n'
-            '   "kind": "%s",\n   "provenance": "%s",\n   "value": "%s"\n  }'
-            % (key.degree, key.genus, ins, key.kind, provenance,
-               frac_to_str(value)))
+    out.write(("[]" if sep == "[\n" else "\n%s]" % pad[1]) + tail + "\n")
 
 
 def _read_entry(entry, num_basis, values):
@@ -403,7 +399,9 @@ def _read_entry(entry, num_basis, values):
                 or not 1 <= b <= num_basis:
             raise ValueError("bad insertion a=%r, basis=%r" % (a, b))
         insertions.append((a, b))
-    if insertions != sorted(insertions):
+    # the public constructor would sort the file's order away unseen
+    key = InvariantKey._trusted(kind, genus, degree, tuple(insertions))
+    if not key.is_canonical():
         raise ValueError("insertions out of canonical order")
     if type(text) is not str:
         raise ValueError("value must be a 'p/q' string, not %r" % (text,))
@@ -414,7 +412,6 @@ def _read_entry(entry, num_basis, values):
             raise ValueError("value %r is not written as %r"
                              % (text, frac_to_str(value)))
         values[text] = value
-    key = InvariantKey._trusted(kind, genus, degree, tuple(insertions))
     return key, value, prov
 
 

@@ -71,16 +71,16 @@ def test_a_failed_save_keeps_the_old_cache(p2_d4_table, tmp_path,
     table = InvariantTable(p2_d4_table.target)
     for key, value, prov in p2_d4_table.items():
         table.put(key, value, prov)
-    entry_text = invariant_store._entry_text
+    frac_to_str = invariant_store.frac_to_str
     calls = []
 
     def failing(*args):
         calls.append(None)
         if len(calls) == 100:
             raise RuntimeError("write failed")
-        return entry_text(*args)
+        return frac_to_str(*args)
 
-    monkeypatch.setattr(invariant_store, "_entry_text", failing)
+    monkeypatch.setattr(invariant_store, "frac_to_str", failing)
     with pytest.raises(RuntimeError, match="write failed"):
         table.save(str(path))
     assert len(calls) == 100

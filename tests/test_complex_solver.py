@@ -630,7 +630,7 @@ def test_session_value_guards(p2_session):
         p2_session.value(InvariantKey("real", 0, 1, [(0, 3)]))
     with pytest.raises(SolverError):
         p2_session.value(InvariantKey(COMPLEX, 1, 1, [(0, 3)]))
-    # non-canonical input is canonicalized, not rejected
+    # unsorted insertions build the sorted key, not an error
     v = p2_session.value(InvariantKey(COMPLEX, 0, 1, [(0, 3), (0, 2)]))
     assert v == p2_session.value(InvariantKey(COMPLEX, 0, 1,
                                               [(0, 2), (0, 3)]))

@@ -34,7 +34,6 @@ def trr_only_complex(target):
     memo = {}
 
     def value(key):
-        key = key.canonical()
         if key in memo:
             return memo[key]
         if (not key.total_descendant_power() or key.degree == 0
@@ -64,7 +63,6 @@ def trr_only_real(target, complex_value):
     memo = {}
 
     def value(key):
-        key = key.canonical()
         if key in memo:
             return memo[key]
         if (not key.total_descendant_power() or key.degree == 0
@@ -437,21 +435,16 @@ def test_unchecked_keys_match_the_validating_constructor(
             assert all(type(part) is int for part in insertion), key
 
 
-def test_value_of_a_non_canonical_key(p2):
-    """value looks a key up before it checks the order: a non-canonical
-    key still gets its canonical key's value, whether that is held or
-    new, and a key of the other theory or of genus 1 still raises."""
+def test_an_unsorted_key_finds_the_held_value(p2):
+    """A key built from unsorted insertions is the sorted key: once
+    <tau_1(pt), h>_1 is held, the unsorted key equals and hashes like the
+    sorted one, the table finds it, and its value adds no entry."""
     cs = ComplexSession(p2)
-    held = InvariantKey(COMPLEX, 0, 1, [(1, 3), (0, 2)])
-    assert not held.is_canonical()
-    assert cs.value(held.canonical()) == 1  # <tau_1(pt), h>_1, now held
+    held = InvariantKey(COMPLEX, 0, 1, [(0, 2), (1, 3)])
     assert cs.value(held) == 1
-    fresh = InvariantKey(COMPLEX, 0, 2, [(0, 3), (1, 3), (0, 3), (0, 3)])
-    assert not fresh.is_canonical() and fresh.canonical() not in cs.table
-    want = ComplexSession(p2).value(fresh.canonical())
-    assert want and cs.value(fresh) == want
-    assert fresh.canonical() in cs.table and fresh not in cs.table
-    with pytest.raises(ValueError):
-        cs.value(InvariantKey(REAL, 0, 1, [(0, 3), (0, 3)]))
-    with pytest.raises(SolverError):
-        cs.value(InvariantKey(COMPLEX, 1, 1, [(0, 3), (0, 3)]))
+    size = len(cs.table)
+    unsorted = InvariantKey(COMPLEX, 0, 1, [(1, 3), (0, 2)])
+    assert unsorted == held and hash(unsorted) == hash(held)
+    assert cs.table.get(unsorted) == 1 and unsorted in cs.table
+    assert cs.value(unsorted) == 1
+    assert len(cs.table) == size
