@@ -10,42 +10,42 @@ primary unknowns of a block are its depth-0 keys over classes of degree
 relation residual, the values of primary and any keys and the loop over
 degree blocks, _ensure, which ComplexSession binds as ensure_primary and
 RealSession as ensure_real, the one memo of a primary factor's
-structural part, _shape, the one relation expansion, _relation_terms,
-and the one rule for the keys a relation row can hold, _row_unknowns,
-both reading the session's pairing table, and the descendant route: one
-axiom step where _axiom_route allows it, else the session's recursion;
-each session keeps its seed, its pairing table (_pairings, _pad_start
-and the doubling of the complex side, _doubling), the relation tuples
-of a block, its provenance tag and relation wording, the degree-0 rule
-and its recursion, _recursion_value, tagged _recursion), one
-block-solve skeleton (_solve_block) that seeds, turns each of the
-session's relation tuples into a row, eliminates the rows and stores
-the values, one axiom step (reduce_axioms: string, dilaton and divisor,
-reading the theory from the key; the real constants are a vanishing
-string insertion, a dilaton of 2(g - 1 + ell) and a divisor weight of
-2) and the steps of the relation and recursion expansions: the term
-combiner (_combine), the two-sided slot split (_grouped_splits: a walk
-over the sorted runs of equal items that lists each distinct split once
-with its count of ordered splits, in a fixed order), the diagonal
-term and curve degree the grading leaves per split (_split_class), the
-slot a recursion lowers and its genus-0 and degree >= 1 preconditions
-(_recursion_slot), the run-wise lowering of the string and divisor
-steps (_lowered_runs), the divisor step (weight 1 complex, 2 real), the
-relation-row builder (_relation_row) and the evaluation of a sum of
-keys (evaluate_terms) or of products of keys (evaluate_products).
+structural part, _shape, and the one relation expansion,
+_relation_terms, reading the session's pairing table, and the
+descendant route: one axiom step where _axiom_route allows it, else the
+session's recursion; each session keeps its seed, its pairing table
+(_pairings, _pad_start and the doubling of the complex side, _doubling),
+the relation instance that solves each primary key of a block
+(_designated_tuple), its provenance tag and relation wording, the
+degree-0 rule and its recursion, _recursion_value, tagged _recursion),
+one block-solve skeleton (_solve_block) that seeds and then solves each
+pending key from the row of its designated instance, one axiom step
+(reduce_axioms: string, dilaton and divisor, reading the theory from
+the key; the real constants are a vanishing string insertion, a dilaton
+of 2(g - 1 + ell) and a divisor weight of 2) and the steps of the
+relation and recursion expansions: the term combiner (_combine), the
+two-sided slot split (_grouped_splits: a walk over the sorted runs of
+equal items that lists each distinct split once with its count of
+ordered splits, in a fixed order), the diagonal term and curve degree
+the grading leaves per split (_split_class), the slot a recursion lowers
+and its genus-0 and degree >= 1 preconditions (_recursion_slot), the
+run-wise lowering of the string and divisor steps (_lowered_runs), the
+divisor step (weight 1 complex, 2 real), the relation-row builder
+(_relation_row) and the evaluation of a sum of keys (evaluate_terms) or
+of products of keys (evaluate_products).
 
 The complex solver computes primary (descendant-free) invariants degree
-by degree from an overdetermined system of four-point exchange
-relations, seeded by the line count through two points, and reduces
-descendant invariants to primary ones axiom-first: a key with >= 3
-insertions and a string, dilaton or divisor insertion takes one such
-step (reduce_axioms); any other descendant key goes through the
-integrated topological recursion (reduce_descendant_trr), one-point keys
-after the string relation has lifted them to two points.  The recursion
-stays a second route: the trr-cross suite compares one step of each over
-the same lower values.  Everything is exact rational arithmetic, and
-the evaluators (evaluate_terms, evaluate_products, _relation_row) add up
-int numerators over a common denominator and build one Fraction per
+by degree from four-point exchange relations, one per unknown, seeded
+by the line count through two points, and reduces descendant invariants
+to primary ones axiom-first: a key with >= 3 insertions and a string,
+dilaton or divisor insertion takes one such step (reduce_axioms); any
+other descendant key goes through the integrated topological recursion
+(reduce_descendant_trr), one-point keys after the string relation has
+lifted them to two points.  The recursion stays a second route: the
+trr-cross suite compares one step of each over the same lower values.
+Everything is exact rational arithmetic, and the evaluators
+(evaluate_terms, evaluate_products, _relation_row) add up int
+numerators over a common denominator and build one Fraction per
 evaluated key: every complex primary value of P^n, relation weight and
 axiom-step coefficient is whole, so only the recursion's 1/d (or a
 non-whole value loaded from a cache) brings a denominator in.  A
@@ -56,16 +56,15 @@ Structure of a degree block: the canonical unknowns at degree d are the
 multisets of basis classes of cohomological degree >= 4 whose total
 degree matches the virtual dimension (unit insertions die by the string
 relation, divisor insertions strip off a factor of d each).  The block
-is solved from targeted exchange relations only (reconstruction_tuples):
-for each unknown, the tuples that split one insertion h^k = h * h^(k-1)
-as in Kontsevich-Manin's first reconstruction theorem, eliminated by
-sparse Gauss-Jordan over the rationals until every unknown has a value;
-lower-degree factors are read from the table, degree-0 factors evaluate
-classically, and inconsistencies abort.  In either theory a degree-d
-key of a relation sits next to a three-point degree-0 factor, so the
-few it can hold are known before its terms are (_row_unknowns, over the
-two-slot sides of the session's pairing table), and a tuple whose row
-could hold only keys that have a value is skipped: it adds no pivot.  The
+is solved by substitution, Kontsevich-Manin's first reconstruction
+theorem read as a recursion: taken in sort_key order, each unknown has
+one designated exchange relation, which splits one of its insertions
+(h^k = h * h^(k-1) in the complex theory) and holds it as its only
+degree-d key without a value.  In either theory a degree-d key of a
+relation sits next to a three-point degree-0 factor, so the designated
+row's other degree-d keys have fewer insertions or a smaller insertion
+list, and have been solved before it; lower-degree factors are read
+from the table and degree-0 factors evaluate classically.  The
 enumeration of every admissible tuple (wdvv_instances) stays out of the
 solve: it is the independent route by which the wdvv suite of verify
 checks the table.
@@ -81,7 +80,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby
 
 from .invariant_store import (COMPLEX, REAL, InvariantKey, InvariantTable,
                               normalize, real_insertion_vanishes)
@@ -96,7 +95,7 @@ class SolverError(RuntimeError):
 
 
 class InconsistentSystemError(SolverError):
-    """A relation system contradicted itself (or the cached values)."""
+    """A seed contradicted the one a table already holds."""
 
 
 class UnderdeterminedError(SolverError):
@@ -736,147 +735,50 @@ def wdvv_instances(target, degree, ell_cap):
                     yield arranged + rest
 
 
-def reconstruction_tuples(unknowns):
-    """Yield exchange-relation tuples that reconstruct primary unknowns.
-
-    Each unknown's insertions g are basis indices (h^k is k + 1, the
-    divisor h is 2); a tuple splits one insertion g_i = h * h^(k-1), as
-    in the first reconstruction theorem (Kontsevich-Manin).  Family A,
-    for every unknown first: for g_i >= 4 and each other slot j, the
-    tuple (g_i - 1, h, g_j, h) + the rest (at g_i = 3 slots 1 and 4
-    coincide and the relation reads 0 = 0).  Family B: for g_i >= 3 and
-    each pair a < b of other slots, (g_a, g_b, h, g_i - 1) + the rest,
-    Kontsevich's (pt, pt, h, h) row on P^2.  The rest stays sorted; a
-    tuple is yielded once per split that gives it.
-    """
-    split = []
-    for key in unknowns:
-        g = [b for _, b in key.insertions]
-        for i, gi in enumerate(g):
-            others = g[:i] + g[i + 1:]
-            split.append((gi, others))
-    for gi, others in split:
-        if gi >= 4:
-            for j, gj in enumerate(others):
-                yield (gi - 1, 2, gj, 2) + tuple(others[:j] + others[j + 1:])
-    for gi, others in split:
-        if gi >= 3:
-            for a, b in combinations(range(len(others)), 2):
-                rest = others[:a] + others[a + 1:b] + others[b + 1:]
-                yield (others[a], others[b], 2, gi - 1) + tuple(rest)
-
-
 # ---------------------------------------------------------------------------
-# sparse exact elimination
-
-
-def _subtract(row, f, other):
-    """Subtract f times the row ``other`` from ``row`` in place, dropping
-    the entries that cancel."""
-    for k, c in other.items():
-        nv = row.get(k, 0) - f * c
-        if nv:
-            row[k] = nv
-        else:
-            del row[k]
-
-
-class _Eliminator:
-    """Incremental Gauss-Jordan over the rationals, keyed by unknowns with
-    a sort_key.  Rows are dicts {unknown: coeff} with a rational rhs.
-    Each pivot keeps its row as (rest, rhs), read as pivot + rest = rhs,
-    and no pivot appears in any stored rest (fully reduced form)."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def add_row(self, row, rhs):
-        """Reduce a row against the pivots and absorb it.  Returns True
-        when the row produced a new pivot (its least unknown by
-        sort_key).  Raises InconsistentSystemError on a contradictory
-        row."""
-        row = {k: Fraction(c) for k, c in row.items() if c}
-        rhs = Fraction(rhs)
-        # a stored rest holds no pivot, so one pass clears them all
-        for k in [k for k in row if k in self.pivots]:
-            rest, prhs = self.pivots[k]
-            f = row.pop(k)
-            _subtract(row, f, rest)
-            rhs -= f * prhs
-        if not row:
-            if rhs:
-                raise InconsistentSystemError(
-                    "relation system is inconsistent (0 = %s)" % rhs)
-            return False
-        pivot = min(row, key=lambda k: k.sort_key())
-        inv = 1 / row.pop(pivot)
-        rest = {k: c * inv for k, c in row.items()}
-        rhs *= inv
-        # eliminate the new pivot from the stored rows
-        for k, (prest, prhs) in self.pivots.items():
-            f = prest.pop(pivot, None)
-            if f is not None:
-                _subtract(prest, f, rest)
-                self.pivots[k] = (prest, prhs - f * rhs)
-        self.pivots[pivot] = (rest, rhs)
-        return True
-
-    def solved(self, key):
-        """Whether ``key`` is a pivot whose row holds no other unknown."""
-        entry = self.pivots.get(key)
-        return entry is not None and not entry[0]
-
-    def solution(self):
-        """Fully determined values: {unknown: value} for the pivots whose
-        rows hold no other unknown."""
-        return {k: rhs for k, (rest, rhs) in self.pivots.items() if not rest}
+# the block solve
 
 
 def _solve_block(session, d):
-    """Solve one primary degree block of a complex or real session.
+    """Solve one primary degree block of a complex or real session by
+    substitution.
 
     Puts the session's seed (``session._seed``, a (key, value or None)
-    pair) when it is an unknown of the block, then eliminates, in order,
-    the rows that _relation_row builds from the session's relation terms
-    (``_relation_terms``) of each tuple of ``session._block_tuples(d,
-    unknowns)``, and stores the values under the session's
-    ``_provenance`` tag.  A row's unknowns are pending keys (degree-d
-    keys missing from the table), so every pending key has a value once
-    the pivots number the pending keys: the solve stops at that row.  A
-    tuple whose row can hold only keys that have a value (each key of
-    ``session._row_unknowns(mu, d)`` in the table or a pivot with an
-    empty rest) adds no pivot, so it is drawn but not evaluated.
-    Raises UnderdeterminedError naming the session's ``_relations`` when
-    a pending key stays open.
-    """
+    pair) when it is an unknown of the block, then takes the pending keys
+    (degree-d keys missing from the table) in primary_keys order, that
+    is in sort_key order.  Each pending key has one designated relation
+    instance (``session._designated_tuple``) whose row (_relation_row of
+    the session's ``_relation_terms``) holds the key with a nonzero
+    coefficient and otherwise only degree-d keys earlier in sort_key
+    order, which have a value by then and fold into the rhs; so the row
+    reads {key: coeff}, and the key takes rhs / coeff under the
+    session's ``_provenance`` tag.  A key with no designated instance, or
+    whose row is not {key: nonzero}, stays unresolved: the solve goes on
+    with the other keys and then raises UnderdeterminedError naming the
+    session's ``_relations`` and the count of unresolved keys."""
     unknowns = session.primary_keys(d)
-    if not unknowns:
-        return
     table = session.table
     seed_key, seed_value = session._seed
     if seed_value is not None and seed_key in unknowns:
         table.put(seed_key, seed_value, "seed")
-    pending = [k for k in unknowns if table.get(k) is None]
-    if not pending:
-        return
-    elim = _Eliminator()
-    for mu in session._block_tuples(d, unknowns):
-        if all(k in table or elim.solved(k)
-               for k in session._row_unknowns(mu, d)):
-            continue  # every unknown the row can hold has a value
-        elim.add_row(*_relation_row(table, session._relation_terms(mu, d), d))
-        if len(elim.pivots) == len(pending):
-            break
-    sol = elim.solution()
-    missing = [k for k in pending if k not in sol]
+    missing = 0
+    for key in unknowns:
+        if key in table:
+            continue
+        mu = session._designated_tuple(key, d)
+        if mu is not None:
+            row, rhs = _relation_row(table, session._relation_terms(mu, d), d)
+            coeff = row.pop(key, 0)
+            if coeff and not any(row.values()):
+                table.put(key, rhs / coeff, session._provenance)
+                continue
+        missing += 1
     if missing:
         msg = "%s left %d key(s) unresolved at degree %d" % (
-            session._relations, len(missing), d)
+            session._relations, missing, d)
         if seed_value is None:  # a real session of a free involution
             msg += " (no seed sign supplied for this involution)"
         raise UnderdeterminedError(msg)
-    for k in pending:
-        table.put(k, sol[k], session._provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -891,15 +793,15 @@ class _Session:
     block-solve driver (_ensure).  A subclass sets ``kind``, the
     provenance tag and wording of its relations (``_provenance``,
     ``_relations``) and of its recursion (``_recursion``), its pairing
-    table (read by _relation_terms and _row_unknowns) and ``complex``,
-    and supplies the seed (``_seed``), the relation tuples of a block
-    (_block_tuples), the degree-0 rule (_degree_zero_value, read by the
-    primary-factor memo _shape) and the value of a descendant key by its
-    recursion (_recursion_value).  The shared bodies reach value,
-    relation_residual and the block solve through the instance at call
-    time, and each subclass binds value, relation_residual and _ensure
-    (as ensure_primary or ensure_real) in its own class body, so each can
-    be rebound per class."""
+    table (read by _relation_terms) and ``complex``, and supplies the
+    seed (``_seed``), the relation instance that solves each pending key
+    of a block (_designated_tuple), the degree-0 rule
+    (_degree_zero_value, read by the primary-factor memo _shape) and the
+    value of a descendant key by its recursion (_recursion_value).  The
+    shared bodies reach value, relation_residual and the block solve
+    through the instance at call time, and each subclass binds value,
+    relation_residual and _ensure (as ensure_primary or ensure_real) in
+    its own class body, so each can be rebound per class."""
 
     def __init__(self, target, table):
         if table is None:
@@ -955,27 +857,6 @@ class _Session:
                     continue
                 yield (sign * weight * doubling ** len(ins_i) * shape_i[0]
                        * shape_j[0], [*shape_i[1:], *shape_j[1:]])
-
-    def _row_unknowns(self, mu, d):
-        """The degree-d keys the row of a relation instance can hold.
-
-        A degree-d key sits next to a degree-0 factor, nonzero only with
-        three points: a two-slot side of a pairing that the grading puts
-        at degree 0 (_split_class) holds the key of e_b, the other side
-        and the pad."""
-        pad = list(mu[self._pad_start:])
-        keys = []
-        for _sign, slots_i, slots_j in self._pairings:
-            for pair, rest in ((slots_i, slots_j), (slots_j, slots_i)):
-                if len(pair) != 2:
-                    continue
-                _ea, eb, d0 = _split_class(self.target,
-                                           mu[pair[0]] + mu[pair[1]], 2)
-                if d0 == 0:
-                    shape = self._shape(d, [eb] + [mu[s] for s in rest] + pad)
-                    if shape is not None:
-                        keys.append(shape[1])
-        return keys
 
     def _shape(self, d_f, basis_list):
         """Structural part of a primary factor of degree ``d_f`` with
@@ -1110,14 +991,34 @@ class ComplexSession(_Session):
         finished session and its table alive until a garbage collection."""
         return self
 
-    def _block_tuples(self, d, unknowns):
-        """Yield the reconstruction relations of a block's unknowns
-        (reconstruction_tuples), each distinct tuple once."""
-        seen = set()
-        for mu in reconstruction_tuples(unknowns):
-            if mu not in seen:
-                seen.add(mu)
-                yield mu
+    def _designated_tuple(self, key, d):
+        """The relation instance that solves a primary key of the block,
+        by Kontsevich-Manin's first reconstruction: three classes of the
+        key, g_i <= g_b <= g_a, give (g_a, g_b, h, g_i - 1) + rest, which
+        splits g_i = h^k as h * h^(k-1) (every class of a primary key is
+        h^2 or higher).  Its row holds the key with coefficient 1, and its
+        other degree-d keys have fewer insertions or trade g_i, g_a for
+        g_i - 1, g_a + 1, which g_a >= g_i puts earlier in sort_key order.
+        Of the triples of classes, in ascending order, the first whose
+        ``rest`` has the fewest distinct splits (the product of run
+        length + 1, what _grouped_splits walks) wins: it makes the row
+        cheapest.  None for a key with fewer than three insertions: only
+        the seed has fewer."""
+        g = [b for _, b in key.insertions]
+        if len(g) < 3:
+            return None
+        runs = Counter(g)
+        triples = [t for t in combinations_with_replacement(runs, 3)
+                   if all(t.count(x) <= runs[x] for x in t)]
+
+        def splits(triple):
+            return math.prod(c + 1 - triple.count(x) for x, c in runs.items())
+
+        i, b, a = min(triples, key=splits)
+        rest = list(g)
+        for x in (i, b, a):
+            rest.remove(x)
+        return (a, b, 2, i - 1, *rest)
 
     # -- evaluation -----------------------------------------------------
 

@@ -12,8 +12,8 @@ never reach a table.
 
 Tables map keys to exact rationals with a provenance tag per entry and
 persist to a versioned JSON file; a conflicting put is a fatal error
-(the relation systems are overdetermined, and a conflict means an
-inconsistency a verifier must see).  One streamed writer,
+(each key has one exact value, so a conflict means an inconsistency a
+verifier must see).  One streamed writer,
 ``write_entries_json``, lays out both the cache file and the CLI's JSON
 export.
 """

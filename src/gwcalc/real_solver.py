@@ -18,28 +18,28 @@ filter (vdim_real, filter_real), the target check (_require_real_target:
 an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
 ensure_real, and whose descendant route it shares), the block-solve
-skeleton, the axiom step, the split class, the one relation expansion
-(_Session._relation_terms) and the relation-row builder are the ones
-complex_solver keeps for both theories, and so is the row skip of the
-block solve (_row_unknowns): a real key of the block degree sits next
-to a three-point degree-0 complex factor, so a tuple whose row could
-hold only keys that have a value adds no pivot and is not evaluated.
-This module supplies the real pairing table the expansion and the row
-skip read (slots 1 and 3 on the complex side against slot 2 on the real
-side, minus slots 1 and 2 against slot 3; the grading of the complex
-side picks the diagonal term and pins its degree d' per split, and the
-real side takes degree d - 2d'), the relation tuples of a real block
-(rwdvv_instances, after the complex table is extended to half the
-degree), the real degree-0 rule (the invariant is 0 and is not stored)
-and the real recursion.  Descendant invariants reduce axiom-first, as in
-the complex theory: a key with >= 3 insertions and a dilaton or
-minus-eigenspace divisor insertion takes one such step
-(complex_solver.reduce_axioms with the real constants; a string
-insertion kills the invariant), any other goes through the real
-topological recursion (reduce_descendant_rtrr), whose leading term
-slides a divisor onto the descendant slot with weight -2.  The
-rtrr-cross suite compares one step of each route over the same lower
-values.
+skeleton (substitution: one designated relation row per pending key,
+in sort_key order), the axiom step, the split class, the one relation
+expansion (_Session._relation_terms) and the relation-row builder are
+the ones complex_solver keeps for both theories.  This module supplies
+the real pairing table the expansion reads (slots 1 and 3 on the
+complex side against slot 2 on the real side, minus slots 1 and 2
+against slot 3; the grading of the complex side picks the diagonal term
+and pins its degree d' per split, and the real side takes degree
+d - 2d'), the designated relation instance of a real primary key (its
+least class h^k split as h^2 * h^(k-2), after the complex table is
+extended to half the degree), the enumeration of every admissible real
+relation instance (rwdvv_instances, the independent route by which the
+rwdvv suite of verify checks the table), the real degree-0 rule (the
+invariant is 0 and is not stored) and the real recursion.  Descendant
+invariants reduce axiom-first, as in the complex theory: a key with
+>= 3 insertions and a dilaton or minus-eigenspace divisor insertion
+takes one such step (complex_solver.reduce_axioms with the real
+constants; a string insertion kills the invariant), any other goes
+through the real topological recursion (reduce_descendant_rtrr), whose
+leading term slides a divisor onto the descendant slot with weight -2.
+The rtrr-cross suite compares one step of each route over the same
+lower values.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ def rwdvv_instances(target, degree, ell_cap):
 
     Tuples are of basis indices, as wdvv_instances yields them: slot 1 a
     plus-eigenspace class other than the unit, slots 2 < 3 and the sorted
-    pad minus-eigenspace classes; lengths 3..ell_cap, in the
-    deterministic order used when solving blocks.
+    pad minus-eigenspace classes; lengths 3..ell_cap, in a deterministic
+    order.  The block solve does not use this enumeration; the rwdvv
+    suite checks the solved table against it.
     """
     n = target.complex_dim
     # the classes h^k as basis indices k + 1: even k >= 2 in the plus
@@ -148,16 +149,22 @@ class RealSession(_Session):
 
     # -- block solving --------------------------------------------------
 
-    def _block_tuples(self, d, unknowns):
-        """The admissible relation instances at real degree d with tuple
-        length up to the longest unknown + 4, in rwdvv_instances order
-        (shorter tuples first, so the solve usually closes on those up to
-        the longest unknown + 2).  The complex factors reach degree
-        d // 2, so the complex table is extended first; only a block with
-        pending keys gets here."""
+    def _designated_tuple(self, key, d):
+        """The relation instance that solves a real primary key of the
+        block: the first class g_1 = h^k of the key (every class of a real
+        primary key is an odd power h^3 or higher) splits as
+        h^2 * h^(k-2) in (h^2, g_1 - 2) + the other classes, which holds
+        the key with coefficient -4 (slots 1 and 2 on the complex side at
+        degree 0, doubled) and otherwise keys with fewer insertions or
+        with a smaller least class, both earlier in sort_key order.  None
+        for a one-insertion key: only the seed has one.  The complex
+        factors of a real block reach degree d // 2, so the complex table
+        is extended first; only a pending key of a block gets here."""
         self.complex.ensure_primary(d // 2)
-        max_ell = max(k.num_insertions for k in unknowns)
-        return rwdvv_instances(self.target, d, max_ell + 4)
+        g = [b for _, b in key.insertions]
+        if len(g) < 2:
+            return None
+        return (3, g[0] - 2, *g[1:])
 
     # -- evaluation -----------------------------------------------------
 

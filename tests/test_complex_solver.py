@@ -661,97 +661,6 @@ def test_poisoned_table_fails_relation_residuals(p2):
     assert bad
 
 
-def test_eliminator_detects_contradiction():
-    from gwcalc.complex_solver import _Eliminator
-
-    elim = _Eliminator()
-    x = key(1, [(0, 3), (0, 3)])
-    assert elim.add_row({x: Fraction(1)}, Fraction(1)) is True
-    with pytest.raises(InconsistentSystemError):
-        elim.add_row({x: Fraction(1)}, Fraction(2))
-
-
-def _dense_rref(rows, ncols):
-    """Textbook Gauss-Jordan of dense rows (the last entry the rhs): the
-    reduced row echelon form as (pivot column, row) pairs, the columns
-    taken left to right, so each pivot is the least column left."""
-    rows = [[Fraction(c) for c in r] for r in rows]
-    out = []
-    for col in range(ncols):
-        hit = next((r for r in rows if r[col]), None)
-        if hit is None:
-            continue
-        rows.remove(hit)
-        prow = [c / hit[col] for c in hit]
-        out = [(p, [a - r[col] * b for a, b in zip(r, prow)]) for p, r in out]
-        rows = [[a - r[col] * b for a, b in zip(r, prow)] for r in rows]
-        out.append((col, prow))
-    return out
-
-
-def _random_coeff(rng):
-    """An int (zero included) or a non-whole Fraction."""
-    if rng.random() < 0.5:
-        return rng.randint(-3, 3)
-    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 5))
-
-
-@pytest.mark.parametrize("seed", range(25))
-def test_eliminator_matches_dense_reference(seed):
-    """After every row, add_row's result, the pivots and solution() equal
-    a dense Gauss-Jordan over the rows accepted so far, with columns in
-    sort_key order; a contradictory row raises with the 0 = r left after
-    reducing it by that form, and changes nothing."""
-    from gwcalc.complex_solver import _Eliminator
-
-    rng = random.Random(seed)
-    keys = [key(d, [(0, 3)] * k) for d, k in
-            ((2, 5), (1, 2), (3, 8), (2, 3), (1, 4))]
-    cols = sorted(keys, key=lambda k: k.sort_key())
-    n = len(cols)
-    kinds = ["fresh"] * 5 + ["repeat", "combination", "contradiction"]
-    rng.shuffle(kinds)
-    elim = _Eliminator()
-    accepted = []
-    for kind in ["fresh"] + kinds:
-        if kind == "fresh":
-            vec = [0] * (n + 1)
-            for i in rng.sample(range(n), rng.randint(1, 3)):
-                vec[i] = _random_coeff(rng)
-            vec[n] = _random_coeff(rng)
-        elif kind == "repeat":
-            vec = list(rng.choice(accepted))
-        else:
-            r1, r2 = rng.choice(accepted), rng.choice(accepted)
-            f1, f2 = _random_coeff(rng) or 1, _random_coeff(rng) or -1
-            vec = [f1 * a + f2 * b for a, b in zip(r1, r2)]
-            if kind == "contradiction":
-                vec[n] += _random_coeff(rng) or Fraction(1, 2)
-        row = {cols[i]: vec[i] for i in range(n)
-               if vec[i] or rng.random() < 0.3}
-        before = _dense_rref(accepted, n)
-        reduced = [Fraction(c) for c in vec]
-        for p, prow in before:
-            reduced = [a - reduced[p] * b for a, b in zip(reduced, prow)]
-        if not any(reduced[:n]) and reduced[n]:
-            msg = "relation system is inconsistent (0 = %s)" % reduced[n]
-            with pytest.raises(InconsistentSystemError) as err:
-                elim.add_row(row, vec[n])
-            assert str(err.value) == msg
-            assert kind in ("fresh", "contradiction")
-        else:
-            assert kind != "contradiction"
-            accepted.append(vec)
-            grew = len(_dense_rref(accepted, n)) > len(before)
-            assert elim.add_row(row, vec[n]) is grew
-            assert kind == "fresh" or not grew
-        ref = _dense_rref(accepted, n)
-        assert set(elim.pivots) == {cols[p] for p, _ in ref}
-        assert elim.solution() == {
-            cols[p]: prow[n] for p, prow in ref
-            if not any(prow[i] for i in range(n) if i != p)}
-
-
 def test_seed_conflict_detected(p2):
     table = InvariantTable(p2)
     table.put(key(1, [(0, 3), (0, 3)]), Fraction(2), "seed")

@@ -1,14 +1,13 @@
-"""The complex primary solve by targeted reconstruction rows, against the
-full exchange-relation enumeration it replaced.
+"""The complex and real primary solve by substitution, against the full
+exchange-relation enumeration it replaced.
 
-The solve eliminates only the reconstruction_tuples rows of each block,
-and of those only the rows that can hold a key without a value
-(_row_unknowns, the rule the real solve shares); wdvv_instances stays
-the verify route.  The frozen P5-tau d<=3 and P7-tau d<=2 values were
-produced by the earlier solve, which eliminated every wdvv_instances
-tuple up to a length cap, and the P5-tau d<=5 and P7-tau d<=3 values by
-the targeted solve before it skipped rows; each equals today's solve
-key for key.
+Each pending key of a block takes the value that the row of its one
+designated relation instance (_designated_tuple) gives, in sort_key
+order; wdvv_instances stays the verify route.  The frozen P5-tau d<=3
+and P7-tau d<=2 values were produced by an earlier solve, which
+eliminated every wdvv_instances tuple up to a length cap, and the
+P5-tau d<=5 and P7-tau d<=3 values by the targeted elimination that
+came before substitution; each equals today's solve key for key.
 """
 
 import json
@@ -19,12 +18,12 @@ from collections import Counter
 import pytest
 
 from gwcalc import complex_solver
-from gwcalc.cli import _instance_caps
+from gwcalc.cli import main
 from gwcalc.complex_solver import (ComplexSession, kontsevich_p2,
-                                   reconstruction_tuples, wdvv_instances)
+                                   wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
-from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
-from gwcalc.real_solver import RealSession, rwdvv_instances
+from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey, InvariantTable
+from gwcalc.real_solver import RealSession
 
 FROZEN = os.path.join(os.path.dirname(__file__), "data",
                       "frozen_primary.json")
@@ -32,20 +31,6 @@ FROZEN = os.path.join(os.path.dirname(__file__), "data",
 
 def key(d, bases):
     return InvariantKey(COMPLEX, 0, d, [(0, b) for b in bases])
-
-
-def test_reconstruction_tuples_families():
-    # <h^3, h^3> on P^5 (indices 4, 4): family A splits either slot,
-    # family B needs three slots; <pt^5>_2 on P^2 only takes family B
-    assert list(reconstruction_tuples([key(1, [4, 4])])) == [
-        (3, 2, 4, 2), (3, 2, 4, 2)]
-    assert list(reconstruction_tuples([key(2, [3] * 3)])) == [
-        (3, 3, 2, 2)] * 3
-    p5 = [key(1, [3, 4, 5])]
-    assert list(reconstruction_tuples(p5)) == [
-        (3, 2, 3, 2, 5), (3, 2, 5, 2, 3),
-        (4, 2, 3, 2, 4), (4, 2, 4, 2, 3),
-        (4, 5, 2, 2), (3, 5, 2, 3), (3, 4, 2, 4)]
 
 
 def test_solve_never_enumerates_relations(monkeypatch):
@@ -111,50 +96,27 @@ def test_p5_targeted_table_satisfies_every_relation():
     assert checked == 184 + 3395
 
 
-# per (theory, degree): the relation tuples each block solve draws up to
-# its stop row, then the rows it evaluates (a block of either theory skips
-# a tuple whose row can hold no open unknown)
-STOP_ROWS = [
-    ("P2", COMPLEX, 5, {(COMPLEX, d): 1 for d in (2, 3, 4, 5)},
-     {(COMPLEX, d): 1 for d in (2, 3, 4, 5)}),
-    ("P3-tau", COMPLEX, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6,
-                            (COMPLEX, 3): 10, (COMPLEX, 4): 14},
-     {(COMPLEX, 1): 2, (COMPLEX, 2): 5, (COMPLEX, 3): 7, (COMPLEX, 4): 9}),
-    ("P5-tau", COMPLEX, 3, {(COMPLEX, 1): 34, (COMPLEX, 2): 203,
-                            (COMPLEX, 3): 615},
-     {(COMPLEX, 1): 14, (COMPLEX, 2): 48, (COMPLEX, 3): 108}),
-    ("P7-tau", COMPLEX, 2, {(COMPLEX, 1): 233, (COMPLEX, 2): 2123},
-     {(COMPLEX, 1): 57, (COMPLEX, 2): 283}),
-    ("P3-tau", REAL, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 6, (REAL, 2): 1,
-                         (REAL, 3): 1, (REAL, 4): 1},
-     {(COMPLEX, 1): 2, (COMPLEX, 2): 5, (REAL, 2): 1, (REAL, 3): 1,
-      (REAL, 4): 1}),
-    ("P5-tau", REAL, 3, {(COMPLEX, 1): 34, (REAL, 1): 1, (REAL, 3): 16},
-     {(COMPLEX, 1): 14, (REAL, 1): 1, (REAL, 3): 3}),
-    ("P7-tau", REAL, 3, {(COMPLEX, 1): 233, (REAL, 1): 3, (REAL, 2): 32,
-                         (REAL, 3): 121},
-     {(COMPLEX, 1): 57, (REAL, 1): 2, (REAL, 2): 5, (REAL, 3): 8}),
+# per (theory, degree): the relation rows each block solve evaluates, one
+# per pending key (every entry of the block but the seed)
+BLOCK_ROWS = [
+    ("P2", COMPLEX, 5, {(COMPLEX, d): 1 for d in (2, 3, 4, 5)}),
+    ("P3-tau", COMPLEX, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 5,
+                            (COMPLEX, 3): 7, (COMPLEX, 4): 9}),
+    ("P5-tau", COMPLEX, 3, {(COMPLEX, 1): 14, (COMPLEX, 2): 47,
+                            (COMPLEX, 3): 108}),
+    ("P7-tau", COMPLEX, 2, {(COMPLEX, 1): 57, (COMPLEX, 2): 282}),
+    ("P3-tau", REAL, 4, {(COMPLEX, 1): 2, (COMPLEX, 2): 5, (REAL, 2): 1,
+                         (REAL, 3): 1, (REAL, 4): 1}),
+    ("P5-tau", REAL, 3, {(COMPLEX, 1): 14, (REAL, 1): 1, (REAL, 3): 3}),
+    ("P7-tau", REAL, 3, {(COMPLEX, 1): 57, (REAL, 1): 2, (REAL, 2): 5,
+                         (REAL, 3): 8}),
 ]
 
 
-@pytest.mark.parametrize("name,kind,max_degree,expected,evaluated",
-                         STOP_ROWS,
-                         ids=["%s-%s-d%d" % row[:3] for row in STOP_ROWS])
-def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected,
-                              evaluated):
-    """Each block solve stops at the first row after which every pending
-    key has a value: the relation tuples it draws from _block_tuples per
-    block are frozen (a block with no pending key draws none), and so
-    are the rows it evaluates, one _relation_row each.  A block of
-    either theory evaluates at most one row more than the entries it
-    adds."""
-    counts, rows = Counter(), Counter()
-    for cls in (ComplexSession, RealSession):
-        def counted(self, d, unknowns, block_tuples=cls._block_tuples):
-            for mu in block_tuples(self, d, unknowns):
-                counts[self.kind, d] += 1
-                yield mu
-        monkeypatch.setattr(cls, "_block_tuples", counted)
+def _count_block_rows(monkeypatch):
+    """Count the _relation_row calls of each block solve by (theory of
+    the block, degree)."""
+    rows = Counter()
     solving = []  # the theories of the blocks being solved, innermost last
 
     def solve_block(session, d, solve=complex_solver._solve_block):
@@ -169,73 +131,110 @@ def test_block_solve_stop_row(monkeypatch, name, kind, max_degree, expected,
         return row(table, terms, d)
     monkeypatch.setattr(complex_solver, "_solve_block", solve_block)
     monkeypatch.setattr(complex_solver, "_relation_row", relation_row)
+    return rows
+
+
+def _session(name, kind, table=None):
     target = builtin_target(name)
     if kind == COMPLEX:
-        session = ComplexSession(target)
-        session.ensure_primary(max_degree)
-    else:
-        session = RealSession(target)
-        session.ensure_real(max_degree)
-    assert counts == expected
-    assert rows == evaluated
-    entries = Counter((k.kind, k.degree) for k, _v, _p in session.table.items())
-    for (block_kind, d), n in rows.items():
-        assert n <= entries[block_kind, d] + 1, (block_kind, d)
+        return ComplexSession(target, table)
+    return RealSession(target, table)
 
 
-def _assert_row_unknowns_cover(session, mu, d):
-    """Every degree-d key among the relation terms of ``mu`` is one that
-    _row_unknowns lists for it."""
-    listed = set(session._row_unknowns(mu, d))
-    for _coeff, keys in session._relation_terms(mu, d):
-        for k in keys:
-            assert k.degree < d or k in listed, (mu, d, k)
+def _solve(session, max_degree):
+    (session.ensure_primary if session.kind == COMPLEX
+     else session.ensure_real)(max_degree)
 
 
-def _session(name, kind):
-    target = builtin_target(name)
-    return ComplexSession(target) if kind == COMPLEX else RealSession(target)
+@pytest.mark.parametrize("name,kind,max_degree,expected", BLOCK_ROWS,
+                         ids=["%s-%s-d%d" % row[:3] for row in BLOCK_ROWS])
+def test_block_solve_rows(monkeypatch, name, kind, max_degree, expected):
+    """Each block solve evaluates one _relation_row per pending key, so
+    as many rows as the entries it adds besides the seed (frozen per
+    block); a block with no pending key evaluates none, so a second
+    session over the solved table evaluates no row at all."""
+    rows = _count_block_rows(monkeypatch)
+    session = _session(name, kind)
+    _solve(session, max_degree)
+    assert rows == expected
+    added = Counter((k.kind, k.degree) for k, _v, prov
+                    in session.table.items() if prov != "seed")
+    assert rows == added
+    rows.clear()
+    _solve(_session(name, kind, session.table), max_degree)
+    assert not rows
 
 
-# per target and theory: the highest block degree, and the tuples its
-# blocks draw in all
-COVER_BLOCKS = [("P2", COMPLEX, 5, 4), ("P3-tau", COMPLEX, 4, 116),
-                ("P5-tau", COMPLEX, 3, 2859), ("P3-tau", REAL, 6, 20),
-                ("P5-tau", REAL, 4, 54), ("P7-tau", REAL, 3, 375)]
+# per target and theory: the highest block degree, and the primary keys
+# of its blocks in all (the seed included)
+DESIGNATED = [("P2", COMPLEX, 14, 14), ("P3-tau", COMPLEX, 8, 80),
+              ("P5-tau", COMPLEX, 6, 1278), ("P7-tau", COMPLEX, 4, 3703),
+              ("P3-tau", REAL, 8, 8), ("P5-tau", REAL, 6, 10),
+              ("P7-tau", REAL, 4, 28)]
 
 
 @pytest.mark.parametrize(
-    "name,kind,max_degree,drawn_total", COVER_BLOCKS,
-    ids=["%s-%d" % (name, d) if kind == COMPLEX else
-         "%s-%s-%d" % (name, kind, d) for name, kind, d, _n in COVER_BLOCKS])
-def test_row_unknowns_never_short_on_block_tuples(name, kind, max_degree,
-                                                  drawn_total):
-    """The solve skips a tuple whose listed keys all have values, so the
-    list must hold every degree-d key the tuple's row can reach; every
-    tuple each block can draw is checked, not only those up to its stop
-    row, in both theories."""
+    "name,kind,max_degree,count", DESIGNATED,
+    ids=["%s-%s-d%d" % row[:3] for row in DESIGNATED])
+def test_designated_row_holds_its_key_and_earlier_keys(
+        monkeypatch, name, kind, max_degree, count):
+    """Structural, with no solve: on every primary key of each block, the
+    degree-d keys of the designated instance's relation terms are the
+    key itself, with net coefficient 1 (complex) or -4 (real), and keys
+    earlier in sort_key order, which the block solve has given a value
+    by then; a term holding one holds no other key.  Only the seed has
+    no designated instance."""
     session = _session(name, kind)
-    drawn = 0
+    # the real rule extends the complex table before it names a tuple
+    monkeypatch.setattr(session.complex, "ensure_primary", lambda d: None)
+    seen = 0
     for d in range(1, max_degree + 1):
-        unknowns = session.primary_keys(d)
-        if not unknowns:
-            continue  # the block solve draws no tuple
-        for mu in session._block_tuples(d, unknowns):
-            _assert_row_unknowns_cover(session, mu, d)
-            drawn += 1
-    assert drawn == drawn_total
+        for k in session.primary_keys(d):
+            seen += 1
+            mu = session._designated_tuple(k, d)
+            if mu is None:
+                assert k == session._seed[0]
+                continue
+            net = Counter()
+            for coeff, keys in session._relation_terms(mu, d):
+                block = [f for f in keys if (f.kind, f.degree) == (kind, d)]
+                if block:
+                    assert keys == block and len(block) == 1, (mu, keys)
+                    net[block[0]] += coeff
+            own = net.pop(k)
+            assert type(own) is int and own == (1 if kind == COMPLEX else -4)
+            assert all(f.sort_key() < k.sort_key() for f in net), (k, mu)
+    assert seen == count
+    assert len(session.table) == 0
 
 
-def test_row_unknowns_never_short_on_verify_window():
-    """The same cover on every tuple of verify's P3-tau d<=3 window of
-    each theory: the wdvv_instances tuples, which are not reconstruction
-    tuples, and the rwdvv_instances tuples."""
-    for kind, instances, slack, checks in (
-            (COMPLEX, wdvv_instances, 1, 157), (REAL, rwdvv_instances, 2, 5)):
-        session = _session("P3-tau", kind)
-        checked = 0
-        for d, cap in sorted(_instance_caps(session, 3).items()):
-            for mu in instances(session.target, d, max(cap + slack, 5)):
-                _assert_row_unknowns_cover(session, mu, d)
-                checked += 1
-        assert checked == checks, kind
+def test_a_cached_real_block_evaluates_no_row(monkeypatch, tmp_path, capsys):
+    """A real session over a cache that holds its blocks evaluates no
+    row and extends no complex block: the cache here lacks the complex
+    degree-3 block, which only the rows of the real degree-7 block would
+    read.  A warm compute --real prints what a cold one prints and
+    leaves the cache file byte-identical."""
+    target = builtin_target("P5-tau")
+    solved = RealSession(target)
+    solved.ensure_real(7)
+    table = InvariantTable(target)
+    for k, v, prov in solved.table.items():
+        if k.kind == REAL or k.degree < 3:
+            table.put(k, v, prov)
+    assert len(table) < len(solved.table)
+    path = str(tmp_path / "cache.json")
+    table.save(path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    rows = _count_block_rows(monkeypatch)
+    session = RealSession(target, InvariantTable.load(path, target))
+    session.ensure_real(7)
+    assert not rows
+    assert max(k.degree for k in session.table if k.kind == COMPLEX) == 2
+    argv = ["compute", "--target", "P5-tau", "--real", "--max-degree", "7"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv + ["--cache", path]) == 0
+    assert capsys.readouterr().out == cold
+    with open(path, "rb") as fh:
+        assert fh.read() == before
