@@ -331,28 +331,25 @@ def _relation_suite(session, max_degree, instances, slack, pde_residuals):
     """Shared body of the wdvv and rwdvv suites: every instance that
     ``instances(target, d, length)`` lists in verify's window (the longest
     unknown of the degree + slack, at least 5) sums to zero on the table,
-    then every (indices, residual) of ``pde_residuals()`` vanishes.
+    then every (indices, residual) of ``pde_residuals()`` vanishes.  The
+    window is streamed; a failure reports the checks made so far.
 
-    By the divisor axiom an instance with the divisor h (basis index 2)
-    in its pad (which starts at the session's ``_pad_start``; h sorts
-    first in it) sums to d times the same instance with one h removed,
-    which the window lists earlier at the same degree; its residual is
-    read off that one, not evaluated, and it still counts as a check."""
-    work = [(d, inst) for d, cap in sorted(
-                _instance_caps(session, max_degree).items())
-            for inst in instances(session.target, d, max(cap + slack, 5))]
+    By the divisor axiom an instance with h (basis index 2) first in its
+    pad (from the session's ``_pad_start``) sums to d times the instance
+    with that h removed, one shorter and so earlier in the window, whose
+    residual was 0 or the suite would have returned: it counts as a
+    check and is not evaluated."""
     pad_start = session._pad_start
-    residuals = {}
-    for d, inst in work:
-        if inst[pad_start:pad_start + 1] == (2,):
-            total = d * residuals[d, inst[:pad_start] + inst[pad_start + 1:]]
-        else:
+    checks = 0
+    for d, cap in sorted(_instance_caps(session, max_degree).items()):
+        for inst in instances(session.target, d, max(cap + slack, 5)):
+            checks += 1
+            if inst[pad_start:pad_start + 1] == (2,):
+                continue
             total = session.relation_residual(inst, d)
-        residuals[d, inst] = total
-        if total:
-            return False, "instance %r at degree %d sums to %s" \
-                % (inst, d, total), len(work)
-    checks = len(work)
+            if total:
+                return False, "instance %r at degree %d sums to %s" \
+                    % (inst, d, total), checks
     for indices, res in pde_residuals():
         checks += 1
         if not res.is_zero():

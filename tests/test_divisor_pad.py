@@ -140,21 +140,28 @@ RWDVV = (RealSession, rwdvv_instances, 2)
 
 
 @pytest.mark.parametrize("name, max_degree, suite, count, padded", [
+    ("P2", 4, WDVV, 3, 0),
     ("P3-tau", 3, WDVV, 157, 117),
     ("P5-tau", 3, WDVV, 21773, 19670),
     ("P7-tau", 2, WDVV, 70283, 64610),
+    ("P3-tau", 3, RWDVV, 5, 3),
     ("P5-tau", 3, RWDVV, 35, 25),
-], ids=["wdvv-P3-tau-d3", "wdvv-P5-tau-d3", "wdvv-P7-tau-d2",
-        "rwdvv-P5-tau-d3"])
+    ("P7-tau", 3, RWDVV, 261, 204),
+], ids=["wdvv-P2-d4", "wdvv-P3-tau-d3", "wdvv-P5-tau-d3", "wdvv-P7-tau-d2",
+        "rwdvv-P3-tau-d3", "rwdvv-P5-tau-d3", "rwdvv-P7-tau-d3"])
 def test_shorter_instance_comes_earlier(name, max_degree, suite, count,
                                         padded):
     """Each instance with h first in its pad has the instance without
-    that h earlier in its window, at the same degree."""
+    that h earlier in its window, at the same degree, and lengths never
+    decrease within a degree: verify counts such an instance without
+    evaluating it, since its shorter one has already passed."""
     cls, instances, slack = suite
     pad_start = cls._pad_start
     session = cls(builtin_target(name))
     work = window(session, instances, max_degree, slack)
     assert len(work) == count
+    for (d0, a), (d1, b) in zip(work, work[1:]):
+        assert d0 < d1 or (d0 == d1 and len(a) <= len(b)), (a, b)
     position = {item: i for i, item in enumerate(work)}
     derived = 0
     for i, (d, inst) in enumerate(work):
@@ -169,13 +176,15 @@ def test_shorter_instance_comes_earlier(name, max_degree, suite, count,
 
 def plain_relation_suite(session, max_degree, instances, slack):
     """The relation check with every instance of the window evaluated by
-    relation_residual, as (ok, detail, checks), with no PDE residuals."""
+    relation_residual, as (ok, detail, checks), with no PDE residuals;
+    on a failure the checks are the failing instance's 1-based position
+    in the window."""
     work = window(session, instances, max_degree, slack)
-    for d, inst in work:
+    for position, (d, inst) in enumerate(work, 1):
         total = session.relation_residual(inst, d)
         if total:
             return False, "instance %r at degree %d sums to %s" \
-                % (inst, d, total), len(work)
+                % (inst, d, total), position
     return True, "", len(work)
 
 
@@ -226,9 +235,48 @@ def test_relation_suite_matches_evaluating_every_instance(
     assert got[0] == (table_kind == "solved")
 
 
+@pytest.mark.parametrize("perturb", [False, True], ids=["solved",
+                                                         "perturbed"])
+@pytest.mark.parametrize("name, max_degree, suite", [
+    ("P3-tau", 3, WDVV),
+    ("P5-tau", 3, RWDVV),
+], ids=["wdvv-P3-tau-d3", "rwdvv-P5-tau-d3"])
+def test_relation_suite_streams_its_window(name, max_degree, suite,
+                                           perturb):
+    """The suite evaluates each instance as soon as the window yields
+    it, and stops drawing instances at the first failing one."""
+    cls, instances, slack = suite
+    target = builtin_target(name)
+    table = solved_table(target, cls.kind, max_degree, perturb)
+    session = cls(target, table)
+    position = {item: i for i, item in
+                enumerate(window(session, instances, max_degree, slack), 1)}
+    yielded = [0]
+
+    def counted(target, d, length):
+        for inst in instances(target, d, length):
+            yielded[0] += 1
+            yield inst
+    calls = []
+
+    def recorded(mu, d, residual=session.relation_residual):
+        calls.append((d, mu))
+        assert yielded[0] == position[d, mu], mu
+        return residual(mu, d)
+    session.relation_residual = recorded
+    ok, _detail, checks = _relation_suite(session, max_degree, counted,
+                                          slack, lambda: iter(()))
+    assert ok is not perturb
+    assert calls
+    if perturb:
+        assert yielded[0] == checks == position[calls[-1]]
+    else:
+        assert yielded[0] == checks == len(position)
+
+
 def test_verify_evaluates_only_h_free_instances(capsys, monkeypatch):
     """verify's P3-tau d<=3 wdvv suite evaluates its 40 h-free instances
-    and reads the 117 h-padded ones off them."""
+    and counts the 117 h-padded ones without evaluating them."""
     calls = []
 
     def counted(self, mu, d, residual=ComplexSession.relation_residual):
