@@ -22,13 +22,16 @@ one block-solve skeleton (_solve_block) that seeds and then solves each
 pending key from the row of its designated instance, one axiom step
 (reduce_axioms: string, dilaton and divisor, reading the theory from
 the key; the real constants are a vanishing string insertion, a dilaton
-of 2(g - 1 + ell) and a divisor weight of 2) and the steps of the
-relation and recursion expansions: the term combiner (_combine), the
-two-sided slot split (_grouped_splits: a walk over the sorted runs of
-equal items that lists each distinct split once with its count of
-ordered splits, in a fixed order), the diagonal term and curve degree
-the grading leaves per split (_split_class), the slot a recursion lowers
-and its genus-0 and degree >= 1 preconditions (_recursion_slot), the
+of 2(g - 1 + ell) and a divisor weight of 2), one recursion expansion,
+reduce_descendant_trr, reading key.kind (a real key has one contact
+term of weight -2, no anchor slot and a doubled complex side), and the
+steps of the relation and recursion expansions: the term combiner
+(_combine), the two-sided slot split (_grouped_splits: a walk over the
+sorted runs of equal items that lists each distinct split once with its
+count of ordered splits, in a fixed order), the diagonal term and curve
+degree the grading leaves per split (_split_class), the slot the
+recursion lowers and its genus-0 and degree >= 1 preconditions
+(_recursion_slot), the
 run-wise lowering of the string and divisor steps (_lowered_runs), the
 divisor step (weight 1 complex, 2 real), the relation-row builder
 (_relation_row) and the evaluation of a sum of keys (evaluate_terms) or
@@ -1058,77 +1061,96 @@ def _trr_coefficient(k, d):
 
 
 def reduce_descendant_trr(key, target):
-    """Integrated topological recursion step for a descendant key.
+    """Integrated topological recursion step for a descendant key of
+    either theory (read from key.kind).
 
-    For the lowest slot i with a_i >= 1 and a deterministically chosen
-    second slot j (lowest other slot carrying the point class, else the
-    lowest other slot), rewrites the key as a combination of keys of
-    strictly smaller total descendant power:
+    For the lowest slot i with a_i >= 1 (_recursion_slot), rewrites the
+    key as a combination of products of keys of strictly smaller total
+    descendant power:
 
-        key = (1/d) * [ key(a_i - 1, mu_j -> mu_j*h)
-                        - key(a_i - 1, mu_i -> mu_i*h)
-                        + sum over splittings d1+d2=d, d2 >= 1, of
-                          d2 * g^{ab} <i-side with a_i-1, e_a>_{d1}
-                                      <e_b, j-side>_{d2} ]
+        key = (1/d) * [ contact terms
+                        + sum over subsets S of the other slots of
+                          d2 * doubling^|S| * g^{ab}
+                          <tau_(a_i-1)(e_(b_i)), S, e_a>_{d1}
+                          <e_b, anchor, complement of S>_{d2} ]
 
-    where the remaining slots distribute over the two sides in all ways
-    (slot j always on the second side; equal splits come once, times
-    their number), and unstable degree-0 factors vanish.  Per split of
-    the slots the grading leaves one diagonal term, with g^{ab} = 1, and
-    pins d1 (_split_class).  Terms are (coefficient, factors) with
-    factors a tuple of 1-2 canonical keys.
+    over d1 >= 0 and d2 = d - doubling * d1 >= 1; the first factor is
+    always complex.  A complex key (>= 2 insertions) keeps an anchor
+    slot j (lowest other slot carrying the point class, else the lowest
+    other slot) on the second side, its contact terms slide the divisor
+    onto slot j (+1) or slot i (-1), and doubling is 1.  A real key has
+    no anchor, one contact term (slot i, -2), a real second factor, and
+    doubling 2, which counts the two placements of each slot on the
+    complex side.  A contact term past the point class drops, and so do
+    unstable degree-0 factors.  Equal subsets S come once, times their
+    number (_grouped_splits), and per subset the grading leaves one
+    diagonal term, with g^{ab} = 1, and pins d1 (_split_class).  Terms
+    are (coefficient, factors), the contacts first with one key, then
+    the splits with two, in walk order.
     """
-    _require_projective(target)
+    real = key.kind == REAL
+    (_require_real_target if real else _require_projective)(target)
     i_slot = _recursion_slot(key)
     d = key.degree
     ins = key.insertions
-    ell = len(ins)
-    if ell < 2:
-        raise AxiomPreconditionError("descendant reduction needs >= 2 insertions")
-    j_slot = None
     pt = target.num_basis
-    for idx, (a, b) in enumerate(ins):
-        if idx != i_slot and b == pt:
-            j_slot = idx
-            break
-    if j_slot is None:
-        j_slot = 0 if i_slot != 0 else 1
+    if real:
+        j_slot = None
+        contacts = ((i_slot, -2),)
+        anchor = []
+        doubling = 2
+    else:
+        if len(ins) < 2:
+            raise AxiomPreconditionError(
+                "descendant reduction needs >= 2 insertions")
+        for idx, (_, b) in enumerate(ins):
+            if idx != i_slot and b == pt:
+                j_slot = idx
+                break
+        else:
+            j_slot = 0 if i_slot != 0 else 1
+        contacts = ((j_slot, 1), (i_slot, -1))
+        anchor = [ins[j_slot]]
+        doubling = 1
 
     raw_terms = []
-    trusted = InvariantKey._trusted
-
     a_i, b_i = ins[i_slot]
     lowered = (a_i - 1, b_i)
-    # contact terms: the divisor slides onto slot j (plus) or slot i
-    # (minus); h * e_b = e_(b+1), and a term past the point class drops
-    for slot, sign in ((j_slot, 1), (i_slot, -1)):
+    # contact terms: the divisor slides onto a slot; h * e_b = e_(b+1),
+    # and a term past the point class drops
+    for slot, sign in contacts:
         if ins[slot][1] < pt:
             contact = list(ins)
             contact[i_slot] = lowered
             contact[slot] = (contact[slot][0], contact[slot][1] + 1)
-            raw_terms.append((_trr_coefficient(sign, d), (trusted(
-                COMPLEX, 0, d, tuple(sorted(contact))),)))
+            ck = normalize(target, key.kind, 0, d, contact)
+            if ck is not None:
+                raw_terms.append((_trr_coefficient(sign, d), (ck,)))
 
-    # splitting terms: slot i with a_i-1 on the first side, slot j on the
-    # second; d2 = 0 contributes nothing (weight d2).  All basis classes
-    # here have even degree, so the factor keys can be assembled by plain
-    # sorting, and the grading leaves one diagonal term and one degree
-    # split per split of the slots -- anything else is structurally zero.
-    # On a key that meets the grading, the j-side factor meets it too.
-    # The first side has len(first) + 1 insertions, and their a + b add
-    # up to a_i - 1 + b_i plus those of ``first``.
-    anchor = ins[j_slot]
+    # splitting terms: slot i with a_i-1 on the first side, the anchor on
+    # the second; d2 = 0 contributes nothing (weight d2).  All basis
+    # classes here have even degree, so the factor keys can be assembled
+    # by plain sorting, and the grading leaves one diagonal term and one
+    # degree split per split of the slots -- anything else is
+    # structurally zero.  On a key that meets the grading, the second
+    # factor meets it too.  The first side has len(first) + 1
+    # insertions, and their a + b add up to a_i - 1 + b_i plus those of
+    # ``first``.
     base = a_i - 1 + b_i
-    others = [ins[idx] for idx in range(ell) if idx not in (i_slot, j_slot)]
+    kind = key.kind
+    trusted = InvariantKey._trusted
+    others = [x for idx, x in enumerate(ins)
+              if idx != i_slot and idx != j_slot]
     for weight, first, second in _grouped_splits(others):
         ea, eb, d1 = _split_class(target, base + sum(map(sum, first)),
                                   len(first) + 1)
-        if not 0 <= d1 < d or (d1 == 0 and not first):
+        d2 = d - doubling * d1
+        if d1 < 0 or d2 < 1 or (d1 == 0 and not first):
             continue
-        d2 = d - d1
-        k1 = trusted(COMPLEX, 0, d1,
-                     tuple(sorted(first + [lowered, (0, ea)])))
-        k2 = trusted(COMPLEX, 0, d2,
-                     tuple(sorted(second + [anchor, (0, eb)])))
-        raw_terms.append((_trr_coefficient(d2 * weight, d), (k1, k2)))
+        k2 = normalize(target, kind, 0, d2, [*second, *anchor, (0, eb)])
+        if k2 is None:
+            continue
+        k1 = trusted(COMPLEX, 0, d1, tuple(sorted([*first, lowered, (0, ea)])))
+        raw_terms.append((_trr_coefficient(
+            d2 * weight * doubling ** len(first), d), (k1, k2)))
     return raw_terms

@@ -21,23 +21,27 @@ ensure_real, and whose descendant route it shares), the block-solve
 skeleton (substitution: one designated relation row per pending key,
 in sort_key order), the axiom step, the split class, the one relation
 expansion (_Session._relation_terms) and the relation-row builder are
-the ones complex_solver keeps for both theories.  This module supplies
-the real pairing table the expansion reads (slots 1 and 3 on the
-complex side against slot 2 on the real side, minus slots 1 and 2
-against slot 3; the grading of the complex side picks the diagonal term
-and pins its degree d' per split, and the real side takes degree
-d - 2d'), the designated relation instance of a real primary key (its
-least class h^k split as h^2 * h^(k-2), after the complex table is
-extended to half the degree), the enumeration of every admissible real
-relation instance (rwdvv_instances, the independent route by which the
-rwdvv suite of verify checks the table), the real degree-0 rule (the
-invariant is 0 and is not stored) and the real recursion.  Descendant
-invariants reduce axiom-first, as in the complex theory: a key with
->= 3 insertions and a dilaton or minus-eigenspace divisor insertion
-takes one such step (complex_solver.reduce_axioms with the real
-constants; a string insertion kills the invariant), any other goes
-through the real topological recursion (reduce_descendant_rtrr), whose
-leading term slides a divisor onto the descendant slot with weight -2.
+the ones complex_solver keeps for both theories, and so is the one
+recursion expansion, reduce_descendant_trr, reading key.kind.  This
+module supplies the real pairing table the expansion reads (slots 1 and
+3 on the complex side against slot 2 on the real side, minus slots 1
+and 2 against slot 3; the grading of the complex side picks the
+diagonal term and pins its degree d' per split, and the real side takes
+degree d - 2d'), the designated relation instance of a real primary
+key (its least class h^k split as h^2 * h^(k-2), after the complex
+table is extended to half the degree), the enumeration of every
+admissible real relation instance (rwdvv_instances, the independent
+route by which the rwdvv suite of verify checks the table), the real
+degree-0 rule (the invariant is 0 and is not stored) and the real
+recursion step.
+Descendant invariants reduce axiom-first, as in the complex theory: a
+key with >= 3 insertions and a dilaton or minus-eigenspace divisor
+insertion takes one such step (complex_solver.reduce_axioms with the
+real constants; a string insertion kills the invariant), any other goes
+through the real recursion step (reduce_descendant_rtrr), which folds
+the complex factors of reduce_descendant_trr's terms into their
+coefficients; its contact term slides a divisor onto the descendant
+slot with weight -2.
 The rtrr-cross suite compares one step of each route over the same
 lower values.
 """
@@ -46,12 +50,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariant_store import REAL, COMPLEX, InvariantKey, normalize
+from .invariant_store import REAL
 from .complex_solver import (ComplexSession, SolverError,
                              InconsistentSystemError, _Session, _combine,
-                             _multisets_exact, _recursion_slot,
-                             _require_real_target, _split_class,
-                             _strip_primary, _grouped_splits, evaluate_terms)
+                             _multisets_exact, _require_real_target,
+                             _strip_primary, evaluate_terms,
+                             reduce_descendant_trr)
 
 
 # ---------------------------------------------------------------------------
@@ -181,61 +185,18 @@ class RealSession(_Session):
 
 
 def reduce_descendant_rtrr(key, session):
-    """Integrated real topological recursion step for a descendant key.
-
-    For the lowest slot i with a_i >= 1, rewrites the key as
-
-        key = (1/d) * [ -2 * key(a_i - 1, mu_i -> mu_i*h)
-                        + sum over d0 + 2d' = d, d0 >= 1, of
-                          d0 * sum over subsets S of the other slots of
-                          2^|S| g^{ab} <tau_{a_i-1}(mu_i), S, tau_0(e_a)>_{d'}
-                                       <tau_0(e_b), complement>^real_{d0} ]
-
-    where the complex factor (first angle bracket) is evaluated through
-    the session's complex evaluator and folded into the coefficient, so
-    the result is a genuinely linear expression in real keys of strictly
-    smaller total descendant power.  The 2^|S| weight counts the two
-    placements of each doubled-side slot; it is validated against the
-    string/dilaton/divisor reductions in the tests.  Equal subsets S
-    come once (_grouped_splits), times their number, and per subset the
-    grading of the complex factor leaves one diagonal term, with
-    g^{ab} = 1, and pins d' (_split_class).
-    """
-    target = session.target
-    _require_real_target(target)
-    i_slot = _recursion_slot(key)
-    d = key.degree
-    ins = key.insertions
-    a_i, b_i = ins[i_slot]
-    others = [ins[idx] for idx in range(len(ins)) if idx != i_slot]
+    """The real topological recursion step of a real descendant key as a
+    linear combination of real keys of strictly smaller total descendant
+    power: the terms of reduce_descendant_trr, each complex first factor
+    evaluated through the session's complex evaluator and folded into
+    the coefficient (a zero drops the term), combined by key."""
     terms = []
-
-    # leading contact term: weight -2, divisor onto the descendant slot
-    # (h * e_b = e_(b+1); past the point class the term drops)
-    if b_i < target.num_basis:
-        contact = list(ins)
-        contact[i_slot] = (a_i - 1, b_i + 1)
-        terms.append((Fraction(-2, d), normalize(target, REAL, 0, d, contact)))
-
-    # All basis classes have even degree, so both factors can be built by
-    # plain sorting; the grading leaves one diagonal term and one degree
-    # split per split of the slots, and everything else is structurally
-    # zero.  On a key that meets the grading, the real factor meets it too.
-    for weight, first, real_side in _grouped_splits(others):
-        weight *= 2 ** len(first)  # two placements per doubled-side slot
-        conj_side = [(a_i - 1, b_i)] + first
-        ea, eb, dprime = _split_class(target, sum(map(sum, conj_side)),
-                                      len(conj_side))
-        d0 = d - 2 * dprime
-        if dprime < 0 or d0 < 1 or (dprime == 0 and len(conj_side) + 1 < 3):
-            continue
-        rk = normalize(target, REAL, 0, d0, real_side + [(0, eb)])
-        if rk is None:
-            continue
-        cval = session.complex.value(InvariantKey._trusted(
-            COMPLEX, 0, dprime, tuple(sorted(conj_side + [(0, ea)]))))
-        if not cval:
-            continue
-        terms.append((Fraction(d0 * weight * cval.numerator,
-                                d * cval.denominator), rk))
+    for coeff, keys in reduce_descendant_trr(key, session.target):
+        if len(keys) == 2:
+            cval = session.complex.value(keys[0])
+            if not cval:
+                continue
+            coeff = Fraction(coeff.numerator * cval.numerator,
+                             coeff.denominator * cval.denominator)
+        terms.append((coeff, keys[-1]))
     return _combine(terms)

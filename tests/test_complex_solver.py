@@ -268,12 +268,17 @@ def test_reduce_axioms_refuses_non_projective_target(torus):
     assert not isinstance(info.value, AxiomPreconditionError)
     # a real key needs an odd projective space: P2 is refused for its
     # dimension and the torus for its ring, before any slot is read
+    # (the recursion, which reads the theory from the key too, likewise)
     real = InvariantKey(REAL, 0, 1, k.insertions)
     for target, reason in ((make_p2(), "odd complex dimension"),
                            (torus, "projective")):
-        with pytest.raises(SolverError, match=reason) as info:
-            reduce_axioms(real, target)
-        assert not isinstance(info.value, AxiomPreconditionError)
+        for step in (reduce_axioms, reduce_descendant_trr):
+            with pytest.raises(SolverError, match=reason) as info:
+                step(real, target)
+            assert not isinstance(info.value, AxiomPreconditionError)
+    with pytest.raises(SolverError, match="projective") as info:
+        reduce_descendant_trr(k, torus)
+    assert not isinstance(info.value, AxiomPreconditionError)
 
 
 def test_reduce_descendant_trr_terms_are_smaller(p2):

@@ -11,7 +11,8 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    UnderdeterminedError, _combine,
                                    _grouped_splits, _strip_primary,
-                                   filter_real, reduce_axioms, vdim_real)
+                                   filter_real, reduce_axioms,
+                                   reduce_descendant_trr, vdim_real)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
                                 rwdvv_instances)
 from oracles import pn_diagonal
@@ -238,16 +239,30 @@ def test_reduce_real_axioms_preconditions(p3):
         reduce_axioms(rkey(0, [(1, 1), (0, 4)]), p3)
 
 
-def test_reduce_descendant_rtrr_terms_are_smaller(p3_sessions):
+def test_reduce_descendant_rtrr_terms_are_smaller(p3, p3_sessions):
     rs = p3_sessions[1]
+    splits = 0
     for k in (rkey(1, [(1, 3)]), rkey(1, [(2, 2)]),
-              rkey(2, [(1, 3), (0, 4)])):
+              rkey(2, [(1, 3), (0, 4)]), rkey(3, [(0, 4), (2, 4)])):
         total = k.total_descendant_power()
         terms = reduce_descendant_rtrr(k, rs)
         for coeff, rk in terms:
             assert rk.kind == REAL
             assert rk.is_canonical()
             assert rk.total_descendant_power() < total
+        # the shared recursion's terms, before the complex factors fold
+        # in: a real contact term, or a complex factor at d' times a
+        # real one at d - 2d' >= 1
+        for coeff, factors in reduce_descendant_trr(k, p3):
+            assert [f.kind for f in factors] in ([REAL], [COMPLEX, REAL])
+            if len(factors) == 2:
+                splits += 1
+                assert factors[1].degree == k.degree - 2 * factors[0].degree
+                assert factors[1].degree >= 1
+            for f in factors:
+                assert f.is_canonical()
+            assert sum(f.total_descendant_power() for f in factors) < total
+    assert splits
 
 
 def test_rwdvv_instances_structure(p3, p5):
