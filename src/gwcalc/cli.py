@@ -31,8 +31,8 @@ from .invariant_store import (CACHE_ENV_VAR, COMPLEX, REAL, InvariantKey,
 from .complex_solver import (AxiomPreconditionError, ComplexSession,
                              InconsistentSystemError, SolverError,
                              UnderdeterminedError, evaluate_terms,
-                             filter_complex, filter_real, graded_keys,
-                             insertion_variables, reduce_axioms,
+                             graded_keys, insertion_variables,
+                             reduce_axioms, structural_filter,
                              wdvv_instances)
 from .real_solver import RealSession, rwdvv_instances
 from .potentials import (build_potential,
@@ -376,7 +376,7 @@ def _first_term(res):
 
 
 def suite_grading(target, args, csession, rsession, potential):
-    """No stored nonzero entry fails the structural filters (the grading
+    """No stored nonzero entry fails the structural filter (the grading
     identity among them), each stored genus-0 entry in the degree window
     equals one step of its session's route over the table's other values
     (a primary entry its stripped unknown times the divisor multiplier, a
@@ -384,13 +384,12 @@ def suite_grading(target, args, csession, rsession, potential):
     theory's rule), and a deterministic sample of filter-flagged keys
     evaluates to 0."""
     import random
-    routes = {COMPLEX: (filter_complex, csession),
-              REAL: (filter_real, rsession)}
+    sessions = {COMPLEX: csession, REAL: rsession}
     checks = 0
     for key, value, _prov in csession.table.items():
         checks += 1
-        filt, session = routes[key.kind]
-        reason = filt(key, target)
+        session = sessions[key.kind]
+        reason = structural_filter(key, target)
         if value != 0 and reason is not None:
             return False, "stored nonzero value at structurally-zero key " \
                 "%r (%s)" % (key, reason), checks
@@ -409,10 +408,9 @@ def suite_grading(target, args, csession, rsession, potential):
         ell = rng.randint(1, 6)
         ins = [(rng.randint(0, 2), rng.randint(1, nb)) for _ in range(ell)]
         key = InvariantKey(kind, 0, rng.randint(0, args.max_degree), ins)
-        filt, session = routes[kind]
-        if filt(key, target) is not None:
+        if structural_filter(key, target) is not None:
             checks += 1
-            val = session.value(key)
+            val = sessions[kind].value(key)
             if val != 0:
                 return False, "flagged key %r evaluated to %s" \
                     % (key, val), checks

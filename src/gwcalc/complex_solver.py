@@ -1,10 +1,12 @@
 """Genus-0 complex curve counts of projective space, exact and recursive,
 and the bookkeeping both theories share.
 
-Shared with the real solver: each theory's virtual dimension and
-structural filter (and its part short of the grading, which graded_keys
-applies alone), the stripping of unit and divisor insertions off a
-primary factor, one multiset walk, one key enumerator (graded_keys; the
+Shared with the real solver: one virtual dimension (vdim) and one
+structural filter (structural_filter: effectivity, real eigenspace
+parity, then the grading), each reading the theory from its arguments,
+with the effectivity test (_unstable) that graded_keys applies once per
+call, the stripping of unit and divisor insertions off a primary
+factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
 >= 4), one session evaluator (_Session: the primary unknowns, the
 relation residual, the values of primary and any keys and the loop over
@@ -128,19 +130,19 @@ def _require_real_target(target):
 # dimension bookkeeping and structural filters
 
 
-def vdim_complex(genus, num_points, degree, target):
-    """Real virtual dimension of the complex moduli space.
-
-    2*((1-g)(n-3) + ell + c1*d) with n the complex dimension.
-    """
-    n = target.complex_dim
-    return 2 * ((1 - genus) * (n - 3) + num_points + target.c1_pairing * degree)
+def vdim(target, kind, genus, num_points, degree):
+    """Virtual dimension of a theory's moduli space, n the complex
+    dimension: 2((1-g)(n-3) + ell + c1*d) for the complex theory (the
+    real dimension of the complex moduli space), (1-g)(n-3) + 2*ell +
+    c1*d for the real one."""
+    base = (1 - genus) * (target.complex_dim - 3) + target.c1_pairing * degree
+    return (2 * base if kind == COMPLEX else base) + 2 * num_points
 
 
 def _split_class(target, index_sum, side_len):
     """(a, b, d) for one side of a node split of P^n: a genus-0 complex
     factor with ``side_len`` insertions tau_(a_i)(e_(b_i)) whose a_i + b_i
-    add up to ``index_sum``, plus e_a, meets the grading (vdim_complex)
+    add up to ``index_sum``, plus e_a, meets the complex grading (vdim)
     for exactly one a in 1..n+1, at curve degree d; e_b (b = n+2-a,
     g^ab = 1) goes to the other side.  On P^n the class e_b has degree
     2(b - 1), so the side's insertions have degrees adding up to
@@ -154,7 +156,7 @@ def _split_class(target, index_sum, side_len):
     return a, n + 2 - a, (excess + a - 1) // (n + 1)
 
 
-def key_degree_sum(key, target):
+def key_degree_sum(key):
     """Sum of 2*a_i + |mu_i| over the insertions of a key.  On P^n the
     class e_b has degree 2(b - 1); every caller has passed
     _require_projective."""
@@ -162,71 +164,37 @@ def key_degree_sum(key, target):
     return 2 * (sum(map(sum, ins)) - len(ins))
 
 
-def _ungraded_complex(target, genus, degree, insertions):
-    """The part of filter_complex short of the grading, on the parts of a
-    key: "effectivity" for negative degree or an unstable degree-0
-    configuration, else None."""
-    if degree < 0 or (degree == 0 and 2 * genus + len(insertions) < 3):
-        return EFFECTIVITY
-    return None
+def _unstable(kind, genus, degree, num_points):
+    """Whether effectivity forces a key of a theory to vanish: a negative
+    degree, or an unstable degree-0 configuration (complex 2g + ell < 3,
+    real g + ell <= 1)."""
+    return degree < 0 or (degree == 0 and (
+        genus + num_points <= 1 if kind == REAL
+        else 2 * genus + num_points < 3))
 
 
-def filter_complex(key, target):
-    """Structural-zero test for a canonical complex key.
+def structural_filter(key, target):
+    """Structural-zero test for a canonical key of either theory (read
+    from key.kind).
 
-    Returns "effectivity" for negative degree or an unstable degree-0
-    configuration (_ungraded_complex), "grading" for a virtual-dimension
-    mismatch, and None when no structural reason forces the invariant to
-    vanish.
+    Returns "effectivity" for a negative degree or an unstable degree-0
+    configuration (_unstable), then, for a real key, "parity" for an
+    insertion tau_a(mu) with mu in the (-1)^a eigenspace, then "grading"
+    for a key whose degree sum misses the virtual dimension (vdim), and
+    None when no structural reason forces the invariant to vanish.
     """
-    reason = _ungraded_complex(target, key.genus, key.degree,
-                               key.insertions)
-    if reason is None and key_degree_sum(key, target) != vdim_complex(
-            key.genus, key.num_insertions, key.degree, target):
-        return GRADING
-    return reason
-
-
-def vdim_real(genus, num_points, degree, target):
-    """Virtual dimension of the real moduli space:
-    (1-g)(n-3) + 2*ell + c1*d."""
-    n = target.complex_dim
-    return (1 - genus) * (n - 3) + 2 * num_points + target.c1_pairing * degree
-
-
-def _ungraded_real(target, genus, degree, insertions):
-    """The part of filter_real short of the grading, on the parts of a
-    key: "effectivity" for negative degree or degree 0 with g + ell <= 1,
-    then "parity" for an insertion tau_a(mu) with mu in the (-1)^a
-    eigenspace, else None."""
-    if degree < 0 or (degree == 0 and genus + len(insertions) <= 1):
+    kind = key.kind
+    ins = key.insertions
+    if _unstable(kind, key.genus, key.degree, len(ins)):
         return EFFECTIVITY
-    for a, b in insertions:
-        if real_insertion_vanishes(target, a, b):
-            return PARITY
-    return None
-
-
-def filter_real(key, target):
-    """Structural-zero test for a canonical real key.
-
-    Checks effectivity (negative degree; degree 0 with g + ell <= 1),
-    then eigenspace parity (an insertion tau_a(mu) with mu in the
-    (-1)^a eigenspace), both in _ungraded_real, then the grading against
-    vdim_real.
-    """
-    reason = _ungraded_real(target, key.genus, key.degree, key.insertions)
-    if reason is None and key_degree_sum(key, target) != vdim_real(
-            key.genus, key.num_insertions, key.degree, target):
+    if kind == REAL:
+        for a, b in ins:
+            if real_insertion_vanishes(target, a, b):
+                return PARITY
+    if key_degree_sum(key) != vdim(target, kind, key.genus, len(ins),
+                                   key.degree):
         return GRADING
-    return reason
-
-
-# each theory's virtual dimension and structural filter
-_VDIM = {COMPLEX: vdim_complex, REAL: vdim_real}
-_FILTER = {COMPLEX: filter_complex, REAL: filter_real}
-# each theory's structural filter short of the grading
-_UNGRADED = {COMPLEX: _ungraded_complex, REAL: _ungraded_real}
+    return None
 
 
 def _strip_primary(target, kind, degree, basis_list):
@@ -249,7 +217,7 @@ def _strip_primary(target, kind, degree, basis_list):
         else:
             stripped.append((0, b))
     key = InvariantKey(kind, 0, degree, stripped)
-    if _FILTER[kind](key, target) is not None:
+    if structural_filter(key, target) is not None:
         return None
     return key, mult
 
@@ -437,41 +405,39 @@ def insertion_variables(target, kind, depth):
 
 def graded_keys(target, kind, degree, ell, variables):
     """Structurally nonzero genus-0 keys of one theory at a curve degree
-    with ``ell`` insertions drawn from ``variables`` (sorted as
-    insertion_variables sorts them) whose degrees add up to the virtual
-    dimension and that pass the theory's structural filter (effectivity,
-    and for the real theory eigenspace parity), in a deterministic
-    order.
+    with ``ell`` insertions drawn from ``variables`` (insertion_variables
+    of the theory, or a part of them, sorted as it sorts them) whose
+    degrees add up to the virtual dimension, in a deterministic order.
 
-    The multiset walk weighs tau_a(e_b) by 2a + deg e_b and keeps the
-    multisets whose weights add up to the virtual dimension, so every key
-    it lists meets the grading; only the rest of the filter (_UNGRADED)
-    is applied, before the key is built.  That needs the target to be
-    P^n, where deg e_b = 2(b - 1) is the degree key_degree_sum counts:
-    every caller has passed _require_projective or potentials'
-    _require_target."""
+    No key is filtered on its own.  Effectivity reads only the theory,
+    the degree and ell, so one _unstable test covers the call; the
+    variables hold no parity-vanishing insertion; and the multiset walk
+    weighs tau_a(e_b) by 2a + deg e_b and keeps the multisets whose
+    weights add up to the virtual dimension, so every key it lists meets
+    the grading.  That needs the target to be P^n, where deg e_b =
+    2(b - 1) is the degree key_degree_sum counts: every caller has passed
+    _require_projective or potentials' _require_target."""
+    if _unstable(kind, 0, degree, ell):
+        return
     weights = [2 * a + target.degree(b) for a, b in variables]
-    want = _VDIM[kind](0, ell, degree, target)
-    ungraded = _UNGRADED[kind]
-    for insertions in _multisets_exact(variables, weights, ell, want):
-        insertions = tuple(sorted(insertions))
-        if ungraded(target, 0, degree, insertions) is None:
-            yield InvariantKey._trusted(kind, 0, degree, insertions)
+    for insertions in _multisets_exact(variables, weights, ell,
+                                       vdim(target, kind, 0, ell, degree)):
+        yield InvariantKey._trusted(kind, 0, degree,
+                                    tuple(sorted(insertions)))
 
 
 def primary_unknowns(target, kind, degree):
     """Canonical primary unknowns of a theory at a curve degree, sorted:
     the structurally nonzero depth-0 keys over the non-vanishing classes
     of degree >= 4 (unit insertions die by the string relation, divisor
-    insertions strip off a factor of the degree).  At degree 0 the
-    structural filter drops the unstable keys."""
-    vdim = _VDIM[kind]
+    insertions strip off a factor of the degree).  At degree 0
+    graded_keys drops the unstable keys (_unstable)."""
     variables = [v for v in insertion_variables(target, kind, 0)
                  if target.degree(v[1]) >= 4]
     keys = []
     ell = 0
     # every insertion takes at least 4 of the virtual dimension
-    while vdim(0, ell, degree, target) >= 4 * ell:
+    while vdim(target, kind, 0, ell, degree) >= 4 * ell:
         keys.extend(graded_keys(target, kind, degree, ell, variables))
         ell += 1
     keys.sort(key=lambda k: k.sort_key())
@@ -617,14 +583,14 @@ def reduce_axioms(key, target, slot=None):
     run's length into the coefficient (_lowered_runs), so each lowered
     key is built once.  A real key differs only in its constants: a
     string insertion kills it (the step returns []), the dilaton carries
-    2(g - 1 + ell), and the divisor, which must carry a minus-eigenspace
-    class, d and 2.  slot is the (index, which) pair that _removable_slot
-    picks for the key, when the caller has it already.  Raises
-    SolverError for a target that is not a projective space (of odd
-    dimension, for a real key), and AxiomPreconditionError when no
-    removable insertion exists, a real divisor is in the plus eigenspace,
-    or the stripped invariant would be unstable at degree 0 (complex:
-    g = 0 with two insertions left; real: g + ell <= 1).
+    2(g - 1 + ell), and the divisor d and 2 (on an odd P^n the
+    involution acts on h by -1, so the divisor is a minus-eigenspace
+    class).  slot is the (index, which) pair that _removable_slot picks
+    for the key, when the caller has it already.  Raises SolverError for
+    a target that is not a projective space (of odd dimension, for a
+    real key), and AxiomPreconditionError when no removable insertion
+    exists or the stripped invariant would be unstable at degree 0
+    (complex: g = 0 with two insertions left; real: g + ell <= 1).
     """
     real = key.kind == REAL
     (_require_real_target if real else _require_projective)(target)
@@ -633,10 +599,6 @@ def reduce_axioms(key, target, slot=None):
         raise AxiomPreconditionError("no removable insertion in %r" % (key,))
     if real and which == "string":
         return []
-    if (real and which == "divisor"
-            and target.sign(key.insertions[idx][1]) != -1):
-        raise AxiomPreconditionError(
-            "divisor reduction needs a minus-eigenspace class")
     rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
     g, d = key.genus, key.degree
     ell = len(rest)
@@ -654,20 +616,16 @@ def reduce_axioms(key, target, slot=None):
                     for c, ins in out)
 
 
-def _axiom_route(key, target):
+def _axiom_route(key):
     """The removable slot (_removable_slot) by which a descendant key of
     either theory is evaluated in one string, dilaton or divisor step
     rather than by the topological recursion, or None: the step needs
     >= 3 insertions (so it never undoes the one-point string lift) and a
-    removable slot; a real divisor step needs a minus-eigenspace
-    class."""
+    removable slot."""
     if key.num_insertions < 3:
         return None
-    idx, which = _removable_slot(key)
-    if which is None or (which == "divisor" and key.kind == REAL
-                         and target.sign(key.insertions[idx][1]) != -1):
-        return None
-    return idx, which
+    slot = _removable_slot(key)
+    return None if slot[1] is None else slot
 
 
 # ---------------------------------------------------------------------------
@@ -944,13 +902,13 @@ class _Session:
         degree-0 key).  A descendant key takes one axiom step where
         _axiom_route allows it, else the session's recursion.  verify's
         grading suite rechecks stored entries with it."""
-        if _FILTER[self.kind](key, self.target) is not None:
+        if structural_filter(key, self.target) is not None:
             return Fraction(0), None
         if key.degree == 0:
             return (self._degree_zero_value(key.insertions),
                     "classical" if self.kind == COMPLEX else None)
         if key.total_descendant_power():
-            slot = _axiom_route(key, self.target)
+            slot = _axiom_route(key)
             if slot:
                 return (evaluate_terms(reduce_axioms(key, self.target, slot),
                                        self.value), "axiom-reduction")

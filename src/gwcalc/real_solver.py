@@ -14,7 +14,7 @@ by 2 per insertion on the doubled side.  The overall sign of the whole
 theory is a seed (+1 or -1) for the degree-1 point count; for the free
 involution no canonical seed exists and the solver reports what it
 cannot determine unless one is supplied.  The grading, the structural
-filter (vdim_real, filter_real), the target check (_require_real_target:
+filter (vdim, structural_filter), the target check (_require_real_target:
 an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
 ensure_real, and whose descendant route it shares), the block-solve
@@ -35,13 +35,12 @@ route by which the rwdvv suite of verify checks the table), the real
 degree-0 rule (the invariant is 0 and is not stored) and the real
 recursion step.
 Descendant invariants reduce axiom-first, as in the complex theory: a
-key with >= 3 insertions and a dilaton or minus-eigenspace divisor
-insertion takes one such step (complex_solver.reduce_axioms with the
-real constants; a string insertion kills the invariant), any other goes
-through the real recursion step (reduce_descendant_rtrr), which folds
-the complex factors of reduce_descendant_trr's terms into their
-coefficients; its contact term slides a divisor onto the descendant
-slot with weight -2.
+key with >= 3 insertions and a dilaton or divisor insertion takes one
+such step (complex_solver.reduce_axioms with the real constants; a
+string insertion kills the invariant), any other goes through the
+real recursion step (reduce_descendant_rtrr), which folds the complex
+factors of reduce_descendant_trr's terms into their coefficients; its
+contact term slides a divisor onto the descendant slot with weight -2.
 The rtrr-cross suite compares one step of each route over the same
 lower values.
 """

@@ -14,14 +14,17 @@ oracle with it:
   the test-side references expand instead of the solver's split class;
 - one_point_series_coeffs: genus-0 one-point descendants of P^n read
   off Givental's J-function, against the solver's string lift and
-  topological recursion.
+  topological recursion;
+- structural_reason: each theory's structural-zero rule written out
+  from its dimension, stability and parity formulas, against the one
+  structural filter.
 """
 
 import math
 from fractions import Fraction
 
 from gwcalc.complex_solver import SolverError, degree_zero_value
-from gwcalc.invariant_store import COMPLEX, normalize
+from gwcalc.invariant_store import COMPLEX, REAL, normalize
 
 
 def psi_multinomial_recursive(powers):
@@ -143,3 +146,37 @@ def one_point_series_coeffs(n, d):
                 out[i + j] += poly[i] * factor[j]
         poly = out
     return poly
+
+
+def structural_reason(key, target):
+    """Why a key of either theory on P^n vanishes structurally, or None,
+    written out per theory from the formulas (n the complex dimension,
+    c1 = n + 1, ell insertions, |e_b| the ring's degree of e_b):
+
+    - complex: virtual dimension 2((1-g)(n-3) + ell + c1*d), unstable at
+      degree 0 when 2g + ell < 3;
+    - real: virtual dimension (1-g)(n-3) + 2*ell + c1*d, unstable at
+      degree 0 when g + ell <= 1, and tau_a(e_b) vanishes when the
+      involution acts on e_b by (-1)^a.
+
+    The reasons are tried in order: "effectivity" (negative degree or
+    unstable), "parity" (real only), then "grading" (the insertions'
+    degrees 2a + |e_b| miss the virtual dimension).
+    """
+    n = target.complex_dim
+    g, d, ins = key.genus, key.degree, key.insertions
+    ell = len(ins)
+    if key.kind == COMPLEX:
+        dim = 2 * ((1 - g) * (n - 3) + ell + (n + 1) * d)
+        unstable = 2 * g + ell < 3
+    else:
+        dim = (1 - g) * (n - 3) + 2 * ell + (n + 1) * d
+        unstable = g + ell <= 1
+    if d < 0 or (d == 0 and unstable):
+        return "effectivity"
+    if key.kind == REAL and any(target.sign(b) == (-1) ** a
+                                for a, b in ins):
+        return "parity"
+    if sum(2 * a + target.degree(b) for a, b in ins) != dim:
+        return "grading"
+    return None

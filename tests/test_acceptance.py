@@ -16,9 +16,9 @@ from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
 from gwcalc.combinatorics import (koszul_sign_permutation, split_sign,
                                   sort_insertions_sign)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
-                                   filter_complex, filter_real, kontsevich_p2,
-                                   lift_one_point, reduce_axioms,
-                                   reduce_descendant_trr, vdim_real)
+                                   kontsevich_p2, lift_one_point,
+                                   reduce_axioms, reduce_descendant_trr,
+                                   structural_filter, vdim)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
                                 rwdvv_instances)
 from gwcalc.potentials import (build_potentials, residual_dilaton_complex,
@@ -119,12 +119,12 @@ def test_criterion_5_flagged_keys_are_zero():
             use_real = rsession is not None and rng.random() < 0.5
             if use_real:
                 key = InvariantKey(REAL, 0, degree, ins)
-                if filter_real(key, target) is not None:
+                if structural_filter(key, target) is not None:
                     assert rsession.value(key) == 0, key
                     flagged += 1
             else:
                 key = InvariantKey(COMPLEX, 0, degree, ins)
-                if filter_complex(key, target) is not None:
+                if structural_filter(key, target) is not None:
                     assert csession.value(key) == 0, key
                     flagged += 1
         assert flagged > 5000, name
@@ -298,5 +298,5 @@ def test_criterion_9_real_dimension_parity():
         for g in range(4):
             for ell in range(9):
                 for d in range(7):
-                    assert vdim_real(g, ell, d, target) % 2 == 0
+                    assert vdim(target, REAL, g, ell, d) % 2 == 0
     assert covered >= 6

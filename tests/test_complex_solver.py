@@ -21,14 +21,14 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    _grouped_splits, _relation_row,
                                    _split_class, _sub_multisets_4,
                                    degree_zero_value, evaluate_products,
-                                   evaluate_terms,
-                                   filter_complex, graded_keys,
+                                   evaluate_terms, graded_keys,
                                    insertion_variables, key_degree_sum,
                                    kontsevich_p2, reduce_axioms,
-                                   reduce_descendant_trr, vdim_complex,
-                                   wdvv_instances)
+                                   reduce_descendant_trr, structural_filter,
+                                   vdim, wdvv_instances)
 from oracles import (one_point_series_coeffs, pn_diagonal,
-                     psi_multinomial_recursive, wdvv_relation)
+                     psi_multinomial_recursive, structural_reason,
+                     wdvv_relation)
 
 
 def key(d, ins, genus=0):
@@ -37,16 +37,16 @@ def key(d, ins, genus=0):
 
 def test_vdim_complex(p2, p3):
     # 2 * ((1-g)(n-3) + ell + (n+1) d)
-    assert vdim_complex(0, 2, 1, p2) == 2 * (-1 + 2 + 3)
-    assert vdim_complex(0, 8, 3, p2) == 2 * (-1 + 8 + 9)
-    assert vdim_complex(1, 0, 2, p2) == 2 * 6
-    assert vdim_complex(0, 2, 1, p3) == 2 * (0 + 2 + 4)
-    assert vdim_complex(2, 1, 0, p3) == 2 * 1
+    assert vdim(p2, COMPLEX, 0, 2, 1) == 2 * (-1 + 2 + 3)
+    assert vdim(p2, COMPLEX, 0, 8, 3) == 2 * (-1 + 8 + 9)
+    assert vdim(p2, COMPLEX, 1, 0, 2) == 2 * 6
+    assert vdim(p3, COMPLEX, 0, 2, 1) == 2 * (0 + 2 + 4)
+    assert vdim(p3, COMPLEX, 2, 1, 0) == 2 * 1
 
 
-def test_key_degree_sum(p2):
+def test_key_degree_sum():
     k = key(1, [(0, 3), (2, 2)])
-    assert key_degree_sum(k, p2) == 4 + (4 + 2)
+    assert key_degree_sum(k) == 4 + (4 + 2)
 
 
 @pytest.mark.parametrize("name", builtin_target_names())
@@ -59,18 +59,46 @@ def test_key_degree_sum_is_the_index_rule(name):
         ins = [(rng.randrange(4), rng.randint(1, target.num_basis))
                for _ in range(rng.randrange(6))]
         want = sum(2 * a + target.degree(b) for a, b in ins)
-        assert key_degree_sum(key(1, ins), target) == want
+        assert key_degree_sum(key(1, ins)) == want
 
 
 def test_filter_complex(p2):
-    assert filter_complex(key(-1, []), p2) == "effectivity"
-    assert filter_complex(key(0, [(0, 3), (0, 3)]), p2) == "effectivity"
+    assert structural_filter(key(-1, []), p2) == "effectivity"
+    assert structural_filter(key(0, [(0, 3), (0, 3)]), p2) == "effectivity"
     # grading: <pt, pt> at d = 1 needs degree sum 8
-    assert filter_complex(key(1, [(0, 3), (0, 3)]), p2) is None
-    assert filter_complex(key(1, [(0, 2), (0, 3)]), p2) == "grading"
+    assert structural_filter(key(1, [(0, 3), (0, 3)]), p2) is None
+    assert structural_filter(key(1, [(0, 2), (0, 3)]), p2) == "grading"
     # <h, h, h> at degree 0 misses the grading (integral of h^3 is 0)
-    assert filter_complex(key(0, [(0, 2), (0, 2), (0, 2)]), p2) == "grading"
-    assert filter_complex(key(0, [(0, 1), (0, 2), (0, 2)]), p2) is None
+    assert (structural_filter(key(0, [(0, 2), (0, 2), (0, 2)]), p2)
+            == "grading")
+    assert structural_filter(key(0, [(0, 1), (0, 2), (0, 2)]), p2) is None
+
+
+@pytest.mark.parametrize("name, count", [
+    ("P1-tau", 7560), ("P2", 12870), ("P3-tau", 65520), ("P5-tau", 263340),
+])
+def test_structural_filter_matches_the_formulas(name, count):
+    """structural_filter gives the reason the per-theory oracle reads off
+    the formulas, on every key of genus 0-2, degree -1..4 and 0-4
+    insertions of depth <= 2, in both theories where the target has a
+    real one."""
+    target = builtin_target(name)
+    kinds = (COMPLEX, REAL) if target.complex_dim % 2 else (COMPLEX,)
+    variables = [(a, b) for a in range(3)
+                 for b in range(1, target.num_basis + 1)]
+    reasons = Counter()
+    for kind, genus, degree, ell in itertools.product(
+            kinds, range(3), range(-1, 5), range(5)):
+        for ins in itertools.combinations_with_replacement(variables, ell):
+            k = InvariantKey(kind, genus, degree, ins)
+            want = structural_reason(k, target)
+            assert structural_filter(k, target) == want, k
+            reasons[kind, want] += 1
+    assert sum(reasons.values()) == count
+    for kind in kinds:
+        for reason in ("effectivity", "grading", None):
+            assert reasons[kind, reason], (kind, reason)
+    assert len(kinds) == 1 or reasons[REAL, "parity"]
 
 
 def test_kontsevich_oracle_frozen():
@@ -289,7 +317,7 @@ def test_reduce_descendant_trr_terms_are_smaller(p2):
         assert sum(f.total_descendant_power() for f in factors) < total
         for f in factors:
             assert f.is_canonical()
-            assert filter_complex(f, p2) is None or f.degree == 0
+            assert structural_filter(f, p2) is None or f.degree == 0
 
 
 def test_grouped_trr_visits_each_distinct_split_once(p2):
@@ -297,7 +325,7 @@ def test_grouped_trr_visits_each_distinct_split_once(p2):
     equal point insertions: 6 distinct splits, not 2**5 ordered ones,
     and no contact term (the divisor slides only onto point classes)."""
     k = key(3, [(1, 3)] + [(0, 3)] * 6)
-    assert filter_complex(k, p2) is None
+    assert structural_filter(k, p2) is None
     assert len(reduce_descendant_trr(k, p2)) <= 6
 
 
@@ -408,7 +436,7 @@ def test_split_class_is_the_one_graded_diagonal_term(target):
     c1 = target.c1_pairing
     diag = pn_diagonal(target)
     for num_points in range(1, 9):
-        base = vdim_complex(0, num_points, 0, target)
+        base = vdim(target, COMPLEX, 0, num_points, 0)
         for degree_sum in range(0, 2 * target.complex_dim * num_points + 1,
                                 2):
             hits = []

@@ -15,10 +15,10 @@ from gwcalc import complex_solver, real_solver
 from gwcalc.cli import _descendant_keys
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    _axiom_route,
-                                   SolverError, filter_complex, filter_real,
-                                   graded_keys, insertion_variables,
-                                   lift_one_point, reduce_axioms,
-                                   reduce_descendant_trr)
+                                   SolverError, graded_keys,
+                                   insertion_variables, lift_one_point,
+                                   reduce_axioms, reduce_descendant_trr,
+                                   structural_filter)
 from gwcalc.graded_algebra import builtin_target, make_p2, make_projective
 from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey, normalize,
                                     real_insertion_vanishes)
@@ -37,7 +37,7 @@ def trr_only_complex(target):
         if key in memo:
             return memo[key]
         if (not key.total_descendant_power() or key.degree == 0
-                or filter_complex(key, target) is not None):
+                or structural_filter(key, target) is not None):
             val = primaries.value(key)
         elif key.num_insertions == 1:
             val = value(lift_one_point(key))
@@ -66,7 +66,7 @@ def trr_only_real(target, complex_value):
         if key in memo:
             return memo[key]
         if (not key.total_descendant_power() or key.degree == 0
-                or filter_real(key, target) is not None):
+                or structural_filter(key, target) is not None):
             val = primaries.value(key)
         else:
             val = Fraction(0)
@@ -165,7 +165,7 @@ def test_axiom_step_given_its_slot_matches_its_own_search(name):
     checked = Counter()
     for kind in kinds:
         for key in _keys(target, kind, 3, 5):
-            slot = _axiom_route(key, target)
+            slot = _axiom_route(key)
             if slot is None:
                 continue
             want = reduce_axioms(key, target)
@@ -291,7 +291,7 @@ def test_descendant_provenance_names_the_route(p2, p3):
         assert session.table.provenance(key) == prov, key
     assert cs.value(ck((0, 1), (0, 2), (0, 2), d=0)) == 1
     real_d0 = rk((0, 2), (0, 2), (0, 2), d=0)
-    assert filter_real(real_d0, p3) is None
+    assert structural_filter(real_d0, p3) is None
     assert rs.value(real_d0) == 0
     assert rs.table.provenance(real_d0) is None
 
@@ -313,7 +313,7 @@ def test_recursion_factor_keys_pass_the_filter(name, max_degree,
             key = lift_one_point(key)
         for _coeff, factors in reduce_descendant_trr(key, target):
             for factor in factors:
-                assert filter_complex(factor, target) is None, (key, factor)
+                assert structural_filter(factor, target) is None, (key, factor)
                 checked += 1
     if target.complex_dim % 2:
         asked = []
@@ -321,11 +321,11 @@ def test_recursion_factor_keys_pass_the_filter(name, max_degree,
             value=lambda k: asked.append(k) or 1))
         for key in _keys(target, REAL, max_degree, max_insertions):
             for _coeff, rkey in reduce_descendant_rtrr(key, shim):
-                assert filter_real(rkey, target) is None, (key, rkey)
+                assert structural_filter(rkey, target) is None, (key, rkey)
                 checked += 1
         assert asked
         for ckey in asked:
-            assert filter_complex(ckey, target) is None, ckey
+            assert structural_filter(ckey, target) is None, ckey
     assert checked
 
 

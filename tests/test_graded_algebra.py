@@ -1,5 +1,6 @@
 """Ring arithmetic, targets, validation, and serialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,6 +161,28 @@ def test_validation_rejects_sign_pairing_mismatch():
     data["involution_signs"] = [1, 1, 1, -1]
     with pytest.raises(TargetValidationError):
         TargetSpace.from_json(data)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_odd_projective_space_admits_only_the_standard_signs(m):
+    """Of all 2^(n+1) sign vectors on P^n, n = 2m - 1, validation admits
+    only (-1)^k on h^k: the unit squares to itself, so its sign is +1,
+    multiplicativity gives sign(h^k) = sign(h)^k, and the pairing of the
+    unit with the point needs sign(h)^n = (-1)^n, so sign(h) = -1.  The
+    divisor of every target a real key lives on is thus a
+    minus-eigenspace class, which the real divisor step takes for
+    granted."""
+    n = 2 * m - 1
+    data = make_projective(m, "tau").to_json()
+    admitted = []
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        data["involution_signs"] = list(signs)
+        try:
+            TargetSpace.from_json(data)
+        except TargetValidationError:
+            continue
+        admitted.append(signs)
+    assert admitted == [tuple((-1) ** k for k in range(n + 1))]
 
 
 def test_validation_rejects_unsorted_degrees():

@@ -16,10 +16,11 @@ from itertools import combinations_with_replacement, zip_longest
 
 import pytest
 
-from gwcalc.complex_solver import (_FILTER, _VDIM, ComplexSession,
-                                   _exchange_tuples, _multisets_exact,
-                                   _sub_multisets_4, graded_keys,
-                                   insertion_variables, wdvv_instances)
+from gwcalc.complex_solver import (ComplexSession, _exchange_tuples,
+                                   _multisets_exact, _sub_multisets_4,
+                                   graded_keys, insertion_variables,
+                                   structural_filter, vdim,
+                                   wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, builtin_target_names
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
 from gwcalc.real_solver import RealSession, rwdvv_instances
@@ -221,34 +222,34 @@ def test_multiset_walk_matches_brute_force_on_descendant_variables(name):
     ("P1-tau", 3000), ("P2", 16647), ("P3-tau", 68235), ("P5-tau", 500502),
 ])
 def test_graded_keys_are_the_filtered_walk(name, count):
-    """graded_keys applies only the non-grading part of the structural
-    filter: over depth 0..3, degree 0..4 and 0..7 insertions, in both
-    theories where the target has a real one, it yields exactly the keys
-    of the multiset walk that the full filter passes, in walk order, and
-    each meets the grading.  The eta targets list the same keys as their
+    """graded_keys filters no key on its own (it tests effectivity once
+    per call, and its variables hold no parity-vanishing insertion): over
+    depth 0..3, degree 0..4 and 0..7 insertions, in both theories where
+    the target has a real one, it yields exactly the keys of the
+    multiset walk that the full filter passes, in walk order, and each
+    meets the grading.  The eta targets list the same keys as their
     tau twins (both involutions act on h^k by (-1)^k), and P7 is left out
     for time."""
     target = builtin_target(name)
     kinds = [COMPLEX] + ([REAL] if name in REAL_TARGETS else [])
     seen = 0
     for kind in kinds:
-        structural = _FILTER[kind]
         for depth in range(4):
             variables = insertion_variables(target, kind, depth)
             weights = [2 * a + target.degree(b) for a, b in variables]
             for degree in range(5):
                 for ell in range(8):
-                    vdim = _VDIM[kind](0, ell, degree, target)
+                    dim = vdim(target, kind, 0, ell, degree)
                     walk = (InvariantKey(kind, 0, degree, sorted(ins))
                             for ins in _multisets_exact(variables, weights,
-                                                        ell, vdim))
+                                                        ell, dim))
                     want = (key for key in walk
-                            if structural(key, target) is None)
+                            if structural_filter(key, target) is None)
                     for got, key in zip_longest(
                             graded_keys(target, kind, degree, ell,
                                         variables), want):
                         assert got == key, (kind, depth, degree, ell)
                         assert sum(2 * a + target.degree(b)
-                                   for a, b in got.insertions) == vdim, got
+                                   for a, b in got.insertions) == dim, got
                         seen += 1
     assert seen == count

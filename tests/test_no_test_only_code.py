@@ -37,7 +37,7 @@ ALLOWED = {
     "InvariantTable.provenance": "reads the tag every entry and cache "
                                  "file carries; the route tests check it, "
                                  "and a cache show breakdown by route "
-                                 "(ROADMAP item 3(c)) would use it",
+                                 "(ROADMAP item 4(c)) would use it",
 }
 
 

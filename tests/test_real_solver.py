@@ -11,8 +11,8 @@ from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
                                    UnderdeterminedError, _combine,
                                    _grouped_splits, _strip_primary,
-                                   filter_real, reduce_axioms,
-                                   reduce_descendant_trr, vdim_real)
+                                   reduce_axioms, reduce_descendant_trr,
+                                   structural_filter, vdim)
 from gwcalc.real_solver import (RealSession, reduce_descendant_rtrr,
                                 rwdvv_instances)
 from oracles import pn_diagonal
@@ -25,11 +25,11 @@ def rkey(d, ins, genus=0):
 
 def test_vdim_real(p3, p5):
     # (1-g)(n-3) + 2*ell + (n+1)*d
-    assert vdim_real(0, 1, 1, p3) == 0 + 2 + 4
-    assert vdim_real(0, 3, 3, p3) == 0 + 6 + 12
-    assert vdim_real(1, 2, 1, p3) == 4 + 4
-    assert vdim_real(0, 1, 1, p5) == 2 + 2 + 6
-    assert vdim_real(2, 0, 2, p5) == -2 + 12
+    assert vdim(p3, REAL, 0, 1, 1) == 0 + 2 + 4
+    assert vdim(p3, REAL, 0, 3, 3) == 0 + 6 + 12
+    assert vdim(p3, REAL, 1, 2, 1) == 4 + 4
+    assert vdim(p5, REAL, 0, 1, 1) == 2 + 2 + 6
+    assert vdim(p5, REAL, 2, 0, 2) == -2 + 12
 
 
 def test_vdim_real_parity(p3, p5):
@@ -38,24 +38,24 @@ def test_vdim_real_parity(p3, p5):
         for g in range(3):
             for ell in range(5):
                 for d in range(5):
-                    assert vdim_real(g, ell, d, target) % 2 == 0
+                    assert vdim(target, REAL, g, ell, d) % 2 == 0
 
 
 def test_filter_real(p3):
-    assert filter_real(rkey(-1, []), p3) == "effectivity"
-    assert filter_real(rkey(0, [(0, 4)]), p3) == "effectivity"
+    assert structural_filter(rkey(-1, []), p3) == "effectivity"
+    assert structural_filter(rkey(0, [(0, 4)]), p3) == "effectivity"
     # tau_0 of a plus-eigenspace class dies by parity
-    assert filter_real(rkey(1, [(0, 3)]), p3) == "parity"
+    assert structural_filter(rkey(1, [(0, 3)]), p3) == "parity"
     # tau_1 of a minus-eigenspace class dies by parity
-    assert filter_real(rkey(1, [(1, 4)]), p3) == "parity"
+    assert structural_filter(rkey(1, [(1, 4)]), p3) == "parity"
     # the unit is a plus-eigenspace class: a string insertion dies by
     # parity before any other rule reaches it
-    assert filter_real(rkey(1, [(0, 1), (0, 4)]), p3) == "parity"
+    assert structural_filter(rkey(1, [(0, 1), (0, 4)]), p3) == "parity"
     # grading: <pt> at degree 1 needs degree sum 6
-    assert filter_real(rkey(1, [(0, 4)]), p3) is None
-    assert filter_real(rkey(1, [(0, 2)]), p3) == "grading"
-    assert filter_real(rkey(1, [(1, 3)]), p3) is None
-    assert filter_real(rkey(2, [(0, 4), (0, 4)]), p3) is None
+    assert structural_filter(rkey(1, [(0, 4)]), p3) is None
+    assert structural_filter(rkey(1, [(0, 2)]), p3) == "grading"
+    assert structural_filter(rkey(1, [(1, 3)]), p3) is None
+    assert structural_filter(rkey(2, [(0, 4), (0, 4)]), p3) is None
 
 
 def test_parity_filter_matches_insertion_test(p3, p5):
@@ -73,7 +73,7 @@ def test_real_mapping_to_point(p3):
         for ins in ([(0, 2), (0, 2)], [(0, 2), (0, 2), (0, 2)],
                     [(1, 1), (0, 2), (0, 2)]):
             k = rkey(0, ins)
-            assert filter_real(k, target) is None
+            assert structural_filter(k, target) is None
             assert session.value(k) == 0
 
 
