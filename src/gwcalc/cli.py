@@ -1,8 +1,8 @@
 """Command-line front end: compute tables, verify consistency, manage cache.
 
 Exit codes: 0 success / all suites pass, 1 suite failure or I/O error,
-2 bad flags or inputs, 3 inconsistent data (store conflicts, rank
-problems, corrupt cache), 4 underdetermined system (e.g. a fixed-locus
+2 bad flags or inputs, 3 inconsistent data (store conflicts, corrupt
+cache, a seed sign the cache contradicts), 4 underdetermined system (a
 free involution with no seed sign supplied).  ``verify`` needs
 --max-degree >= 1, since no relation or recursion exists below degree
 1, and a real suite named on an even-dimensional target is a usage

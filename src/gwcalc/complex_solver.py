@@ -21,7 +21,7 @@ the relation instance that solves each primary key of a block
 (_designated_tuple), its provenance tag and relation wording, the
 degree-0 rule and its recursion, _recursion_value, tagged _recursion),
 one block-solve skeleton (_solve_block) that seeds and then solves each
-pending key from the row of its designated instance, one axiom step
+pending key from the terms of its designated instance, one axiom step
 (reduce_axioms: string, dilaton and divisor, reading the theory from
 the key; the real constants are a vanishing string insertion, a dilaton
 of 2(g - 1 + ell) and a divisor weight of 2), one recursion expansion,
@@ -35,9 +35,10 @@ degree the grading leaves per split (_split_class), the slot the
 recursion lowers and its genus-0 and degree >= 1 preconditions
 (_recursion_slot), the
 run-wise lowering of the string and divisor steps (_lowered_runs), the
-divisor step (weight 1 complex, 2 real), the relation-row builder
-(_relation_row) and the evaluation of a sum of keys (evaluate_terms) or
-of products of keys (evaluate_products).
+divisor step (weight 1 complex, 2 real) and the evaluation of a sum of
+keys (evaluate_terms) or of products of keys (evaluate_products, the
+one exact evaluator: the block solve and the relation residual read a
+relation's terms through it, over stored values only, _stored).
 
 The complex solver computes primary (descendant-free) invariants degree
 by degree from four-point exchange relations, one per unknown, seeded
@@ -48,9 +49,9 @@ other descendant key goes through the integrated topological recursion
 (reduce_descendant_trr), one-point keys after the string relation has
 lifted them to two points.  The recursion stays a second route: the
 trr-cross suite compares one step of each over the same lower values.
-Everything is exact rational arithmetic, and the evaluators
-(evaluate_terms, evaluate_products, _relation_row) add up int
-numerators over a common denominator and build one Fraction per
+Everything is exact rational arithmetic, and the evaluator
+(evaluate_products, which evaluate_terms calls) adds up int
+numerators over a common denominator and builds one Fraction per
 evaluated key: every complex primary value of P^n, relation weight and
 axiom-step coefficient is whole, so only the recursion's 1/d (or a
 non-whole value loaded from a cache) brings a denominator in.  A
@@ -275,47 +276,21 @@ def evaluate_products(terms, value):
     return Fraction(num, den)
 
 
-def _relation_row(table, terms, d):
-    """The (row over unknowns, rhs) of one relation instance's (coeff,
-    keys) terms at block degree ``d``, in either theory: a key stored in
-    the live table folds into its coefficient, a missing key below
-    degree d raises SolverError, the one key left takes the term into
-    the row, and a term with none left goes to the rhs.  The row and rhs
-    add up int numerators over one common denominator, as
-    evaluate_products does, and become Fractions at the end."""
-    row = {}
-    rhs = 0
-    den = 1
-    for coeff, keys in terms:
-        n, q = coeff.numerator, coeff.denominator
-        unknown = None
-        for key in keys:
-            val = table.get(key)
-            if val is not None:
-                n *= val.numerator
-                q *= val.denominator
-            elif key.degree < d:
+def _stored(table, d):
+    """The value reader a relation at degree ``d`` is evaluated through
+    (evaluate_products), in either theory: it reads only the live table,
+    and a missing key raises SolverError naming it, UnderdeterminedError
+    for a key of degree d (the block solve leaves its key unresolved)."""
+    get = table.get
+
+    def value(key):
+        val = get(key)
+        if val is None:
+            if key.degree < d:
                 raise SolverError("missing lower-degree value %r" % (key,))
-            elif unknown is None:
-                unknown = key
-            else:
-                raise AssertionError("two unknown factors in one term")
-        if q != den:
-            # bring the row, the rhs and this term to a common denominator
-            g = math.gcd(den, q)
-            scale = q // g
-            if scale != 1:
-                rhs *= scale
-                for k in row:
-                    row[k] *= scale
-                den *= scale
-            n *= den // q
-        if unknown is None:
-            rhs -= n
-        else:
-            row[unknown] = row.get(unknown, 0) + n
-    return ({k: Fraction(c, den) for k, c in row.items()},
-            Fraction(rhs, den))
+            raise UnderdeterminedError("missing degree-%d value %r" % (d, key))
+        return val
+    return value
 
 
 def _grouped_splits(items):
@@ -351,8 +326,14 @@ def _multisets_exact(items, weights, count, total):
     non-negative and non-decreasing.  Returns a list of the multisets,
     each a tuple of items in list order, lexicographically by list
     position.  The walk solves each subproblem (first item, count left,
-    total left) once per call.
+    total left) once per call.  walk reaches itself through its closure
+    cell, so the name is cleared once the walk returns: the cycle would
+    hold the memo until a garbage collection.
     """
+    if count == 0:
+        return [()] if total == 0 else []
+    if not (items and count * weights[0] <= total <= count * weights[-1]):
+        return []
     memo = {}
     last = len(items) - 1
 
@@ -384,11 +365,9 @@ def _multisets_exact(items, weights, count, total):
         memo[key] = got
         return got
 
-    if count == 0:
-        return [()] if total == 0 else []
-    if not (items and count * weights[0] <= total <= count * weights[-1]):
-        return []
-    return walk(0, count, total)
+    out = walk(0, count, total)
+    del walk
+    return out
 
 
 def insertion_variables(target, kind, depth):
@@ -589,8 +568,9 @@ def reduce_axioms(key, target, slot=None):
     for the key, when the caller has it already.  Raises SolverError for
     a target that is not a projective space (of odd dimension, for a
     real key), and AxiomPreconditionError when no removable insertion
-    exists or the stripped invariant would be unstable at degree 0
-    (complex: g = 0 with two insertions left; real: g + ell <= 1).
+    exists or the stripped invariant would be unstable (_unstable: at
+    degree 0, complex 2g + ell < 3, real g + ell <= 1, with ell the
+    insertions left).
     """
     real = key.kind == REAL
     (_require_real_target if real else _require_projective)(target)
@@ -602,7 +582,7 @@ def reduce_axioms(key, target, slot=None):
     rest = [ins for i, ins in enumerate(key.insertions) if i != idx]
     g, d = key.genus, key.degree
     ell = len(rest)
-    if d == 0 and (g + ell <= 1 if real else (g, ell) == (0, 2)):
+    if _unstable(key.kind, g, d, ell):
         raise AxiomPreconditionError(
             "stripping from %r leaves an unstable degree-0 configuration" % (key,))
     if which == "string":
@@ -708,31 +688,41 @@ def _solve_block(session, d):
     pair) when it is an unknown of the block, then takes the pending keys
     (degree-d keys missing from the table) in primary_keys order, that
     is in sort_key order.  Each pending key has one designated relation
-    instance (``session._designated_tuple``) whose row (_relation_row of
-    the session's ``_relation_terms``) holds the key with a nonzero
-    coefficient and otherwise only degree-d keys earlier in sort_key
-    order, which have a value by then and fold into the rhs; so the row
-    reads {key: coeff}, and the key takes rhs / coeff under the
-    session's ``_provenance`` tag.  A key with no designated instance, or
-    whose row is not {key: nonzero}, stays unresolved: the solve goes on
-    with the other keys and then raises UnderdeterminedError naming the
-    session's ``_relations`` and the count of unresolved keys."""
+    instance (``session._designated_tuple``) whose terms
+    (``_relation_terms``) hold the key only as one-key terms, with a
+    nonzero net coeff, and otherwise only degree-d keys earlier in
+    sort_key order, which have a value by then; so the key takes minus
+    the other terms' sum (evaluate_products through _stored) over coeff,
+    under the session's ``_provenance`` tag.  Any other key stays
+    unresolved: the solve goes on with the other keys and then raises
+    UnderdeterminedError naming the session's ``_relations`` and the
+    count of unresolved keys."""
     unknowns = session.primary_keys(d)
     table = session.table
     seed_key, seed_value = session._seed
     if seed_value is not None and seed_key in unknowns:
         table.put(seed_key, seed_value, "seed")
+    stored = _stored(table, d)
     missing = 0
     for key in unknowns:
         if key in table:
             continue
         mu = session._designated_tuple(key, d)
+        coeff = 0
+        others = []
         if mu is not None:
-            row, rhs = _relation_row(table, session._relation_terms(mu, d), d)
-            coeff = row.pop(key, 0)
-            if coeff and not any(row.values()):
-                table.put(key, rhs / coeff, session._provenance)
+            for c, keys in session._relation_terms(mu, d):
+                if keys == [key]:
+                    coeff += c
+                else:
+                    others.append((c, keys))
+        if coeff:
+            try:
+                table.put(key, -evaluate_products(others, stored) / coeff,
+                          session._provenance)
                 continue
+            except UnderdeterminedError:
+                pass
         missing += 1
     if missing:
         msg = "%s left %d key(s) unresolved at degree %d" % (
@@ -849,15 +839,14 @@ class _Session:
         _relation_terms reads it) against solved values.
 
         Returns the exact amount by which the instance fails to vanish
-        (zero on a consistent table).  Uses the grouped fast path, so it
-        is cheap even for instances with many repeated insertions.  Every
-        factor below ``degree``, of either theory, must be in the table
-        (_relation_row raises SolverError otherwise).
+        (zero on a consistent table): evaluate_products of its terms.
+        Uses the grouped fast path, so it is cheap even for instances
+        with many repeated insertions.  It reads only the table and
+        solves nothing: every factor, of either theory, must be stored
+        (_stored raises SolverError naming a missing one).
         """
-        row, rhs = _relation_row(self.table, self._relation_terms(mu, degree),
-                                 degree)
-        return evaluate_terms(((c, k) for k, c in row.items()),
-                              self.value) - rhs
+        return evaluate_products(self._relation_terms(mu, degree),
+                                 _stored(self.table, degree))
 
     def primary_value(self, degree, basis_list):
         """Value of a primary invariant given as a degree and a list of

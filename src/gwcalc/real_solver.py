@@ -18,10 +18,11 @@ filter (vdim, structural_filter), the target check (_require_real_target:
 an odd-dimensional projective space), the primary unknowns, the session
 evaluator (_Session, whose block-solve driver the real session binds as
 ensure_real, and whose descendant route it shares), the block-solve
-skeleton (substitution: one designated relation row per pending key,
-in sort_key order), the axiom step, the split class, the one relation
-expansion (_Session._relation_terms) and the relation-row builder are
-the ones complex_solver keeps for both theories, and so is the one
+skeleton (substitution: one designated relation instance per pending
+key, in sort_key order), the axiom step, the split class, the one
+relation expansion (_Session._relation_terms) and the one exact
+evaluator of its terms (evaluate_products) are the ones complex_solver
+keeps for both theories, and so is the one
 recursion expansion, reduce_descendant_trr, reading key.kind.  This
 module supplies the real pairing table the expansion reads (slots 1 and
 3 on the complex side against slot 2 on the real side, minus slots 1

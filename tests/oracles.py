@@ -9,7 +9,7 @@ oracle with it:
   closed form;
 - wdvv_relation: the four-point exchange relation expanded over every
   ungrouped split of the other insertions, every diagonal term and
-  every degree split, against the grouped relation rows;
+  every degree split, against the grouped relation terms;
 - pn_diagonal: the diagonal class of P^n read off the pairing, which
   the test-side references expand instead of the solver's split class;
 - one_point_series_coeffs: genus-0 one-point descendants of P^n read

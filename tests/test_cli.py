@@ -537,7 +537,7 @@ def p3_d2_cache(tmp_path_factory):
     ("wdvv", COMPLEX, 2, [(0, 4)] * 4, 1,
      "suite wdvv       FAIL: instance (2, 3, 4, 4, 4) at degree 2 sums "
      "to 1"),
-    # a stored non-whole value goes through the relation rows' common
+    # a stored non-whole value goes through the relation evaluator's common
     # denominator: <h2, h2, pt, pt, pt>_2 = 1 shifted to 1/2
     ("wdvv", COMPLEX, 2, [(0, 3)] * 2 + [(0, 4)] * 3, Fraction(-1, 2),
      "suite wdvv       FAIL: instance (2, 2, 3, 4, 4, 4) at degree 2 sums "

@@ -18,8 +18,7 @@ from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable, StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   _grouped_splits, _relation_row,
-                                   _split_class, _sub_multisets_4,
+                                   _grouped_splits, _split_class, _sub_multisets_4,
                                    degree_zero_value, evaluate_products,
                                    evaluate_terms, graded_keys,
                                    insertion_variables, key_degree_sum,
@@ -286,6 +285,16 @@ def test_reduce_axioms_preconditions(p2):
         reduce_axioms(key(0, [(0, 1), (0, 3), (0, 3)]), p2)
 
 
+@pytest.mark.parametrize("genus,ins", [
+    (0, [(0, 1), (1, 3)]), (0, [(1, 1)]), (0, [(0, 1), (0, 3)]),
+    (1, [(1, 1)])])
+def test_reduce_axioms_refuses_every_unstable_remainder(p2, genus, ins):
+    """A degree-0 remainder with 2g + ell < 3 is refused, not only the
+    (g, ell) = (0, 2) one: it would expand a key over unstable keys."""
+    with pytest.raises(AxiomPreconditionError, match="unstable"):
+        reduce_axioms(key(0, ins, genus), p2)
+
+
 def test_reduce_axioms_refuses_non_projective_target(torus):
     # the string step would give <tau_0(b), tau_0(a)>, whose sort into
     # canonical order swaps two odd classes; keys carry no Koszul sign,
@@ -537,9 +546,9 @@ def _fraction_product(coeff, factors):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_evaluators_match_fraction_reference(seed):
-    """evaluate_terms, evaluate_products and _relation_row, which add up
-    int numerators over a common denominator, give the sums a plain
-    Fraction loop gives, as Fractions."""
+    """evaluate_terms and evaluate_products, which add up int numerators
+    over a common denominator, give the sums a plain Fraction loop
+    gives, as Fractions."""
     rng = random.Random(seed)
     keys = [key(1, [(0, 2)] * k) for k in range(8)]
     # values as a session or a table returns them: Fractions
@@ -556,29 +565,10 @@ def test_evaluators_match_fraction_reference(seed):
     assert got == sum((_fraction_product(c, [values[k] for k in ks])
                        for c, ks in terms), Fraction(0))
 
-    # a row over two keys of the block degree that the table lacks: about
-    # half the terms take one of them, the rest go to the rhs
-    unknowns = [key(1, [(0, 3)]), key(1, [(0, 3)] * 2)]
-    row_terms = [(c, ks + (rng.choice(unknowns),) if rng.random() < 0.5
-                  else ks) for c, ks in terms]
-    want_row, want_rhs = {}, Fraction(0)
-    for c, ks in row_terms:
-        part = _fraction_product(c, [values[k] for k in ks if k in values])
-        if ks[-1] in values:
-            want_rhs -= part
-        else:
-            want_row[ks[-1]] = want_row.get(ks[-1], Fraction(0)) + part
-    row, rhs = _relation_row(values, row_terms, 1)
-    assert (row, rhs) == (want_row, want_rhs)
-    assert list(row) == list(want_row)
-    assert all(type(c) is Fraction for c in [rhs, *row.values()])
-
 
 def test_evaluators_of_no_terms_give_fraction_zero():
     for got in (evaluate_terms([], None), evaluate_products([], None)):
         assert got == 0 and type(got) is Fraction
-    row, rhs = _relation_row({}, [], 1)
-    assert row == {} and rhs == 0 and type(rhs) is Fraction
 
 
 def test_evaluate_products_stops_at_first_zero_factor():
@@ -599,11 +589,26 @@ def test_evaluate_products_stops_at_first_zero_factor():
 
 
 def test_relation_residual_needs_lower_degrees(p2):
-    """A fresh session has no degree-1 values, so a degree-2 instance
-    cannot be sorted into a row."""
+    """A fresh session has no values, so a degree-2 instance cannot be
+    evaluated: its first missing factor is a degree-2 key."""
     mu = next(wdvv_instances(p2, 2, 7))
-    with pytest.raises(SolverError, match="missing lower-degree value"):
+    with pytest.raises(SolverError,
+                       match="missing degree-2 value <complex g=0 d=2"):
         ComplexSession(p2).relation_residual(mu, 2)
+
+
+def test_relation_residual_solves_no_block():
+    """The residual reads only stored values: on a P3-tau session solved
+    to degree 1, a degree-2 instance raises SolverError naming a missing
+    degree-2 key, and the table gains no entry."""
+    session = ComplexSession(builtin_target("P3-tau"))
+    session.ensure_primary(1)
+    before = list(session.table.items())
+    mu = next(wdvv_instances(session.target, 2, 6))
+    with pytest.raises(SolverError,
+                       match="missing degree-2 value <complex g=0 d=2"):
+        session.relation_residual(mu, 2)
+    assert list(session.table.items()) == before
 
 
 def test_wdvv_relation_rejects(p2):

@@ -187,7 +187,8 @@ def reference_axiom_step(key, target):
     invariant, the dilaton carries 2(g - 1 + ell) rather than
     2g - 2 + ell, the divisor's descendant terms weigh 2 rather than 1,
     a divisor needs a minus-eigenspace class, and degree 0 is refused
-    for g + ell <= 1 rather than (g, ell) = (0, 2)."""
+    for g + ell <= 1 rather than 2g + ell < 3 (ell the insertions
+    left)."""
     real = key.kind == REAL
     for slot, which in (((0, 1), "string"), ((1, 1), "dilaton"),
                         ((0, 2), "divisor")):
@@ -202,7 +203,7 @@ def reference_axiom_step(key, target):
     rest = list(key.insertions)
     rest.remove(slot)
     g, d, ell = key.genus, key.degree, len(rest)
-    if d == 0 and (g + ell <= 1 if real else (g, ell) == (0, 2)):
+    if d == 0 and (g + ell <= 1 if real else 2 * g + ell < 3):
         raise AxiomPreconditionError("degree 0")
 
     def lowered(i, b):

@@ -10,6 +10,7 @@ The shared walk must give the same sequences, in the same order, on the
 built-in targets.
 """
 
+import gc
 import random
 from collections import defaultdict
 from itertools import combinations_with_replacement, zip_longest
@@ -253,3 +254,22 @@ def test_graded_keys_are_the_filtered_walk(name, count):
                                    for a, b in got.insertions) == dim, got
                         seen += 1
     assert seen == count
+
+
+def test_graded_keys_leave_no_reference_cycle():
+    """The multiset walk drops its self-reference once it returns, so a
+    graded_keys call leaves nothing to the cycle collector: with
+    collection disabled and the heap collected once, gc.collect() after
+    the call frees no object."""
+    target = builtin_target("P2")
+    variables = insertion_variables(target, COMPLEX, 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        keys = list(graded_keys(target, COMPLEX, 2, 4, variables))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(keys) == 68

@@ -114,8 +114,9 @@ BLOCK_ROWS = [
 
 
 def _count_block_rows(monkeypatch):
-    """Count the _relation_row calls of each block solve by (theory of
-    the block, degree)."""
+    """Count the _Session._relation_terms calls inside each block solve
+    (one per relation row it evaluates) by (theory of the block,
+    degree)."""
     rows = Counter()
     solving = []  # the theories of the blocks being solved, innermost last
 
@@ -126,11 +127,14 @@ def _count_block_rows(monkeypatch):
         finally:
             solving.pop()
 
-    def relation_row(table, terms, d, row=complex_solver._relation_row):
-        rows[solving[-1], d] += 1
-        return row(table, terms, d)
+    def relation_terms(session, mu, d,
+                       terms=complex_solver._Session._relation_terms):
+        if solving:
+            rows[solving[-1], d] += 1
+        return terms(session, mu, d)
     monkeypatch.setattr(complex_solver, "_solve_block", solve_block)
-    monkeypatch.setattr(complex_solver, "_relation_row", relation_row)
+    monkeypatch.setattr(complex_solver._Session, "_relation_terms",
+                        relation_terms)
     return rows
 
 
@@ -149,7 +153,7 @@ def _solve(session, max_degree):
 @pytest.mark.parametrize("name,kind,max_degree,expected", BLOCK_ROWS,
                          ids=["%s-%s-d%d" % row[:3] for row in BLOCK_ROWS])
 def test_block_solve_rows(monkeypatch, name, kind, max_degree, expected):
-    """Each block solve evaluates one _relation_row per pending key, so
+    """Each block solve evaluates one relation row per pending key, so
     as many rows as the entries it adds besides the seed (frozen per
     block); a block with no pending key evaluates none, so a second
     session over the solved table evaluates no row at all."""
