@@ -1,10 +1,10 @@
-"""Sign conventions for the curve-count recursions.
+"""Sign conventions of graded commutativity.
 
-The sign functions implement the graded-commutativity bookkeeping:
-permutation signs count inversions among odd-degree insertions, split
-signs count odd-odd crossings of a two-block partition, and the sorting
-routine used by key canonicalization counts the odd-odd crossings of the
-sort it performs.
+Permutation signs count inversions among odd-degree insertions, split
+signs count odd-odd crossings of a two-block partition, and the signed
+sort of series monomials (its one caller is GradedSeries.monomial)
+counts the odd-odd crossings of the sort it performs.  Invariant keys
+sort without a sign.
 
 Index sets are sorted lists/tuples of 1-based indices.
 """

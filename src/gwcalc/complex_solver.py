@@ -8,13 +8,16 @@ with the effectivity test (_unstable) that graded_keys applies once per
 call, the stripping of unit and divisor insertions off a primary
 factor, one multiset walk, one key enumerator (graded_keys; the
 primary unknowns of a block are its depth-0 keys over classes of degree
->= 4), one session evaluator (_Session: the primary unknowns, the
-relation residual, the values of primary and any keys and the loop over
-degree blocks, _ensure, which ComplexSession binds as ensure_primary and
-RealSession as ensure_real, the one memo of a primary factor's
-structural part, _shape, and the one relation expansion,
-_relation_terms, reading the session's pairing table, and the
-descendant route: one axiom step where _axiom_route allows it, else the
+>= 4), one sub-multiset walk (_sub_multisets: the quads of verify's
+exchange window, arranged in closed form by _exchange_tuples, and the
+triple of a primary key's designated instance), one session evaluator
+(_Session: the primary unknowns, the relation residual, the values of
+primary and any keys and the loop over degree blocks, _ensure, which
+ComplexSession binds as ensure_primary and RealSession as ensure_real,
+the one memo of a primary factor's structural part, _shape, and the one
+relation expansion, _relation_terms, reading the session's pairing
+table, and the descendant route: one axiom step where _axiom_route
+allows it, else the
 session's recursion; each session keeps its seed, its pairing table
 (_pairings, _pad_start and the doubling of the complex side, _doubling),
 the relation instance that solves each primary key of a block
@@ -84,7 +87,6 @@ while its value is always read from the live table.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 
@@ -612,16 +614,20 @@ def _axiom_route(key):
 # exchange relations
 
 
-def _sub_multisets_4(values):
-    """Distinct 4-element sub-multisets of a sorted tuple, in lexicographic
-    order, each with the sorted remainder."""
-    available = Counter(values)
+def _sub_multisets(values, k):
+    """Distinct k-element sub-multisets of a sorted tuple, in lexicographic
+    order, each with the sorted remainder: each candidate from the
+    distinct values is kept when it can be removed from a copy of the
+    tuple."""
     out = []
-    for quad in combinations_with_replacement(sorted(available), 4):
-        taken = Counter(quad)
-        if any(taken[v] > available[v] for v in taken):
+    for sub in combinations_with_replacement(sorted(set(values)), k):
+        rest = list(values)
+        try:
+            for v in sub:
+                rest.remove(v)
+        except ValueError:
             continue
-        out.append((quad, tuple(sorted((available - taken).elements()))))
+        out.append((sub, tuple(rest)))
     return out
 
 
@@ -631,28 +637,18 @@ def _exchange_tuples(quad):
     A relation is an unordered pair of perfect pairings of the four
     distinguished insertions; the returned 4-tuples (m1, m2, m3, m4) are
     arranged so that the relation reads pairing {m1,m2},{m3,m4} minus
-    pairing {m1,m3},{m2,m4}.
+    pairing {m1,m3},{m2,m4}.  For q1 <= q2 <= q3 <= q4 the pairings
+    A = {12|34}, B = {13|24} and C = {14|23} have A = B exactly when
+    q2 = q3, and B = C exactly when q1 = q2 or q3 = q4 (A = C forces
+    both), so the quad gives A - B when A != B, then A - C when B != C,
+    and B - C when also A != B.
     """
     q1, q2, q3, q4 = quad
-    raw = [((q1, q2), (q3, q4)), ((q1, q3), (q2, q4)), ((q1, q4), (q2, q3))]
-    canon = []
-    for a, b in raw:
-        a, b = tuple(sorted(a)), tuple(sorted(b))
-        canon.append(tuple(sorted((a, b))))
-    distinct = sorted(set(canon))
-    out = []
-    for x in range(len(distinct)):
-        for y in range(x + 1, len(distinct)):
-            pair_a, pair_b = distinct[x]
-            m1, m2 = pair_a
-            # arrange pair_b so that the cross pairing {m1,m3},{m2,m4}
-            # reproduces distinct[y]
-            for m3, m4 in (pair_b, pair_b[::-1]):
-                cross = tuple(sorted((tuple(sorted((m1, m3))),
-                                      tuple(sorted((m2, m4))))))
-                if cross == distinct[y]:
-                    out.append((m1, m2, m3, m4))
-                    break
+    out = [quad] if q2 != q3 else []
+    if q1 != q2 and q3 != q4:
+        out.append((q1, q2, q4, q3))
+        if q2 != q3:
+            out.append((q1, q3, q4, q2))
     return out
 
 
@@ -671,7 +667,7 @@ def wdvv_instances(target, degree, ell_cap):
     for length in range(4, ell_cap + 1):
         total = (n - 4) + length + (n + 1) * degree
         for multiset in _multisets_exact(basis, weights, length, total):
-            for quad, rest in _sub_multisets_4(multiset):
+            for quad, rest in _sub_multisets(multiset, 4):
                 for arranged in _exchange_tuples(quad):
                     yield arranged + rest
 
@@ -949,25 +945,19 @@ class ComplexSession(_Session):
         h^2 or higher).  Its row holds the key with coefficient 1, and its
         other degree-d keys have fewer insertions or trade g_i, g_a for
         g_i - 1, g_a + 1, which g_a >= g_i puts earlier in sort_key order.
-        Of the triples of classes, in ascending order, the first whose
-        ``rest`` has the fewest distinct splits (the product of run
-        length + 1, what _grouped_splits walks) wins: it makes the row
-        cheapest.  None for a key with fewer than three insertions: only
-        the seed has fewer."""
+        Of the triples of classes (_sub_multisets, in lexicographic
+        order), the first whose ``rest`` has the fewest distinct splits
+        (the product of run length + 1, what _grouped_splits walks) wins:
+        it makes the row cheapest.  None for a key with fewer than three
+        insertions: only the seed has fewer."""
         g = [b for _, b in key.insertions]
         if len(g) < 3:
             return None
-        runs = Counter(g)
-        triples = [t for t in combinations_with_replacement(runs, 3)
-                   if all(t.count(x) <= runs[x] for x in t)]
 
-        def splits(triple):
-            return math.prod(c + 1 - triple.count(x) for x, c in runs.items())
+        def splits(sub):
+            return math.prod(len(list(run)) + 1 for _, run in groupby(sub[1]))
 
-        i, b, a = min(triples, key=splits)
-        rest = list(g)
-        for x in (i, b, a):
-            rest.remove(x)
+        (i, b, a), rest = min(_sub_multisets(g, 3), key=splits)
         return (a, b, 2, i - 1, *rest)
 
     # -- evaluation -----------------------------------------------------

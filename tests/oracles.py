@@ -12,6 +12,10 @@ oracle with it:
   every degree split, against the grouped relation terms;
 - pn_diagonal: the diagonal class of P^n read off the pairing, which
   the test-side references expand instead of the solver's split class;
+- sub_multisets_4 and exchange_tuples: the verify window's quads by
+  Counter arithmetic and their arrangements by a search over the three
+  pairings, against the one sub-multiset walk and the closed-form
+  arrangements;
 - one_point_series_coeffs: genus-0 one-point descendants of P^n read
   off Givental's J-function, against the solver's string lift and
   topological recursion;
@@ -21,7 +25,9 @@ oracle with it:
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from gwcalc.complex_solver import SolverError, degree_zero_value
 from gwcalc.invariant_store import COMPLEX, REAL, normalize
@@ -122,6 +128,50 @@ def wdvv_relation(target, mu, degree):
                         continue
                     terms.append((Fraction(coeff), tuple(factors)))
     return terms
+
+
+def sub_multisets_4(values):
+    """Distinct 4-element sub-multisets of a sorted tuple, in lexicographic
+    order, each with the sorted remainder."""
+    available = Counter(values)
+    out = []
+    for quad in combinations_with_replacement(sorted(available), 4):
+        taken = Counter(quad)
+        if any(taken[v] > available[v] for v in taken):
+            continue
+        out.append((quad, tuple(sorted((available - taken).elements()))))
+    return out
+
+
+def exchange_tuples(quad):
+    """The inequivalent distinguished-slot arrangements of a sorted quad.
+
+    A relation is an unordered pair of perfect pairings of the four
+    distinguished insertions; the returned 4-tuples (m1, m2, m3, m4) are
+    arranged so that the relation reads pairing {m1,m2},{m3,m4} minus
+    pairing {m1,m3},{m2,m4}.
+    """
+    q1, q2, q3, q4 = quad
+    raw = [((q1, q2), (q3, q4)), ((q1, q3), (q2, q4)), ((q1, q4), (q2, q3))]
+    canon = []
+    for a, b in raw:
+        a, b = tuple(sorted(a)), tuple(sorted(b))
+        canon.append(tuple(sorted((a, b))))
+    distinct = sorted(set(canon))
+    out = []
+    for x in range(len(distinct)):
+        for y in range(x + 1, len(distinct)):
+            pair_a, pair_b = distinct[x]
+            m1, m2 = pair_a
+            # arrange pair_b so that the cross pairing {m1,m3},{m2,m4}
+            # reproduces distinct[y]
+            for m3, m4 in (pair_b, pair_b[::-1]):
+                cross = tuple(sorted((tuple(sorted((m1, m3))),
+                                      tuple(sorted((m2, m4))))))
+                if cross == distinct[y]:
+                    out.append((m1, m2, m3, m4))
+                    break
+    return out
 
 
 def one_point_series_coeffs(n, d):

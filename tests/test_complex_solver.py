@@ -18,9 +18,10 @@ from gwcalc.invariant_store import (COMPLEX, REAL, InvariantKey,
                                     InvariantTable, StoreConflictError)
 from gwcalc.complex_solver import (AxiomPreconditionError, ComplexSession,
                                    InconsistentSystemError, SolverError,
-                                   _grouped_splits, _split_class, _sub_multisets_4,
-                                   degree_zero_value, evaluate_products,
-                                   evaluate_terms, graded_keys,
+                                   _grouped_splits, _split_class,
+                                   _sub_multisets, degree_zero_value,
+                                   evaluate_products, evaluate_terms,
+                                   graded_keys,
                                    insertion_variables, key_degree_sum,
                                    kontsevich_p2, reduce_axioms,
                                    reduce_descendant_trr, structural_filter,
@@ -618,30 +619,34 @@ def test_wdvv_relation_rejects(p2):
         wdvv_relation(p2, (2, 2, 3, 9), 1)
 
 
-def index_walk_sub_multisets_4(values):
-    """Reference: walk every index quadruple of the sorted tuple and keep
-    the first occurrence of each value quadruple."""
+def index_walk_sub_multisets(values, k):
+    """Reference: walk every index k-tuple of the sorted tuple and keep
+    the first occurrence of each value k-tuple."""
     seen = set()
     out = []
-    for idxs in itertools.combinations(range(len(values)), 4):
-        quad = tuple(values[i] for i in idxs)
-        if quad in seen:
+    for idxs in itertools.combinations(range(len(values)), k):
+        sub = tuple(values[i] for i in idxs)
+        if sub in seen:
             continue
-        seen.add(quad)
+        seen.add(sub)
         rest = list(values)
         for i in reversed(idxs):
             del rest[i]
-        out.append((quad, tuple(rest)))
+        out.append((sub, tuple(rest)))
     return out
 
 
-def test_sub_multisets_4_matches_index_walk():
+def test_sub_multisets_matches_index_walk():
+    """The one sub-multiset walk at k = 3 (the designated instance) and
+    k = 4 (the verify window)."""
     rng = random.Random(2024)
-    for _ in range(3000):
-        length = rng.randint(0, 12)
-        values = tuple(sorted(rng.randint(1, rng.randint(1, 6))
-                              for _ in range(length)))
-        assert _sub_multisets_4(values) == index_walk_sub_multisets_4(values)
+    for k in (3, 4):
+        for _ in range(3000):
+            length = rng.randint(0, 12)
+            values = tuple(sorted(rng.randint(1, rng.randint(1, 6))
+                                  for _ in range(length)))
+            assert _sub_multisets(values, k) == \
+                index_walk_sub_multisets(values, k), (k, values)
 
 
 def test_wdvv_instances_structure(p2):

@@ -1,30 +1,35 @@
-"""The one multiset walk and key enumerator against the enumerators they
-replaced.
+"""The one multiset walk, key enumerator and sub-multiset walk against
+the enumerators they replaced.
 
 The references below are the earlier enumerators, kept verbatim except
 that the key references now drop the unstable degree-0 keys, as the
 structural filter does: each re-derived the grading in
 cohomological-exponent space (an entry k stands for the class h^k, basis
-index k + 1) on its own bounded walk.
+index k + 1) on its own bounded walk.  The wdvv reference draws its
+quads and their arrangements through the Counter walk and the pairing
+search in tests/oracles.py, and the designated instance of a primary
+key has its earlier triple search here.
 The shared walk must give the same sequences, in the same order, on the
 built-in targets.
 """
 
 import gc
+import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement, zip_longest
 
 import pytest
 
 from gwcalc.complex_solver import (ComplexSession, _exchange_tuples,
-                                   _multisets_exact, _sub_multisets_4,
-                                   graded_keys, insertion_variables,
+                                   _multisets_exact, graded_keys,
+                                   insertion_variables, primary_unknowns,
                                    structural_filter, vdim,
                                    wdvv_instances)
 from gwcalc.graded_algebra import builtin_target, builtin_target_names
 from gwcalc.invariant_store import COMPLEX, REAL, InvariantKey
 from gwcalc.real_solver import RealSession, rwdvv_instances
+from oracles import exchange_tuples, sub_multisets_4
 
 
 def multisets_with_sum(count, total, max_part, min_part):
@@ -98,8 +103,8 @@ def reference_wdvv_instances(target, degree, ell_cap):
             continue
         for multiset in multisets_with_sum(length, total, n, 1):
             basis_multiset = tuple(k + 1 for k in multiset)
-            for quad, rest in _sub_multisets_4(basis_multiset):
-                for arranged in _exchange_tuples(quad):
+            for quad, rest in sub_multisets_4(basis_multiset):
+                for arranged in exchange_tuples(quad):
                     yield arranged + rest
 
 
@@ -171,6 +176,51 @@ def test_rwdvv_instances_match_reference(name):
         for cap in range(3, 9):
             assert list(rwdvv_instances(target, d, cap)) == \
                 list(reference_rwdvv_instances(target, d, cap)), (d, cap)
+
+
+def test_exchange_tuples_match_the_pairing_search():
+    """The closed-form arrangements equal the search over the three
+    pairings on every sorted quad over 7 classes."""
+    quads = list(combinations_with_replacement(range(1, 8), 4))
+    assert len(quads) == 210
+    for quad in quads:
+        assert _exchange_tuples(quad) == exchange_tuples(quad), quad
+
+
+def reference_designated_tuple(key):
+    """The designated instance by the triple search it replaced: the
+    first triple (i, b, a) of the key's classes, in ascending order,
+    whose remainder has the fewest distinct splits, arranged as
+    (a, b, h, i - 1) + remainder."""
+    g = [b for _, b in key.insertions]
+    if len(g) < 3:
+        return None
+    runs = Counter(g)
+    triples = [t for t in combinations_with_replacement(runs, 3)
+               if all(t.count(x) <= runs[x] for x in t)]
+
+    def splits(triple):
+        return math.prod(c + 1 - triple.count(x) for x, c in runs.items())
+
+    i, b, a = min(triples, key=splits)
+    rest = list(g)
+    for x in (i, b, a):
+        rest.remove(x)
+    return (a, b, 2, i - 1, *rest)
+
+
+@pytest.mark.parametrize("name, max_degree",
+                         [("P2", 9), ("P3-tau", 8), ("P5-tau", 5),
+                          ("P7-tau", 4)])
+def test_designated_tuple_matches_the_triple_search(name, max_degree):
+    """The designated instance read off the one sub-multiset walk is the
+    triple search's on every complex primary unknown of the window."""
+    target = builtin_target(name)
+    session = ComplexSession(target)
+    for d in range(max_degree + 1):
+        for key in primary_unknowns(target, COMPLEX, d):
+            assert session._designated_tuple(key, d) == \
+                reference_designated_tuple(key), key
 
 
 def reference_multisets(items, weights, count):
